@@ -2,8 +2,7 @@
 
 Every landed optimization commits a ``BENCH_<rev>.json`` next to the last
 one, so the repo root accumulates a time series of (revision, wall time,
-shard width, projected parallel wall, event count) tuples.  This module
-renders that series as a table with
+event count) tuples.  This module renders that series as a table with
 Unicode sparklines: one glance shows whether the DES kernel has been
 getting faster (wall time falling) and whether a change silently altered
 simulation behavior (``events_processed`` is deterministic — it should
@@ -104,31 +103,13 @@ def render_history(history: t.Sequence[dict[str, t.Any]]) -> str:
         n_events = int(totals.get("events_processed", 0))
         walls.append(wall)
         events.append(float(n_events))
-        # Widest shard plan in the snapshot, and the suite wall time had
-        # every sharded entry run one shard per core (unsharded entries
-        # contribute their measured wall unchanged).  Snapshots predating
-        # the sharded columns render as a plain "-" / measured wall.
-        entries = payload.get("entries", ())
-        max_shards = max(
-            (int(e.get("shards", 0)) for e in entries), default=0
-        )
-        projected = sum(
-            float(
-                e.get("projected_wall_s", 0.0)
-                if e.get("shards", 0)
-                else e.get("wall_time_s", 0.0)
-            )
-            for e in entries
-        )
         rows.append(
             (
                 str(payload.get("rev", "?")),
                 str(payload.get("created", "?"))[:19],
                 str(payload.get("scale", "?")),
-                str(len(entries)),
-                str(max_shards) if max_shards else "-",
+                str(len(payload.get("entries", ()))),
                 f"{wall:.3f}",
-                f"{projected:.3f}" if max_shards else "-",
                 f"{n_events:,}",
             )
         )
@@ -136,16 +117,7 @@ def render_history(history: t.Sequence[dict[str, t.Any]]) -> str:
 
     lines = [
         render_table(
-            (
-                "rev",
-                "created",
-                "scale",
-                "entries",
-                "shards",
-                "wall s",
-                "proj wall s",
-                "events",
-            ),
+            ("rev", "created", "scale", "entries", "wall s", "events"),
             rows,
             title=f"bench history ({len(history)} snapshots)",
         ),

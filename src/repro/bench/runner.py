@@ -59,29 +59,6 @@ class BenchRecord:
     events_per_s: float
     sim_elapsed_s: float
     bandwidth_mb_s: float
-    #: Shard calendars the entry ran on (0 = single calendar).
-    shards: int = 0
-    #: Server calendars inside the plan (0 = single calendar run).
-    server_shards: int = 0
-    #: Conservative-protocol rounds (sharded entries only).  The widened
-    #: per-kind lookahead shrinks this against earlier trajectories at
-    #: the same point — the committed payloads carry the delta.
-    rounds: int = 0
-    #: Windows executed away from their home worker by the work-stealing
-    #: scheduler, plus windows skipped as provably empty.
-    steals: int = 0
-    windows_skipped: int = 0
-    #: Total wall seconds shards spent computing windows.
-    busy_s: float = 0.0
-    #: Sum over rounds of the slowest shard's window time — the compute
-    #: cost of the same run with one core per shard.
-    critical_path_s: float = 0.0
-    #: ``wall - busy + critical_path``: this entry's wall time had the
-    #: shard windows run concurrently.  On a multi-core host running the
-    #: ``mp`` transport the measured ``wall_time_s`` already shows the
-    #: overlap; on a single core (the ``inproc`` transport) this is the
-    #: honest projection, and the trajectory test gates on it.
-    projected_wall_s: float = 0.0
 
     def to_dict(self) -> dict[str, t.Any]:
         return dataclasses.asdict(self)
@@ -92,79 +69,21 @@ def run_entry(
 ) -> tuple[BenchRecord, str | None]:
     """Run one entry; returns its record plus an optional profile dump.
 
-    Entries with ``shards`` set run on that many coupled calendars; all
-    other entries explicitly clear the ambient ``REPRO_SHARDS`` request so
-    the pinned trajectory always measures exactly what it says.
+    The record always comes from an unprofiled run.  With ``profile`` set,
+    a second, fresh simulation of the entry runs under cProfile for the
+    text dump alone, so ``wall_time_s`` (and the gate that reads it) never
+    includes profiler overhead.
     """
-    import os
-
-    from ..shard import ROUNDS_ENV, SERVER_SHARDS_ENV, SHARDS_ENV
-
-    saved = {
-        env: os.environ.get(env)
-        for env in (SHARDS_ENV, SERVER_SHARDS_ENV, ROUNDS_ENV)
-    }
-    if entry.shards:
-        os.environ[SHARDS_ENV] = str(entry.shards)
-    else:
-        os.environ.pop(SHARDS_ENV, None)
-    if entry.server_shards:
-        os.environ[SERVER_SHARDS_ENV] = str(entry.server_shards)
-    else:
-        os.environ.pop(SERVER_SHARDS_ENV, None)
-    rounds_base = saved[ROUNDS_ENV]
-    if rounds_base and entry.shards:
-        # An ambient --trace-rounds request covers the whole suite; give
-        # each sharded entry its own file ("<stem>.<entry>.json") so the
-        # fan-in pair doesn't clobber a single timeline.
-        stem, ext = os.path.splitext(rounds_base)
-        os.environ[ROUNDS_ENV] = f"{stem}.{entry.name}{ext or '.json'}"
-    else:
-        os.environ.pop(ROUNDS_ENV, None)
-    try:
-        record, profile_text = _run_entry_timed(entry, profile, profile_top)
-    finally:
-        for env, value in saved.items():
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
-    return record, profile_text
-
-
-def _run_entry_timed(
-    entry: BenchEntry, profile: bool, profile_top: int
-) -> tuple[BenchRecord, str | None]:
     from ..cluster.simulation import Simulation
     from ..units import MiB
 
     sim = Simulation(entry.config)
-    profile_text: str | None = None
-    if profile:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        started = time.perf_counter()
-        profiler.enable()
-        metrics = sim.run()
-        profiler.disable()
-        wall = time.perf_counter() - started
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(profile_top)
-        profile_text = buffer.getvalue()
-    else:
-        started = time.perf_counter()
-        metrics = sim.run()
-        wall = time.perf_counter() - started
+    started = time.perf_counter()
+    metrics = sim.run()
+    wall = time.perf_counter() - started
     # Read through the MetricsRegistry rather than poking env directly —
     # same number, but it keeps the registry on a tested hot path.
     events = int(sim.cluster.metrics.read("des.events_processed"))
-    outcome = sim.shard_outcome
-    busy = sum(outcome.busy_s) if outcome is not None else 0.0
-    critical = outcome.critical_path_s if outcome is not None else 0.0
     record = BenchRecord(
         name=entry.name,
         title=entry.title,
@@ -173,16 +92,28 @@ def _run_entry_timed(
         events_per_s=events / wall if wall > 0 else 0.0,
         sim_elapsed_s=metrics.elapsed,
         bandwidth_mb_s=metrics.bandwidth / MiB,
-        shards=entry.shards if outcome is not None else 0,
-        server_shards=outcome.server_shards if outcome is not None else 0,
-        rounds=outcome.rounds if outcome is not None else 0,
-        steals=outcome.steals if outcome is not None else 0,
-        windows_skipped=outcome.windows_skipped if outcome is not None else 0,
-        busy_s=busy,
-        critical_path_s=critical,
-        projected_wall_s=max(0.0, wall - busy + critical) if outcome else 0.0,
     )
+    profile_text = _profile_text(entry, profile_top) if profile else None
     return record, profile_text
+
+
+def _profile_text(entry: BenchEntry, profile_top: int) -> str:
+    """cProfile one fresh run of ``entry``; the top cumulative-time rows."""
+    import cProfile
+    import io
+    import pstats
+
+    from ..cluster.simulation import Simulation
+
+    sim = Simulation(entry.config)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    sim.run()
+    profiler.disable()
+    buffer = io.StringIO()
+    stats = pstats.Stats(profiler, stream=buffer)
+    stats.sort_stats("cumulative").print_stats(profile_top)
+    return buffer.getvalue()
 
 
 def profile_entry_collapsed(
@@ -255,16 +186,6 @@ def run_suite(
             f"({record.events_per_s:,.0f}/s), "
             f"{record.bandwidth_mb_s:.1f} MB/s simulated"
         )
-        if record.shards:
-            say(
-                f"{record.name}: {record.shards} shards "
-                f"({record.server_shards} server), "
-                f"{record.rounds} rounds, "
-                f"{record.windows_skipped} skipped, "
-                f"{record.steals} steals, critical path "
-                f"{record.critical_path_s:.3f}s -> projected wall "
-                f"{record.projected_wall_s:.3f}s"
-            )
         if profile_text is not None:
             say(f"--- profile: {record.name} ---\n{profile_text}")
         if profile and flame_dir is not None:

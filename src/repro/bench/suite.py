@@ -18,16 +18,9 @@ All entries run fault-free (the fast-path regime) under the ``source_aware``
 policy, except where noted; the ``full`` scale adds the irqbalance policy
 path, NAPI coalescing and the write path.
 
-The sharded family measures the conservative-window protocol at three
-cuts of the same fan-in point: client-only sharding (``shard5``), a
-balanced client+server split (``shard8_srv4``), and the maximal one
-calendar per node (``shard20``).  All three are byte-identical to the
-single-calendar twin — the committed trajectory pins exact event parity —
-so the wall/critical-path deltas isolate what each cut buys.  The
-``fanin_deep`` pair runs the same fan-in over a deep (1 ms one-way)
-fabric, where the wider lookahead collapses the barrier round count and
-the N-way cut's projected speedup clears 3x (the committed trajectory
-pins that floor too).
+``fanin_multiclient`` (full scale only) is the suite's largest point: four
+clients each reading from sixteen servers at MSS 1500, so per-segment
+client-side NIC and softirq work dominates.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ import dataclasses
 
 from ..config import ClusterConfig, NetworkConfig, WorkloadConfig
 from ..experiments.grids import nic_config
-from ..units import KiB, MiB, USEC
+from ..units import KiB, MiB
 
 __all__ = ["BenchEntry", "bench_entries", "entry_by_name"]
 
@@ -50,15 +43,6 @@ class BenchEntry:
     config: ClusterConfig
     #: Included in the quick suite (CI smoke + the committed trajectory).
     quick: bool = True
-    #: Run on this many coupled shard calendars (0 = single calendar).
-    #: Sharded entries are byte-identical to their single twin — same
-    #: ``events_processed`` — which the committed trajectory pins; the
-    #: wall/critical-path columns measure what sharding buys.
-    shards: int = 0
-    #: Server calendars inside the shard plan (0 = the automatic
-    #: client-first split, which keeps all servers on one calendar until
-    #: every client has its own).  Only meaningful with ``shards`` set.
-    server_shards: int = 0
 
 
 def _point(
@@ -89,34 +73,14 @@ def _point(
     )
 
 
-def _fanin_point(
-    n_clients: int, latency: float | None = None
-) -> ClusterConfig:
-    """A full-scale multiclient fan-in: the sharding showcase.
-
-    Many clients each reading from many servers is the regime the shard
-    cut targets — every client node is an independent calendar domain, so
-    the per-round critical path is one client's work, not all of them.
-    MSS 1500 puts the bulk of the events on the client side (per-segment
-    NIC/softirq work), where the parallelism lives.
-
-    ``latency`` overrides the one-way fabric latency.  The conservative
-    window is bounded by the fabric lookahead, so the default 60 µs
-    switch pins the round count near ``elapsed / λ`` regardless of how
-    the calendars are cut; a *deep* fabric (multi-tier or campus-scale,
-    ~1 ms one way) amortizes the barrier over ~16x fewer rounds and is
-    where N-way sharding pays off (the ``fanin_deep`` pair).
-    """
-    network = (
-        NetworkConfig(mss=1500)
-        if latency is None
-        else NetworkConfig(mss=1500, latency=latency)
-    )
+def _fanin_point(n_clients: int) -> ClusterConfig:
+    """A full-scale multiclient fan-in: ``n_clients`` clients, 16 servers,
+    MSS 1500 (the bulk of the events land on the client side)."""
     return ClusterConfig(
         n_servers=16,
         n_clients=n_clients,
         client=nic_config(3),
-        network=network,
+        network=NetworkConfig(mss=1500),
         workload=WorkloadConfig(
             n_processes=4,
             transfer_size=512 * KiB,
@@ -171,62 +135,10 @@ def bench_entries(scale: str = "quick") -> tuple[BenchEntry, ...]:
             config=_scenario_point(),
         ),
         BenchEntry(
-            name="shard2_mtu1500_read",
-            title="read, MSS 1500, two shard calendars",
-            config=_point(1500),
-            shards=2,
-        ),
-        BenchEntry(
-            name="micro_srv2_read",
-            title="micro smoke point, split server calendars",
-            config=_point(
-                1500, transfer=128 * KiB, file_size=256 * KiB, n_processes=2
-            ),
-            shards=3,
-            server_shards=2,
-        ),
-        BenchEntry(
             name="fanin_multiclient",
-            title="4-client fan-in, 16 servers (single calendar)",
+            title="4-client fan-in, 16 servers",
             config=_fanin_point(4),
             quick=False,
-        ),
-        BenchEntry(
-            name="fanin_multiclient_shard5",
-            title="4-client fan-in, 16 servers, five shard calendars",
-            config=_fanin_point(4),
-            quick=False,
-            shards=5,
-        ),
-        BenchEntry(
-            name="fanin_multiclient_shard8_srv4",
-            title="4-client fan-in, 16 servers, 4+4 shard calendars",
-            config=_fanin_point(4),
-            quick=False,
-            shards=8,
-            server_shards=4,
-        ),
-        BenchEntry(
-            name="fanin_multiclient_shard20",
-            title="4-client fan-in, one calendar per node (4+16)",
-            config=_fanin_point(4),
-            quick=False,
-            shards=20,
-            server_shards=16,
-        ),
-        BenchEntry(
-            name="fanin_deep",
-            title="4-client fan-in, deep fabric (single calendar)",
-            config=_fanin_point(4, latency=1000 * USEC),
-            quick=False,
-        ),
-        BenchEntry(
-            name="fanin_deep_shard20",
-            title="4-client fan-in, deep fabric, one calendar per node",
-            config=_fanin_point(4, latency=1000 * USEC),
-            quick=False,
-            shards=20,
-            server_shards=16,
         ),
         BenchEntry(
             name="irqbalance_jumbo9k",

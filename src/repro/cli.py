@@ -6,8 +6,6 @@ Usage::
     sais-repro run fig5_bandwidth_3g      # regenerate one figure
     sais-repro run all --scale quick      # everything, small runs
     sais-repro run all --jobs 8           # fan grid points over 8 workers
-    sais-repro run all --shards 2         # split each run over 2 calendars
-    sais-repro run all --shards 6 --server-shards 2   # pin 2 server calendars
     sais-repro summary --jobs 4           # near-instant once cached
     sais-repro bench --quick              # benchmark the simulator itself
     sais-repro trace fig5_bandwidth       # span-trace one grid point
@@ -15,12 +13,11 @@ Usage::
 
 Results are cached content-addressed under ``--cache-dir`` (default
 ``$REPRO_CACHE_DIR`` or ``~/.cache/sais-repro``); pass ``--no-cache`` to
-bypass reads and writes.  Both parallelism axes are pure speed knobs:
-``--jobs N`` (across grid points) and ``--shards N`` (within one run,
-see DESIGN.md section 10) produce output byte-identical to the serial
-single-calendar run (see ``tests/experiments/test_determinism.py`` and
-``tests/shard/``), and they compose.  ``--fault-plan FILE`` degrades any
-experiment's fabric from a JSON fault plan (EXPERIMENTS.md, "Fault
+bypass reads and writes.  ``--jobs N`` is a pure speed knob: grid points
+are deterministic and reassembled in grid order, so the output is
+byte-identical to ``--jobs 1`` (see
+``tests/experiments/test_determinism.py``).  ``--fault-plan FILE`` degrades
+any experiment's fabric from a JSON fault plan (EXPERIMENTS.md, "Fault
 injection").
 """
 
@@ -61,17 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
         return value
 
-    def shards_int(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < 2:
-            raise argparse.ArgumentTypeError(
-                f"--shards needs at least 2 shards, got {value}"
-            )
-        return value
-
     def add_runner_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--jobs",
@@ -79,27 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=1,
             metavar="N",
             help="worker processes for grid points (default: 1 = in-process)",
-        )
-        command.add_argument(
-            "--shards",
-            type=shards_int,
-            default=None,
-            metavar="N",
-            help=(
-                "split each run over N coupled event calendars "
-                "(byte-identical results; composes with --jobs)"
-            ),
-        )
-        command.add_argument(
-            "--server-shards",
-            type=positive_int,
-            default=None,
-            metavar="N",
-            help=(
-                "pin N of the --shards calendars to the I/O servers "
-                "(default: clients split first, leftover shards split "
-                "the servers)"
-            ),
         )
         command.add_argument(
             "--cache-dir",
@@ -135,16 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help="override the fault plan's seed (requires --fault-plan)",
-        )
-        command.add_argument(
-            "--trace-rounds",
-            default=None,
-            metavar="FILE",
-            help=(
-                "with --shards: export the coordinator's round timeline "
-                "(per-shard busy/stall, steals, LBTS bounds) as Perfetto "
-                "JSON to FILE"
-            ),
         )
 
     sub.add_parser("list", help="list available experiments")
@@ -199,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scale_group.add_argument(
         "--full",
         action="store_true",
-        help="run the full suite (adds irqbalance/NAPI/write and the sharded fan-in entries)",
+        help="run the full suite (adds the fan-in, irqbalance, NAPI and write entries)",
     )
     bench.add_argument(
         "--out",
@@ -555,45 +510,6 @@ def _install_fault_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_shards(args: argparse.Namespace) -> None:
-    """Publish ``--shards N`` as the ambient ``REPRO_SHARDS`` request.
-
-    The request travels in the environment (inherited by ``--jobs``
-    worker processes), so the two flags compose with no runner plumbing;
-    ineligible points fall back to the single calendar silently (see
-    :func:`repro.shard.shard_block_reason`).
-    """
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        import os
-
-        from .shard import SHARDS_ENV
-
-        os.environ[SHARDS_ENV] = str(shards)
-    server_shards = getattr(args, "server_shards", None)
-    if server_shards is not None:
-        import os
-
-        from .shard import SERVER_SHARDS_ENV
-
-        if shards is None:
-            raise SystemExit(
-                "sais-repro: --server-shards requires --shards"
-            )
-        os.environ[SERVER_SHARDS_ENV] = str(server_shards)
-    trace_rounds = getattr(args, "trace_rounds", None)
-    if trace_rounds is not None:
-        import os
-
-        from .shard import ROUNDS_ENV
-
-        if shards is None:
-            raise SystemExit(
-                "sais-repro: --trace-rounds requires --shards"
-            )
-        os.environ[ROUNDS_ENV] = trace_rounds
-
-
 def _make_runner(args: argparse.Namespace) -> "t.Any":
     from .runner import ExperimentRunner
 
@@ -628,7 +544,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     ambient :class:`~repro.scenarios.SweepRequest` backing the
     ``sweep_custom`` experiment; the pinned family ids need no ambient
     state.  Everything downstream is the ordinary runner path, so
-    ``--jobs``/``--shards``/``--cache-dir``/``--fault-plan`` compose
+    ``--jobs``/``--cache-dir``/``--fault-plan`` compose
     like they do for ``run``.
     """
     from .experiments.sweep import ALL_SWEEP_IDS, CUSTOM_SWEEP_ID, SWEEP_FAMILY
@@ -670,7 +586,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     code = _install_fault_plan(args)
     if code:
         return code
-    _install_shards(args)
     summary = _make_runner(args).run_many(ids, scale=args.scale)
     _report_summary(summary)
     for report in summary.failed:
@@ -913,7 +828,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         code = _install_fault_plan(args)
         if code:
             return code
-        _install_shards(args)
         summary = _make_runner(args).run_many(
             all_experiment_ids(), scale=args.scale
         )
@@ -946,7 +860,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     code = _install_fault_plan(args)
     if code:
         return code
-    _install_shards(args)
     run_summary = _make_runner(args).run_many(ids, scale=args.scale)
     _report_summary(run_summary)
     for report in run_summary.failed:

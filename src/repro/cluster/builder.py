@@ -27,93 +27,7 @@ from .client_node import ClientNode
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.spans import SpanRecorder
 
-__all__ = [
-    "Cluster",
-    "build_cluster",
-    "make_server_uplink",
-    "make_client_uplink",
-    "make_server",
-]
-
-
-def make_server_uplink(
-    env: Environment,
-    config: ClusterConfig,
-    server_index: int,
-    injector: FaultInjector | None = None,
-) -> Link:
-    """Build one server's transmit link, identically in every calendar.
-
-    Shared by :func:`build_cluster` and the sharded runtime
-    (:mod:`repro.shard`): domain assignment moves a server into another
-    calendar, but its uplink must be constructed with byte-for-byte the
-    same parameters or the two runs diverge.
-    """
-    uplink_name = f"server{server_index}_uplink"
-    return Link(
-        env,
-        bandwidth=config.server.nic_bandwidth,
-        latency=0.0,  # the switch hop carries the fabric latency
-        framing_overhead=config.network.framing_overhead,
-        name=uplink_name,
-        faults=(
-            injector.link_faults(uplink_name) if injector is not None else None
-        ),
-    )
-
-
-def make_client_uplink(
-    env: Environment,
-    config: ClusterConfig,
-    client_index: int,
-    injector: FaultInjector | None = None,
-) -> Link:
-    """Build one client's transmit link (write path); see
-    :func:`make_server_uplink` for why this is shared."""
-    name = f"client{client_index}_uplink"
-    return Link(
-        env,
-        bandwidth=config.client.nic_bandwidth,
-        latency=0.0,
-        framing_overhead=config.network.framing_overhead,
-        name=name,
-        faults=(
-            injector.link_faults(name) if injector is not None else None
-        ),
-    )
-
-
-def make_server(
-    env: Environment,
-    config: ClusterConfig,
-    server_index: int,
-    uplink: Link,
-    deliver: t.Callable[[Packet], t.Any],
-    rng: t.Any,
-    sais_enabled: bool,
-    *,
-    tracer: Tracer | None = None,
-    faults: FaultInjector | None = None,
-    fastpath: t.Any | None = None,
-    spans: "SpanRecorder | None" = None,
-    obs_track: t.Any | None = None,
-) -> IoServer:
-    """Build one I/O server; shared with the sharded runtime."""
-    return IoServer(
-        env,
-        index=server_index,
-        config=config.server,
-        uplink=uplink,
-        deliver=deliver,
-        rng=rng,
-        capsuler=HintCapsuler() if sais_enabled else None,
-        tracer=tracer,
-        mss=config.network.mss,
-        faults=faults,
-        fastpath=fastpath,
-        spans=spans,
-        obs_track=obs_track,
-    )
+__all__ = ["Cluster", "build_cluster"]
 
 
 @dataclasses.dataclass
@@ -238,17 +152,30 @@ def build_cluster(
         if spans is not None:
             server_track = Track(server_pid(server_index), SERVE_TID)
             spans.label_track(server_track, f"server{server_index}", "serve")
-        uplink = make_server_uplink(env, config, server_index, injector)
+        uplink_name = f"server{server_index}_uplink"
+        uplink = Link(
+            env,
+            bandwidth=config.server.nic_bandwidth,
+            latency=0.0,  # the switch hop carries the fabric latency
+            framing_overhead=net.framing_overhead,
+            name=uplink_name,
+            faults=(
+                injector.link_faults(uplink_name)
+                if injector is not None
+                else None
+            ),
+        )
         servers.append(
-            make_server(
+            IoServer(
                 env,
-                config,
-                server_index,
-                uplink,
-                into_switch,
-                rngs.stream(f"server{server_index}"),
-                sais_enabled,
+                index=server_index,
+                config=config.server,
+                uplink=uplink,
+                deliver=into_switch,
+                rng=rngs.stream(f"server{server_index}"),
+                capsuler=HintCapsuler() if sais_enabled else None,
                 tracer=tracer,
+                mss=net.mss,
                 faults=injector,
                 fastpath=fastpath,
                 spans=spans,
@@ -259,7 +186,18 @@ def build_cluster(
     # Client transmit side, used by the write path (write strips carry the
     # data *out* through the client's bonded ports).
     client_uplinks = [
-        make_client_uplink(env, config, idx, injector)
+        Link(
+            env,
+            bandwidth=config.client.nic_bandwidth,
+            latency=0.0,
+            framing_overhead=net.framing_overhead,
+            name=f"client{idx}_uplink",
+            faults=(
+                injector.link_faults(f"client{idx}_uplink")
+                if injector is not None
+                else None
+            ),
+        )
         for idx in range(config.n_clients)
     ]
 

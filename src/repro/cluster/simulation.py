@@ -10,7 +10,6 @@ reports the speed-up — the quantity every figure in the paper plots.
 from __future__ import annotations
 
 import dataclasses
-import sys
 import typing as t
 
 from ..config import ClusterConfig
@@ -38,29 +37,14 @@ class Simulation:
         self.config = config
         self.cluster: Cluster = build_cluster(config, spans=spans)
         self._ran = False
-        #: The :class:`~repro.shard.ShardOutcome` when the run executed on
-        #: shard calendars (None on the single-calendar path); the bench
-        #: runner reads the round/critical-path accounting from here.
-        self.shard_outcome: t.Any | None = None
 
     def run(self) -> RunMetrics:
-        """Run the workload to completion; single-shot per instance.
-
-        When the ambient ``REPRO_SHARDS`` request is set (``--shards N``)
-        and the point is eligible, the run executes on N coupled shard
-        calendars instead of this cluster's single one — byte-identical
-        results, see :mod:`repro.shard`.  Ineligible points (fault plans,
-        tracing, ``REPRO_NO_SHARDS``) fall back here, with a one-line
-        stderr note naming the blocking reason.
-        """
+        """Run the workload to completion; single-shot per instance."""
         if self._ran:
             raise SimulationError(
                 "a Simulation is single-shot; build a new one to re-run"
             )
         self._ran = True
-        sharded = self._maybe_run_sharded()
-        if sharded is not None:
-            return sharded
         cluster = self.cluster
         env = cluster.env
         workload = self.config.workload
@@ -103,42 +87,6 @@ class Simulation:
             elapsed=elapsed,
             clients=tuple(clients),
             resilience=resilience,
-        )
-
-    def _maybe_run_sharded(self) -> RunMetrics | None:
-        """The ambient ``--shards`` path; None means run single-calendar."""
-        from ..shard import run_sharded, shard_block_reason, shards_requested
-
-        n_shards = shards_requested()
-        if n_shards < 2:
-            return None
-        reason = shard_block_reason(self.config, self.cluster.spans)
-        if reason is not None:
-            # The fallback is correct either way (byte-identical), but a
-            # user who typed --shards deserves to know the request did
-            # not take — and why — rather than wondering where the
-            # speedup went.
-            print(
-                f"warning: --shards {n_shards} requested but this run "
-                f"stays single-calendar: {reason}",
-                file=sys.stderr,
-            )
-            return None
-        outcome = run_sharded(self.config, n_shards)
-        self.shard_outcome = outcome
-        cluster = self.cluster
-        # Mirror the outcome onto this (never-run) cluster so every probe
-        # reads what the single calendar would have recorded: the bench
-        # runner's des.events_processed, the switch counters.
-        cluster.env.events_processed = outcome.model_events
-        cluster.env._now = outcome.elapsed
-        cluster.switch.bytes_switched.add(outcome.fabric_bytes)
-        cluster.switch.packets_switched.add(outcome.fabric_packets)
-        return RunMetrics(
-            policy=self.config.policy,
-            elapsed=outcome.elapsed,
-            clients=outcome.clients,
-            resilience=None,
         )
 
 

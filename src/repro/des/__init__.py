@@ -18,7 +18,7 @@ are processed in schedule order (FIFO within a priority class), so identical
 seeds yield identical traces.
 """
 
-from .environment import Environment, WindowStop
+from .environment import Environment
 from .events import AllOf, AnyOf, Callback, Event, Timeout
 from .process import Interrupt, Process
 from .resources import (
@@ -33,7 +33,6 @@ from .resources import (
 
 __all__ = [
     "Environment",
-    "WindowStop",
     "Event",
     "Timeout",
     "Callback",

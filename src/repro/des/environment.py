@@ -12,27 +12,7 @@ from .events import NORMAL, Callback, Event, Timeout, _invoke_callback
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .process import Process
 
-__all__ = ["Environment", "WindowStop"]
-
-
-class WindowStop:
-    """A persistent stop-flag subscription for repeated window runs.
-
-    :meth:`Environment.run_window` with an :class:`~repro.des.Event`
-    stop subscribes and unsubscribes a callback on *every* call; a shard
-    runtime advancing thousands of windows against the same workload
-    AllOf pays that list churn each round.  ``env.window_stop(event)``
-    subscribes once and returns this latch; pass it as ``stop=`` to any
-    number of ``run_window`` calls with no per-call subscription work.
-    """
-
-    __slots__ = ("fired",)
-
-    def __init__(self) -> None:
-        self.fired = False
-
-    def __call__(self, _event: "Event") -> None:
-        self.fired = True
+__all__ = ["Environment"]
 
 _GeneratorT = t.Generator[Event, t.Any, t.Any]
 
@@ -99,7 +79,6 @@ class Environment:
         *,
         quiet: bool = False,
         start_delay: float = 0.0,
-        start_at: float | None = None,
     ) -> "Process":
         """Start ``generator`` as a new simulation process.
 
@@ -111,21 +90,10 @@ class Environment:
         ``start_delay`` defers the generator's first resumption by that
         much virtual time — equivalent to an immediate process whose body
         starts with ``yield env.timeout(start_delay)``, minus one event.
-
-        ``start_at`` starts the generator at an absolute virtual time
-        instead (mutually exclusive with ``start_delay``).  The sharded
-        runtime uses this to re-create a remote spawn at the exact float
-        instant the single-calendar run computed.
         """
         from .process import Process
 
-        return Process(
-            self,
-            generator,
-            quiet=quiet,
-            start_delay=start_delay,
-            start_at=start_at,
-        )
+        return Process(self, generator, quiet=quiet, start_delay=start_delay)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -157,24 +125,6 @@ class Environment:
         ev.fn = fn
         ev.arg = arg
         heappush(self._queue, (when, NORMAL, next(self._eid), ev))
-
-    def schedule_at(self, event: Event, when: float, priority: int = NORMAL) -> None:
-        """Put a triggered event on the calendar at absolute time ``when``.
-
-        Unlike ``schedule(delay=when - now)`` this pushes the exact float
-        ``when`` — re-deriving the delay and adding it back to ``now``
-        can land one ulp off, which is fatal to the sharded runtime's
-        byte-identity guarantee (see :mod:`repro.shard`).
-        """
-        if event.callbacks is None:
-            raise SimulationError(
-                f"cannot schedule {event!r}: it has already been processed"
-            )
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at {when} which is before now={self._now}"
-            )
-        heappush(self._queue, (when, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -272,117 +222,3 @@ class Environment:
             stop.defuse()
             raise stop._value
         return stop._value
-
-    def window_stop(self, stop: Event) -> WindowStop:
-        """Subscribe a persistent :class:`WindowStop` latch to ``stop``.
-
-        The returned latch can be passed as ``stop=`` to any number of
-        :meth:`run_window` calls; unlike passing the event itself, no
-        per-call subscribe/unsubscribe work happens.  A latch for an
-        already-processed event comes back pre-fired.
-        """
-        latch = WindowStop()
-        if stop.callbacks is None:  # already processed
-            latch.fired = True
-        else:
-            stop.callbacks.append(latch)
-        return latch
-
-    def run_window(
-        self,
-        bound: float,
-        stop: "Event | WindowStop | None" = None,
-        stamp: list[float] | None = None,
-    ) -> bool:
-        """Dispatch every event *strictly* before ``bound``; stop early if
-        ``stop`` is processed.  Returns True once ``stop`` has fired.
-
-        This is the conservative-synchronization primitive used by
-        :mod:`repro.shard`: a shard owns one environment and advances it
-        window by window, where each window bound is the global
-        lower-bound-on-timestamp plus the lookahead.  The clock is *not*
-        pinned to ``bound`` (it stays on the last dispatched event), so
-        ``peek`` afterwards reports the first event at or beyond the
-        bound — exactly what the coordinator needs for the next LBTS.
-
-        ``stop`` may be an :class:`~repro.des.events.Event` (subscribed
-        for this window only) or a :class:`WindowStop` latch from
-        :meth:`window_stop` (persistent across windows — the cheap form
-        for a runtime advancing thousands of windows).
-
-        ``stamp``, when given, receives the timestamp of every event
-        dispatched in this window (appended in dispatch order).  The
-        coordinator uses it to discount events a terminating window
-        overran past the global end time.
-        """
-        if type(stop) is WindowStop:
-            return self._run_window_latched(bound, stop, stamp)
-        flag: list[bool] = []
-        if stop is not None:
-            if stop.callbacks is None:  # already processed in a prior window
-                return True
-            stop.callbacks.append(flag.append)
-        queue = self._queue
-        pop = heappop
-        pool = self._cb_pool
-        dispatched = 0
-        try:
-            while queue and not flag and queue[0][0] < bound:
-                when, _, _, event = pop(queue)
-                self._now = when
-                callbacks = event.callbacks
-                if callbacks is None:
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                dispatched += 1
-                if stamp is not None:
-                    stamp.append(when)
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                if event.__class__ is Callback and len(pool) < _CB_POOL_LIMIT:
-                    pool.append(event)
-        finally:
-            self.events_processed += dispatched
-        if flag:
-            return True
-        if stop is not None and stop.callbacks is not None:
-            # Leave no dangling subscription between windows: the flag list
-            # dies here, so a later window must re-subscribe a fresh one.
-            stop.callbacks.remove(flag.append)
-        return False
-
-    def _run_window_latched(
-        self,
-        bound: float,
-        latch: WindowStop,
-        stamp: list[float] | None,
-    ) -> bool:
-        """The :meth:`run_window` loop for a persistent stop latch."""
-        if latch.fired:
-            return True
-        queue = self._queue
-        pop = heappop
-        pool = self._cb_pool
-        dispatched = 0
-        try:
-            while queue and not latch.fired and queue[0][0] < bound:
-                when, _, _, event = pop(queue)
-                self._now = when
-                callbacks = event.callbacks
-                if callbacks is None:
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                dispatched += 1
-                if stamp is not None:
-                    stamp.append(when)
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                if event.__class__ is Callback and len(pool) < _CB_POOL_LIMIT:
-                    pool.append(event)
-        finally:
-            self.events_processed += dispatched
-        return latch.fired

@@ -46,7 +46,6 @@ class Process(Event):
         *,
         quiet: bool = False,
         start_delay: float = 0.0,
-        start_at: float | None = None,
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
@@ -61,20 +60,12 @@ class Process(Event):
         # An immediate start is URGENT (spawned work begins ahead of other
         # same-time NORMAL events, as it always has); a *delayed* start is
         # NORMAL so it is ordered exactly like the `yield env.timeout(d)`
-        # first line it replaces.  ``start_at`` is the absolute-time form
-        # of a delayed start (also NORMAL): the calendar entry carries the
-        # caller's float verbatim, never a re-derived now+delay.
+        # first line it replaces.
         init = Event(env)
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
-        if start_at is not None:
-            if start_delay:
-                raise SimulationError(
-                    "start_delay and start_at are mutually exclusive"
-                )
-            env.schedule_at(init, start_at, priority=NORMAL)
-        elif start_delay > 0.0:
+        if start_delay > 0.0:
             env.schedule(init, priority=NORMAL, delay=start_delay)
         else:
             env.schedule(init, priority=URGENT)

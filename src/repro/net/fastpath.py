@@ -63,7 +63,7 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.switch import Switch
     from .links import Link
 
-__all__ = ["WireFastPath", "ShardWirePort", "fast_wire_enabled"]
+__all__ = ["WireFastPath", "fast_wire_enabled"]
 
 
 def fast_wire_enabled() -> bool:
@@ -73,26 +73,12 @@ def fast_wire_enabled() -> bool:
 
 def serialize_out(env: Environment, link: "Link", nbytes: int) -> t.Generator:
     """The sender-side uplink half shared by every fast-path transmit:
-    wire-resource grant, serialization timeout, counters at departure.
-
-    Factored out so the sharded runtime's boundary port replays *exactly*
-    the event sequence of the single-calendar fast path — same resource
-    machinery, same timeout, same counter instants — before handing the
-    packet across the shard boundary instead of into the switch.
-
-    Returns the wire-*grant* instant.  Two departures on different
-    uplinks can tie at the same float; the single calendar orders the tie
-    by the serialization timeouts' event ids, which were assigned at
-    grant time — so the grant instant is the cross-shard stand-in for
-    that event-id order (see ``repro.shard.fabric.WireMerge``).
-    """
+    wire-resource grant, serialization timeout, counters at departure."""
     with link._wire.request() as req:
         yield req
-        grant = env.now
         yield env.timeout(link.serialization_time(nbytes))
     link.bytes_sent.add(nbytes)
     link.packets_sent.add()
-    return grant
 
 
 class WireFastPath:
@@ -181,119 +167,3 @@ class WireFastPath:
             quiet=True,
             start_delay=(fabric_departure + switch.latency) - env.now,
         )
-
-
-class ShardWirePort:
-    """The shard-side stand-in for :class:`WireFastPath`.
-
-    Inside a shard (see :mod:`repro.shard`) the switch is not local: it is
-    the shard *boundary*, owned by the coordinator.  This port replays the
-    sender-side uplink half of each wire path bit-for-bit (via
-    :func:`serialize_out`) and then, where the single-calendar fast path
-    would advance the switch recurrence, appends a handoff record
-    ``(kind, departure, grant, payload)`` to the shard's outbox instead.  The
-    coordinator replays the switch recurrence over all shards' handoffs in
-    global departure order at the next conservative barrier.
-
-    Both wire paths cross here: ``transmit_to_client`` carries read data
-    and write acks out of a server shard; ``transmit_to_server`` carries
-    write strips out of a client shard.
-    """
-
-    #: Outbox record kinds.
-    WIRE = "wire"  # server -> fabric: data/ack packet
-    WRITE = "write"  # client -> fabric: write strip (StripRequest rides along)
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        #: Handoffs generated since the last barrier; the shard runtime
-        #: drains this after every window.  Departures from *different*
-        #: calendars that tie at the same (departure, grant) instant are
-        #: merged by the coordinator using the rank each record carries —
-        #: see :meth:`transmit_to_client` and
-        #: :class:`repro.shard.fabric.WireMerge`.
-        self.outbox: list[tuple] = []
-        #: Chain origin keys (the coordinator's delivery sort key),
-        #: registered by the server-shard runtime when it inserts each
-        #: ``serve``/``serve_write`` delivery, keyed by
-        #: ``(client, request id, strip id)``.
-        self.chain_roots: dict[tuple, tuple] = {}
-        #: Per-uplink busy-period root, keyed by sending server index.
-        self._link_roots: dict[int, tuple] = {}
-        #: Per-uplink identity + departure instant of the last packet
-        #: sent, keyed by sending server index — used to recognize
-        #: back-to-back segment streaming (see :meth:`transmit_to_client`).
-        self._last_sent: dict[int, tuple] = {}
-
-    def transmit_to_client(self, link: "Link", packet: "Packet") -> t.Generator:
-        """Server-shard half of the server->client wire path.
-
-        Each record carries a *rank* describing where its departure
-        event's id was assigned, which is what breaks same-instant
-        (departure, grant) ties across calendars:
-
-        ``("r", root)`` — this packet's id was assigned during its own
-        chain's dispatch (the uplink was idle and nothing ties the send
-        to an earlier departure); ``root`` is that chain's origin
-        delivery key (the coordinator's delivery sort key).
-
-        ``("d", server, root)`` — the id was assigned during the
-        dispatch of the *previous departure* on this uplink, either
-        because the wire was busy (the grant fires inside the previous
-        holder's release) or because the sender streams segments
-        back-to-back: the transmit for segment ``k`` runs inside the
-        dispatch cascade of segment ``k - 1``'s serialization timeout,
-        so even an idle-wire re-request assigns its id there.  The
-        coordinator resolves the rank to that previous departure's
-        global relay position (:class:`~repro.shard.fabric.WireMerge`).
-        ``root`` is the current busy period's origin, kept as the
-        cross-class fallback.
-        """
-        env = self.env
-        server = packet.src_server
-        wire = link._wire
-        if not wire.users and not wire._waiting:  # idle uplink
-            prev = self._last_sent.get(server)
-            if (
-                prev is not None
-                and prev[0] == packet.dst_client
-                and prev[1] == packet.request_id
-                and prev[2] == packet.strip_id
-                and prev[3] == packet.segment - 1
-                and prev[4] == env.now
-            ):
-                # Back-to-back streaming: still inside the previous
-                # departure's cascade, so the busy period continues.
-                rank = ("d", server, self._link_roots[server])
-            else:
-                root = self.chain_roots[
-                    (packet.dst_client, packet.request_id, packet.strip_id)
-                ]
-                self._link_roots[server] = root
-                rank = ("r", root)
-        else:
-            rank = ("d", server, self._link_roots[server])
-        grant = yield from serialize_out(env, link, packet.size)
-        self._last_sent[server] = (
-            packet.dst_client,
-            packet.request_id,
-            packet.strip_id,
-            packet.segment,
-            env.now,
-        )
-        self.outbox.append((self.WIRE, env.now, grant, packet, rank))
-
-    def transmit_to_server(
-        self, link: "Link", size: int, request: t.Any
-    ) -> t.Generator:
-        """Client-shard half of the client->server (write) wire path.
-
-        Unlike :meth:`WireFastPath.transmit_to_server` there is no
-        ``arrival`` callable — the destination server lives in another
-        shard, so the request itself crosses the boundary and the
-        coordinator spawns ``serve_write`` there at the exact instant the
-        single-calendar run would have.
-        """
-        env = self.env
-        grant = yield from serialize_out(env, link, size)
-        self.outbox.append((self.WRITE, env.now, grant, request))

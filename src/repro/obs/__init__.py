@@ -23,9 +23,8 @@ timeline fallback.  ``python -m repro trace <experiment>`` drives it.
 
 On top of the recorder sits :mod:`repro.obs.analysis`: stage breakdowns
 folded from span trees (reconciled against the lifecycle tracer),
-critical-path extraction over parents + flow edges, the
-``sais-repro trace diff`` A/B attribution engine, and the shard
-round-timeline replay backing ``--trace-rounds``.
+critical-path extraction over parents + flow edges, and the
+``sais-repro trace diff`` A/B attribution engine.
 
 Determinism: span/flow ids are small integers advanced in calendar
 (event-dispatch) order, and every timestamp is virtual time — wall clocks
@@ -41,7 +40,6 @@ from .analysis import (
     diff_traces,
     load_trace,
     model_from_recorder,
-    recompute_projection,
     render_diff,
     run_critical_path,
     stage_breakdown,
@@ -49,11 +47,9 @@ from .analysis import (
 )
 from .export import (
     ascii_timeline,
-    rounds_to_trace_events,
     to_trace_events,
     validate_trace,
     validate_trace_file,
-    write_rounds_trace,
     write_trace,
 )
 from .flamegraph import (
@@ -74,8 +70,6 @@ __all__ = [
     "MetricsRegistry",
     "to_trace_events",
     "write_trace",
-    "rounds_to_trace_events",
-    "write_rounds_trace",
     "validate_trace",
     "validate_trace_file",
     "ascii_timeline",
@@ -95,5 +89,4 @@ __all__ = [
     "TraceDiff",
     "diff_traces",
     "render_diff",
-    "recompute_projection",
 ]

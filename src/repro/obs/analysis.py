@@ -25,12 +25,6 @@ module answers *where the time went*.  It operates on a normalized
   Output (ASCII via :func:`render_diff`, JSON via
   :meth:`TraceDiff.to_dict`) is deterministic: two invocations on the
   same inputs are byte-identical.
-
-Shard-round observability rides along: :func:`recompute_projection`
-replays the coordinator's busy/critical-path accounting from recorded
-round spans (``--trace-rounds``), reproducing ``projected_wall_s``
-bit-for-bit — the bench's headline projection is auditable from the
-round timeline instead of being a single opaque scalar.
 """
 
 from __future__ import annotations
@@ -65,8 +59,6 @@ __all__ = [
     "TraceDiff",
     "diff_traces",
     "render_diff",
-    "load_rounds",
-    "recompute_projection",
 ]
 
 #: Span names that fold into named stage durations, in pipeline order.
@@ -887,87 +879,3 @@ def render_diff(diff: TraceDiff) -> str:
     else:
         lines.append("no aligned span moved")
     return "\n".join(lines)
-
-
-# -- shard-round accounting --------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _LoadedWindow:
-    sid: int
-    busy_s: float
-
-
-@dataclasses.dataclass(frozen=True)
-class _LoadedRound:
-    index: int
-    windows: tuple[_LoadedWindow, ...]
-
-
-def load_rounds(path: str) -> tuple[tuple[_LoadedRound, ...], int]:
-    """Load a ``--trace-rounds`` file back into replayable round records.
-
-    Returns ``(records, n_shards)`` ready for
-    :func:`recompute_projection`.  JSON round-trips Python floats
-    exactly (shortest-repr encode, exact decode), so the recompute from
-    a loaded file still matches the live outcome bit-for-bit.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read rounds trace {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "traceEvents" not in payload:
-        raise ConfigError(
-            f"{path!r} is not a trace-event file (no 'traceEvents' array)"
-        )
-    n_shards = 0
-    by_round: dict[int, list[_LoadedWindow]] = {}
-    for event in payload["traceEvents"]:
-        if event.get("ph") != "X":
-            continue
-        args = event.get("args") or {}
-        if "shard" in args:
-            n_shards = max(n_shards, int(args["shard"]) + 1)
-            by_round.setdefault(int(args["round"]), []).append(
-                _LoadedWindow(
-                    sid=int(args["shard"]), busy_s=float(args["busy_s"])
-                )
-            )
-        elif "round" in args:
-            by_round.setdefault(int(args["round"]), [])
-    records = tuple(
-        _LoadedRound(
-            index=index,
-            windows=tuple(sorted(windows, key=lambda w: w.sid)),
-        )
-        for index, windows in sorted(by_round.items())
-    )
-    return records, n_shards
-
-
-def recompute_projection(
-    round_log: t.Sequence[t.Any], n_shards: int, wall: float
-) -> tuple[float, float, float]:
-    """Replay the coordinator's projection arithmetic from round spans.
-
-    Returns ``(busy_total, critical_path, projected_wall)``.  The loop
-    mirrors :func:`repro.shard.coordinator.run_plan` operation for
-    operation — same accumulation order, same comparisons — so on the
-    log of an actual run the result equals ``ShardOutcome.busy_s`` /
-    ``critical_path_s`` and the bench's ``projected_wall_s`` *exactly*
-    (float equality, pinned in tests), not merely approximately.
-    """
-    busy_totals = [0.0] * n_shards
-    critical = 0.0
-    for record in round_log:
-        round_max = 0.0
-        for window in record.windows:
-            busy_totals[window.sid] += window.busy_s
-            if window.busy_s > round_max:
-                round_max = window.busy_s
-        critical += round_max
-    busy = sum(busy_totals)
-    return busy, critical, max(0.0, wall - busy + critical)

@@ -28,8 +28,6 @@ from .spans import Span, SpanRecorder, Track
 __all__ = [
     "to_trace_events",
     "write_trace",
-    "rounds_to_trace_events",
-    "write_rounds_trace",
     "validate_trace",
     "validate_trace_file",
     "ascii_timeline",
@@ -159,117 +157,6 @@ def write_trace(
     catapult ignore it, while ``trace diff`` uses it to label runs.
     """
     events = to_trace_events(recorder)
-    payload: dict[str, t.Any] = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-    }
-    if meta:
-        payload["sais"] = dict(meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return len(events)
-
-
-# -- shard-round export ------------------------------------------------------
-
-
-def rounds_to_trace_events(
-    round_log: t.Sequence[t.Any], n_shards: int
-) -> list[dict[str, t.Any]]:
-    """Render coordinator round records as per-shard Perfetto tracks.
-
-    One process (``COORD_PID``): tid 0 is the coordinator lane — one
-    ``X`` slice per round spanning ``[prev_bound, bound)`` in virtual
-    time, carrying the LBTS bound, window width, round steal/skip
-    counts; tid ``sid + 1`` is shard ``sid``'s lane — its window slice
-    per round with busy vs stall seconds (stall = the slowest shard's
-    busy minus its own: what it waits at the barrier) and events
-    executed.  A shard with no slice in a round sat it out entirely
-    (skipped window — nothing below the bound).
-    """
-    from .spans import COORD_PID
-
-    events: list[dict[str, t.Any]] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": COORD_PID,
-            "tid": 0,
-            "args": {"name": "shard coordinator"},
-        },
-        {
-            "ph": "M",
-            "name": "thread_name",
-            "pid": COORD_PID,
-            "tid": 0,
-            "args": {"name": "rounds"},
-        },
-    ]
-    for sid in range(n_shards):
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": COORD_PID,
-                "tid": sid + 1,
-                "args": {"name": f"shard {sid}"},
-            }
-        )
-    for record in round_log:
-        start = record.prev_bound * _US
-        dur = max(0.0, record.bound - record.prev_bound) * _US
-        events.append(
-            {
-                "ph": "X",
-                "name": f"round {record.index}",
-                "cat": "coord",
-                "ts": start,
-                "dur": dur,
-                "pid": COORD_PID,
-                "tid": 0,
-                "args": {
-                    "round": record.index,
-                    "lbts": record.lbts,
-                    "bound": record.bound,
-                    "width_s": record.bound - record.prev_bound,
-                    "round_max_busy_s": record.round_max,
-                    "steals": record.steals,
-                    "windows_skipped": record.skipped,
-                },
-            }
-        )
-        for window in record.windows:
-            stall = max(0.0, record.round_max - window.busy_s)
-            events.append(
-                {
-                    "ph": "X",
-                    "name": f"window {record.index}",
-                    "cat": "shard",
-                    "ts": start,
-                    "dur": dur,
-                    "pid": COORD_PID,
-                    "tid": window.sid + 1,
-                    "args": {
-                        "round": record.index,
-                        "shard": window.sid,
-                        "busy_s": window.busy_s,
-                        "stall_s": stall,
-                        "events": window.events,
-                    },
-                }
-            )
-    return events
-
-
-def write_rounds_trace(
-    round_log: t.Sequence[t.Any],
-    n_shards: int,
-    path: str,
-    meta: t.Mapping[str, t.Any] | None = None,
-) -> int:
-    """Write the round timeline as a trace-event file; returns #events."""
-    events = rounds_to_trace_events(round_log, n_shards)
     payload: dict[str, t.Any] = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

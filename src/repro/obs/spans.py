@@ -39,7 +39,6 @@ __all__ = [
     "FlowEvent",
     "SpanRecorder",
     "FABRIC_PID",
-    "COORD_PID",
     "client_pid",
     "server_pid",
     "PFS_TID",
@@ -59,11 +58,6 @@ class Track(t.NamedTuple):
 
 #: The switch fabric's process id.
 FABRIC_PID = 1
-
-#: The shard coordinator's process id (round-span tracks; the rounds
-#: exporter puts the coordinator lane on tid 0 and shard ``s`` on
-#: tid ``s + 1``).  Distinct from every cluster pid by construction.
-COORD_PID = 2
 
 
 def client_pid(client: int) -> int:

@@ -21,10 +21,10 @@ scales ``sais-repro run all`` with cores:
 Generated-scenario sweeps (:mod:`repro.scenarios`, the ``sweep``
 experiment family) add no machinery here: a sweep is just another grid
 experiment whose points are A/B comparisons over generated configs, so
-planning, cross-experiment dedup, ``--jobs`` fan-out, ``--shards``
-partitioning and the content-addressed cache all apply unchanged — the
-generator's seed covers which scenarios exist, the config's own seed
-covers the simulation (DESIGN.md §11).
+planning, cross-experiment dedup, ``--jobs`` fan-out and the
+content-addressed cache all apply unchanged — the generator's seed covers
+which scenarios exist, the config's own seed covers the simulation
+(DESIGN.md §11).
 
 Quickstart::
 

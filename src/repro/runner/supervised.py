@@ -24,8 +24,7 @@ that ``ExperimentRunner`` reuses to survive a mid-grid worker death:
   *failed* :class:`TaskOutcome` is returned — the supervisor itself
   never raises for a task failure;
 * **in-process fallback** — ``transport="inproc"`` (or an environment
-  where processes cannot be spawned, mirroring
-  :mod:`repro.shard.transport`) runs every task inline in
+  where processes cannot be spawned) runs every task inline in
   :meth:`SupervisedWorkerPool.poll`; no parallelism, no crash surface,
   identical outcomes — what the 1-CPU CI tier uses.
 

@@ -8,7 +8,7 @@ read/write mixes) expands into concrete
 :class:`~repro.config.ClusterConfig` instances, byte-reproducible from
 ``(spec, seed)``.  The ``sweep`` experiment family
 (:mod:`repro.experiments.sweep`) samples generated scenarios through
-the ordinary runner/cache/``--jobs``/``--shards`` machinery and
+the ordinary runner/cache/``--jobs`` machinery and
 :func:`build_report` folds the results into win-rate tables bucketed by
 topology features.
 

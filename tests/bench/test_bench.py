@@ -94,6 +94,24 @@ class TestRunEntry:
         assert profile_text is not None
         assert "cumulative" in profile_text
 
+    def test_profiler_overhead_stays_out_of_wall_time(self, monkeypatch):
+        """The record times an unprofiled run: a profiler whose
+        ``enable()`` alone costs 0.25 s must not show up in it."""
+        import cProfile
+        import time
+
+        class SlowProfile(cProfile.Profile):
+            def enable(self, *args, **kwargs):
+                time.sleep(0.25)
+                super().enable(*args, **kwargs)
+
+        monkeypatch.setattr(cProfile, "Profile", SlowProfile)
+        record, profile_text = run_entry(
+            entry_by_name("micro_read"), profile=True
+        )
+        assert record.wall_time_s < 0.25
+        assert profile_text
+
 
 class TestBaselineSelection:
     def test_newest_by_created_stamp_wins(self, tmp_path):
@@ -141,6 +159,16 @@ class TestCompare:
         new = _payload("new", "t1", [_entry("a", 0.4, 1000)])
         result = compare_payloads(new, base)
         assert result.events_ratio == pytest.approx(3.0)
+
+    def test_unknown_record_keys_are_ignored(self):
+        # Older committed records carry columns this runner no longer
+        # writes; the gate reads only names, wall times and event counts.
+        legacy = dict(_entry("a", 1.0, 1000), shards=2, projected_wall_s=0.5)
+        base = _payload("base", "t0", [legacy])
+        new = _payload("new", "t1", [_entry("a", 1.1, 1000)])
+        result = compare_payloads(new, base)
+        assert result.total_wall_change == pytest.approx(0.1)
+        assert result.events_ratio == pytest.approx(1.0)
 
     def test_only_shared_entries_are_compared(self):
         base = _payload("base", "t0", [_entry("a", 1.0, 1000)])

@@ -140,4 +140,6 @@ class TestMain:
 
             pytest.skip("no committed bench files")
         assert main(repo_root) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        for path in repo_root.glob("BENCH_*.json"):
+            assert json.loads(path.read_text())["rev"] in out

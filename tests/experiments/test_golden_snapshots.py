@@ -49,19 +49,22 @@ def test_quick_scale_snapshot(exp_id, update_goldens):
     ids=["one-server-calendar", "server-split"],
 )
 @pytest.mark.parametrize("exp_id", all_experiment_ids())
-def test_quick_scale_snapshot_sharded(exp_id, shards, server_shards, monkeypatch):
-    """The determinism tier's sharded leg: every quick-scale golden,
-    re-run on coupled shard calendars — both the classic two-calendar
-    plan and a plan that splits the I/O servers over two server
-    calendars — must be byte-identical to the committed snapshot (see
-    ``repro.shard``).  Ineligible points (the resilience sweeps run
-    fault plans) exercise the graceful fallback, which is the CLI
-    contract for ``--shards`` + faults."""
+def test_quick_scale_snapshot_sharded(
+    exp_id, shards, server_shards, monkeypatch, tmp_path
+):
+    """A sharding request left in the environment is inert.
+
+    Within-run sharding is gone (DESIGN.md §10), and with it every
+    reader of its environment variables.  A shell or script that still
+    exports them — the classic two-calendar request or the server-split
+    one, with a transport and a round trace — must get the
+    single-calendar bytes: every quick-scale golden stays byte-identical
+    and no round trace is written."""
     path = _golden_path(exp_id)
-    if not path.exists():
-        pytest.skip("golden not generated yet")
+    rounds = tmp_path / "rounds.json"
     monkeypatch.setenv("REPRO_SHARDS", str(shards))
     monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "inproc")
+    monkeypatch.setenv("REPRO_TRACE_ROUNDS", str(rounds))
     if server_shards is None:
         monkeypatch.delenv("REPRO_SERVER_SHARDS", raising=False)
     else:
@@ -69,35 +72,10 @@ def test_quick_scale_snapshot_sharded(exp_id, shards, server_shards, monkeypatch
     payload = run_experiment_by_id(exp_id, scale="quick").to_dict()
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert payload == golden, (
-        f"{exp_id} diverged from its golden under --shards {shards} "
-        f"(server shards: {server_shards}) — the sharded calendars are "
-        "no longer byte-identical to the single one"
+        f"{exp_id} diverged from its golden under a leftover sharding "
+        f"request (shards {shards}, server shards {server_shards})"
     )
-
-
-@pytest.mark.parametrize(
-    "exp_id",
-    ["fig5_bandwidth_3g", "fig9_cpuutil_3g", "ablation_write_path"],
-)
-def test_quick_scale_snapshot_server_sharded_mp(exp_id, monkeypatch):
-    """The mp-transport face of the server-split leg, over a small
-    representative slice (fan-in read, aggregate fan-in, write path) —
-    worker processes must produce the same bytes the in-process
-    coordinator does.  The full golden matrix runs inproc above;
-    transport equivalence itself is pinned in
-    ``tests/shard/test_equivalence.py`` and the CI smoke leg."""
-    path = _golden_path(exp_id)
-    if not path.exists():
-        pytest.skip("golden not generated yet")
-    monkeypatch.setenv("REPRO_SHARDS", "4")
-    monkeypatch.setenv("REPRO_SERVER_SHARDS", "2")
-    monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "mp")
-    payload = run_experiment_by_id(exp_id, scale="quick").to_dict()
-    golden = json.loads(path.read_text(encoding="utf-8"))
-    assert payload == golden, (
-        f"{exp_id} diverged from its golden under mp workers with a "
-        "server-split plan"
-    )
+    assert not rounds.exists()
 
 
 @pytest.mark.parametrize("exp_id", all_experiment_ids())
