@@ -14,8 +14,8 @@ distinct kernel regime:
 * ``micro_read`` — a seconds-scale smoke point small enough for unit tests
   and CI to run the full bench machinery end-to-end.
 
-All entries run fault-free (the fast-path regime) under the ``source_aware``
-policy, except where noted; the ``full`` scale adds the irqbalance policy
+All entries run fault-free under the ``source_aware`` policy, except
+where noted; the ``full`` scale adds the irqbalance policy
 path, NAPI coalescing and the write path.
 
 ``fanin_multiclient`` (full scale only) is the suite's largest point: four

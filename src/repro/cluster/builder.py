@@ -132,12 +132,13 @@ def build_cluster(
 
     sais_enabled = clients[0].policy.requires_hints
 
-    # Coalesced wire fast path: exact analytic pipeline, only sound on a
-    # healthy fabric (no loss/middlebox/straggler machinery in the way).
-    # REPRO_NO_WIRE_FASTPATH=1 forces the resource-based slow path for A/B
-    # equivalence testing.
+    # Coalesced wire fast path: exact analytic pipeline under every fault
+    # plan (loss rides Link.send, the middlebox runs at relay time, and
+    # reordered packets wait in a per-client heap; see repro.net.fastpath).
+    # REPRO_NO_WIRE_FASTPATH=1 selects the resource-based reference path,
+    # kept as the oracle of the A/B equivalence tests.
     fastpath: WireFastPath | None = None
-    if injector is None and fast_wire_enabled():
+    if fast_wire_enabled():
         fastpath = WireFastPath(env, switch, clients, spans=spans)
 
     def deliver_to_client(packet: Packet) -> t.Any:
@@ -218,29 +219,26 @@ def build_cluster(
                 )
                 return
 
+            # The data strip serializes out the client NIC, crosses the
+            # switch, and is absorbed by the server, which acks back over
+            # the normal return path.
+            data = Packet(
+                size=request.size,
+                src_server=request.server,
+                dst_client=request.client,
+                request_id=request.request_id,
+                strip_id=request.strip_id,
+            )
             if fastpath is not None:
                 env.process(
                     fastpath.transmit_to_server(
-                        uplink,
-                        request.size,
-                        lambda: server.serve_write(request),
-                        request,
+                        uplink, data, lambda: server.serve_write(request)
                     ),
                     quiet=True,
                 )
                 return
 
             def _route_write() -> t.Generator:
-                # The data strip serializes out the client NIC, crosses
-                # the switch, and is absorbed by the server, which acks
-                # back over the normal return path.
-                data = Packet(
-                    size=request.size,
-                    src_server=request.server,
-                    dst_client=request.client,
-                    request_id=request.request_id,
-                    strip_id=request.strip_id,
-                )
                 yield from uplink.transmit(
                     data,
                     lambda packet: switch.forward(

@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+def _is_int(value: t.Any) -> bool:
+    """True for a genuine int: JSON ``true`` parses to a bool, which
+    Python counts as an int but no plan field means."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class StripRetryPolicy:
     """Client-side per-strip retry knobs handed to ``PfsClient``."""
@@ -94,6 +100,11 @@ class FaultPlan:
     max_strip_retries: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("seed", "max_strip_retries"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be an int, got {getattr(self, name)!r}"
+                )
         for name in ("corrupt_prob", "reorder_prob", "strip_option_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -112,9 +123,9 @@ class FaultPlan:
                 f"straggler_slowdown must be >= 1, got {self.straggler_slowdown}"
             )
         for server in self.straggler_servers:
-            if not isinstance(server, int) or server < 0:
+            if not _is_int(server) or server < 0:
                 raise ConfigError(
-                    f"straggler server index must be a non-negative int, "
+                    f"straggler_servers must hold non-negative ints, "
                     f"got {server!r}"
                 )
         for window in self.server_failure_windows:
@@ -123,10 +134,10 @@ class FaultPlan:
                     f"failure window must be (server, start, end), got {window!r}"
                 )
             server, start, end = window
-            if not isinstance(server, int) or server < 0:
+            if not _is_int(server) or server < 0:
                 raise ConfigError(
-                    f"failure-window server must be a non-negative int, "
-                    f"got {server!r}"
+                    f"server_failure_windows server must be a non-negative "
+                    f"int, got {server!r}"
                 )
             if not 0 <= start < end:
                 raise ConfigError(

@@ -124,11 +124,14 @@ class Nic:
         Closed form of :meth:`receive`'s wire resource: the packet queues
         behind the wire's drain time, serializes, and is fully received at
         the returned instant.  ``arrival`` may be in the future (the fast
-        path reserves at upstream-departure time); this stays exact because
-        upstream departures are monotone, so reservation order equals
-        arrival order.  The caller schedules :meth:`complete_rx` at the
-        returned time.  Fast-path use only — never mix with
-        :meth:`receive` on the same instance.
+        path reserves at upstream-departure time).  Invariant: calls come
+        in nondecreasing ``arrival`` order, with equal arrivals in the
+        order the reference path's wire requests would be made.  Upstream
+        departures are monotone, so admitting at relay time keeps that
+        order; a reorder-delayed packet breaks it, so the fast path holds
+        such packets back and admits them by arrival time.  The caller
+        schedules :meth:`complete_rx` at the returned time.  Fast-path use
+        only — never mix with :meth:`receive` on the same instance.
         """
         start = self._wire_free
         if start < arrival:

@@ -1,58 +1,83 @@
-"""Coalesced wire fast path: analytic FIFO pipelines for a healthy fabric.
+"""Coalesced wire fast path: analytic FIFO pipelines for the shared fabric.
 
-The slow (general) data path charges every segment one full event
+The per-segment reference path charges every segment one full event
 round-trip per hop: a wire-``Resource`` grant, a serialization ``Timeout``
 and a spawned ``_arrive`` process at the server uplink, the switch
 backplane and the client NIC — ~11 calendar events per segment before the
-interrupt is even raised.  On a *fault-free* fabric every one of those hops
-is a deterministic FIFO server, so its behaviour has a closed form: if
-``free`` is the time the hop last drains, a packet arriving at ``a`` with
-service time ``s`` departs at::
+interrupt is even raised.  Every one of those hops is a deterministic FIFO
+server, so its behaviour has a closed form: if ``free`` is the time the hop
+last drains, a packet arriving at ``a`` with service time ``s`` departs
+at::
 
     depart = max(free, a) + s;  free = depart
 
 This module replays that recurrence in plain arithmetic for the *shared*
 hops (switch backplane, client NIC wire).  The sender-side uplink keeps
-its real ``Resource`` + serialization ``Timeout``: simultaneous departures
-on *different* uplinks are ordered by event-insertion order, and only the
-resource machinery reproduces the slow path's insertion points exactly
-(an analytic uplink would assign its departure event at *request* time,
-the resource path at *grant* time — ties across uplinks would then break
-differently, reordering the shared fabric's FIFO).  Per segment the
+its real ``Resource`` + serialization ``Timeout`` through
+:meth:`Link.send <repro.net.links.Link.send>`, the same serialize/drop/
+back-off loop the reference path runs: simultaneous departures on
+*different* uplinks are ordered by event-insertion order, and only the
+resource machinery reproduces the reference path's insertion points
+exactly (an analytic uplink would assign its departure event at *request*
+time, the resource path at *grant* time — ties across uplinks would then
+break differently, reordering the shared fabric's FIFO).  Per segment the
 transport is **three** calendar events instead of ~11:
 
 1. the uplink wire grant (unchanged resource machinery, so per-uplink
-   queueing and cross-uplink ties are bit-for-bit the slow path's);
+   queueing and cross-uplink ties are bit-for-bit the reference path's);
 2. the sender's serialization ``Timeout`` to the uplink departure, inside
    which the switch and NIC recurrences advance; and
 3. one pooled :meth:`~repro.des.environment.Environment.call_at` callback
    at the NIC wire-completion instant, which runs the NIC's post-wire
    receive half (counters, tracer, ordering tripwire, NAPI, interrupt
-   raise) at exactly the time the slow path would have.
+   raise) at exactly the time the reference path would have.
 
-Why this is exact (see DESIGN.md for the full argument):
+A lost attempt adds one back-off ``Timeout`` plus another grant and
+serialization, exactly as on the reference path, and a reorder-delayed
+packet adds one callback (below).
+
+Why this is exact (see DESIGN.md §8 for the full argument):
 
 * every user of a fast-path hop goes through the recurrence, and updates
   happen in global uplink-departure order — departures are calendar
-  events processed in time order (ties in slow-path insertion order, by
-  point 1), and the switch/NIC updates ride inside them, so the shared
-  FIFOs serve in exactly the slow path's order;
+  events processed in time order (ties in reference-path insertion order,
+  by point 1), and the switch/NIC updates ride inside them, so the shared
+  FIFOs serve in exactly the reference path's order;
 * the NIC recurrence may be advanced early, at uplink-departure time,
   because switch departures are monotone in update order and the port
   latency is a constant — so NIC *arrival* order equals update order;
+* the fault plan's middlebox runs right after :meth:`Switch.relay`
+  instead of at fabric departure.  Each of its decisions is
+  ``hash_unit(plan seed, site, packet identity)``, which does not depend
+  on time, and the fault counters are read only after the run.  The NIC
+  arrival is ``fabric_departure + (latency + extra)``, the same float
+  expression the reference path's delivery timeout evaluates;
+* a reorder delay breaks "arrival order equals update order", so a
+  delayed packet waits in a per-client heap keyed by arrival time.  One
+  callback at its arrival admits every held packet due by then, and an
+  undelayed packet first admits every held packet due at or before its
+  own arrival, earliest first.  Nothing relayed later can arrive earlier
+  than an undelayed packet (fabric departures only increase, the latency
+  is constant), so the NIC still admits in arrival order; on equal
+  arrivals the delayed packet goes first, as in the reference path's
+  insertion order;
 * all counters/observers fire at the same simulated instants as before.
 
-The fast path is installed by the cluster builder **only when no fault
-plan is active** (no injector, hence no loss, no middlebox, no straggler):
-fault machinery needs the per-attempt resource path, which stays exactly
-as it was.  ``REPRO_NO_WIRE_FASTPATH=1`` disables the fast path for A/B
-equivalence testing (``tests/net/test_wire_fastpath.py``).
+Straggler slowdowns and server-failure windows are service-time edits
+inside :class:`~repro.pfs.server.IoServer`, the same on both paths.
+
+The cluster builder installs the fast path under every fault plan.
+``REPRO_NO_WIRE_FASTPATH=1`` selects the per-segment reference path
+instead; it is kept as the oracle of the A/B equivalence tests
+(``tests/net/test_wire_fastpath.py``).
 """
 
 from __future__ import annotations
 
 import os
 import typing as t
+from heapq import heappop, heappush
+from itertools import count
 
 from ..des import Environment
 
@@ -71,16 +96,6 @@ def fast_wire_enabled() -> bool:
     return not os.environ.get("REPRO_NO_WIRE_FASTPATH")
 
 
-def serialize_out(env: Environment, link: "Link", nbytes: int) -> t.Generator:
-    """The sender-side uplink half shared by every fast-path transmit:
-    wire-resource grant, serialization timeout, counters at departure."""
-    with link._wire.request() as req:
-        yield req
-        yield env.timeout(link.serialization_time(nbytes))
-    link.bytes_sent.add(nbytes)
-    link.packets_sent.add()
-
-
 class WireFastPath:
     """Analytic uplink -> switch -> NIC pipeline for one cluster."""
 
@@ -94,76 +109,108 @@ class WireFastPath:
         self.env = env
         self.switch = switch
         self._nics: list["Nic"] = [client.nic for client in clients]
+        #: Reorder-delayed packets not yet admitted to their client's NIC,
+        #: one heap of ``(arrival, relay ordinal, packet)`` per client.
+        #: Stays empty unless the fault plan reorders.
+        self._held: list[list[tuple[float, int, "Packet"]]] = [
+            [] for _ in clients
+        ]
+        self._relayed = count()
         #: Span recorder (repro.obs); None when tracing is off.  The NIC
         #: wire span is recorded by ``complete_rx`` (identically on both
         #: paths); only the fabric hop needs recording here, because the
         #: analytic :meth:`Switch.relay` never sees packet identity.
         self.spans = spans
 
-    def _record_fabric_span(
-        self, client: int, strip_id: int, segment: int, size: int, departure: float
-    ) -> None:
+    def _record_fabric_span(self, packet: "Packet", departure: float) -> None:
         switch = self.switch
         self.spans.add(
             "switch",
             "net",
             switch.obs_track,
-            start=departure - size / switch.backplane_bandwidth,
+            start=departure - packet.size / switch.backplane_bandwidth,
             end=departure,
-            parent=self.spans.strip_span(client, strip_id),
-            args={"strip": strip_id, "segment": segment},
+            parent=self.spans.strip_span(packet.dst_client, packet.strip_id),
+            args={"strip": packet.strip_id, "segment": packet.segment},
         )
 
     def transmit_to_client(
         self, link: "Link", packet: "Packet"
     ) -> t.Generator:
         """Send one data/ack packet server->client; blocks the caller for
-        uplink queueing + serialization, exactly like ``Link.transmit``."""
-        env = self.env
-        # After the shared uplink half, now == uplink departure: the link
-        # counters were charged at the same instant the resource-based
-        # path charges them.
-        yield from serialize_out(env, link, packet.size)
+        uplink queueing + serialization (+ loss back-offs), exactly like
+        ``Link.transmit``."""
+        # After the shared uplink half, now == uplink departure of the
+        # attempt that got through: the link counters were charged at the
+        # same instants the reference path charges them.  (Few locals: a
+        # suspended generator's frame lives while the packet queues.)
+        yield from link.send(packet)
         switch = self.switch
         fabric_departure = switch.relay(packet.size)
         if self.spans is not None:
-            self._record_fabric_span(
-                packet.dst_client,
-                packet.strip_id,
-                packet.segment,
-                packet.size,
-                fabric_departure,
-            )
+            self._record_fabric_span(packet, fabric_departure)
+        if switch.middlebox is not None:
+            self._through_middlebox(packet, fabric_departure)
+            return
         nic = self._nics[packet.dst_client]
-        done = nic.admit(packet.size, fabric_departure + switch.latency)
-        env.call_at(done, nic.complete_rx, packet)
+        self.env.call_at(
+            nic.admit(packet.size, fabric_departure + switch.latency),
+            nic.complete_rx,
+            packet,
+        )
+
+    def _through_middlebox(
+        self, packet: "Packet", fabric_departure: float
+    ) -> None:
+        """Apply the fault plan's middlebox to a relayed packet, then admit
+        it to its NIC, or hold it back when the middlebox delays it."""
+        switch = self.switch
+        packet, extra = switch.middlebox(packet)
+        arrival = fabric_departure + (switch.latency + extra)
+        client = packet.dst_client
+        if extra > 0.0:
+            heappush(self._held[client], (arrival, next(self._relayed), packet))
+            self.env.call_at(arrival, self._release_due, client)
+            return
+        self._release(client, arrival)
+        nic = self._nics[client]
+        self.env.call_at(nic.admit(packet.size, arrival), nic.complete_rx, packet)
+
+    def _release_due(self, client: int) -> None:
+        """Arrival callback of a held packet: admit everything due now."""
+        self._release(client, self.env.now)
+
+    def _release(self, client: int, until: float) -> None:
+        """Admit ``client``'s held packets arriving at or before ``until``,
+        earliest first (equal arrivals in relay order)."""
+        held = self._held[client]
+        nic = self._nics[client]
+        call_at = self.env.call_at
+        while held and held[0][0] <= until:
+            arrival, _, packet = heappop(held)
+            call_at(nic.admit(packet.size, arrival), nic.complete_rx, packet)
 
     def transmit_to_server(
         self,
         link: "Link",
-        size: int,
+        packet: "Packet",
         arrival: t.Callable[[], t.Generator],
-        request: t.Any | None = None,
     ) -> t.Generator:
         """Send one write strip client->server; ``arrival()`` builds the
         server-side generator (``serve_write``), spawned at the instant
-        the strip clears the switch port.  ``request`` (the originating
-        :class:`~repro.pfs.request.StripRequest`) is only consulted for
-        span attribution."""
+        the strip clears the switch port.  ``packet`` is the strip's data
+        packet: it keys the loss and reorder draws and the fabric span."""
         env = self.env
-        yield from serialize_out(env, link, size)
+        yield from link.send(packet)
         switch = self.switch
-        fabric_departure = switch.relay(size)
-        if self.spans is not None and request is not None:
-            self._record_fabric_span(
-                request.client,
-                request.strip_id,
-                0,
-                size,
-                fabric_departure,
-            )
+        fabric_departure = switch.relay(packet.size)
+        if self.spans is not None:
+            self._record_fabric_span(packet, fabric_departure)
+        delay = switch.latency
+        if switch.middlebox is not None:
+            delay += switch.middlebox(packet)[1]
         env.process(
             arrival(),
             quiet=True,
-            start_delay=(fabric_departure + switch.latency) - env.now,
+            start_delay=(fabric_departure + delay) - env.now,
         )

@@ -52,23 +52,17 @@ class Link:
         """Wire time for ``nbytes`` of payload including framing."""
         return nbytes * (1.0 + self.framing_overhead) / self.bandwidth
 
-    def transmit(
-        self,
-        packet: Packet,
-        deliver: t.Callable[[Packet], t.Any],
-    ) -> t.Generator:
-        """Send ``packet``; the caller blocks for queueing + serialization.
+    def send(self, packet: Packet) -> t.Generator:
+        """Serialize ``packet`` onto the wire until one attempt gets through.
 
-        ``deliver`` is invoked (not awaited) once the packet lands after
-        the propagation latency; if it returns a generator it is spawned as
-        a new process, so delivery chains (e.g. into the next hop) compose.
-
-        With :attr:`faults` installed, a transmission attempt may be lost:
-        the sender still paid the wire time (the bytes really crossed the
+        The caller blocks for queueing + serialization.  With
+        :attr:`faults` installed, a transmission attempt may be lost: the
+        sender still paid the wire time (the bytes really crossed the
         link — that is what goodput-vs-raw-bandwidth measures), then waits
         out an exponentially backed-off retransmission timeout and sends
         again.  The caller stays blocked until an attempt gets through, so
-        per-strip segment order is preserved under pure loss.
+        per-strip segment order is preserved under pure loss.  Returns at
+        the departure instant of the attempt that got through.
         """
         attempt = 0
         while True:
@@ -80,10 +74,24 @@ class Link:
             if self.faults is None or not self.faults.should_drop(
                 packet, attempt
             ):
-                break
+                return
             attempt += 1
             self.retransmits.add()
             yield self.env.timeout(self.faults.retransmit_delay(attempt))
+
+    def transmit(
+        self,
+        packet: Packet,
+        deliver: t.Callable[[Packet], t.Any],
+    ) -> t.Generator:
+        """:meth:`send` ``packet``, then deliver it after the propagation
+        latency.
+
+        ``deliver`` is invoked (not awaited) once the packet lands; if it
+        returns a generator it is spawned as a new process, so delivery
+        chains (e.g. into the next hop) compose.
+        """
+        yield from self.send(packet)
 
         def _arrive() -> t.Generator:
             if self.latency > 0:

@@ -39,6 +39,8 @@ class Switch:
         #: In-network hazard hook (``FaultInjector.middlebox``): may
         #: replace the packet (options stripped/corrupted) and return an
         #: extra delivery delay (reordering).  None on a healthy fabric.
+        #: :meth:`forward` runs it at fabric departure; the wire fast path
+        #: runs it right after :meth:`relay`.
         self.middlebox = middlebox
         self._fabric = Resource(env, capacity=1)
         #: Analytic next-free time of the backplane (fast path only; see
@@ -60,7 +62,7 @@ class Switch:
         and departs at the returned instant.  Counters are charged here —
         the per-packet totals match :meth:`forward` at end of run (only
         the charge *instant* differs; nothing samples them mid-run).
-        Fast-path use only, and only on a healthy fabric (no middlebox).
+        Fast-path use only; the caller applies :attr:`middlebox`.
         """
         start = self._fabric_free
         now = self.env.now

@@ -62,7 +62,8 @@ class IoServer:
         #: None on a healthy cluster.
         self.faults = faults
         #: Coalesced wire fast path (:class:`~repro.net.fastpath.WireFastPath`);
-        #: installed by the builder only on a fault-free fabric.  When set,
+        #: installed by the builder under every fault plan, None only when
+        #: ``REPRO_NO_WIRE_FASTPATH`` selects the reference path.  When set,
         #: segment trains bypass ``uplink.transmit``/``deliver`` for the
         #: analytic pipeline — byte-identical timing, ~5x fewer events.
         self.fastpath = fastpath

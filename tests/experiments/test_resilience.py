@@ -163,6 +163,32 @@ class TestCliHardening:
         )
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"loss_prob": 0.02, "max_strip_retries": 2.5}, "max_strip_retries"),
+            ({"loss_prob": 0.02, "seed": "abc"}, "seed"),
+            ({"loss_prob": 0.02, "seed": 1.5}, "seed"),
+            ({"straggler_servers": [True], "straggler_slowdown": 2.0},
+             "straggler_servers"),
+            ({"server_failure_windows": [[True, 0.0, 0.001]]},
+             "server_failure_windows"),
+        ],
+    )
+    def test_non_int_plan_field_exits_2(self, tmp_path, capsys, payload, field):
+        # Each of these used to load, then crash mid-run with a traceback
+        # (or, for a bool server index, run silently as server 1).
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload))
+        code = main(
+            ["run", "fig5_bandwidth_3g", "--scale", "quick", "--no-cache",
+             "--fault-plan", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
+
     def test_fault_seed_requires_fault_plan(self, capsys):
         assert (
             main(["run", "fig14_memsim", "--scale", "quick",

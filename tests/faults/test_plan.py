@@ -54,6 +54,32 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FaultPlan(server_failure_windows=(window,))
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("max_strip_retries", 2.5),
+            ("max_strip_retries", "3"),
+            ("max_strip_retries", False),
+        ],
+    )
+    def test_integer_fields_reject_non_ints(self, field, bad):
+        # A float or string here used to crash mid-run (hash_unit, or
+        # range() in the strip watchdog) instead of failing up front.
+        with pytest.raises(ConfigError, match=field):
+            FaultPlan(loss_prob=0.02, **{field: bad})
+
+    def test_bool_straggler_index_rejected(self):
+        # JSON true is a Python int; it used to run silently as server 1.
+        with pytest.raises(ConfigError, match="straggler_servers"):
+            FaultPlan(straggler_servers=(True,), straggler_slowdown=2.0)
+
+    def test_bool_failure_window_server_rejected(self):
+        with pytest.raises(ConfigError, match="server_failure_windows"):
+            FaultPlan(server_failure_windows=((True, 0.0, 1.0),))
+
     def test_backoff_below_one_rejected(self):
         with pytest.raises(ConfigError):
             FaultPlan(retransmit_backoff=0.5)
@@ -120,6 +146,21 @@ class TestMapping:
     def test_wrong_typed_value_becomes_config_error(self):
         with pytest.raises(ConfigError):
             fault_plan_from_mapping({"loss_prob": "lots"})
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"loss_prob": 0.02, "max_strip_retries": 2.5}, "max_strip_retries"),
+            ({"loss_prob": 0.02, "seed": "abc"}, "seed"),
+            ({"straggler_servers": [True], "straggler_slowdown": 2.0},
+             "straggler_servers"),
+            ({"server_failure_windows": [[True, 0.0, 0.5]]},
+             "server_failure_windows"),
+        ],
+    )
+    def test_non_int_json_fields_rejected(self, payload, field):
+        with pytest.raises(ConfigError, match=field):
+            fault_plan_from_mapping(payload)
 
     def test_scalar_straggler_servers_rejected(self):
         with pytest.raises(ConfigError):

@@ -93,6 +93,28 @@ class TestLink:
         assert link.bytes_sent.value == 64 * KiB
         assert link.packets_sent.value == 1
 
+    def test_send_returns_after_the_attempt_that_gets_through(self, env):
+        class DropFirstAttempt:
+            def should_drop(self, packet, attempt):
+                return attempt == 0
+
+            def retransmit_delay(self, attempt):
+                return 0.5
+
+        link = Link(env, bandwidth=1 * MiB, faults=DropFirstAttempt())
+        departed = []
+
+        def sender():
+            yield from link.send(make_packet(size=1 * MiB))
+            departed.append(env.now)
+
+        env.process(sender())
+        env.run()
+        # Lost attempt (1 s on the wire) + back-off (0.5 s) + resend (1 s).
+        assert departed == [pytest.approx(2.5)]
+        assert link.packets_sent.value == 2
+        assert link.retransmits.value == 1
+
     def test_invalid_bandwidth(self, env):
         with pytest.raises(ValueError):
             Link(env, bandwidth=0)

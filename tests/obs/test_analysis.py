@@ -16,9 +16,10 @@ import json
 
 import pytest
 
-from repro import ClusterConfig, WorkloadConfig
+from repro import ClusterConfig, NetworkConfig, WorkloadConfig
 from repro.cluster.simulation import Simulation
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
 from repro.obs import SpanRecorder
 from repro.obs.analysis import (
     breakdown_from_spans,
@@ -64,14 +65,41 @@ def traced_run(config):
     return recorder, sim
 
 
-@pytest.fixture(scope="module", params=["fast_path", "slow_path"])
+#: Loss, reordering and option stripping on jumbo-frame segment trains:
+#: retransmits, held-back segments and hint-less packets all show up in
+#: the spans.
+FAULTY = dict(
+    network=NetworkConfig(mss=8960),
+    faults=FaultPlan(
+        loss_prob=0.05, reorder_prob=0.2, strip_option_prob=0.1, seed=7
+    ),
+)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("fast_path", "irqbalance", False),
+        ("slow_path", "irqbalance", False),
+        ("fast_path", "irqbalance", True),
+        ("slow_path", "irqbalance", True),
+        ("fast_path", "source_aware", True),
+        ("slow_path", "source_aware", True),
+    ],
+    ids=lambda param: "-".join(
+        [param[0]] + ([param[1], "faults"] if param[2] else [])
+    ),
+)
 def reconciled(request, monkeypatch_module):
-    """(model, tracer breakdown) for one run on each wire path."""
-    if request.param == "slow_path":
+    """(model, tracer breakdown) for one run on each wire path, healthy
+    and under a fault plan."""
+    wire_path, policy, faulty = request.param
+    if wire_path == "slow_path":
         monkeypatch_module.setenv("REPRO_NO_WIRE_FASTPATH", "1")
     else:
         monkeypatch_module.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
-    recorder, sim = traced_run(small_config())
+    overrides = FAULTY if faulty else {}
+    recorder, sim = traced_run(small_config(policy=policy, **overrides))
     tracer = sim.cluster.clients[0].pfs.tracer
     return model_from_recorder(recorder), tracer
 

@@ -45,9 +45,11 @@ def base_config(**overrides):
 def traced(request, monkeypatch_module):
     if request.param == "slow_path":
         monkeypatch_module.setenv("REPRO_NO_WIRE_FASTPATH", "1")
-        config = base_config()
-    elif request.param == "faulty":
-        # Faults disable the fast path on their own and add retries.
+    else:
+        monkeypatch_module.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
+    if request.param == "faulty":
+        # Loss and a failure window on the fast path add retransmits and
+        # strip retries.
         config = base_config(
             n_servers=4,
             faults=FaultPlan(
