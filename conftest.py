@@ -5,11 +5,11 @@ Tiers (see CONTRIBUTING.md):
 * ``tier1`` — the fast default suite; auto-applied to every test that is
   marked neither ``slow`` nor ``chaos``.
 * ``slow`` — scale-stress, calibration and long example campaigns.
-* ``chaos`` — fault-injection tests that kill worker processes, wedge
-  them with SIGSTOP, or feed the serve daemon malformed input
-  (``pytest -m chaos``).  They are deterministic in outcome but
-  process-heavy; a chaos test that is also fast and signal-free can opt
-  back into the default suite with an explicit ``@pytest.mark.tier1``.
+* ``chaos`` — worker-pool tests that kill the workers of a ``--jobs N``
+  run or wedge them with SIGSTOP (``pytest -m chaos``).  They are
+  deterministic in outcome but process-heavy; a chaos test that is also
+  fast and signal-free can opt back into the default suite with an
+  explicit ``@pytest.mark.tier1``.
 
 ``--update-goldens`` rewrites the snapshot files consumed by
 ``tests/experiments/test_golden_snapshots.py`` instead of asserting

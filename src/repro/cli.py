@@ -330,188 +330,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_runner_options(sweep)
 
-    def add_endpoint_options(command: argparse.ArgumentParser) -> None:
-        from .serve.daemon import DEFAULT_HOST, DEFAULT_PORT
-
-        command.add_argument(
-            "--host",
-            default=DEFAULT_HOST,
-            metavar="ADDR",
-            help=f"daemon address (default: {DEFAULT_HOST})",
-        )
-        command.add_argument(
-            "--port",
-            type=int,
-            default=DEFAULT_PORT,
-            metavar="N",
-            help=f"daemon port (default: {DEFAULT_PORT})",
-        )
-
-    serve = sub.add_parser(
-        "serve",
-        help=(
-            "run the crash-tolerant run-control daemon: supervised worker "
-            "pool, bounded queue, cache-deduplicated submissions"
-        ),
-    )
-    add_endpoint_options(serve)
-    serve.add_argument(
-        "--workers",
-        type=positive_int,
-        default=2,
-        metavar="N",
-        help="supervised worker processes (default: 2)",
-    )
-    serve.add_argument(
-        "--queue-bound",
-        type=positive_int,
-        default=32,
-        metavar="N",
-        help=(
-            "max open (queued+running) runs before submissions get an "
-            "explicit queue_full backpressure response (default: 32)"
-        ),
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=positive_int,
-        default=3,
-        metavar="N",
-        help=(
-            "per-task attempt budget before a typed job_failed error "
-            "(default: 3)"
-        ),
-    )
-    serve.add_argument(
-        "--result-ttl",
-        type=float,
-        default=900.0,
-        metavar="SEC",
-        help="seconds a finished job stays queryable (default: 900)",
-    )
-    serve.add_argument(
-        "--liveness-timeout",
-        type=float,
-        default=5.0,
-        metavar="SEC",
-        help=(
-            "a worker silent for this long is declared hung, killed and "
-            "replaced (default: 5)"
-        ),
-    )
-    serve.add_argument(
-        "--pool-transport",
-        choices=("mp", "inproc"),
-        default="mp",
-        help=(
-            "worker transport: real processes (mp, the default) or inline "
-            "in-process execution (inproc; what 1-CPU CI uses)"
-        ),
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "result cache directory (default: $REPRO_CACHE_DIR or "
-            "~/.cache/sais-repro)"
-        ),
-    )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="serve without the result cache (every submission runs)",
-    )
-    serve.add_argument(
-        "--log-file",
-        default=None,
-        metavar="FILE",
-        help="append daemon log lines here instead of stderr",
-    )
-
-    submit = sub.add_parser(
-        "submit", help="submit one experiment to a running serve daemon"
-    )
-    submit.add_argument("experiment", help="experiment id (see 'list')")
-    submit.add_argument(
-        "--scale",
-        choices=SCALES,
-        default="quick",
-        help="run-length preset (default: quick)",
-    )
-    add_endpoint_options(submit)
-    submit.add_argument(
-        "--no-wait",
-        action="store_true",
-        help="print the job id and return instead of waiting for the result",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        metavar="SEC",
-        help="max seconds to wait for the result (default: 300)",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the terminal job view as JSON instead of a table",
-    )
-
-    status = sub.add_parser(
-        "status",
-        help=(
-            "query a job by id, or (without an id) the daemon's job list "
-            "and metrics snapshot"
-        ),
-    )
-    status.add_argument(
-        "job_id", nargs="?", default=None, help="job id from 'submit'"
-    )
-    add_endpoint_options(status)
-    status.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a still-queued job on the serve daemon"
-    )
-    cancel.add_argument("job_id", help="job id from 'submit'")
-    add_endpoint_options(cancel)
     return parser
 
 
-def _install_fault_plan(args: argparse.Namespace) -> int:
-    """Load ``--fault-plan`` and install it as the ambient plan.
-
-    Returns a process exit code: 0 on success (including no plan given),
-    2 on a malformed plan file — same contract as the other config errors.
-    """
-    plan_path = getattr(args, "fault_plan", None)
-    fault_seed = getattr(args, "fault_seed", None)
-    if plan_path is None:
-        if fault_seed is not None:
-            print(
-                "sais-repro: --fault-seed requires --fault-plan",
-                file=sys.stderr,
-            )
-            return 2
-        return 0
-    from .faults import load_fault_plan, set_ambient_fault_plan
-
-    try:
-        plan = load_fault_plan(plan_path)
-    except ConfigError as exc:
-        print(f"sais-repro: {exc}", file=sys.stderr)
-        return 2
-    if fault_seed is not None:
-        plan = plan.with_seed(fault_seed)
-    set_ambient_fault_plan(plan)
-    return 0
-
-
 def _make_runner(args: argparse.Namespace) -> "t.Any":
+    """Install ``--fault-plan`` as the ambient plan and build the runner.
+
+    Raises ``ConfigError`` (exit code 2 at the call sites) for a fault
+    seed without a plan, a malformed plan file, or an unusable cache
+    directory — before any experiment is planned.
+    """
     from .runner import ExperimentRunner
+
+    if args.fault_plan is not None:
+        from .faults import load_fault_plan, set_ambient_fault_plan
+
+        plan = load_fault_plan(args.fault_plan)
+        if args.fault_seed is not None:
+            plan = plan.with_seed(args.fault_seed)
+        set_ambient_fault_plan(plan)
+    elif args.fault_seed is not None:
+        raise ConfigError("--fault-seed requires --fault-plan")
 
     progress = None
     if args.progress:
@@ -583,10 +422,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"available: {', '.join(ALL_SWEEP_IDS)}", file=sys.stderr)
         return 2
 
-    code = _install_fault_plan(args)
-    if code:
-        return code
-    summary = _make_runner(args).run_many(ids, scale=args.scale)
+    try:
+        runner = _make_runner(args)
+    except ConfigError as exc:
+        print(f"sais-repro: {exc}", file=sys.stderr)
+        return 2
+    summary = runner.run_many(ids, scale=args.scale)
     _report_summary(summary)
     for report in summary.failed:
         first_line = (report.error or "unknown failure").splitlines()[0]
@@ -615,157 +456,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    from .serve import RunControlDaemon, ServeConfig
-
-    log_handle = None
-    log = None
-    if args.log_file:
-        log_handle = open(args.log_file, "a", encoding="utf-8")
-
-        def log(message: str) -> None:
-            import time as _time
-
-            stamp = _time.strftime("%H:%M:%S")
-            log_handle.write(f"serve[{stamp}]: {message}\n")
-            log_handle.flush()
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_bound=args.queue_bound,
-        max_attempts=args.max_attempts,
-        result_ttl=args.result_ttl,
-        liveness_timeout=args.liveness_timeout,
-        pool_transport=args.pool_transport,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-    )
-    daemon = RunControlDaemon(config, log=log)
-    try:
-        host, port = daemon.start()
-        print(f"sais-repro serve: listening on {host}:{port}", flush=True)
-        daemon.join()
-    except KeyboardInterrupt:
-        print("sais-repro serve: draining...", file=sys.stderr)
-        daemon.request_shutdown(drain=True)
-        daemon.join(timeout=60.0)
-    finally:
-        if log_handle is not None:
-            log_handle.close()
-    return 0
-
-
-def _serve_client(args: argparse.Namespace) -> "t.Any":
-    from .serve import ServeClient
-
-    return ServeClient(args.host, args.port)
-
-
-def _run_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from .errors import JobFailedError, ServeError
-    from .experiments.base import ExperimentResult
-
-    client = _serve_client(args)
-    try:
-        submitted = client.submit(args.experiment, scale=args.scale)
-        if args.no_wait:
-            print(json.dumps(submitted, indent=2) if args.json else submitted["job_id"])
-            return 0
-        final = client.wait(submitted["job_id"], timeout=args.timeout)
-    except JobFailedError as exc:
-        print(f"sais-repro submit: job failed: {exc}", file=sys.stderr)
-        return 1
-    except (ServeError, ConfigError, OSError) as exc:
-        print(f"sais-repro submit: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(final, indent=2))
-        return 0
-    dedup = submitted.get("dedup")
-    print(
-        f"sais-repro: {final['job_id']} {final['state']}"
-        + (f" (dedup={dedup})" if dedup else ""),
-        file=sys.stderr,
-    )
-    if final.get("result"):
-        print(ExperimentResult.from_dict(final["result"]).render())
-    return 0
-
-
-def _run_status(args: argparse.Namespace) -> int:
-    import json
-
-    from .errors import JobFailedError, ServeError
-
-    client = _serve_client(args)
-    try:
-        if args.job_id is None:
-            payload: dict[str, t.Any] = {
-                "jobs": client.jobs(),
-                "metrics": client.metrics(),
-                "worker_pids": client.worker_pids(),
-            }
-        else:
-            payload = client.status(args.job_id)
-    except JobFailedError as exc:
-        print(f"sais-repro status: job failed: {exc}", file=sys.stderr)
-        return 1
-    except (ServeError, ConfigError, OSError) as exc:
-        print(f"sais-repro status: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    if args.job_id is None:
-        for job in payload["jobs"]:
-            print(
-                f"{job['job_id']}  {job['state']:<9} {job['experiment']}"
-                f"@{job['scale']}"
-                + (f"  dedup={job['dedup']}" if job.get("dedup") else "")
-            )
-        for name, value in sorted(payload["metrics"].items()):
-            print(f"{name} = {value:g}")
-        if payload["worker_pids"]:
-            print("worker_pids = " + ", ".join(map(str, payload["worker_pids"])))
-    else:
-        for key, value in payload.items():
-            if key in ("ok", "op", "result"):
-                continue
-            print(f"{key} = {value}")
-    return 0
-
-
-def _run_cancel(args: argparse.Namespace) -> int:
-    from .errors import ServeError
-
-    client = _serve_client(args)
-    try:
-        view = client.cancel(args.job_id)
-    except (ServeError, ConfigError, OSError) as exc:
-        print(f"sais-repro cancel: {exc}", file=sys.stderr)
-        return 2
-    print(f"sais-repro: {view['job_id']} {view['state']}", file=sys.stderr)
-    return 0
-
-
 def main(argv: t.Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
 
     if args.command == "sweep":
         return _run_sweep(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "submit":
-        return _run_submit(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "cancel":
-        return _run_cancel(args)
 
     if args.command == "list":
         for exp_id in all_experiment_ids():
@@ -825,12 +521,12 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     if args.command == "summary":
         from .metrics.report import render_table
 
-        code = _install_fault_plan(args)
-        if code:
-            return code
-        summary = _make_runner(args).run_many(
-            all_experiment_ids(), scale=args.scale
-        )
+        try:
+            runner = _make_runner(args)
+        except ConfigError as exc:
+            print(f"sais-repro: {exc}", file=sys.stderr)
+            return 2
+        summary = runner.run_many(all_experiment_ids(), scale=args.scale)
         rows = []
         for result in summary.results:
             for key, paper_value in result.paper.items():
@@ -857,10 +553,12 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         print(f"available: {', '.join(all_experiment_ids())}", file=sys.stderr)
         return 2
 
-    code = _install_fault_plan(args)
-    if code:
-        return code
-    run_summary = _make_runner(args).run_many(ids, scale=args.scale)
+    try:
+        runner = _make_runner(args)
+    except ConfigError as exc:
+        print(f"sais-repro: {exc}", file=sys.stderr)
+        return 2
+    run_summary = runner.run_many(ids, scale=args.scale)
     _report_summary(run_summary)
     for report in run_summary.failed:
         first_line = (report.error or "unknown failure").splitlines()[0]

@@ -14,10 +14,6 @@ __all__ = [
     "CoreIdOutOfRangeError",
     "LayoutError",
     "StripRetryExhaustedError",
-    "ServeError",
-    "QueueFullError",
-    "JobFailedError",
-    "JobNotFoundError",
 ]
 
 
@@ -59,33 +55,3 @@ class StripRetryExhaustedError(SimulationError):
     whose transient-failure window outlasts the retry budget.
     """
 
-
-class ServeError(ReproError):
-    """Base class for run-control daemon (:mod:`repro.serve`) failures."""
-
-
-class QueueFullError(ServeError):
-    """The daemon's bounded submission queue rejected a new job.
-
-    This is backpressure, not a crash: the submitter should retry with
-    jittered backoff (the bundled :class:`repro.serve.client.ServeClient`
-    does) or shed the request.  Wire form: the ``queue_full`` error code.
-    """
-
-
-class JobFailedError(ServeError):
-    """A submitted job exhausted its per-attempt retry budget.
-
-    Terminal and typed: the daemon stays up and keeps serving other
-    submissions; only the submitter of the poisoned job sees this.
-    Wire form: the ``job_failed`` error code on a ``status`` response.
-    """
-
-
-class JobNotFoundError(ServeError):
-    """An unknown — or TTL-evicted — job id was queried.
-
-    Completed results are kept for ``result_ttl`` seconds after they
-    finish; resubmitting after eviction is cheap because the
-    content-addressed result cache still holds the underlying run.
-    """

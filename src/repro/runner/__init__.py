@@ -5,18 +5,18 @@ deterministic (seeded DES, process-stable hashing), so this package
 scales ``sais-repro run all`` with cores:
 
 * :class:`ExperimentRunner` — fans grid points (and whole experiments)
-  out over a process pool, deduplicates shared points, reassembles rows
-  in grid order;
+  out over ``jobs`` workers, deduplicates shared points, reassembles
+  rows in grid order;
 * :class:`ResultCache` — content-addressed on-disk cache keyed by
   SHA-256 of (exp_id, scale, resolved config dataclasses, version),
   written atomically (tmp file + ``os.replace``) so concurrent runners
-  and serve daemons can share one cache directory;
-* :class:`SupervisedWorkerPool` — warm workers with heartbeats,
-  crash/hang detection, automatic restart and per-task retry/backoff;
-  the execution layer under the :mod:`repro.serve` daemon.  The plain
-  ``ExperimentRunner`` pool also survives a worker death: the pool is
-  rebuilt, the affected points retried once, and only a point that
-  keeps killing workers becomes a per-point error report.
+  can share one cache directory;
+* :class:`~repro.runner.supervised.SupervisedWorkerPool` — the
+  ``--jobs N`` pool (imported only when ``jobs > 1``): warm workers
+  with heartbeats.  A worker that dies or hangs is killed and replaced
+  and its point reruns; only a point that does so on all three attempts
+  becomes a per-point error report, and a point that raises re-raises
+  as it would under ``--jobs 1``.
 
 Generated-scenario sweeps (:mod:`repro.scenarios`, the ``sweep``
 experiment family) add no machinery here: a sweep is just another grid
@@ -47,7 +47,6 @@ from .runner import (
     plan_experiment,
     task_kind,
 )
-from .supervised import SupervisedWorkerPool, TaskOutcome
 
 __all__ = [
     "ExperimentRunner",
@@ -55,8 +54,6 @@ __all__ = [
     "ResultCache",
     "RunReport",
     "RunSummary",
-    "SupervisedWorkerPool",
-    "TaskOutcome",
     "assemble_plan",
     "config_digest",
     "default_cache_dir",

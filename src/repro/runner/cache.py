@@ -11,9 +11,12 @@ keyed by the SHA-256 of everything that determines it:
   stale shapes.
 
 Entries are JSON files named ``<key>.json`` under per-version
-subdirectories of the cache root; anything unreadable or malformed is
-treated as a miss, never an error.  Writes go through a same-directory
-temp file + ``os.replace`` so concurrent runners can share a cache dir.
+subdirectories of the cache root; an entry that is unreadable or
+malformed is treated as a miss, never an error.  A cache directory that
+cannot be created (a file in its place, no permission) is a
+``ConfigError`` when the cache is opened, before anything runs.  Writes
+go through a same-directory temp file + ``os.replace`` so concurrent
+runners can share a cache dir.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import tempfile
 import typing as t
 
 import repro
+from ..errors import ConfigError
 from ..experiments.base import ExperimentResult
 
 __all__ = [
@@ -107,10 +111,21 @@ def result_key(exp_id: str, scale: str, grid_specs: t.Any) -> str:
 
 
 class ResultCache:
-    """Directory of content-addressed ``ExperimentResult`` JSON entries."""
+    """Directory of content-addressed ``ExperimentResult`` JSON entries.
+
+    Construction creates ``<root>/v<version>``; an ``OSError`` doing so
+    becomes a one-line ``ConfigError`` naming the directory.
+    """
 
     def __init__(self, cache_dir: str | os.PathLike[str] | None = None) -> None:
         self.root = pathlib.Path(cache_dir) if cache_dir else default_cache_dir()
+        version_dir = self.root / f"v{repro.__version__}"
+        try:
+            version_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot use cache directory {self.root}: {exc.strerror}"
+            ) from None
 
     def path_for(self, key: str) -> pathlib.Path:
         """Where a key lives: ``<root>/v<version>/<key>.json``."""
@@ -123,8 +138,7 @@ class ResultCache:
         silent; an entry that exists but cannot be parsed (truncated by
         a crash predating the atomic-write path, bit rot, a stray
         editor) warns once and is re-run — never an exception, so one
-        bad file cannot take a runner invocation or the serve daemon
-        down with it.
+        bad file cannot take a runner invocation down with it.
         """
         path = self.path_for(key)
         try:

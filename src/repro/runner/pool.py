@@ -1,20 +1,23 @@
-"""Pickleable work units and the worker shim for the supervised pool.
+"""Pickleable work units and the worker loop of the supervised pool.
 
-Workers receive ``("task", key, kind, exp_id, payload)`` messages,
+Workers receive ``(key, kind, exp_id, payload)`` task messages,
 re-import the experiment registry (module import re-registers every
 experiment) and execute the named experiment's ``run_point`` on the
 spec.  Only specs and row results cross the process boundary — both are
 plain frozen dataclasses — so the same code path works under ``fork``
-and ``spawn`` start methods.
+and ``spawn`` start methods.  The runner's ``--jobs 1`` path calls the
+same :func:`run_task` in-process.
 
 :func:`pool_worker_main` is the long-lived worker loop used by
 :class:`~repro.runner.supervised.SupervisedWorkerPool`: it answers task
-messages until told to stop, and a side thread emits heartbeats so the
-supervisor can tell a busy worker from a dead one.
+messages until the supervisor kills it or goes away, and a side thread
+emits heartbeats so the supervisor can tell a busy worker from a
+stopped or dead one.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 import traceback
 import typing as t
@@ -22,14 +25,13 @@ import typing as t
 __all__ = [
     "run_point_task",
     "run_monolithic_task",
-    "run_call_task",
     "run_task",
     "pool_worker_main",
 ]
 
 
 def run_point_task(exp_id: str, spec: t.Any) -> t.Any:
-    """Execute one grid point of ``exp_id`` (worker-side entry point)."""
+    """Execute one grid point of ``exp_id``."""
     # Imported lazily so a freshly spawned worker registers the
     # experiment modules before the lookup.
     from ..experiments.base import get_grid_experiment
@@ -39,45 +41,31 @@ def run_point_task(exp_id: str, spec: t.Any) -> t.Any:
 
 
 def run_monolithic_task(exp_id: str, scale: str) -> t.Any:
-    """Run a whole non-decomposed experiment in a worker."""
+    """Run a whole non-decomposed experiment; returns its dict form."""
     from repro.experiments import run_experiment_by_id
 
     return run_experiment_by_id(exp_id, scale=scale).to_dict()
 
 
-def run_call_task(payload: t.Any) -> t.Any:
-    """Call an importable ``(module, function, args)`` triple.
-
-    The generic escape hatch: the chaos test tier uses it to run fault
-    functions (self-SIGKILL, SIGSTOP, deterministic raisers) inside a
-    supervised worker without registering fake experiments.
-    """
-    import importlib
-
-    module_name, func_name, args = payload
-    func = getattr(importlib.import_module(module_name), func_name)
-    return func(*args)
-
-
 def run_task(kind: str, exp_id: str, payload: t.Any) -> t.Any:
-    """Dispatch one task by kind: ``"point"``, ``"mono"`` or ``"call"``."""
+    """Dispatch one task by kind: ``"point"`` or ``"mono"``."""
     if kind == "mono":
         return run_monolithic_task(exp_id, payload)
-    if kind == "call":
-        return run_call_task(payload)
     return run_point_task(exp_id, payload)
 
 
 def pool_worker_main(conn: t.Any, heartbeat_interval: float) -> None:
-    """Worker loop: serve ``task`` messages over ``conn`` until ``stop``.
+    """Worker loop: serve ``task`` messages over ``conn`` until it closes.
 
     Protocol (worker side):
 
-    * receives ``("task", key, kind, exp_id, payload)`` or ``("stop",)``;
-    * sends ``("done", key, row)`` / ``("error", key, traceback_text)``;
+    * receives ``(key, kind, exp_id, payload)`` tasks;
+    * sends ``("done", key, row)``, or ``("raised", key, exc, traceback)``
+      when the task raised — ``exc`` is the exception itself, or a
+      ``RuntimeError`` carrying the traceback if it does not pickle;
     * a daemon thread sends ``("hb",)`` every ``heartbeat_interval``
       seconds, so the supervisor's liveness deadline can distinguish a
-      long-running task from a SIGKILLed or wedged interpreter.
+      long-running task from a SIGKILLed or SIGSTOPped interpreter.
 
     ``Connection.send`` is not thread-safe, so the heartbeat thread and
     the task loop share one lock.
@@ -90,26 +78,24 @@ def pool_worker_main(conn: t.Any, heartbeat_interval: float) -> None:
             try:
                 with send_lock:
                     conn.send(("hb",))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 return
 
-    heartbeat = threading.Thread(target=beat, daemon=True)
-    heartbeat.start()
+    threading.Thread(target=beat, daemon=True).start()
     try:
         while True:
-            message = conn.recv()
-            if message[0] == "stop":
-                break
-            _, key, kind, exp_id, payload = message
+            key, kind, exp_id, payload = conn.recv()
             try:
-                row = run_task(kind, exp_id, payload)
-            except BaseException as exc:  # noqa: BLE001 - forwarded upstream
-                detail = f"{exc!r}\n{traceback.format_exc()}"
-                with send_lock:
-                    conn.send(("error", key, detail))
-            else:
-                with send_lock:
-                    conn.send(("done", key, row))
+                reply = ("done", key, run_task(kind, exp_id, payload))
+            except BaseException as exc:  # noqa: BLE001 - re-raised upstream
+                detail = traceback.format_exc()
+                reply = ("raised", key, exc, detail)
+                try:
+                    pickle.loads(pickle.dumps(reply))
+                except Exception:  # noqa: BLE001 - any pickling failure
+                    reply = ("raised", key, RuntimeError(detail), detail)
+            with send_lock:
+                conn.send(reply)
     except EOFError:  # supervisor died; nothing to report to
         pass
     finally:

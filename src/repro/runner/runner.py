@@ -1,11 +1,11 @@
 """The parallel experiment runner.
 
 ``ExperimentRunner`` fans experiment grid points out over a
-``concurrent.futures.ProcessPoolExecutor`` (``jobs`` workers), reuses a
-content-addressed on-disk :class:`~repro.runner.cache.ResultCache`, and
-reassembles rows in deterministic grid order — so ``--jobs 4`` output is
-byte-identical to ``--jobs 1`` (asserted by
-``tests/experiments/test_determinism.py``).
+:class:`~repro.runner.supervised.SupervisedWorkerPool` (``jobs``
+workers), reuses a content-addressed on-disk
+:class:`~repro.runner.cache.ResultCache`, and reassembles rows in
+deterministic grid order — so ``--jobs 4`` output is byte-identical to
+``--jobs 1`` (asserted by ``tests/experiments/test_determinism.py``).
 
 Work units are deduplicated by :meth:`GridExperiment.keys` before
 submission: the six Fig. 5-11 experiments share one underlying sweep, so
@@ -27,7 +27,7 @@ from ..experiments.base import (
     resolve_scale,
 )
 from .cache import ResultCache, canonical_payload, result_key
-from .pool import run_monolithic_task, run_point_task
+from .pool import run_task
 
 __all__ = [
     "ExperimentRunner",
@@ -55,8 +55,8 @@ class RunReport:
     #: Points this experiment was first to schedule (the rest were shared
     #: with earlier experiments in the same invocation).
     n_scheduled: int
-    #: Why ``result`` is None: a per-point failure that survived the
-    #: pool-rebuild retry (the rest of the invocation still completed).
+    #: Why ``result`` is None: a point whose pool worker died or hung on
+    #: every attempt (the rest of the invocation still completed).
     error: str | None = None
 
 
@@ -95,13 +95,6 @@ class ExperimentPlan:
     n_scheduled: int
 
 
-@dataclasses.dataclass(frozen=True)
-class _PointFailure:
-    """Sentinel row for a grid point that kept killing its workers."""
-
-    detail: str
-
-
 def task_kind(key: str) -> str:
     """The :func:`repro.runner.pool.run_task` kind for a task-table key."""
     return "mono" if key.startswith("mono:") else "point"
@@ -116,9 +109,7 @@ def plan_experiment(
 
     ``tasks`` maps task keys to ``(exp_id, spec-or-scale)`` pairs and is
     *mutated*: keys this experiment is first to need are inserted, keys
-    an earlier plan already scheduled are shared.  Used by both
-    :class:`ExperimentRunner` and the :mod:`repro.serve` daemon (whose
-    dedup layer is exactly this planning plus the result cache).
+    an earlier plan already scheduled are shared.
     """
     if not has_grid_experiment(exp_id):
         key = result_key(exp_id, scale, None)
@@ -165,8 +156,9 @@ class ExperimentRunner:
     """Run experiments over ``jobs`` workers with optional result cache.
 
     ``jobs=1`` runs everything in-process (no pool, no pickling); any
-    larger value spins up a process pool.  ``use_cache=False`` bypasses
-    cache reads *and* writes.
+    larger value starts a
+    :class:`~repro.runner.supervised.SupervisedWorkerPool`.
+    ``use_cache=False`` bypasses cache reads *and* writes.
     """
 
     def __init__(
@@ -202,7 +194,7 @@ class ExperimentRunner:
 
         for exp_id in exp_ids:
             get_experiment(exp_id)  # raises ConfigError on unknown ids
-            plan = self._plan_experiment(exp_id, scale, tasks)
+            plan = plan_experiment(exp_id, scale, tasks)
             plans.append(plan)
             if self.cache is not None:
                 hit = self.cache.get(plan.key)
@@ -225,7 +217,7 @@ class ExperimentRunner:
             for key, task in tasks.items()
             if self._key_needed(key, plans, cached_results)
         }
-        rows_by_key, point_errors = self._execute(pending, scale)
+        rows_by_key, point_errors = self._execute(pending)
 
         reports = []
         for plan in plans:
@@ -282,14 +274,6 @@ class ExperimentRunner:
 
     # -- planning ------------------------------------------------------
 
-    def _plan_experiment(
-        self,
-        exp_id: str,
-        scale: str,
-        tasks: dict[str, tuple[str, t.Any]],
-    ) -> ExperimentPlan:
-        return plan_experiment(exp_id, scale, tasks)
-
     @staticmethod
     def _key_needed(
         key: str,
@@ -316,109 +300,33 @@ class ExperimentRunner:
     # -- execution -----------------------------------------------------
 
     def _execute(
-        self, tasks: dict[str, tuple[str, t.Any]], scale: str
+        self, tasks: dict[str, tuple[str, t.Any]]
     ) -> tuple[dict[str, t.Any], dict[str, str]]:
         """Run the task table; returns ``(rows_by_key, errors_by_key)``.
 
         Errors only ever appear under ``jobs > 1``: a grid point whose
-        worker dies (SIGKILL, OOM, ``os._exit``) is retried once on a
-        rebuilt pool, and only a point that *keeps* killing workers is
-        reported as a per-point error — the rest of the grid completes.
+        worker dies (SIGKILL, OOM, ``os._exit``) or hangs (SIGSTOP) reruns
+        on a replacement worker, and only a point that does so on every
+        attempt is reported as a per-point error — the rest of the grid
+        completes.  A point that raises re-raises here under any ``jobs``.
         """
         if not tasks:
             return {}, {}
         if self.jobs == 1:
             return {
-                key: self._run_task_inline(key, exp_id, payload)
+                key: run_task(task_kind(key), exp_id, payload)
                 for key, (exp_id, payload) in tasks.items()
             }, {}
-        return self._execute_pool(tasks)
+        # Imported here: loading multiprocessing adds about 1 MiB to the
+        # peak RSS of the in-process path above.
+        from .supervised import SupervisedWorkerPool
 
-    def _execute_pool(
-        self, tasks: dict[str, tuple[str, t.Any]]
-    ) -> tuple[dict[str, t.Any], dict[str, str]]:
-        rows: dict[str, t.Any] = {}
-        errors: dict[str, str] = {}
-        pending = dict(tasks)
-        breaks = 0
-        while pending:
-            completed, broke = self._pool_round(pending)
-            rows.update(completed)
-            for key in completed:
-                pending.pop(key, None)
-            if not broke:
-                break
-            breaks += 1
-            self._emit(
-                "worker died mid-grid; rebuilding pool "
-                f"(retrying {len(pending)} point(s))"
-            )
-            if breaks >= 2 and pending:
-                # The collective retry also lost a worker, so one of the
-                # survivors is poisoned.  Isolate each in its own pool:
-                # innocents complete, the killer becomes an error row.
-                for key in list(pending):
-                    exp_id, payload = pending.pop(key)
-                    outcome = self._pool_isolated(key, exp_id, payload)
-                    if isinstance(outcome, _PointFailure):
-                        errors[key] = outcome.detail
-                    else:
-                        rows[key] = outcome
-                break
-        return rows, errors
-
-    def _pool_round(
-        self, tasks: dict[str, tuple[str, t.Any]]
-    ) -> tuple[dict[str, t.Any], bool]:
-        """One pool pass; harvests every finished row even if the pool breaks."""
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        completed: dict[str, t.Any] = {}
-        broke = False
-        workers = min(self.jobs, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                key: pool.submit(
-                    run_monolithic_task if key.startswith("mono:") else run_point_task,
-                    exp_id,
-                    payload,
-                )
-                for key, (exp_id, payload) in tasks.items()
-            }
-            for key, future in futures.items():
-                try:
-                    completed[key] = future.result()
-                except BrokenProcessPool:
-                    broke = True
-                    continue
-                self._emit(
-                    f"point {len(completed)}/{len(futures)} [{key[:24]}]"
-                )
-        return completed, broke
-
-    def _pool_isolated(self, key: str, exp_id: str, payload: t.Any) -> t.Any:
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(
-                run_monolithic_task if key.startswith("mono:") else run_point_task,
-                exp_id,
-                payload,
-            )
-            try:
-                return future.result()
-            except BrokenProcessPool:
-                return _PointFailure(
-                    f"point killed its worker again in isolation "
-                    f"(exp {exp_id})"
-                )
-
-    def _run_task_inline(self, key: str, exp_id: str, payload: t.Any) -> t.Any:
-        if key.startswith("mono:"):
-            return run_monolithic_task(exp_id, payload)
-        return get_grid_experiment(exp_id).run_point(payload)
+        with SupervisedWorkerPool(
+            min(self.jobs, len(tasks)), progress=self._progress
+        ) as pool:
+            for key, (exp_id, payload) in tasks.items():
+                pool.submit(key, task_kind(key), exp_id, payload)
+            return pool.drain()
 
     def _emit(self, message: str) -> None:
         if self._progress is not None:

@@ -2,7 +2,9 @@
 
 The invariants: the key moves when *anything* that determines a result
 moves (config fields, the grid, the package version); corrupt entries
-are misses, never crashes; ``--no-cache`` bypasses reads and writes.
+are misses, never crashes; a cache directory that cannot be created is
+a one-line ``ConfigError`` (exit code 2) before anything runs;
+``--no-cache`` bypasses reads and writes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import pytest
 
 import repro
+from repro.cli import main
 from repro.config import ClusterConfig, WorkloadConfig
 from repro.errors import ConfigError
 from repro.experiments.base import (
@@ -21,7 +24,12 @@ from repro.experiments.base import (
     unregister_experiment,
 )
 from repro.runner import ExperimentRunner, ResultCache, result_key
-from repro.runner.cache import canonical_json, canonical_payload, config_digest
+from repro.runner.cache import (
+    CACHE_DIR_ENV,
+    canonical_json,
+    canonical_payload,
+    config_digest,
+)
 from repro.units import MiB
 
 
@@ -200,6 +208,34 @@ class TestCacheBehaviour:
         ]
         assert len(corrupt_warnings) == 1
 
+    def test_corrupt_cache_entry_degrades_to_logged_rerun(
+        self, instrumented_experiment, tmp_path, caplog
+    ):
+        import logging
+
+        first = ExperimentRunner(jobs=2, cache_dir=tmp_path).run_many(
+            [instrumented_experiment], scale="quick"
+        )
+        (entry,) = list(tmp_path.rglob("*.json"))
+        entry.write_text("{truncated garbage", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="repro.runner.cache"):
+            second = ExperimentRunner(jobs=2, cache_dir=tmp_path).run_many(
+                [instrumented_experiment], scale="quick"
+            )
+        assert second.executed_tasks == 3, (
+            "a corrupt entry must be a rerun, not a crash or a stale hit"
+        )
+        assert json.dumps(second.reports[0].result.to_dict()) == json.dumps(
+            first.reports[0].result.to_dict()
+        )
+        assert any("corrupt" in record.message for record in caplog.records)
+        # The rerun rewrites the entry, so the next run is a clean hit.
+        third = ExperimentRunner(jobs=2, cache_dir=tmp_path).run_many(
+            [instrumented_experiment], scale="quick"
+        )
+        assert third.executed_tasks == 0
+        assert third.reports[0].cached
+
     def test_missing_entry_is_a_silent_miss(self, tmp_path, caplog):
         import logging
 
@@ -268,3 +304,41 @@ class TestCacheBehaviour:
         assert [r.to_dict() for r in second.results] == [
             r.to_dict() for r in first.results
         ]
+
+
+# -- unusable cache directory -------------------------------------------
+
+
+class TestUnusableCacheDir:
+    def test_file_in_place_of_the_directory_is_a_config_error(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(ConfigError, match=str(blocker)):
+            ResultCache(blocker)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig5_bandwidth_3g", "--scale", "quick"],
+            ["sweep", "sweep_homogeneous"],
+            ["summary"],
+        ],
+        ids=["run", "sweep", "summary"],
+    )
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_cli_exits_2_before_running_anything(
+        self, argv, via, tmp_path, monkeypatch, capsys
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("", encoding="utf-8")
+        if via == "flag":
+            argv = [*argv, "--cache-dir", str(blocker)]
+        else:
+            monkeypatch.setenv(CACHE_DIR_ENV, str(blocker))
+        assert main([*argv, "--progress"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("sais-repro: ")
+        assert str(blocker) in captured.err
+        assert "Traceback" not in captured.err

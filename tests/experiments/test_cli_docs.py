@@ -30,7 +30,7 @@ def _doc_block(marker: str) -> str:
     return tail[start:tail.index("```", start)]
 
 
-@pytest.mark.parametrize("sub", ["bench", "trace", "serve", "sweep"])
+@pytest.mark.parametrize("sub", ["bench", "trace", "sweep"])
 def test_help_text_matches_experiments_md(sub, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
