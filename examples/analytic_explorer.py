@@ -2,17 +2,16 @@
 """Analytic explorer: where does the Sec. III model predict a win?
 
 Evaluates the paper's closed forms (eqs. 5/6/9) over a grid of server
-counts and migration costs — no simulation events, just NumPy — and
-renders the predicted-win region.  Use it to pick interesting operating
-points before spending simulator time on them.
+counts and migration costs — no simulation events, one
+:class:`~repro.core.AnalysisParams` per cell — and renders the
+predicted-win region.  Use it to pick interesting operating points before
+spending simulator time on them.
 
 Run:  python examples/analytic_explorer.py
 """
 
-import numpy as np
-
 from repro.config import CostModel
-from repro.core import evaluate_grid
+from repro.core import AnalysisParams
 from repro.metrics import render_table
 from repro.units import KiB
 
@@ -25,25 +24,32 @@ def main() -> None:
     # Sweep M from "as cheap as P" to 4x the calibrated cross-socket cost.
     m_values = [p_cost * factor for factor in (1, 2, 5, 10, 19, 40)]
     servers = [4, 8, 16, 32, 48, 64]
-    grid = evaluate_grid(
-        servers,
-        m_values,
-        n_cores=8,
-        strip_processing=p_cost,
-        rest_time=0.0,
-        n_requests=16,
-    )
+    speedups = [
+        [
+            AnalysisParams(
+                n_cores=8,
+                n_servers=n_servers,
+                strip_processing=p_cost,
+                strip_migration=m,
+                rest_time=0.0,
+                n_requests=16,
+            ).predicted_speedup_stream()
+            for m in m_values
+        ]
+        for n_servers in servers
+    ]
 
     header = ["servers \\ M/P"] + [
         f"{m / p_cost:.0f}x" for m in m_values
     ]
     rows = []
-    wins = grid.win_region(threshold=0.10)
-    for i, n_servers in enumerate(servers):
+    wins = 0
+    for n_servers, row in zip(servers, speedups):
         cells = []
-        for j in range(len(m_values)):
-            marker = "WIN " if wins[i, j] else "    "
-            cells.append(f"{marker}{grid.predicted_speedup[i, j]:+7.0%}")
+        for speedup in row:
+            win = speedup > 0.10
+            wins += win
+            cells.append(f"{'WIN ' if win else '    '}{speedup:+7.0%}")
         rows.append([n_servers, *cells])
 
     print(
@@ -71,7 +77,7 @@ def main() -> None:
         "ratio grows with NS too, because TR (ignored here) shrinks as "
         "servers are added."
     )
-    share = float(np.mean(wins))
+    share = wins / (len(servers) * len(m_values))
     print(f"Fraction of the grid with a predicted >10% win: {share:.0%}")
 
 

@@ -12,7 +12,6 @@
 """
 
 from .analysis import AnalysisParams
-from .analysis_sweep import AnalysisGrid, evaluate_grid
 from .policies import (
     AdaptiveSourceAwarePolicy,
     DedicatedPolicy,
@@ -59,6 +58,4 @@ __all__ = [
     "SrcParser",
     "IMComposer",
     "AnalysisParams",
-    "AnalysisGrid",
-    "evaluate_grid",
 ]

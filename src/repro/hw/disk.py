@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import typing as t
 
-import numpy as np
-
 from ..des import Environment, Resource
 from ..des.monitor import Counter
+from ..rng import Pcg64Stream
 
 __all__ = ["Disk"]
 
@@ -26,7 +25,7 @@ class Disk:
         env: Environment,
         rate: float,
         seek: float,
-        rng: np.random.Generator | None = None,
+        rng: Pcg64Stream | None = None,
         seek_jitter: float = 0.25,
     ) -> None:
         if rate <= 0:
@@ -50,7 +49,7 @@ class Disk:
             return self.seek
         # Mild multiplicative jitter around the nominal positioning cost;
         # keeps repeated A/B runs paired (same rng stream -> same draws).
-        factor = 1.0 + self.seek_jitter * (2.0 * float(self._rng.random()) - 1.0)
+        factor = 1.0 + self.seek_jitter * (2.0 * self._rng.random() - 1.0)
         return self.seek * factor
 
     def read(self, nbytes: int, sequential: bool = False) -> t.Generator:

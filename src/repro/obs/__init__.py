@@ -26,38 +26,16 @@ folded from span trees (reconciled against the lifecycle tracer),
 critical-path extraction over parents + flow edges, and the
 ``sais-repro trace diff`` A/B attribution engine.
 
+This package exports only the recorder and the registry, which every
+simulation imports.  Import the trace-only names from their submodules
+(:mod:`repro.obs.export`, :mod:`repro.obs.analysis`,
+:mod:`repro.obs.flamegraph`) so a plain ``run`` never loads them.
+
 Determinism: span/flow ids are small integers advanced in calendar
 (event-dispatch) order, and every timestamp is virtual time — wall clocks
 never enter a trace, so traces are byte-reproducible run-to-run.
 """
 
-from .analysis import (
-    CriticalPath,
-    StageBreakdown,
-    TraceDiff,
-    TraceModel,
-    breakdown_from_spans,
-    diff_traces,
-    load_trace,
-    model_from_recorder,
-    render_diff,
-    run_critical_path,
-    stage_breakdown,
-    strip_critical_path,
-)
-from .export import (
-    ascii_timeline,
-    to_trace_events,
-    validate_trace,
-    validate_trace_file,
-    write_trace,
-)
-from .flamegraph import (
-    StackSampler,
-    collapse_stacks,
-    folded_lines,
-    profile_collapsed,
-)
 from .registry import MetricSample, MetricsRegistry
 from .spans import FlowEvent, Span, SpanRecorder, Track
 
@@ -68,25 +46,4 @@ __all__ = [
     "Track",
     "MetricSample",
     "MetricsRegistry",
-    "to_trace_events",
-    "write_trace",
-    "validate_trace",
-    "validate_trace_file",
-    "ascii_timeline",
-    "StackSampler",
-    "collapse_stacks",
-    "folded_lines",
-    "profile_collapsed",
-    "TraceModel",
-    "model_from_recorder",
-    "load_trace",
-    "StageBreakdown",
-    "stage_breakdown",
-    "breakdown_from_spans",
-    "CriticalPath",
-    "strip_critical_path",
-    "run_critical_path",
-    "TraceDiff",
-    "diff_traces",
-    "render_diff",
 ]

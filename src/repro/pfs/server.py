@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import typing as t
 
-import numpy as np
-
 from ..config import ServerConfig
 from ..core.sais import HintCapsuler
 from ..des import Environment
@@ -21,7 +19,7 @@ from ..hw.disk import Disk
 from ..net.links import Link
 from ..net.packet import Packet
 from ..net.tcp import TcpStream
-from ..rng import hash_unit
+from ..rng import Pcg64Stream, hash_unit
 from .request import StripRequest
 
 __all__ = ["IoServer"]
@@ -37,7 +35,7 @@ class IoServer:
         config: ServerConfig,
         uplink: Link,
         deliver: t.Callable[[Packet], t.Any],
-        rng: np.random.Generator,
+        rng: Pcg64Stream,
         capsuler: HintCapsuler | None = None,
         tracer: t.Any | None = None,
         mss: int | None = None,

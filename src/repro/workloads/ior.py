@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import typing as t
 
-import numpy as np
-
 from ..config import WorkloadConfig
 from ..des import Barrier, Process
 from ..errors import ConfigError
+from ..rng import Pcg64Stream
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.client_node import ClientNode
@@ -45,7 +44,7 @@ def ior_process(
     core_index: int,
     workload: WorkloadConfig,
     segment_offset: int,
-    rng: np.random.Generator | None = None,
+    rng: Pcg64Stream | None = None,
     barrier: Barrier | None = None,
 ) -> t.Generator:
     """One IOR process; returns the bytes it moved when it finishes."""
@@ -79,11 +78,11 @@ def ior_process(
             outstanding = yield from node.issue_request(
                 offset, transfer, current_core, write=is_write
             )
-            if migratory and float(rng.random()) < workload.migrate_during_io:
+            if migratory and rng.random() < workload.migrate_during_io:
                 # The OS rebalances the blocked process mid-request: the
                 # already-sent hint (policy i) now points at a stale core,
                 # while a process-locator policy (ii) keeps tracking it.
-                new_core = int(rng.integers(0, len(node.cores)))
+                new_core = rng.integers(0, len(node.cores))
                 if new_core != current_core:
                     node.processes.migrate(pid, new_core)
                     current_core = new_core
@@ -106,7 +105,7 @@ def spawn_ior_processes(
     workload: WorkloadConfig,
     pid_base: int = 0,
     segment_base: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: Pcg64Stream | None = None,
 ) -> list[Process]:
     """Start the node's IOR processes, pinned round-robin over its cores.
 

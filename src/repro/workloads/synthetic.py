@@ -8,12 +8,12 @@ probe; these helpers generate one.
 
 from __future__ import annotations
 
+import math
 import typing as t
-
-import numpy as np
 
 from ..des import Environment
 from ..errors import ConfigError
+from ..rng import Pcg64Stream
 
 __all__ = ["poisson_strip_arrivals"]
 
@@ -23,7 +23,7 @@ def poisson_strip_arrivals(
     rate: float,
     count: int,
     handler: t.Callable[[int], t.Any],
-    rng: np.random.Generator,
+    rng: Pcg64Stream,
 ) -> t.Generator:
     """Fire ``handler(i)`` for ``count`` arrivals at Poisson ``rate``/s.
 
@@ -35,7 +35,8 @@ def poisson_strip_arrivals(
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
     for i in range(count):
-        gap = float(rng.exponential(1.0 / rate))
+        # Inverse-CDF exponential draw; 1 - u is in (0, 1], so log is finite.
+        gap = -math.log(1.0 - rng.random()) / rate
         yield env.timeout(gap)
         result = handler(i)
         if result is not None and hasattr(result, "send"):

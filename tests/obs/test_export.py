@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.des import Environment
-from repro.obs import (
-    SpanRecorder,
-    Track,
+from repro.obs import SpanRecorder, Track
+from repro.obs.export import (
     ascii_timeline,
     to_trace_events,
     validate_trace,

@@ -7,7 +7,7 @@ not exact counts.
 
 import time
 
-from repro.obs import (
+from repro.obs.flamegraph import (
     StackSampler,
     collapse_stacks,
     folded_lines,

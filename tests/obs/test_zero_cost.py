@@ -81,7 +81,7 @@ class TestEnabledDisabledIdentity:
         assert recorder.spans, "traced run recorded nothing"
 
     def test_traced_trace_is_deterministic(self):
-        from repro.obs import to_trace_events
+        from repro.obs.export import to_trace_events
 
         config = _configs()["irqbalance"]
 
