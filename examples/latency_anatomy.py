@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Latency anatomy: where a strip's time goes under each policy.
 
-Traces every strip through the pipeline (issued -> served -> received ->
-handled -> merged) and prints the per-stage mean latency for irqbalance
-and SAIs.  The stages map onto the paper's eq. (1) decomposition: the
-issued..received span is TR (servers + network, policy-independent), the
-received..handled span is interrupt handling (P plus queueing), and the
-handled..merged span carries the migration cost TM that SAIs eliminates.
+Records every strip's span tree, reads its lifecycle stamps (issued ->
+served -> received -> handled -> merged) off it, and prints the
+per-stage mean latency for irqbalance and SAIs.  The stages map onto
+the paper's eq. (1) decomposition: the issued..received span is TR
+(servers + network, policy-independent), the received..handled span is
+interrupt handling (P plus queueing), and the handled..merged span
+carries the migration cost TM that SAIs eliminates.
 
 Run:  python examples/latency_anatomy.py
 """
@@ -14,7 +15,12 @@ Run:  python examples/latency_anatomy.py
 from repro import ClusterConfig, WorkloadConfig
 from repro.cluster.simulation import Simulation
 from repro.metrics import render_table
-from repro.metrics.trace import STAGES
+from repro.obs import SpanRecorder
+from repro.obs.analysis import (
+    LIFECYCLE_STAGES,
+    breakdown_from_spans,
+    model_from_recorder,
+)
 from repro.units import MiB, format_time
 
 
@@ -22,14 +28,13 @@ def traced_breakdown(policy: str):
     config = ClusterConfig(
         n_servers=32,
         policy=policy,
-        trace=True,
         workload=WorkloadConfig(
             n_processes=8, transfer_size=1 * MiB, file_size=8 * MiB
         ),
     )
-    sim = Simulation(config)
-    metrics = sim.run()
-    return sim.cluster.tracer.breakdown(), metrics
+    recorder = SpanRecorder()
+    metrics = Simulation(config, spans=recorder).run()
+    return breakdown_from_spans(model_from_recorder(recorder)), metrics
 
 
 def main() -> None:
@@ -37,7 +42,7 @@ def main() -> None:
     sais_breakdown, sais_metrics = traced_breakdown("source_aware")
 
     rows = []
-    for a, b in zip(STAGES, STAGES[1:]):
+    for a, b in zip(LIFECYCLE_STAGES, LIFECYCLE_STAGES[1:]):
         irq_mean = irq_breakdown.mean_of(a, b)
         sais_mean = sais_breakdown.mean_of(a, b)
         rows.append(

@@ -19,7 +19,6 @@ from ..obs.registry import MetricsRegistry
 from ..pfs.layout import StripeLayout
 from ..pfs.metadata import MetadataServer
 from ..pfs.request import StripRequest
-from ..metrics.trace import Tracer
 from ..pfs.server import IoServer
 from ..rng import RngFactory
 from .client_node import ClientNode
@@ -42,8 +41,6 @@ class Cluster:
     metadata: MetadataServer
     layout: StripeLayout
     rngs: RngFactory
-    #: Per-strip lifecycle tracer (None unless ``config.trace``).
-    tracer: Tracer | None = None
     #: Fault injector holding the cluster-wide fault counters; None when
     #: no (effective) fault plan is configured.
     injector: FaultInjector | None = None
@@ -105,7 +102,6 @@ def build_cluster(
         obs_track=fabric_track,
     )
     metadata = MetadataServer(env)
-    tracer = Tracer() if config.trace else None
 
     clients: list[ClientNode] = []
     for client_index in range(config.n_clients):
@@ -124,7 +120,6 @@ def build_cluster(
                 config,
                 policy,
                 layout,
-                tracer=tracer,
                 faults=injector,
                 spans=spans,
             )
@@ -175,7 +170,6 @@ def build_cluster(
                 deliver=into_switch,
                 rng=rngs.stream(f"server{server_index}"),
                 capsuler=HintCapsuler() if sais_enabled else None,
-                tracer=tracer,
                 mss=net.mss,
                 faults=injector,
                 fastpath=fastpath,
@@ -294,7 +288,6 @@ def build_cluster(
         metadata=metadata,
         layout=layout,
         rngs=rngs,
-        tracer=tracer,
         injector=injector,
         client_uplinks=client_uplinks,
         spans=spans,

@@ -48,7 +48,6 @@ class ClientNode:
         config: ClusterConfig,
         policy: InterruptSchedulingPolicy,
         layout: StripeLayout,
-        tracer: t.Any | None = None,
         faults: "FaultInjector | None" = None,
         spans: t.Any | None = None,
     ) -> None:
@@ -59,8 +58,6 @@ class ClientNode:
         client_cfg = config.client
         costs = config.costs
         self.costs = costs
-        #: Optional per-strip lifecycle tracer (repro.metrics.trace).
-        self.tracer = tracer
         #: Optional causal span recorder (repro.obs); None = zero cost.
         self.spans = spans
         pfs_track = nic_track = apic_track = bus_track = None
@@ -126,7 +123,6 @@ class ClientNode:
             framing_overhead=config.network.framing_overhead,
             driver_hook=self.src_parser.parse if self.src_parser else None,
             composer=self.im_composer.compose if self.im_composer else None,
-            tracer=tracer,
             napi=client_cfg.napi,
             napi_budget=client_cfg.napi_budget,
             spans=spans,
@@ -141,7 +137,6 @@ class ClientNode:
             layout=layout,
             submit=self._dispatch,
             hint_messager=self.hint_messager,
-            tracer=tracer,
             retry=faults.plan.strip_retry_policy() if faults else None,
             spans=spans,
             obs_track=pfs_track,
@@ -198,18 +193,14 @@ class ClientNode:
         Called by the NIC instead of raising an interrupt.  The strip
         lands directly in the *consumer's* cache (DDIO into the right
         LLC slice), so the merge is always a local copy — the paper's
-        entire migration tax disappears along with the interrupts.
+        entire migration tax disappears along with the interrupts.  The
+        PFS client stamps the completing instant as the strip's
+        "handled" time.
         """
         target = self.policy.placement_core(packet, len(self.cores))
         outstanding = self.pfs.segment_arrived(packet, target)
-        if outstanding is None:
-            return
-        if packet.carries_data:
+        if outstanding is not None and packet.carries_data:
             self.cache.install(target, packet.strip_id)
-        if self.tracer is not None:
-            self.tracer.record(
-                packet.dst_client, packet.strip_id, "handled", self.env.now
-            )
 
     # -- application-visible read path ----------------------------------------
 
@@ -327,9 +318,6 @@ class ClientNode:
                         merge_sid,
                         merge_started,
                     )
-        if self.tracer is not None:
-            self.tracer.record(self.index, strip.token, "merged", self.env.now)
-            self.tracer.label(self.index, strip.token, location.value)
         return location
 
     def compute(self, core_index: int, nbytes: int) -> t.Generator:

@@ -346,8 +346,6 @@ class ClusterConfig:
     #: Interrupt-scheduling policy name (see repro.core.policy registry).
     policy: str = "irqbalance"
     seed: int = 1
-    #: Collect per-strip lifecycle timestamps (repro.metrics.trace).
-    trace: bool = False
     #: Fault-injection plan (repro.faults).  None — or a plan with every
     #: probability at zero — builds a byte-identical cluster to the
     #: fault-free one: no injector, no watchdogs, no extra events.

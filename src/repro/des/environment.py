@@ -22,10 +22,6 @@ _GeneratorT = t.Generator[Event, t.Any, t.Any]
 _CB_POOL_LIMIT = 256
 
 
-class _EmptyCalendar(Exception):
-    """Internal: raised by :meth:`Environment.step` when nothing is left."""
-
-
 class Environment:
     """Owns the virtual clock and executes events in timestamp order.
 
@@ -130,28 +126,6 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the single next event (advancing the clock to it)."""
-        try:
-            when, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise _EmptyCalendar() from None
-        self._now = when
-        callbacks = event.callbacks
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        event.callbacks = None
-        self.events_processed += 1
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failure that no process absorbed: stop the world so bugs in
-            # models cannot silently vanish.
-            exc = event._value
-            raise exc
-        if event.__class__ is Callback and len(self._cb_pool) < _CB_POOL_LIMIT:
-            self._cb_pool.append(event)
-
     def run(self, until: float | Event | None = None) -> t.Any:
         """Run the simulation.
 
@@ -169,22 +143,23 @@ class Environment:
                 run until that event is processed and return its value.
         """
         if until is None or isinstance(until, Event):
-            return self._run_loop(until)
+            return self._run_loop(until, float("inf"))
 
         horizon = float(until)
         if horizon < self._now:
             raise SimulationError(
                 f"cannot run until {horizon} which is before now={self._now}"
             )
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        self._run_loop(None, horizon)
         self._now = horizon
         return None
 
-    def _run_loop(self, until: Event | None) -> t.Any:
-        """Hot loop for ``run(None)`` / ``run(Event)``: :meth:`step` inlined
-        with the heap operation and counters bound to locals.  Every
-        simulation spends nearly all of its wall time here."""
+    def _run_loop(self, until: Event | None, horizon: float) -> t.Any:
+        """The one dispatch loop: pop and run events in calendar order
+        until ``until`` fires, the calendar empties, or the next event
+        lies past ``horizon``.  The heap operation and counters are bound
+        to locals; every simulation spends nearly all of its wall time
+        here."""
         stop = until
         flag: list[bool] = []
         if stop is not None:
@@ -196,7 +171,7 @@ class Environment:
         pool = self._cb_pool
         dispatched = 0
         try:
-            while queue and not flag:
+            while queue and not flag and queue[0][0] <= horizon:
                 when, _, _, event = pop(queue)
                 self._now = when
                 callbacks = event.callbacks
@@ -207,6 +182,8 @@ class Environment:
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
+                    # A failure that no process absorbed: stop the world
+                    # so bugs in models cannot silently vanish.
                     raise event._value
                 if event.__class__ is Callback and len(pool) < _CB_POOL_LIMIT:
                     pool.append(event)

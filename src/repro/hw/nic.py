@@ -47,7 +47,6 @@ class Nic:
         framing_overhead: float = 0.0,
         driver_hook: t.Callable[["Packet"], int | None] | None = None,
         composer: t.Callable[["Packet", int | None], InterruptContext] | None = None,
-        tracer: t.Any | None = None,
         napi: bool = False,
         napi_budget: int = 64,
         rx_observer: t.Callable[["Packet"], None] | None = None,
@@ -71,8 +70,6 @@ class Nic:
         #: Interrupt-message composer (SAIs ``IMComposer.compose``), or
         #: None for the stock message format.
         self.composer = composer
-        #: Optional per-strip lifecycle tracer.
-        self.tracer = tracer
         #: Zero-interrupt receive sink (RDMA-style NIC-driven placement):
         #: when installed, a fully-received packet is handed to the sink
         #: *instead of* raising any interrupt — no vector dispatch, no
@@ -141,7 +138,7 @@ class Nic:
         return done
 
     def complete_rx(self, packet: "Packet") -> None:
-        """Post-wire receive half: counters, tracer, tripwire, interrupt.
+        """Post-wire receive half: counters, wire span, tripwire, interrupt.
 
         Runs at the instant the packet is fully off the wire — from
         :meth:`receive` directly, or via a fast-path callback scheduled at
@@ -164,10 +161,6 @@ class Nic:
                     packet.dst_client, packet.strip_id
                 ),
                 args={"strip": packet.strip_id, "segment": packet.segment},
-            )
-        if self.tracer is not None:
-            self.tracer.record(
-                packet.dst_client, packet.strip_id, "received", self.env.now
             )
         if self.rx_observer is not None:
             self.rx_observer(packet)

@@ -163,27 +163,15 @@ class SoftirqDaemon:
         yield from self.core.run_locked(processing, "softirq")
         if self._expect_hints and packet.carries_data and not packet.options:
             self.unhinted.add()
+        # Completes the strip when it is whole (single train, or last
+        # segment of a segmented flow); the PFS client stamps that instant
+        # on the strip span as "handled", before any wake-up IPI below.
         outstanding = self.pfs.segment_arrived(packet, self.core.index)
-        handled_at: float | None = None
         if outstanding is not None:
-            # The strip is whole (single train, or last segment of a
-            # segmented flow).  This instant — protocol work done, before
-            # any cross-core wake-up IPI — is what the lifecycle tracer
-            # stamps as "handled"; the span remembers it so span-derived
-            # breakdowns reconcile exactly (repro.obs.analysis).
-            handled_at = self.env.now
             if packet.carries_data:
                 # Protocol processing pulled the packet data through
                 # this core's cache: the strip is now resident *here*.
                 self.cache.install(self.core.index, packet.strip_id)
-            tracer = self.pfs.tracer
-            if tracer is not None:
-                tracer.record(
-                    packet.dst_client,
-                    packet.strip_id,
-                    "handled",
-                    handled_at,
-                )
             if outstanding.consumer_core != self.core.index:
                 # Cross-core wake-up IPI (paper: "inter-core signals
                 # are sent to wake the application process").
@@ -193,14 +181,7 @@ class SoftirqDaemon:
         self.handled.add()
         self.bytes_handled.add(packet.size)
         if sid is not None:
-            self.spans.end(
-                sid,
-                args=(
-                    {"handled_at": handled_at}
-                    if handled_at is not None
-                    else None
-                ),
-            )
+            self.spans.end(sid)
             if outstanding is not None and packet.carries_data:
                 # This span is where the strip's data now resides — the
                 # source of a migration edge if the consumer is elsewhere.

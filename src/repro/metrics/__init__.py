@@ -7,10 +7,11 @@ Implements the paper's four evaluation metrics (Sec. V):
 * **CPU utilization** — busy time / (cores x makespan), like ``sar``;
 * **CPU_CLK_UNHALTED** — busy seconds x clock, like the Oprofile event.
 
-Beyond the paper's four metrics, :mod:`~repro.metrics.trace` records
-per-strip lifecycle timestamps, :mod:`~repro.metrics.sar` samples
+Beyond the paper's four metrics, :mod:`~repro.metrics.sar` samples
 utilization over time the way ``sar`` does, and
 :mod:`~repro.metrics.ascii_plot` renders figure tables as terminal bars.
+Per-strip lifecycle breakdowns come from span traces
+(:func:`repro.obs.analysis.breakdown_from_spans`).
 """
 
 from .ascii_plot import (
@@ -29,7 +30,6 @@ from .collectors import (
 )
 from .report import render_table, speedup
 from .sar import SarSample, SarSampler
-from .trace import LatencyBreakdown, Tracer
 
 __all__ = [
     "ClientMetrics",
@@ -39,8 +39,6 @@ __all__ = [
     "collect_resilience_metrics",
     "render_table",
     "speedup",
-    "Tracer",
-    "LatencyBreakdown",
     "SarSampler",
     "SarSample",
     "bar_chart",

@@ -29,7 +29,7 @@ transport is **three** calendar events instead of ~11:
    which the switch and NIC recurrences advance; and
 3. one pooled :meth:`~repro.des.environment.Environment.call_at` callback
    at the NIC wire-completion instant, which runs the NIC's post-wire
-   receive half (counters, tracer, ordering tripwire, NAPI, interrupt
+   receive half (counters, wire span, ordering tripwire, NAPI, interrupt
    raise) at exactly the time the reference path would have.
 
 A lost attempt adds one back-off ``Timeout`` plus another grant and

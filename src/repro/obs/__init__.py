@@ -22,8 +22,9 @@ loadable in ui.perfetto.dev or chrome://tracing — plus an ASCII tree/
 timeline fallback.  ``python -m repro trace <experiment>`` drives it.
 
 On top of the recorder sits :mod:`repro.obs.analysis`: stage breakdowns
-folded from span trees (reconciled against the lifecycle tracer),
-critical-path extraction over parents + flow edges, and the
+folded from span trees, the per-strip lifecycle breakdown (the span tree
+is the only record of a strip's issued/served/received/handled/merged
+stamps), critical-path extraction over parents + flow edges, and the
 ``sais-repro trace diff`` A/B attribution engine.
 
 This package exports only the recorder and the registry, which every

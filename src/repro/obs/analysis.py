@@ -4,16 +4,17 @@ The span recorder (:mod:`repro.obs.spans`) captures *what happened*; this
 module answers *where the time went*.  It operates on a normalized
 :class:`TraceModel` built either from a live :class:`SpanRecorder`
 (float-exact) or from an exported Chrome trace-event JSON file
-(microsecond-rounded, but deterministic), and provides three analyses:
+(microsecond-rounded, but deterministic), and provides four analyses:
 
 * **Stage breakdowns** — every per-strip span tree folds into named stage
   durations (server service, storage, switch, NIC wire, irq, softirq,
   merge, migration/refetch), aggregated per client and per run.
-  :func:`breakdown_from_spans` additionally derives the lifecycle
-  tracer's five stage timestamps from the spans alone and feeds them
-  through the *same* aggregation code as ``metrics/trace.py`` — the
-  reconciliation test pins the two within float tolerance, so the span
-  instrumentation can never silently drift from the tracer again.
+* **Lifecycle breakdowns** — :func:`strip_stage_times` reads each
+  strip's five lifecycle stamps (:data:`LIFECYCLE_STAGES`, the paper's
+  eq. (1) split) off its span tree, and :func:`breakdown_from_spans`
+  aggregates their stage-to-stage deltas.  The span tree is the only
+  record of a strip's lifecycle; ``tests/obs/test_analysis.py`` pins the
+  breakdowns exactly to known answers.
 * **Critical-path extraction** — :func:`strip_critical_path` walks span
   parents and FlowEvent edges backward from a strip's last-finishing
   span to produce the longest dependency chain (with per-step wait
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import statistics
 import typing as t
 
-from ..errors import ConfigError
-from ..metrics.trace import LatencyBreakdown, breakdown_from_records
+from ..errors import ConfigError, SimulationError
 from .spans import SpanRecorder
 
 __all__ = [
@@ -48,7 +49,11 @@ __all__ = [
     "StageStat",
     "StageBreakdown",
     "stage_breakdown",
+    "LIFECYCLE_STAGES",
+    "StageDelta",
+    "LatencyBreakdown",
     "strip_stage_times",
+    "breakdown_from_records",
     "breakdown_from_spans",
     "PathStep",
     "CriticalPath",
@@ -438,68 +443,163 @@ def stage_breakdown(model: TraceModel) -> StageBreakdown:
     )
 
 
-# -- reconciliation with the lifecycle tracer --------------------------------
+# -- strip lifecycle stamps ---------------------------------------------------
+
+#: The five lifecycle stamps of a strip, in pipeline order::
+#:
+#:     issued   -> the client fanned the strip request out
+#:     served   -> the I/O server finished storage access (starts transmit)
+#:     received -> the strip's packet cleared the client NIC wire
+#:     handled  -> protocol processing finished, or the zero-interrupt
+#:                 placement put the strip in place
+#:     merged   -> the consumer copied the strip into the request buffer
+#:
+#: The stage-to-stage deltas decompose the paper's eq. (1): ``TR`` is
+#: (issued..received), ``TP`` is (received..handled) and the merge delta
+#: carries ``TM`` — which is where the two scheduling policies differ.
+LIFECYCLE_STAGES = ("issued", "served", "received", "handled", "merged")
+
+
+@dataclasses.dataclass(frozen=True)
+class StageDelta:
+    """Summary of one stage-to-stage latency across all traced strips."""
+
+    from_stage: str
+    to_stage: str
+    count: int
+    mean: float
+    p95: float
+    maximum: float
+    #: Sample standard deviation; 0.0 when fewer than two samples exist
+    #: (``statistics.stdev`` raises on n < 2 — a single traced strip is a
+    #: legitimate quick-scale configuration, not an error).
+    stdev: float = 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class LatencyBreakdown:
+    """Per-stage latency decomposition of the strip pipeline."""
+
+    deltas: tuple[StageDelta, ...]
+    strips_traced: int
+
+    def mean_of(self, from_stage: str, to_stage: str) -> float:
+        """Mean latency between two adjacent stages."""
+        for delta in self.deltas:
+            if delta.from_stage == from_stage and delta.to_stage == to_stage:
+                return delta.mean
+        raise SimulationError(f"no delta {from_stage}->{to_stage} traced")
+
+    @property
+    def mean_total(self) -> float:
+        """Mean issued-to-merged latency."""
+        return sum(delta.mean for delta in self.deltas)
 
 
 def strip_stage_times(
     model: TraceModel,
 ) -> dict[tuple[int, int], dict[str, float]]:
-    """Derive the lifecycle tracer's stage timestamps from spans alone.
-
-    The correspondence (asserted forever by the reconciliation test):
+    """Derive each strip's lifecycle stamps from its span tree.
 
     * ``issued``   = the strip span's start (the fan-out instant);
-    * ``served``   = the last ``storage`` span's end (storage access done,
-      transmit starting — the instant ``IoServer.serve`` stamps);
-    * ``received`` = the last ``wire`` span's end (packet fully off the
-      client NIC wire);
-    * ``handled``  = the ``handled_at`` argument the completing softirq
-      span carries (protocol work done, before any cross-core wake-up
-      IPI); interrupt-free stacks have no softirq spans and complete at
-      wire end, so ``received`` stands in;
+    * ``served``   = the latest ``storage`` span end not after
+      ``received`` (storage access done, transmit starting);
+    * ``received`` = the latest ``wire`` span end not after ``handled``
+      (the packet that completed the strip fully off the client NIC
+      wire);
+    * ``handled``  = the strip span's ``handled_at`` argument: the
+      instant the strip completed — protocol work done, before any
+      cross-core wake-up IPI, or the zero-interrupt placement.  A strip
+      completes once; a duplicate of a retried strip never does;
     * ``merged``   = the ``merge`` span's end (consumer copy done).
 
-    Strips missing stages (writes never merge; aborted strips never
-    arrive) keep partial records, exactly like the tracer's.
+    The bounds keep a retried strip's record on one attempt: without
+    them a duplicate's late serve and arrival would land after the
+    strip was handled and merged.  Strips missing stages (writes never
+    merge; aborted strips never arrive) keep partial records, whose
+    unbounded stages take the latest end.
     """
     times: dict[tuple[int, int], dict[str, float]] = {}
     for key, spans in sorted(model.strips.items()):
         root = model.strip_roots.get(key)
         if root is None:
             continue
-        record: dict[str, float] = {"issued": root.start}
-        storage_ends = [s.end for s in spans if s.name == "storage"]
-        if storage_ends:
-            record["served"] = max(storage_ends)
-        wire_ends = [s.end for s in spans if s.name == "wire"]
-        if wire_ends:
-            record["received"] = max(wire_ends)
-        softirqs = [s for s in spans if s.name == "softirq"]
-        handled = [
-            s.args["handled_at"]
-            for s in softirqs
-            if isinstance(s.args.get("handled_at"), (int, float))
-        ]
-        if handled:
-            record["handled"] = max(handled)
-        elif not softirqs and wire_ends:
-            # Zero-interrupt placement completes synchronously at wire
-            # end (rdma_zerointr): handled == received by construction.
-            record["handled"] = record["received"]
-        merge_ends = [s.end for s in spans if s.name == "merge"]
-        if merge_ends:
-            record["merged"] = max(merge_ends)
-        times[key] = record
+        handled = root.args.get("handled_at")
+        if not isinstance(handled, (int, float)):
+            handled = None
+        received = _latest_end(spans, "wire", handled)
+        stamps = {
+            "issued": root.start,
+            "served": _latest_end(spans, "storage", received),
+            "received": received,
+            "handled": handled,
+            "merged": _latest_end(spans, "merge", None),
+        }
+        times[key] = {
+            stage: when for stage, when in stamps.items() if when is not None
+        }
     return times
 
 
-def breakdown_from_spans(model: TraceModel) -> LatencyBreakdown:
-    """The tracer-equivalent breakdown, computed purely from spans.
+#: Slack when comparing instants read back from an exported file, whose
+#: microsecond scaling can move a span end by a few ulps.
+_SLACK = 1e-12
 
-    Shares the aggregation code with ``Tracer.breakdown`` (see
-    :func:`repro.metrics.trace.breakdown_from_records`), so comparing the
-    two isolates instrumentation drift from arithmetic differences.
+
+def _latest_end(
+    spans: t.Iterable[TraceSpan], name: str, bound: float | None
+) -> float | None:
+    """Latest end of the ``name`` spans not after ``bound``, capped at it."""
+    ends = [s.end for s in spans if s.name == name]
+    if bound is None:
+        return max(ends, default=None)
+    latest = max((end for end in ends if end <= bound + _SLACK), default=None)
+    return None if latest is None else min(latest, bound)
+
+
+def breakdown_from_records(
+    records: t.Iterable[t.Mapping[str, float]],
+) -> LatencyBreakdown:
+    """Aggregate stage-to-stage latencies over stage-timestamp records.
+
+    Each record maps stage name -> timestamp; records missing any of
+    :data:`LIFECYCLE_STAGES` are skipped (a write strip never merges, an
+    aborted strip never arrives).
     """
+    stages = LIFECYCLE_STAGES
+    series: dict[tuple[str, str], list[float]] = {
+        (a, b): [] for a, b in zip(stages, stages[1:])
+    }
+    complete = 0
+    for record in records:
+        if not all(stage in record for stage in stages):
+            continue
+        complete += 1
+        for a, b in zip(stages, stages[1:]):
+            series[(a, b)].append(record[b] - record[a])
+    if complete == 0:
+        raise SimulationError("no fully-traced strips to summarize")
+    deltas = []
+    for (a, b), values in series.items():
+        values.sort()
+        deltas.append(
+            StageDelta(
+                from_stage=a,
+                to_stage=b,
+                count=len(values),
+                mean=statistics.fmean(values),
+                p95=values[min(len(values) - 1, int(0.95 * len(values)))],
+                maximum=values[-1],
+                stdev=(
+                    statistics.stdev(values) if len(values) >= 2 else 0.0
+                ),
+            )
+        )
+    return LatencyBreakdown(deltas=tuple(deltas), strips_traced=complete)
+
+
+def breakdown_from_spans(model: TraceModel) -> LatencyBreakdown:
+    """Stage-to-stage latencies of every fully-stamped strip in a run."""
     return breakdown_from_records(strip_stage_times(model).values())
 
 

@@ -201,6 +201,11 @@ class SpanRecorder:
         self.end(sid, end=end, args=args)
         return True
 
+    def annotate(self, sid: int, args: dict[str, t.Any]) -> None:
+        """Merge ``args`` into a span's arguments, open or closed."""
+        span = self._span_by_id(sid)
+        span.args = {**(span.args or {}), **args}
+
     def add(
         self,
         name: str,
@@ -321,9 +326,12 @@ class SpanRecorder:
     def close_open_spans(self, at: float | None = None) -> int:
         """Close every still-open span (end of run); returns the count.
 
-        A normally-completed run leaves nothing open; aborted runs (fault
-        tripwires, horizons) leave tails, which the exporter pins to the
-        final clock so the JSON is always well-formed.
+        A run stops when its last application process finishes, so work
+        still in flight then stays open even in a normally-completed run:
+        the softirq span of a write run's final ack is still charging its
+        wake-up IPI.  Aborted runs (fault tripwires, horizons) leave
+        longer tails.  Every one is pinned to the final clock so the
+        exported JSON is always well-formed.
         """
         when = self.env.now if at is None else at
         closed = 0

@@ -74,7 +74,6 @@ class PfsClient:
         layout: StripeLayout,
         submit: t.Callable[[StripRequest], None],
         hint_messager: HintMessager | None = None,
-        tracer: t.Any | None = None,
         retry: "StripRetryPolicy | None" = None,
         spans: t.Any | None = None,
         obs_track: t.Any | None = None,
@@ -87,8 +86,6 @@ class PfsClient:
         self._submit = submit
         #: Client-side SAIs component (None on a stock PVFS client).
         self.hint_messager = hint_messager
-        #: Optional per-strip lifecycle tracer (repro.metrics.trace).
-        self.tracer = tracer
         #: Retry knobs when a fault plan is active; None on a healthy
         #: fabric, where the client keeps its strict wiring tripwires.
         self.retry = retry
@@ -173,13 +170,6 @@ class PfsClient:
             )
             if self.hint_messager is not None:
                 self.hint_messager.attach(strip_request, consumer_core)
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.client_index,
-                    strip_request.strip_id,
-                    "issued",
-                    self.env.now,
-                )
             if spans is not None:
                 strip_sid = spans.begin(
                     "strip",
@@ -217,10 +207,6 @@ class PfsClient:
             if request.strip_id in self._arrived_strips:
                 return
             self.strip_retries.add()
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.client_index, request.strip_id, "retried", self.env.now
-                )
             if self.spans is not None:
                 self.spans.instant(
                     "retry",
@@ -317,12 +303,18 @@ class PfsClient:
                 token=packet.strip_id, size=packet.size, handled_on=handled_on
             )
         )
-        if self.spans is not None and not packet.carries_data:
-            # Write acks carry no consumable data: there is no merge, so
-            # the strip's lifecycle ends right here.
-            sid = self.spans.strip_span(self.client_index, packet.strip_id)
+        spans = self.spans
+        if spans is not None:
+            sid = spans.strip_span(self.client_index, packet.strip_id)
             if sid is not None:
-                self.spans.end_if_open(sid)
+                # The strip's "handled" stamp: protocol work done (or the
+                # zero-interrupt placement made), before any cross-core
+                # wake-up IPI.  A duplicate never gets here.
+                spans.annotate(sid, {"handled_at": self.env.now})
+                if not packet.carries_data:
+                    # Write acks carry no consumable data: there is no
+                    # merge, so the strip's lifecycle ends right here.
+                    spans.end_if_open(sid)
         return outstanding
 
     def locate_request(self, request_id: int) -> int | None:

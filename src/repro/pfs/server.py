@@ -37,7 +37,6 @@ class IoServer:
         deliver: t.Callable[[Packet], t.Any],
         rng: Pcg64Stream,
         capsuler: HintCapsuler | None = None,
-        tracer: t.Any | None = None,
         mss: int | None = None,
         faults: t.Any | None = None,
         fastpath: t.Any | None = None,
@@ -52,8 +51,6 @@ class IoServer:
         self._rng = rng
         #: Server-side SAIs component (None on a stock PVFS server).
         self.capsuler = capsuler
-        #: Optional per-strip lifecycle tracer.
-        self.tracer = tracer
         #: TCP maximum segment size; None = one coalesced train per strip.
         self.mss = mss
         #: Fault injector (straggler slowdown, transient-failure windows);
@@ -120,10 +117,6 @@ class IoServer:
         )
         if self.capsuler is not None:
             self.capsuler.encapsulate(packet, request.hint_aff_core_id)
-        if self.tracer is not None:
-            self.tracer.record(
-                request.client, request.strip_id, "served", self.env.now
-            )
         self.strips_served.add()
         self.bytes_served.add(request.size)
         stream = self._streams.setdefault(

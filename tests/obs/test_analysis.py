@@ -2,16 +2,14 @@
 
 The two headline guarantees:
 
-* span-derived stage breakdowns reconcile with the lifecycle tracer's
-  StageDeltas on both wire paths — **exact** equality, not approximate,
-  because both feed the same ``breakdown_from_records`` arithmetic and
-  the span instrumentation pins the same five timestamps;
+* span-derived lifecycle breakdowns equal pinned known answers on both
+  wire paths — **exact** equality, not approximate — and every complete
+  strip record keeps stage order, retried strips included;
 * the A/B diff on the Fig. 5 quick point attributes the irqbalance ->
   source_aware gap to the migration/softirq stages, reports zero
   migration edges for source_aware, and is byte-identical across runs.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -22,6 +20,9 @@ from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.obs import SpanRecorder
 from repro.obs.analysis import (
+    LIFECYCLE_STAGES,
+    LatencyBreakdown,
+    StageDelta,
     breakdown_from_spans,
     diff_traces,
     load_trace,
@@ -32,6 +33,7 @@ from repro.obs.analysis import (
     strip_critical_path,
     strip_stage_times,
 )
+from repro.obs.export import write_trace
 from repro.obs.trace_cli import run_trace, trace_point_config
 from repro.units import KiB, MiB
 
@@ -49,7 +51,6 @@ def small_config(**overrides):
     defaults = dict(
         n_servers=8,
         policy="irqbalance",
-        trace=True,  # lifecycle tracer on, for reconciliation
         workload=WorkloadConfig(
             n_processes=2, transfer_size=512 * KiB, file_size=1 * MiB
         ),
@@ -65,6 +66,13 @@ def traced_run(config):
     return recorder, sim
 
 
+def is_ordered(record):
+    return all(
+        record[a] <= record[b]
+        for a, b in zip(LIFECYCLE_STAGES, LIFECYCLE_STAGES[1:])
+    )
+
+
 #: Loss, reordering and option stripping on jumbo-frame segment trains:
 #: retransmits, held-back segments and hint-less packets all show up in
 #: the spans.
@@ -74,6 +82,71 @@ FAULTY = dict(
         loss_prob=0.05, reorder_prob=0.2, strip_option_prob=0.1, seed=7
     ),
 )
+
+#: Known answers per ``(policy, faulty)``, identical on both wire paths:
+#: strip records, complete records, strips in the breakdown, and per
+#: stage pair (count, mean, p95, maximum, stdev) as ``float.hex``.  They
+#: were recorded from the per-strip lifecycle tracer that stamped the
+#: model directly, before the span tree became the only lifecycle record.
+KNOWN = {
+    ("irqbalance", False): (
+        32,
+        32,
+        32,
+        (
+            ("issued", "served", 32, "0x1.3fab912b6964bp-9",
+             "0x1.7cfaec380f414p-8", "0x1.38bfec725d0e5p-7",
+             "0x1.6bf89ad49c40fp-9"),
+            ("served", "received", 32, "0x1.350de25fb5bcfp-10",
+             "0x1.13ab7b1f93fb6p-9", "0x1.2bf362fddf5a6p-9",
+             "0x1.abee577d584e2p-12"),
+            ("received", "handled", 32, "0x1.404bf462dad36p-15",
+             "0x1.09335d4bfebb8p-12", "0x1.14f0d0bed1ee0p-12",
+             "0x1.2a54ee0be8ca6p-14"),
+            ("handled", "merged", 32, "0x1.59b2679875b11p-12",
+             "0x1.8e0000f355060p-11", "0x1.bec1f1dd77594p-11",
+             "0x1.d3a8abeea73e7p-13"),
+        ),
+    ),
+    ("irqbalance", True): (
+        32,
+        32,
+        32,
+        (
+            ("issued", "served", 32, "0x1.4025e0a78d1a0p-9",
+             "0x1.a4b7ebee22934p-8", "0x1.38bfec725d0e5p-7",
+             "0x1.6dd290416ef56p-9"),
+            ("served", "received", 32, "0x1.8d08f9193e618p-10",
+             "0x1.7931d961bf8e0p-9", "0x1.ef2bf840e034cp-9",
+             "0x1.7bcb3b586212cp-11"),
+            ("received", "handled", 32, "0x1.2cc9a11ad6bbcp-15",
+             "0x1.d4de04f524000p-19", "0x1.153b232749facp-10",
+             "0x1.86fd9a4e557c7p-13"),
+            ("handled", "merged", 32, "0x1.aa0caf4b13d39p-12",
+             "0x1.27110a9e39fa8p-10", "0x1.71ed25871d178p-10",
+             "0x1.622e746bfd43bp-12"),
+        ),
+    ),
+    ("source_aware", True): (
+        32,
+        32,
+        32,
+        (
+            ("issued", "served", 32, "0x1.4025e0a78d1a0p-9",
+             "0x1.a4b7ebee22934p-8", "0x1.38bfec725d0e5p-7",
+             "0x1.6dd290416ef56p-9"),
+            ("served", "received", 32, "0x1.8d08f9193e618p-10",
+             "0x1.7931d961bf8e0p-9", "0x1.ef2bf840e034cp-9",
+             "0x1.7bcb3b586212cp-11"),
+            ("received", "handled", 32, "0x1.cfb58e374cf50p-18",
+             "0x1.834bd9a65f800p-17", "0x1.00be26da9a0c0p-13",
+             "0x1.62b07ca0c1437p-16"),
+            ("handled", "merged", 32, "0x1.562e08bc00840p-15",
+             "0x1.5640db09e6640p-13", "0x1.3431eb572d9e0p-12",
+             "0x1.1455ff2d5d62dp-14"),
+        ),
+    ),
+}
 
 
 @pytest.fixture(
@@ -91,57 +164,122 @@ FAULTY = dict(
     ),
 )
 def reconciled(request, monkeypatch_module):
-    """(model, tracer breakdown) for one run on each wire path, healthy
-    and under a fault plan."""
+    """(model, known answer) for one run on each wire path, healthy and
+    under a fault plan."""
     wire_path, policy, faulty = request.param
     if wire_path == "slow_path":
         monkeypatch_module.setenv("REPRO_NO_WIRE_FASTPATH", "1")
     else:
         monkeypatch_module.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
     overrides = FAULTY if faulty else {}
-    recorder, sim = traced_run(small_config(policy=policy, **overrides))
-    tracer = sim.cluster.clients[0].pfs.tracer
-    return model_from_recorder(recorder), tracer
+    recorder, _sim = traced_run(small_config(policy=policy, **overrides))
+    return model_from_recorder(recorder), KNOWN[(policy, faulty)]
 
 
 class TestReconciliation:
-    """Span-derived breakdowns == tracer StageDeltas, forever."""
+    """Span-derived breakdowns == the pinned known answers, forever."""
 
     def test_breakdowns_are_exactly_equal(self, reconciled):
-        model, tracer = reconciled
-        from_spans = breakdown_from_spans(model)
-        from_tracer = tracer.breakdown()
+        model, (_records, _complete, strips_traced, rows) = reconciled
+        known = LatencyBreakdown(
+            deltas=tuple(
+                StageDelta(a, b, count, *map(float.fromhex, stats))
+                for a, b, count, *stats in rows
+            ),
+            strips_traced=strips_traced,
+        )
         # Frozen-dataclass equality over every (count, mean, p95, max,
-        # stdev) of every stage pair: any instrumentation drift between
-        # the span recorder and the lifecycle tracer fails here.
-        assert from_spans.strips_traced == from_tracer.strips_traced
-        assert from_spans.deltas == from_tracer.deltas
+        # stdev) of every stage pair: any instrumentation drift fails
+        # here.
+        assert breakdown_from_spans(model) == known
 
     def test_all_five_stage_timestamps_derived(self, reconciled):
-        model, tracer = reconciled
+        model, (records, complete_strips, _traced, _rows) = reconciled
         times = strip_stage_times(model)
-        assert len(times) == len(tracer)
+        assert len(times) == records
         complete = [
             record
             for record in times.values()
-            if len(record) == 5
+            if len(record) == len(LIFECYCLE_STAGES)
         ]
-        assert len(complete) == tracer.complete_strips()
-        for record in complete:
-            assert (
-                record["issued"]
-                <= record["served"]
-                <= record["received"]
-                <= record["handled"]
-                <= record["merged"]
-            )
+        assert len(complete) == complete_strips
+        assert all(is_ordered(record) for record in complete)
+
+
+class TestLifecycleStamps:
+    """Every strip keeps all the stamps it earned, in pipeline order."""
+
+    def test_final_write_ack_keeps_its_handled_stamp(self):
+        # The run ends while the last ack's softirq still charges its
+        # wake-up IPI; the handled stamp must not depend on that span
+        # closing.
+        config = small_config(
+            policy="round_robin",
+            workload=WorkloadConfig(
+                n_processes=2,
+                transfer_size=512 * KiB,
+                file_size=1 * MiB,
+                operation="write",
+            ),
+        )
+        recorder, _sim = traced_run(config)
+        times = strip_stage_times(model_from_recorder(recorder))
+        assert len(times) == 32
+        for key, record in times.items():
+            assert set(record) == {"issued", "received", "handled"}, key
+            assert record["issued"] <= record["received"] <= record["handled"]
+
+    @pytest.mark.parametrize(
+        "policy", ["irqbalance", "source_aware", "rdma_zerointr"]
+    )
+    def test_retried_strips_keep_stage_order(self, policy, monkeypatch):
+        # A failure window on server 0 forces strip retries; the late
+        # duplicates' serves and arrivals must not leak into the records.
+        monkeypatch.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
+        config = small_config(
+            n_servers=4,
+            policy=policy,
+            faults=FaultPlan(
+                loss_prob=0.02,
+                server_failure_windows=((0, 0.0, 2e-3),),
+                strip_retry_timeout=5e-3,
+                max_strip_retries=4,
+            ),
+        )
+        recorder, _sim = traced_run(config)
+        model = model_from_recorder(recorder)
+        assert any(s.name == "retry" for s in model.spans)
+        times = strip_stage_times(model)
+        complete = [
+            (key, record)
+            for key, record in times.items()
+            if len(record) == len(LIFECYCLE_STAGES)
+        ]
+        assert len(complete) == 32
+        disordered = [key for key, record in complete if not is_ordered(record)]
+        assert disordered == []
+
+    def test_exported_zero_interrupt_run_keeps_every_stamp(self, tmp_path):
+        # Under rdma_zerointr a strip is handled the instant its wire
+        # span ends.  Read back from a file, that end can land an ulp
+        # later, and it must still count as the strip's arrival.
+        recorder, _sim = traced_run(small_config(policy="rdma_zerointr"))
+        live = strip_stage_times(model_from_recorder(recorder))
+        out = tmp_path / "rdma.json"
+        write_trace(recorder, str(out))
+        filed = strip_stage_times(load_trace(str(out)))
+        assert filed.keys() == live.keys()
+        for key, record in filed.items():
+            assert record.keys() == live[key].keys(), key
+            assert record["received"] == record["handled"]
+            assert is_ordered(record)
 
 
 class TestStageBreakdown:
     def test_folds_every_strip_with_totals(self, reconciled):
-        model, tracer = reconciled
+        model, (records, _complete, _traced, _rows) = reconciled
         breakdown = stage_breakdown(model)
-        assert breakdown.strips == len(tracer)
+        assert breakdown.strips == records
         total = breakdown.stat("total")
         assert total is not None and total.count == breakdown.strips
         # The pipeline stages every completed read strip must show.
@@ -155,7 +293,7 @@ class TestStageBreakdown:
         assert payload["per_client"][0]["client"] == 0
 
     def test_per_client_partition_sums_to_run(self, reconciled):
-        model, _tracer = reconciled
+        model, _known = reconciled
         breakdown = stage_breakdown(model)
         per_client_strips = sum(
             next(s.count for s in stats if s.stage == "total")
@@ -166,7 +304,7 @@ class TestStageBreakdown:
 
 class TestCriticalPath:
     def test_run_path_is_deterministic_and_causal(self, reconciled):
-        model, _tracer = reconciled
+        model, _known = reconciled
         path = run_critical_path(model)
         again = run_critical_path(model)
         assert path == again
@@ -183,7 +321,7 @@ class TestCriticalPath:
         assert "serve" in names or "storage" in names
 
     def test_strip_path_covers_wire_and_service(self, reconciled):
-        model, _tracer = reconciled
+        model, _known = reconciled
         client, strip = sorted(model.strips)[0]
         path = strip_critical_path(model, client, strip)
         names = {step.name for step in path.steps}
@@ -191,7 +329,7 @@ class TestCriticalPath:
         assert path.to_dict()["client"] == client
 
     def test_unknown_strip_is_a_config_error(self, reconciled):
-        model, _tracer = reconciled
+        model, _known = reconciled
         with pytest.raises(ConfigError):
             strip_critical_path(model, 999, 999)
 
@@ -230,9 +368,7 @@ def fig5_ab_models():
     config, _n = trace_point_config("fig5_bandwidth_3g", "quick", 0)
     models = {}
     for policy in ("irqbalance", "source_aware"):
-        recorder, _sim = traced_run(
-            dataclasses.replace(config.with_policy(policy), trace=False)
-        )
+        recorder, _sim = traced_run(config.with_policy(policy))
         model = model_from_recorder(recorder)
         model.meta["policy"] = policy
         models[policy] = model

@@ -61,6 +61,14 @@ class TestSpanLifecycle:
         recorder.end(sid, args={"b": 2})
         assert recorder.spans[0].args == {"a": 1, "b": 2}
 
+    def test_annotate_merges_args_open_or_closed(self, recorder):
+        sid = recorder.begin("work", "test", TRACK, args={"a": 1})
+        recorder.annotate(sid, {"b": 2})
+        assert recorder.open_spans == 1
+        recorder.end(sid)
+        recorder.annotate(sid, {"a": 3})
+        assert recorder.spans[0].args == {"a": 3, "b": 2}
+
     def test_instant_has_zero_duration(self, recorder):
         recorder.instant("mark", "test", TRACK, ts=4.0)
         span = recorder.spans[0]
