@@ -7,7 +7,6 @@ Usage::
     sais-repro run all --scale quick      # everything, small runs
     sais-repro run all --jobs 8           # fan grid points over 8 workers
     sais-repro summary --jobs 4           # near-instant once cached
-    sais-repro bench --quick              # benchmark the simulator itself
     sais-repro trace fig5_bandwidth       # span-trace one grid point
     python -m repro ...                   # same thing
 
@@ -29,7 +28,7 @@ import typing as t
 
 from . import __version__
 from .core.policy import available_policies
-from .errors import ConfigError, ReproError
+from .errors import ConfigError, ReproError, ensure_parent_dir
 from .experiments import all_experiment_ids
 from .experiments.base import SCALES
 
@@ -137,73 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit machine-readable JSON instead of tables",
     )
     add_runner_options(run)
-
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "run the pinned kernel benchmark suite, write BENCH_<rev>.json "
-            "and compare against the last committed baseline"
-        ),
-    )
-    scale_group = bench.add_mutually_exclusive_group()
-    scale_group.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the quick suite (the default, and what CI gates on)",
-    )
-    scale_group.add_argument(
-        "--full",
-        action="store_true",
-        help="run the full suite (adds the fan-in, irqbalance, NAPI and write entries)",
-    )
-    bench.add_argument(
-        "--out",
-        default=".",
-        metavar="DIR",
-        help="directory for BENCH_<rev>.json (default: current directory)",
-    )
-    bench.add_argument(
-        "--rev",
-        default=None,
-        metavar="NAME",
-        help="revision label for the output file (default: git short sha)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline BENCH_*.json to compare against (default: the most "
-            "recent other BENCH_*.json in --out)"
-        ),
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=30.0,
-        metavar="PCT",
-        help="fail if total wall time regresses more than PCT%% (default: 30)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile each entry and dump the top functions",
-    )
-    bench.add_argument(
-        "--profile-top",
-        type=positive_int,
-        default=15,
-        metavar="N",
-        help="rows per cProfile dump (default: 15)",
-    )
-    bench.add_argument(
-        "--history",
-        action="store_true",
-        help=(
-            "print the committed BENCH_*.json trajectory (table + "
-            "sparklines) instead of running the suite"
-        ),
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -395,6 +327,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     )
 
     try:
+        if args.report is not None:
+            ensure_parent_dir(args.report, "--report")
         if args.spec is not None:
             request = SweepRequest(
                 spec=load_spec(args.spec),
@@ -500,23 +434,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"sais-repro: {exc}", file=sys.stderr)
             return 2
-
-    if args.command == "bench":
-        if args.history:
-            from .bench.history import main as history_main
-
-            return history_main(args.out)
-        from .bench import run_bench
-
-        return run_bench(
-            "full" if args.full else "quick",
-            out_dir=args.out,
-            rev=args.rev,
-            baseline=args.baseline,
-            threshold=args.threshold / 100.0,
-            profile=args.profile,
-            profile_top=args.profile_top,
-        )
 
     if args.command == "summary":
         from .metrics.report import render_table

@@ -46,8 +46,8 @@ class Environment:
         self._eid = count()
         self.active_process: "Process | None" = None
         #: Events popped off the calendar and dispatched so far.  This is
-        #: the DES cost metric the bench subsystem records: wall time per
-        #: run is dominated by event count times constant factor.
+        #: the DES cost metric perfbench records as ``des.events``: wall
+        #: time per run is dominated by event count times constant factor.
         self.events_processed = 0
         # Free list of recycled Callback events (see :meth:`call_at`).
         self._cb_pool: list[Callback] = []

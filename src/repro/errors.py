@@ -6,6 +6,8 @@ callers can catch library failures without catching unrelated Python errors.
 
 from __future__ import annotations
 
+import os
+
 __all__ = [
     "ReproError",
     "ConfigError",
@@ -14,6 +16,7 @@ __all__ = [
     "CoreIdOutOfRangeError",
     "LayoutError",
     "StripRetryExhaustedError",
+    "ensure_parent_dir",
 ]
 
 
@@ -55,3 +58,17 @@ class StripRetryExhaustedError(SimulationError):
     whose transient-failure window outlasts the retry budget.
     """
 
+
+def ensure_parent_dir(path: str, flag: str) -> None:
+    """Reject an output ``path`` whose parent directory does not exist.
+
+    ``open(path, "w")`` would raise a raw ``FileNotFoundError``, and only
+    once the work is done; a typo'd directory deserves the uniform exit-2
+    ConfigError every other bad argument gets, before anything runs.
+    ``flag`` names the option in the message (``--out``, ``--report``).
+    """
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(
+            f"{flag} {path!r}: parent directory {parent!r} does not exist"
+        )

@@ -10,12 +10,12 @@ Two complementary layers, both **zero-cost when disabled**:
   recorded as flow edges.  Disabled (the default) means *no recorder
   object exists at all*: every instrumentation site is a single
   ``if spans is not None`` guard, no span is allocated, and no calendar
-  event is added or reordered — goldens and bench event counts stay
+  event is added or reordered — goldens and pinned event counts stay
   byte-identical (``tests/obs/test_zero_cost.py``).
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` unifying the DES
   monitor instruments (``Counter``/``TimeWeighted``), ``sar`` samples and
   the fault/recovery counters behind one labeled snapshot, so experiments,
-  the bench runner and the trace exporter pull from a single source.
+  perfbench and the trace exporter pull from a single source.
 
 Exports (:mod:`repro.obs.export`) target Chrome trace-event JSON —
 loadable in ui.perfetto.dev or chrome://tracing — plus an ASCII tree/

@@ -245,76 +245,91 @@ def model_from_events(
     events: t.Sequence[t.Mapping[str, t.Any]],
     meta: t.Mapping[str, t.Any] | None = None,
 ) -> TraceModel:
-    """Normalize exported trace events (microseconds back to seconds)."""
+    """Normalize exported trace events (microseconds back to seconds).
+
+    Events without an integer ``sid`` come from other producers and are
+    skipped.  An event the model cannot read raises :class:`ConfigError`
+    naming its index in ``events``; a ``b``/``e`` or ``s``/``f`` pair is
+    read, and named, at its closing event.
+    """
     spans: list[TraceSpan] = []
     open_async: dict[tuple[t.Any, t.Any], dict[str, t.Any]] = {}
     open_flows: dict[t.Any, dict[str, t.Any]] = {}
     flows: list[TraceFlow] = []
-    for event in events:
-        ph = event.get("ph")
-        if ph == "X":
-            args = dict(event.get("args") or {})
-            sid = args.pop("sid", None)
-            if not isinstance(sid, int):
-                continue  # foreign trace; only our own spans are modeled
-            start = float(event["ts"]) / _US
-            spans.append(
-                TraceSpan(
-                    sid=sid,
-                    parent=args.pop("parent", None),
-                    name=str(event.get("name")),
-                    cat=str(event.get("cat")),
-                    pid=int(event["pid"]),
-                    tid=int(event["tid"]),
-                    start=start,
-                    end=start + float(event.get("dur", 0.0)) / _US,
-                    args=args,
+    index = 0
+    try:
+        for index, event in enumerate(events):
+            if not isinstance(event, t.Mapping):
+                kind = type(event).__name__
+                raise TypeError(f"expected an object, got {kind}")
+            ph = event.get("ph")
+            if ph == "X":
+                args = dict(event.get("args") or {})
+                sid = args.pop("sid", None)
+                if not isinstance(sid, int):
+                    continue  # foreign trace; only our own spans are modeled
+                start = float(event["ts"]) / _US
+                spans.append(
+                    TraceSpan(
+                        sid=sid,
+                        parent=args.pop("parent", None),
+                        name=str(event.get("name")),
+                        cat=str(event.get("cat")),
+                        pid=int(event["pid"]),
+                        tid=int(event["tid"]),
+                        start=start,
+                        end=start + float(event.get("dur", 0.0)) / _US,
+                        args=args,
+                    )
                 )
-            )
-        elif ph == "b":
-            open_async[(event.get("cat"), event.get("id"))] = dict(event)
-        elif ph == "e":
-            begun = open_async.pop(
-                (event.get("cat"), event.get("id")), None
-            )
-            if begun is None:
-                continue
-            args = dict(begun.get("args") or {})
-            sid = args.pop("sid", None)
-            if not isinstance(sid, int):
-                continue
-            spans.append(
-                TraceSpan(
-                    sid=sid,
-                    parent=args.pop("parent", None),
-                    name=str(begun.get("name")),
-                    cat=str(begun.get("cat")),
-                    pid=int(begun["pid"]),
-                    tid=int(begun["tid"]),
-                    start=float(begun["ts"]) / _US,
-                    end=float(event["ts"]) / _US,
-                    args=args,
+            elif ph == "b":
+                open_async[(event.get("cat"), event.get("id"))] = dict(event)
+            elif ph == "e":
+                begun = open_async.pop(
+                    (event.get("cat"), event.get("id")), None
                 )
-            )
-        elif ph == "s":
-            open_flows[event.get("id")] = dict(event)
-        elif ph == "f":
-            begun = open_flows.pop(event.get("id"), None)
-            if begun is None:
-                continue
-            src_args = begun.get("args") or {}
-            dst_args = event.get("args") or {}
-            flows.append(
-                TraceFlow(
-                    fid=int(begun["id"]),
-                    name=str(begun.get("name")),
-                    cat=str(begun.get("cat")),
-                    src_ts=float(begun["ts"]) / _US,
-                    dst_ts=float(event["ts"]) / _US,
-                    src_span=src_args.get("span"),
-                    dst_span=dst_args.get("span"),
+                if begun is None:
+                    continue
+                args = dict(begun.get("args") or {})
+                sid = args.pop("sid", None)
+                if not isinstance(sid, int):
+                    continue
+                spans.append(
+                    TraceSpan(
+                        sid=sid,
+                        parent=args.pop("parent", None),
+                        name=str(begun.get("name")),
+                        cat=str(begun.get("cat")),
+                        pid=int(begun["pid"]),
+                        tid=int(begun["tid"]),
+                        start=float(begun["ts"]) / _US,
+                        end=float(event["ts"]) / _US,
+                        args=args,
+                    )
                 )
-            )
+            elif ph == "s":
+                open_flows[event.get("id")] = dict(event)
+            elif ph == "f":
+                begun = open_flows.pop(event.get("id"), None)
+                if begun is None:
+                    continue
+                src_args = begun.get("args") or {}
+                dst_args = event.get("args") or {}
+                flows.append(
+                    TraceFlow(
+                        fid=int(begun["id"]),
+                        name=str(begun.get("name")),
+                        cat=str(begun.get("cat")),
+                        src_ts=float(begun["ts"]) / _US,
+                        dst_ts=float(event["ts"]) / _US,
+                        src_span=src_args.get("span"),
+                        dst_span=dst_args.get("span"),
+                    )
+                )
+    except KeyError as exc:
+        raise ConfigError(f"traceEvents[{index}] has no {exc} field") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"traceEvents[{index}] is malformed: {exc}") from exc
     return TraceModel(spans, flows, meta)
 
 
@@ -331,10 +346,16 @@ def load_trace(path: str) -> TraceModel:
         raise ConfigError(
             f"{path!r} is not a trace-event file (no 'traceEvents' array)"
         )
+    events = payload["traceEvents"]
+    if not isinstance(events, list):
+        raise ConfigError(f"{path!r}: 'traceEvents' is not an array")
     meta = payload.get("sais")
-    return model_from_events(
-        payload["traceEvents"], meta if isinstance(meta, dict) else None
-    )
+    try:
+        return model_from_events(
+            events, meta if isinstance(meta, dict) else None
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path!r}: {exc}") from exc
 
 
 # -- stage breakdowns --------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Collapsed-stack flamegraph emitter for the bench runner.
+"""Collapsed-stack flamegraph emitter.
 
-``repro bench --profile`` wraps each benchmark run in a
-:class:`StackSampler`: a daemon thread that snapshots the benchmarked
+:func:`profile_collapsed` wraps one call (``Simulation(config).run``, say)
+in a :class:`StackSampler`: a daemon thread that snapshots the calling
 thread's Python stack via :data:`sys._current_frames` at a fixed cadence.
 Samples collapse to Brendan Gregg's folded format — one
 ``frame;frame;frame count`` line per unique stack — consumable directly
@@ -9,8 +9,8 @@ by ``flamegraph.pl`` or https://www.speedscope.app.
 
 This is *profiling* tooling: it measures wall-clock behaviour of the
 simulator itself and is deliberately outside the determinism guarantees
-of :mod:`repro.obs.spans` (sampling depends on host scheduling).  It
-never runs unless ``--profile`` is given.
+of :mod:`repro.obs.spans` (sampling depends on host scheduling).  No
+``sais-repro`` command runs it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ reads every source lazily at the moment it is taken.
 Names are dotted paths (``client0.core2.busy_time``); labels are
 key/value pairs carried on the sample for grouping (``{"client": 0,
 "core": 2}``).  Snapshots are plain tuples of :class:`MetricSample`, so
-they serialize and diff trivially — the bench runner and trace exporter
-both consume them.
+they serialize and diff trivially; perfbench reads its exact counts
+(``des.events_processed`` and the rest) one name at a time with
+:meth:`MetricsRegistry.read`.
 """
 
 from __future__ import annotations

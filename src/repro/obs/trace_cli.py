@@ -18,11 +18,10 @@ look at.  Pass ``--policy source_aware`` to see the quiet interconnect.
 from __future__ import annotations
 
 import json
-import os
 import typing as t
 
 from ..config import ClusterConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, ensure_parent_dir
 from .export import ascii_timeline, validate_trace_file, write_trace
 from .spans import SpanRecorder
 
@@ -32,20 +31,6 @@ __all__ = [
     "run_trace",
     "run_trace_diff",
 ]
-
-
-def _ensure_parent(out: str) -> None:
-    """Reject an output path whose parent directory does not exist.
-
-    ``open(out, "w")`` would raise a raw ``FileNotFoundError`` traceback;
-    a typo'd directory deserves the same uniform exit-2 ConfigError every
-    other bad argument gets.
-    """
-    parent = os.path.dirname(out)
-    if parent and not os.path.isdir(parent):
-        raise ConfigError(
-            f"--out {out!r}: parent directory {parent!r} does not exist"
-        )
 
 
 def resolve_experiment(name: str) -> str:
@@ -132,7 +117,7 @@ def run_trace(
     if policy:
         config = config.with_policy(policy)
     if out is not None:
-        _ensure_parent(out)
+        ensure_parent_dir(out, "--out")
 
     recorder = SpanRecorder()
     sim = Simulation(config, spans=recorder)
@@ -187,7 +172,7 @@ def run_trace_diff(
     from .analysis import diff_traces, load_trace, render_diff
 
     if out is not None:
-        _ensure_parent(out)
+        ensure_parent_dir(out, "--out")
     diff = diff_traces(load_trace(a_path), load_trace(b_path), top=top)
     echo(render_diff(diff))
     if out is not None:

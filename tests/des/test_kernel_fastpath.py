@@ -1,6 +1,7 @@
 """DES kernel edge cases and hot-path mechanisms added with the coalesced
 wire fast path: calendar edge behaviour, event pooling, quiet processes,
-inline grants/wake-ups, and the event counter the bench subsystem reads."""
+inline grants/wake-ups, and the event counter that perfbench reads and
+``tests/obs/test_zero_cost.py`` pins."""
 
 import math
 

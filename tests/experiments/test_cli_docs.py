@@ -4,7 +4,7 @@ verbatim copies of what the live parser prints.
 The docs promise these blocks are exact; this test is what makes that
 promise survive flag edits.  After changing a flag, re-capture with::
 
-    COLUMNS=80 PYTHONPATH=src python -m repro bench --help
+    COLUMNS=80 PYTHONPATH=src python -m repro trace --help
 
 and paste the output into the matching fenced block.
 """
@@ -30,7 +30,7 @@ def _doc_block(marker: str) -> str:
     return tail[start:tail.index("```", start)]
 
 
-@pytest.mark.parametrize("sub", ["bench", "trace", "sweep"])
+@pytest.mark.parametrize("sub", ["trace", "sweep"])
 def test_help_text_matches_experiments_md(sub, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:

@@ -140,15 +140,28 @@ class TestReportDeterminism:
         )
         assert capsys.readouterr().out.encode() == path.read_bytes()
 
-    def test_unwritable_report_is_exit_2(self, tmp_path):
+    def test_unwritable_report_is_exit_2(
+        self, tmp_path, capsys, isolated_cache_dir
+    ):
+        report = tmp_path / "no" / "dir" / "r.json"
         assert (
             main(
                 [
                     "sweep",
                     "sweep_homogeneous",
                     "--report",
-                    str(tmp_path / "no" / "dir" / "r.json"),
+                    str(report),
+                    "--progress",
                 ]
             )
             == 2
         )
+        # Rejected before planning: no task ran, so nothing was printed
+        # or cached.
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"sais-repro: --report {str(report)!r}: parent directory "
+            f"{str(report.parent)!r} does not exist\n"
+        )
+        assert captured.out == ""
+        assert not isolated_cache_dir.exists()

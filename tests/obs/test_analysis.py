@@ -354,12 +354,40 @@ class TestModelRoundTrip:
         assert edges and all(key is not None for key in edges)
 
     def test_not_a_trace_file_is_a_config_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(ConfigError):
-            load_trace(str(bad))
+        span = {
+            "ph": "X",
+            "name": "strip",
+            "cat": "pfs",
+            "ts": 1.0,
+            "dur": 2.0,
+            "pid": 100,
+            "tid": 1,
+            "args": {"sid": 1},
+        }
+        no_pid = {k: v for k, v in span.items() if k != "pid"}
+        # payload -> index of the event the error must name (None: no event)
+        malformed = {
+            "no_events": ({}, None),
+            "events_not_a_list": ({"traceEvents": {"0": span}}, None),
+            "non_object_event": ({"traceEvents": [span, [span]]}, 1),
+            "non_numeric_ts": ({"traceEvents": [{**span, "ts": "t0"}]}, 0),
+            "no_pid": ({"traceEvents": [span, span, no_pid]}, 2),
+        }
+        for name, (payload, index) in malformed.items():
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(payload))
+            with pytest.raises(ConfigError) as raised:
+                load_trace(str(bad))
+            message = str(raised.value)
+            assert str(bad) in message and "\n" not in message, name
+            if index is not None:
+                assert f"traceEvents[{index}]" in message, name
         with pytest.raises(ConfigError):
             load_trace(str(tmp_path / "missing.json"))
+        # Another producer's events (no integer sid) are skipped unread.
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text(json.dumps({"traceEvents": [{"ph": "X"}]}))
+        assert load_trace(str(foreign)).spans == ()
 
 
 @pytest.fixture(scope="module")

@@ -7,12 +7,15 @@ not exact counts.
 
 import time
 
+from repro import ClusterConfig, NetworkConfig, WorkloadConfig
+from repro.cluster.simulation import Simulation
 from repro.obs.flamegraph import (
     StackSampler,
     collapse_stacks,
     folded_lines,
     profile_collapsed,
 )
+from repro.units import KiB
 
 
 def _busy_leaf(deadline):
@@ -102,12 +105,15 @@ class TestProfileCollapsed:
 
 class TestBenchIntegration:
     def test_profile_entry_collapsed_runs_a_real_entry(self):
-        from repro.bench import bench_entries
-        from repro.bench.runner import profile_entry_collapsed
-
-        entry = next(
-            e for e in bench_entries("quick") if e.name == "micro_read"
+        config = ClusterConfig(
+            n_servers=8,
+            network=NetworkConfig(mss=1500),
+            workload=WorkloadConfig(
+                n_processes=2, transfer_size=128 * KiB, file_size=256 * KiB
+            ),
         )
-        lines = profile_entry_collapsed(entry, interval=0.001)
+        _metrics, lines = profile_collapsed(
+            Simulation(config).run, interval=0.001
+        )
         # A DES run must show the kernel in its profile.
         assert any("des" in line for line in lines)

@@ -3,7 +3,7 @@
 Every ``sais-repro`` invocation starts a fresh interpreter and pays for
 whatever ``repro.cli`` imports before the first simulation.  numpy is not a
 dependency, and the trace-only parts of :mod:`repro.obs` load only for
-``sais-repro trace`` and ``bench --profile``.
+``sais-repro trace``.
 """
 
 import os
