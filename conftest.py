@@ -4,7 +4,8 @@ Tiers (see CONTRIBUTING.md):
 
 * ``tier1`` — the fast default suite; auto-applied to every test that is
   marked neither ``slow`` nor ``chaos``.
-* ``slow`` — scale-stress, calibration and long example campaigns.
+* ``slow`` — scale-stress, the default-scale golden check and long
+  example campaigns.
 * ``chaos`` — worker-pool tests that kill the workers of a ``--jobs N``
   run or wedge them with SIGSTOP (``pytest -m chaos``).  They are
   deterministic in outcome but process-heavy; a chaos test that is also
@@ -12,8 +13,9 @@ Tiers (see CONTRIBUTING.md):
   explicit ``@pytest.mark.tier1``.
 
 ``--update-goldens`` rewrites the snapshot files consumed by
-``tests/experiments/test_golden_snapshots.py`` instead of asserting
-against them.
+``tests/experiments/test_golden_snapshots.py`` and
+``tests/experiments/test_claims.py``, and the claims block of
+EXPERIMENTS.md, instead of asserting against them.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ DOC_FILES = [
 
 #: Flags the docs legitimately mention that belong to other tools.
 EXTERNAL_FLAGS = {
-    "--benchmark-only",   # pytest-benchmark
     "--update-goldens",   # our pytest conftest option
     "--cov",              # pytest-cov (CONTRIBUTING)
 }

@@ -12,7 +12,8 @@ The defaults model the paper's testbed (Sec. V-A):
 Per-byte cost rates in :class:`CostModel` are where the reproduction is
 *calibrated* rather than measured: they are chosen to be physically plausible
 for that hardware generation and to land the emergent headline numbers in
-the paper's bands (see ``DESIGN.md`` §5 and ``tests/cluster/test_calibration``).
+the paper's bands (see ``DESIGN.md`` §5 and the claims ledger,
+``tests/experiments/test_claims.py``).
 
 Configs are built three ways: by hand (tests, ad-hoc scripts), by the
 experiment grids (:mod:`repro.experiments.grids`), or expanded from a
@@ -60,9 +61,10 @@ class CostModel:
     * ``P`` (strip processing) ≈ ``irq_overhead + strip/protocol_rate``;
     * ``M`` (strip migration) ≈ ``c2c_latency + strip/c2c_rate``.
 
-    The paper requires ``M >> P``; the defaults give M/P ≈ 5 for a 64 KiB
-    strip, consistent with cache-to-cache transfers over HyperTransport
-    being several times slower than streaming protocol processing.
+    The paper requires ``M >> P``; the defaults give M/P ≈ 25 for a
+    64 KiB strip across sockets, consistent with cache-to-cache transfers
+    over HyperTransport being latency-bound per line while protocol
+    processing streams.
     """
 
     #: Softirq protocol-processing throughput per core (bytes/s).  ~6 GB/s

@@ -13,7 +13,7 @@ client-bandwidth feasibility constraint (7), the multi-program bounds (8)
 and the performance gap (9).
 
 These formulas are *bounds*, not predictions of absolute bandwidth; the
-test suite and the ``sec3_model`` bench check that the discrete-event
+test suite and the ``sec3_model`` claims check that the discrete-event
 simulator's ordering and scaling agree with them (gap grows with NS, NR and
 M-P; vanishes when M≈P or when programs saturate the cores).
 """

@@ -7,7 +7,7 @@ source-aware policies read the ``aff_core_id`` the SAIs components planted
 in the packet.
 
 Policies are registered by name so experiment configs can select them as
-strings (``ClusterConfig.policy``) and ablation benches can sweep the whole
+strings (``ClusterConfig.policy``) and the ablations can sweep the whole
 registry.
 """
 

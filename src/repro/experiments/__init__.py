@@ -3,8 +3,8 @@
 Every data-bearing table/figure in the paper has a module here that
 regenerates it (same rows/series, scaled-down run lengths).  Experiments
 register themselves in a name-keyed registry; the CLI
-(``python -m repro``) and the benchmark suite both run them through
-:func:`get_experiment` / :func:`run_experiment_by_id`.
+(``python -m repro``) runs them through :mod:`repro.runner`, and
+:func:`run_experiment_by_id` runs one serially, in-process.
 
 Figures 1-4 and 13 are architecture diagrams with no data series; the
 remaining artifacts map to:

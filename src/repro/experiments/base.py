@@ -1,18 +1,14 @@
 """Experiment registry, the common result shape, and grid decomposition.
 
-Experiments come in two granularities:
+Every experiment registers through :func:`register_grid_experiment` as a
+:class:`GridExperiment`: a pure, cheap ``grid(scale) -> [spec, ...]`` of
+pickleable point specs, a deterministic ``run_point(spec) -> row`` that
+does the heavy simulation for one grid cell, and an
+``assemble(scale, specs, rows)`` that folds the rows back into an
+:class:`ExperimentResult`.
 
-* the classic monolithic ``fn(scale) -> ExperimentResult`` registered via
-  :func:`register_experiment` — what the CLI and benches have always run;
-* the decomposed form registered via :func:`register_grid_experiment`:
-  a pure, cheap ``grid(scale) -> [spec, ...]`` of pickleable point specs,
-  a deterministic ``run_point(spec) -> row`` that does the heavy
-  simulation for one grid cell, and an ``assemble(scale, specs, rows)``
-  that folds the rows back into an :class:`ExperimentResult`.
-
-The decomposed form is what :mod:`repro.runner` fans out over a process
-pool; registering it also installs a serial compatibility wrapper under
-the same id, so ``run_experiment_by_id`` keeps working unchanged.
+:mod:`repro.runner` fans the points out over a process pool;
+:func:`run_experiment_by_id` runs them serially, in-process.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from ..metrics.report import render_table
 __all__ = [
     "ExperimentResult",
     "GridExperiment",
-    "register_experiment",
     "register_grid_experiment",
     "get_experiment",
     "get_grid_experiment",
@@ -44,8 +39,7 @@ SCALES = ("quick", "default", "full")
 
 ExperimentFn = t.Callable[[str], "ExperimentResult"]
 
-_REGISTRY: dict[str, ExperimentFn] = {}
-_GRID_REGISTRY: dict[str, "GridExperiment"] = {}
+_REGISTRY: dict[str, "GridExperiment"] = {}
 
 
 def resolve_scale(scale: str) -> str:
@@ -120,20 +114,6 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-def register_experiment(
-    exp_id: str,
-) -> t.Callable[[ExperimentFn], ExperimentFn]:
-    """Decorator registering ``fn(scale) -> ExperimentResult`` under an id."""
-
-    def decorate(fn: ExperimentFn) -> ExperimentFn:
-        if exp_id in _REGISTRY:
-            raise ConfigError(f"experiment {exp_id!r} already registered")
-        _REGISTRY[exp_id] = fn
-        return fn
-
-    return decorate
-
-
 @dataclasses.dataclass(frozen=True)
 class GridExperiment:
     """The decomposed (parallelizable) form of one experiment.
@@ -154,8 +134,8 @@ class GridExperiment:
     assemble: t.Callable[[str, t.Sequence[t.Any], t.Sequence[t.Any]], ExperimentResult]
     point_key: t.Callable[[t.Any], str] | None = None
 
-    def run_serial(self, scale: str) -> ExperimentResult:
-        """The compatibility path: all points in-process, grid order."""
+    def run_serial(self, scale: str = "default") -> ExperimentResult:
+        """Run every point in-process, in grid order."""
         specs = tuple(self.grid(resolve_scale(scale)))
         rows = [self.run_point(spec) for spec in specs]
         return self.assemble(scale, specs, rows)
@@ -177,11 +157,13 @@ def register_grid_experiment(
     ],
     point_key: t.Callable[[t.Any], str] | None = None,
 ) -> ExperimentFn:
-    """Register a decomposed experiment plus its serial compat wrapper.
+    """Register an experiment under ``exp_id``.
 
-    Returns the ``fn(scale) -> ExperimentResult`` wrapper, which modules
-    keep exporting under their historical ``run_*`` names.
+    Returns its serial ``fn(scale) -> ExperimentResult`` runner, which
+    modules export under their historical ``run_*`` names.
     """
+    if exp_id in _REGISTRY:
+        raise ConfigError(f"experiment {exp_id!r} already registered")
     experiment = GridExperiment(
         exp_id=exp_id,
         grid=grid,
@@ -189,40 +171,11 @@ def register_grid_experiment(
         assemble=assemble,
         point_key=point_key,
     )
-
-    def compat(scale: str = "default") -> ExperimentResult:
-        return experiment.run_serial(scale)
-
-    compat.__name__ = f"run_{exp_id}"
-    compat.__doc__ = f"Serial runner for the {exp_id!r} experiment."
-    register_experiment(exp_id)(compat)
-    _GRID_REGISTRY[exp_id] = experiment
-    return compat
+    _REGISTRY[exp_id] = experiment
+    return experiment.run_serial
 
 
 def get_grid_experiment(exp_id: str) -> GridExperiment:
-    """Look up the decomposed form of an experiment (for the pool runner)."""
-    try:
-        return _GRID_REGISTRY[exp_id]
-    except KeyError:
-        raise ConfigError(
-            f"experiment {exp_id!r} has no grid decomposition; "
-            f"available: {sorted(_GRID_REGISTRY)}"
-        ) from None
-
-
-def has_grid_experiment(exp_id: str) -> bool:
-    """Whether an experiment was registered in decomposed form."""
-    return exp_id in _GRID_REGISTRY
-
-
-def unregister_experiment(exp_id: str) -> None:
-    """Remove an experiment from both registries (test isolation hook)."""
-    _REGISTRY.pop(exp_id, None)
-    _GRID_REGISTRY.pop(exp_id, None)
-
-
-def get_experiment(exp_id: str) -> ExperimentFn:
     """Look an experiment up by id."""
     try:
         return _REGISTRY[exp_id]
@@ -232,9 +185,24 @@ def get_experiment(exp_id: str) -> ExperimentFn:
         ) from None
 
 
+def has_grid_experiment(exp_id: str) -> bool:
+    """Whether an experiment is registered under ``exp_id``."""
+    return exp_id in _REGISTRY
+
+
+def unregister_experiment(exp_id: str) -> None:
+    """Remove an experiment from the registry (test isolation hook)."""
+    _REGISTRY.pop(exp_id, None)
+
+
+def get_experiment(exp_id: str) -> ExperimentFn:
+    """The serial ``fn(scale) -> ExperimentResult`` runner of an experiment."""
+    return get_grid_experiment(exp_id).run_serial
+
+
 def run_experiment_by_id(exp_id: str, scale: str = "default") -> ExperimentResult:
     """Run one experiment at the given scale."""
-    return get_experiment(exp_id)(resolve_scale(scale))
+    return get_grid_experiment(exp_id).run_serial(scale)
 
 
 def all_experiment_ids() -> list[str]:

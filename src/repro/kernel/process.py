@@ -4,7 +4,7 @@ SAIs "enforces that the application process should be bundled on the core
 which requested data before data return" (Sec. IV-B); accordingly processes
 are pinned by default.  The table also exposes the lookup the Sec. III
 policy (ii) needs (current core of a request's owner) and supports explicit
-migration so the ablation benches can measure how rare-but-possible
+migration so the ablations can measure how rare-but-possible
 migrations during blocking I/O affect the two source-aware policies.
 """
 

@@ -1,4 +1,4 @@
-"""Plain-text rendering of experiment tables (the benches print these)."""
+"""Plain-text rendering of experiment tables (``sais-repro run`` prints them)."""
 
 from __future__ import annotations
 

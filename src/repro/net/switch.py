@@ -1,7 +1,7 @@
 """The cluster switch: a shared backplane between server and client links.
 
 The paper's Catalyst 4948 is effectively non-blocking at this port count,
-but modeling the backplane explicitly lets the ablation benches create an
+but modeling the backplane explicitly lets the ablations create an
 oversubscribed fabric and watch the SAIs advantage shrink as the network
 becomes the bottleneck (Sec. III's ``TR`` term).
 """

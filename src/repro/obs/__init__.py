@@ -29,8 +29,8 @@ stamps), critical-path extraction over parents + flow edges, and the
 
 This package exports only the recorder and the registry, which every
 simulation imports.  Import the trace-only names from their submodules
-(:mod:`repro.obs.export`, :mod:`repro.obs.analysis`,
-:mod:`repro.obs.flamegraph`) so a plain ``run`` never loads them.
+(:mod:`repro.obs.export`, :mod:`repro.obs.analysis`) so a plain ``run``
+never loads them.
 
 Determinism: span/flow ids are small integers advanced in calendar
 (event-dispatch) order, and every timestamp is virtual time — wall clocks

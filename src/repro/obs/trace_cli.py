@@ -67,16 +67,8 @@ def trace_point_config(
     trace CLI keeps to the simple contract).  Returns the config plus the
     number of traceable points, for the CLI's error/summary text.
     """
-    from ..experiments.base import (
-        get_grid_experiment,
-        has_grid_experiment,
-        resolve_scale,
-    )
+    from ..experiments.base import get_grid_experiment, resolve_scale
 
-    if not has_grid_experiment(exp_id):
-        raise ConfigError(
-            f"experiment {exp_id!r} has no grid decomposition to trace"
-        )
     specs = [
         spec
         for spec in get_grid_experiment(exp_id).grid(resolve_scale(scale))

@@ -4,9 +4,8 @@ The evaluation's grid points are embarrassingly parallel and fully
 deterministic (seeded DES, process-stable hashing), so this package
 scales ``sais-repro run all`` with cores:
 
-* :class:`ExperimentRunner` — fans grid points (and whole experiments)
-  out over ``jobs`` workers, deduplicates shared points, reassembles
-  rows in grid order;
+* :class:`ExperimentRunner` — fans grid points out over ``jobs``
+  workers, deduplicates shared points, reassembles rows in grid order;
 * :class:`ResultCache` — content-addressed on-disk cache keyed by
   SHA-256 of (exp_id, scale, resolved config dataclasses, version),
   written atomically (tmp file + ``os.replace``) so concurrent runners
@@ -45,7 +44,6 @@ from .runner import (
     RunSummary,
     assemble_plan,
     plan_experiment,
-    task_kind,
 )
 
 __all__ = [
@@ -59,5 +57,4 @@ __all__ = [
     "default_cache_dir",
     "plan_experiment",
     "result_key",
-    "task_kind",
 ]

@@ -1,12 +1,12 @@
 """Pickleable work units and the worker loop of the supervised pool.
 
-Workers receive ``(key, kind, exp_id, payload)`` task messages,
-re-import the experiment registry (module import re-registers every
-experiment) and execute the named experiment's ``run_point`` on the
-spec.  Only specs and row results cross the process boundary — both are
-plain frozen dataclasses — so the same code path works under ``fork``
-and ``spawn`` start methods.  The runner's ``--jobs 1`` path calls the
-same :func:`run_task` in-process.
+Workers receive ``(key, exp_id, spec)`` task messages, re-import the
+experiment registry (module import re-registers every experiment) and
+execute the named experiment's ``run_point`` on the spec.  Only specs
+and row results cross the process boundary — both are plain frozen
+dataclasses — so the same code path works under ``fork`` and ``spawn``
+start methods.  The runner's ``--jobs 1`` path calls the same
+:func:`run_point_task` in-process.
 
 :func:`pool_worker_main` is the long-lived worker loop used by
 :class:`~repro.runner.supervised.SupervisedWorkerPool`: it answers task
@@ -22,12 +22,7 @@ import threading
 import traceback
 import typing as t
 
-__all__ = [
-    "run_point_task",
-    "run_monolithic_task",
-    "run_task",
-    "pool_worker_main",
-]
+__all__ = ["run_point_task", "pool_worker_main"]
 
 
 def run_point_task(exp_id: str, spec: t.Any) -> t.Any:
@@ -40,26 +35,12 @@ def run_point_task(exp_id: str, spec: t.Any) -> t.Any:
     return get_grid_experiment(exp_id).run_point(spec)
 
 
-def run_monolithic_task(exp_id: str, scale: str) -> t.Any:
-    """Run a whole non-decomposed experiment; returns its dict form."""
-    from repro.experiments import run_experiment_by_id
-
-    return run_experiment_by_id(exp_id, scale=scale).to_dict()
-
-
-def run_task(kind: str, exp_id: str, payload: t.Any) -> t.Any:
-    """Dispatch one task by kind: ``"point"`` or ``"mono"``."""
-    if kind == "mono":
-        return run_monolithic_task(exp_id, payload)
-    return run_point_task(exp_id, payload)
-
-
 def pool_worker_main(conn: t.Any, heartbeat_interval: float) -> None:
     """Worker loop: serve ``task`` messages over ``conn`` until it closes.
 
     Protocol (worker side):
 
-    * receives ``(key, kind, exp_id, payload)`` tasks;
+    * receives ``(key, exp_id, spec)`` tasks;
     * sends ``("done", key, row)``, or ``("raised", key, exc, traceback)``
       when the task raised — ``exc`` is the exception itself, or a
       ``RuntimeError`` carrying the traceback if it does not pickle;
@@ -84,9 +65,9 @@ def pool_worker_main(conn: t.Any, heartbeat_interval: float) -> None:
     threading.Thread(target=beat, daemon=True).start()
     try:
         while True:
-            key, kind, exp_id, payload = conn.recv()
+            key, exp_id, spec = conn.recv()
             try:
-                reply = ("done", key, run_task(kind, exp_id, payload))
+                reply = ("done", key, run_point_task(exp_id, spec))
             except BaseException as exc:  # noqa: BLE001 - re-raised upstream
                 detail = traceback.format_exc()
                 reply = ("raised", key, exc, detail)

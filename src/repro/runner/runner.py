@@ -21,13 +21,11 @@ import typing as t
 from ..errors import ConfigError
 from ..experiments.base import (
     ExperimentResult,
-    get_experiment,
     get_grid_experiment,
-    has_grid_experiment,
     resolve_scale,
 )
 from .cache import ResultCache, canonical_payload, result_key
-from .pool import run_task
+from .pool import run_point_task
 
 __all__ = [
     "ExperimentRunner",
@@ -36,7 +34,6 @@ __all__ = [
     "RunSummary",
     "plan_experiment",
     "assemble_plan",
-    "task_kind",
 ]
 
 ProgressFn = t.Callable[[str], None]
@@ -50,7 +47,7 @@ class RunReport:
     result: ExperimentResult | None
     #: Served from the on-disk cache without running anything.
     cached: bool
-    #: Grid points this experiment consumed (0 for monolithic runs).
+    #: Grid points this experiment consumed.
     n_points: int
     #: Points this experiment was first to schedule (the rest were shared
     #: with earlier experiments in the same invocation).
@@ -90,14 +87,9 @@ class ExperimentPlan:
 
     exp_id: str
     key: str
-    specs: tuple[t.Any, ...] | None  # None = monolithic
+    specs: tuple[t.Any, ...]
     point_keys: tuple[str, ...]
     n_scheduled: int
-
-
-def task_kind(key: str) -> str:
-    """The :func:`repro.runner.pool.run_task` kind for a task-table key."""
-    return "mono" if key.startswith("mono:") else "point"
 
 
 def plan_experiment(
@@ -107,22 +99,11 @@ def plan_experiment(
 ) -> ExperimentPlan:
     """Decompose one experiment into the shared task table.
 
-    ``tasks`` maps task keys to ``(exp_id, spec-or-scale)`` pairs and is
+    ``tasks`` maps task keys to ``(exp_id, spec)`` pairs and is
     *mutated*: keys this experiment is first to need are inserted, keys
-    an earlier plan already scheduled are shared.
+    an earlier plan already scheduled are shared.  An unknown ``exp_id``
+    raises :class:`~repro.errors.ConfigError`.
     """
-    if not has_grid_experiment(exp_id):
-        key = result_key(exp_id, scale, None)
-        mono_key = f"mono:{exp_id}:{scale}"
-        scheduled = mono_key not in tasks
-        tasks.setdefault(mono_key, (exp_id, scale))
-        return ExperimentPlan(
-            exp_id=exp_id,
-            key=key,
-            specs=None,
-            point_keys=(mono_key,),
-            n_scheduled=int(scheduled),
-        )
     experiment = get_grid_experiment(exp_id)
     specs = tuple(experiment.grid(scale))
     point_keys = tuple(experiment.keys(specs))
@@ -145,8 +126,6 @@ def assemble_plan(
     plan: ExperimentPlan, scale: str, rows_by_key: dict[str, t.Any]
 ) -> ExperimentResult:
     """Fold executed task rows back into one ``ExperimentResult``."""
-    if plan.specs is None:
-        return ExperimentResult.from_dict(rows_by_key[plan.point_keys[0]])
     experiment = get_grid_experiment(plan.exp_id)
     rows = [rows_by_key[key] for key in plan.point_keys]
     return experiment.assemble(scale, plan.specs, rows)
@@ -189,11 +168,10 @@ class ExperimentRunner:
         scale = resolve_scale(scale)
         cached_results: dict[str, ExperimentResult] = {}
         plans: list[ExperimentPlan] = []
-        # Insertion-ordered task table: point key -> (exp_id, spec|scale).
+        # Insertion-ordered task table: point key -> (exp_id, spec).
         tasks: dict[str, tuple[str, t.Any]] = {}
 
         for exp_id in exp_ids:
-            get_experiment(exp_id)  # raises ConfigError on unknown ids
             plan = plan_experiment(exp_id, scale, tasks)
             plans.append(plan)
             if self.cache is not None:
@@ -207,7 +185,7 @@ class ExperimentRunner:
                 + (
                     "cached"
                     if exp_id in cached_results
-                    else f"{len(plan.point_keys) or 1} task(s), "
+                    else f"{len(plan.point_keys)} task(s), "
                     f"{plan.n_scheduled} newly scheduled"
                 )
             )
@@ -314,8 +292,8 @@ class ExperimentRunner:
             return {}, {}
         if self.jobs == 1:
             return {
-                key: run_task(task_kind(key), exp_id, payload)
-                for key, (exp_id, payload) in tasks.items()
+                key: run_point_task(exp_id, spec)
+                for key, (exp_id, spec) in tasks.items()
             }, {}
         # Imported here: loading multiprocessing adds about 1 MiB to the
         # peak RSS of the in-process path above.
@@ -324,8 +302,8 @@ class ExperimentRunner:
         with SupervisedWorkerPool(
             min(self.jobs, len(tasks)), progress=self._progress
         ) as pool:
-            for key, (exp_id, payload) in tasks.items():
-                pool.submit(key, task_kind(key), exp_id, payload)
+            for key, (exp_id, spec) in tasks.items():
+                pool.submit(key, exp_id, spec)
             return pool.drain()
 
     def _emit(self, message: str) -> None:

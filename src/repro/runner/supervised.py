@@ -61,12 +61,12 @@ class _Worker:
 
 
 class SupervisedWorkerPool:
-    """Run ``(key, kind, exp_id, payload)`` tasks over supervised workers.
+    """Run ``(key, exp_id, spec)`` grid-point tasks over supervised workers.
 
     Usage::
 
         with SupervisedWorkerPool(2, progress=print) as pool:
-            pool.submit("k1", "point", "fig5_bandwidth_3g", spec)
+            pool.submit("k1", "fig5_bandwidth_3g", spec)
             rows, errors = pool.drain()
 
     ``progress`` receives one line per finished task and per replaced
@@ -79,7 +79,7 @@ class SupervisedWorkerPool:
         self._progress = progress
         self._ctx = mp.get_context()
         self._workers = [_Worker(self._ctx) for _ in range(workers)]
-        self._tasks: dict[str, tuple[str, str, t.Any]] = {}
+        self._tasks: dict[str, tuple[str, t.Any]] = {}
         self._pending: collections.deque[str] = collections.deque()
         self._attempts: collections.Counter[str] = collections.Counter()
 
@@ -89,9 +89,9 @@ class SupervisedWorkerPool:
     def __exit__(self, *exc: t.Any) -> None:
         self.shutdown()
 
-    def submit(self, key: str, kind: str, exp_id: str, payload: t.Any) -> None:
-        """Queue one task; :meth:`drain` runs it."""
-        self._tasks[key] = (kind, exp_id, payload)
+    def submit(self, key: str, exp_id: str, spec: t.Any) -> None:
+        """Queue one grid point of ``exp_id``; :meth:`drain` runs it."""
+        self._tasks[key] = (exp_id, spec)
         self._pending.append(key)
 
     def drain(self) -> tuple[dict[str, t.Any], dict[str, str]]:

@@ -1,7 +1,7 @@
 """Bandwidth is a steady-state rate: run length must not change the story.
 
 This is what justifies scaling the paper's 10 GB reads down to tens of
-megabytes in the benches (DESIGN.md §5).
+megabytes at the default scale (DESIGN.md §5).
 """
 
 import pytest

@@ -7,13 +7,25 @@ CLI/runner invocations never read or write the user's real cache
 
 from __future__ import annotations
 
+import json
 import pathlib
+import typing as t
 
 import pytest
 
 from repro.runner.cache import CACHE_DIR_ENV
 
 GOLDENS_DIR = pathlib.Path(__file__).parent / "goldens"
+
+
+def golden_path(exp_id: str, scale: str) -> pathlib.Path:
+    """Where the committed ``to_dict()`` of ``exp_id`` at ``scale`` lives."""
+    return GOLDENS_DIR / f"{exp_id}.{scale}.json"
+
+
+def encode_golden(payload: dict[str, t.Any]) -> str:
+    """The exact text of a golden file holding ``payload``."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 @pytest.fixture(autouse=True)

@@ -16,21 +16,16 @@ import pytest
 
 from repro.experiments import all_experiment_ids, run_experiment_by_id
 
-from .conftest import GOLDENS_DIR
-
-
-def _golden_path(exp_id: str):
-    return GOLDENS_DIR / f"{exp_id}.quick.json"
+from .conftest import GOLDENS_DIR, encode_golden, golden_path
 
 
 @pytest.mark.parametrize("exp_id", all_experiment_ids())
 def test_quick_scale_snapshot(exp_id, update_goldens):
     payload = run_experiment_by_id(exp_id, scale="quick").to_dict()
-    encoded = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    path = _golden_path(exp_id)
+    path = golden_path(exp_id, "quick")
     if update_goldens:
         GOLDENS_DIR.mkdir(exist_ok=True)
-        path.write_text(encoded, encoding="utf-8")
+        path.write_text(encode_golden(payload), encoding="utf-8")
         pytest.skip(f"golden updated: {path.name}")
     assert path.exists(), (
         f"no golden for {exp_id!r} — run pytest with --update-goldens "
@@ -60,7 +55,7 @@ def test_quick_scale_snapshot_sharded(
     one, with a transport and a round trace — must get the
     single-calendar bytes: every quick-scale golden stays byte-identical
     and no round trace is written."""
-    path = _golden_path(exp_id)
+    path = golden_path(exp_id, "quick")
     rounds = tmp_path / "rounds.json"
     monkeypatch.setenv("REPRO_SHARDS", str(shards))
     monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "inproc")
@@ -81,7 +76,7 @@ def test_quick_scale_snapshot_sharded(
 @pytest.mark.parametrize("exp_id", all_experiment_ids())
 def test_golden_schema_shape(exp_id):
     """Independent of values: goldens carry the schema the cache relies on."""
-    path = _golden_path(exp_id)
+    path = golden_path(exp_id, "quick")
     if not path.exists():
         pytest.skip("golden not generated yet")
     golden = json.loads(path.read_text(encoding="utf-8"))

@@ -209,7 +209,7 @@ class TestSupervisedWorkerPool:
         specs = {f"k{i}": f"s{i}" for i in range(5)}
         with SupervisedWorkerPool(2, progress=lines.append) as pool:
             for key, spec in specs.items():
-                pool.submit(key, "point", healthy_experiment, spec)
+                pool.submit(key, healthy_experiment, spec)
             rows, errors = pool.drain()
         assert rows == {key: f"fine-{spec}" for key, spec in specs.items()}
         assert errors == {}
@@ -224,7 +224,7 @@ class TestSupervisedWorkerPool:
         alarm(30)
         lines: list[str] = []
         with SupervisedWorkerPool(2, progress=lines.append) as pool:
-            pool.submit("k", "point", sigkill_once_experiment, "b")
+            pool.submit("k", sigkill_once_experiment, "b")
             rows, errors = pool.drain()
         assert rows == {"k": "ok-b"}
         assert errors == {}
@@ -238,7 +238,7 @@ class TestSupervisedWorkerPool:
     ):
         alarm(30)
         with SupervisedWorkerPool(2) as pool:
-            pool.submit("poison", "point", poison_experiment, "b")
+            pool.submit("poison", poison_experiment, "b")
             rows, errors = pool.drain()
             assert rows == {}
             assert list(errors) == ["poison"]
@@ -246,7 +246,7 @@ class TestSupervisedWorkerPool:
             assert "exit code 21" in errors["poison"]
             # The pool must still execute work after a point exhausts
             # its attempts.
-            pool.submit("after", "point", poison_experiment, "a")
+            pool.submit("after", poison_experiment, "a")
             rows, errors = pool.drain()
         assert rows == {"after": "ok-a"}
         assert errors == {}

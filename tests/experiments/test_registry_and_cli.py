@@ -11,7 +11,8 @@ from repro.experiments import (
 )
 from repro.experiments.base import (
     ExperimentResult,
-    register_experiment,
+    get_grid_experiment,
+    register_grid_experiment,
     resolve_scale,
 )
 
@@ -69,11 +70,15 @@ class TestRegistry:
             get_experiment("fig14_memsim")("enormous")
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError):
-
-            @register_experiment("fig14_memsim")
-            def dup(scale):  # pragma: no cover
-                raise AssertionError
+        with pytest.raises(ConfigError, match="already registered"):
+            register_grid_experiment(
+                "fig14_memsim",
+                grid=lambda scale: (),
+                run_point=lambda spec: None,
+                assemble=lambda scale, specs, rows: None,
+            )
+        # The rejected registration left the original in place.
+        assert get_grid_experiment("fig14_memsim").grid("quick")
 
 
 class TestResultShape:

@@ -17,7 +17,6 @@ KEPT_OFF = (
     "numpy",
     "repro.obs.analysis",
     "repro.obs.export",
-    "repro.obs.flamegraph",
 )
 
 
