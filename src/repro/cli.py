@@ -308,6 +308,22 @@ def _report_summary(summary: "t.Any") -> None:
     )
 
 
+def _reject_unknown(
+    ids: t.Sequence[str], available: t.Sequence[str], kind: str
+) -> bool:
+    """Print one ``sais-repro:`` line naming any unknown ids and the
+    available ones; True if there were any."""
+    unknown = [i for i in ids if i not in available]
+    if unknown:
+        names = ", ".join(repr(i) for i in unknown)
+        print(
+            f"sais-repro: unknown {kind} {names}; "
+            f"available: {', '.join(available)}",
+            file=sys.stderr,
+        )
+    return bool(unknown)
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     """``sais-repro sweep``: run sweep experiments, print the aggregate.
 
@@ -347,13 +363,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         ids = (
             [CUSTOM_SWEEP_ID] if args.spec is not None else list(SWEEP_FAMILY)
         )
-    unknown = [i for i in ids if i not in ALL_SWEEP_IDS]
-    if unknown:
-        print(
-            f"unknown sweep experiment(s): {', '.join(unknown)}",
-            file=sys.stderr,
-        )
-        print(f"available: {', '.join(ALL_SWEEP_IDS)}", file=sys.stderr)
+    if _reject_unknown(ids, ALL_SWEEP_IDS, "sweep experiment"):
         return 2
 
     try:
@@ -464,10 +474,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     ids = list(args.experiments)
     if ids == ["all"]:
         ids = all_experiment_ids()
-    unknown = [i for i in ids if i not in all_experiment_ids()]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(all_experiment_ids())}", file=sys.stderr)
+    if _reject_unknown(ids, all_experiment_ids(), "experiment"):
         return 2
 
     try:

@@ -17,7 +17,6 @@ from ..net.packet import Packet
 from ..net.switch import Switch
 from ..obs.registry import MetricsRegistry
 from ..pfs.layout import StripeLayout
-from ..pfs.metadata import MetadataServer
 from ..pfs.request import StripRequest
 from ..pfs.server import IoServer
 from ..rng import RngFactory
@@ -38,7 +37,6 @@ class Cluster:
     clients: list[ClientNode]
     servers: list[IoServer]
     switch: Switch
-    metadata: MetadataServer
     layout: StripeLayout
     rngs: RngFactory
     #: Fault injector holding the cluster-wide fault counters; None when
@@ -101,7 +99,6 @@ def build_cluster(
         spans=spans,
         obs_track=fabric_track,
     )
-    metadata = MetadataServer(env)
 
     clients: list[ClientNode] = []
     for client_index in range(config.n_clients):
@@ -285,7 +282,6 @@ def build_cluster(
         clients=clients,
         servers=servers,
         switch=switch,
-        metadata=metadata,
         layout=layout,
         rngs=rngs,
         injector=injector,

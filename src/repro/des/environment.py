@@ -44,7 +44,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
-        self.active_process: "Process | None" = None
         #: Events popped off the calendar and dispatched so far.  This is
         #: the DES cost metric perfbench records as ``des.events``: wall
         #: time per run is dominated by event count times constant factor.

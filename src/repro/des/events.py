@@ -20,9 +20,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Callback",
-    "ConditionEvent",
     "AllOf",
-    "AnyOf",
     "PENDING",
 ]
 
@@ -30,8 +28,8 @@ __all__ = [
 PENDING: t.Any = object()
 
 #: Scheduling priority classes: URGENT events at a timestamp are processed
-#: before NORMAL ones.  Used internally (interrupt delivery) — ordinary user
-#: events are NORMAL.
+#: before NORMAL ones.  Used internally (immediate process start) — ordinary
+#: user events are NORMAL.
 URGENT = 0
 NORMAL = 1
 
@@ -177,11 +175,11 @@ class Callback(Event):
         self.arg: t.Any = None
 
 
-class ConditionEvent(Event):
-    """Base for events that fire when a condition over child events holds.
+class AllOf(Event):
+    """Fires when *all* child events have fired (or fails on first failure).
 
-    The value of a condition event is a dict mapping each *fired* child
-    event to its value, in firing order.
+    Its value is a dict mapping each child event to its value, in firing
+    order.
     """
 
     __slots__ = ("events", "_fired")
@@ -193,8 +191,8 @@ class ConditionEvent(Event):
         for event in self.events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        if self._check(0, len(self.events)):
-            # Degenerate case (e.g. AllOf([])) fires immediately.
+        if not self.events:
+            # Degenerate case: nothing to wait for, fire immediately.
             self.succeed({})
             return
         for event in self.events:
@@ -205,9 +203,6 @@ class ConditionEvent(Event):
             else:
                 event.callbacks.append(self._on_child)
 
-    def _check(self, fired: int, total: int) -> bool:
-        raise NotImplementedError
-
     def _on_child(self, event: Event) -> None:
         if self.triggered:
             return
@@ -216,23 +211,5 @@ class ConditionEvent(Event):
             self.fail(event._value)
             return
         self._fired.append(event)
-        if self._check(len(self._fired), len(self.events)):
+        if len(self._fired) == len(self.events):
             self.succeed({ev: ev._value for ev in self._fired})
-
-
-class AllOf(ConditionEvent):
-    """Fires when *all* child events have fired (or fails on first failure)."""
-
-    __slots__ = ()
-
-    def _check(self, fired: int, total: int) -> bool:
-        return fired == total
-
-
-class AnyOf(ConditionEvent):
-    """Fires when *any* child event has fired (or fails on first failure)."""
-
-    __slots__ = ()
-
-    def _check(self, fired: int, total: int) -> bool:
-        return fired >= 1 and total >= 1

@@ -17,16 +17,7 @@ from .events import NORMAL, PENDING, URGENT, Event
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .environment import Environment
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process's generator by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> t.Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
+__all__ = ["Process"]
 
 
 class Process(Event):
@@ -37,7 +28,7 @@ class Process(Event):
     with that exception, which propagates to waiters or stops the run.
     """
 
-    __slots__ = ("_generator", "_target", "_quiet")
+    __slots__ = ("_generator", "_quiet")
 
     def __init__(
         self,
@@ -51,8 +42,6 @@ class Process(Event):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits on (None while running).
-        self._target: Event | None = None
         #: Internal fire-and-forget process: a successful finish with no
         #: subscribed callbacks completes in place, skipping the calendar.
         self._quiet = quiet
@@ -75,35 +64,9 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Event | None:
-        """The event this process is currently suspended on, if any."""
-        return self._target
-
-    def interrupt(self, cause: t.Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The interrupt is delivered via an urgent event so that the victim's
-        state is consistent when it receives the exception.  Interrupting a
-        finished process is an error; interrupting a process that completes
-        at the same timestamp is silently dropped.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process is not allowed to interrupt itself")
-        _Interruption(self, cause)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         env = self.env
-        # Save/restore rather than reset: an inline wake-up (see
-        # Store.inline_wakeup) can resume one process from inside
-        # another's callback, and the outer process must still be the
-        # active one when control returns to it.
-        previous = env.active_process
-        env.active_process = self
-        self._target = None
         while True:
             try:
                 if event._ok:
@@ -149,36 +112,7 @@ class Process(Event):
             if next_target.callbacks is not None:
                 # Still pending or triggered-but-unprocessed: subscribe.
                 next_target.callbacks.append(self._resume)
-                self._target = next_target
                 break
             # Already processed: consume its value immediately.
             event = next_target
-        env.active_process = previous
 
-
-class _Interruption(Event):
-    """Internal urgent event that delivers an :class:`Interrupt`."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: Process, cause: t.Any) -> None:
-        super().__init__(process.env)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True  # delivery below hands it to the generator
-        self.callbacks = [self._deliver]
-        self.env.schedule(self, priority=URGENT)
-
-    def _deliver(self, _event: Event) -> None:
-        process = self.process
-        if not process.is_alive:
-            return  # finished in the meantime; drop silently
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            # Unsubscribe the victim from what it was waiting on.
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        process._resume(self)

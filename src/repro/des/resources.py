@@ -1,14 +1,14 @@
-"""Shared-resource primitives: FIFO/priority resources, stores, containers.
+"""Shared-resource primitives: FIFO/priority resources, stores, a barrier.
 
 These model the contended hardware in the simulator: a CPU core is a
 :class:`PriorityResource` (softirqs outrank application work), the
-inter-core interconnect and NIC are capacity-1 :class:`Resource`\\ s, queues
-of packets/requests are :class:`Store`\\ s.
+inter-core interconnect, NIC and disk are capacity-1 :class:`Resource`\\ s,
+per-core softirq queues are :class:`Store`\\ s, and a :class:`Barrier`
+synchronizes the processes of an MPI-IO collective.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as t
 from collections import deque
 from heapq import heappop, heappush
@@ -23,11 +23,8 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Resource",
     "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
     "Request",
     "Store",
-    "Container",
     "Barrier",
 ]
 
@@ -42,19 +39,10 @@ class Request(Event):
             yield env.timeout(work)   # hold it
         # slot released on exit
 
-    Exiting before the request was granted cancels it; exiting after
-    being preempted (see :class:`PreemptiveResource`) is a no-op.
+    Exiting before the request was granted cancels it.
     """
 
-    __slots__ = (
-        "resource",
-        "priority",
-        "key",
-        "cancelled",
-        "process",
-        "granted_at",
-        "preempted",
-    )
+    __slots__ = ("resource", "priority", "key", "cancelled")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
         super().__init__(resource.env)
@@ -62,20 +50,12 @@ class Request(Event):
         self.priority = priority
         self.key = (priority, resource.env.now, next(resource._seq))
         self.cancelled = False
-        #: The process that issued the request (preemption target).
-        self.process = resource.env.active_process
-        #: When the slot was granted (None while waiting).
-        self.granted_at: float | None = None
-        #: Set when a PreemptiveResource revoked the slot.
-        self.preempted = False
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
         return self
 
     def __exit__(self, *exc_info: t.Any) -> None:
-        if self.preempted:
-            return  # the slot was already revoked
         if self.triggered and self._ok:
             self.resource.release(self)
         elif not self.triggered:
@@ -149,7 +129,6 @@ class Resource:
                 # have subscribed to it yet: complete it in place and let
                 # the requester's ``yield req`` fall straight through.
                 self.users.append(request)
-                request.granted_at = self.env.now
                 request._ok = True
                 request._value = None
                 request.callbacks = None
@@ -177,7 +156,6 @@ class Resource:
 
     def _grant(self, request: Request) -> None:
         self.users.append(request)
-        request.granted_at = self.env.now
         request.succeed()
 
 
@@ -211,48 +189,6 @@ class PriorityResource(Resource):
     @property
     def queue_length(self) -> int:
         return sum(1 for _k, req in self._heap if not req.cancelled)
-
-
-@dataclasses.dataclass(frozen=True)
-class Preempted:
-    """Interrupt cause delivered to a preempted slot holder."""
-
-    #: The request that took the slot.
-    by: Request
-    #: How long the victim had held the slot.
-    usage: float
-
-
-class PreemptiveResource(PriorityResource):
-    """A priority resource where urgent requests evict lesser holders.
-
-    If a request arrives with a *strictly* better (lower) priority than
-    the worst current holder while the resource is full, that holder's
-    slot is revoked: its request is marked ``preempted`` and its owning
-    process receives an :class:`~repro.des.process.Interrupt` whose cause
-    is a :class:`Preempted` record.  The victim's context-manager exit is
-    then a no-op; it may re-request to resume.
-
-    Equal priorities never preempt (FIFO applies), matching the usual
-    preemptive-priority queueing discipline.
-    """
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) >= self.capacity:
-            victim = max(self.users, key=lambda held: held.key)
-            if victim.priority > request.priority:
-                self._preempt(victim, request)
-        super()._do_request(request)
-
-    def _preempt(self, victim: Request, by: Request) -> None:
-        self.users.remove(victim)
-        victim.preempted = True
-        granted_at = (
-            victim.granted_at if victim.granted_at is not None else self.env.now
-        )
-        usage = self.env.now - granted_at
-        if victim.process is not None and victim.process.is_alive:
-            victim.process.interrupt(Preempted(by=by, usage=usage))
 
 
 class Store:
@@ -382,64 +318,3 @@ class Barrier:
                 waiter.succeed(cycle)
         return event
 
-
-class Container:
-    """A homogeneous quantity (e.g. buffer bytes) with blocking put/get."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; fires when it fits under ``capacity``."""
-        if amount <= 0:
-            raise SimulationError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._putters.append((event, amount))
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; fires once that much is available."""
-        if amount <= 0:
-            raise SimulationError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._getters.append((event, amount))
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                event, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    event.succeed()
-                    progressed = True
-            if self._getters:
-                event, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.popleft()
-                    self._level -= amount
-                    event.succeed()
-                    progressed = True

@@ -12,7 +12,12 @@ Paper claims:
 from __future__ import annotations
 
 from .base import ExperimentResult, register_grid_experiment
-from .grids import run_sweep_point, sweep_fig5_specs, sweep_point_key
+from .grids import (
+    comparison_point_key,
+    run_comparison_point,
+    sweep_fig5_specs,
+    sweep_points,
+)
 
 __all__ = ["run_fig10", "run_fig11"]
 
@@ -33,7 +38,10 @@ def _unhalted_rows(points):
     return rows
 
 
-def _assemble(points, gigabits: int, exp_id: str, figure: str, paper_max: float):
+def _assemble(
+    specs, comparisons, gigabits: int, exp_id: str, figure: str, paper_max: float
+):
+    points = sweep_points(specs, comparisons)
     reductions = [p.comparison.unhalted_reduction for p in points]
     return ExperimentResult(
         exp_id=exp_id,
@@ -68,20 +76,20 @@ def _assemble(points, gigabits: int, exp_id: str, figure: str, paper_max: float)
 run_fig10 = register_grid_experiment(
     "fig10_unhalted_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
-    run_point=run_sweep_point,
-    assemble=lambda scale, specs, points: _assemble(
-        points, 1, "fig10_unhalted_1g", "Fig. 10", paper_max=27.14
+    run_point=run_comparison_point,
+    assemble=lambda scale, specs, comparisons: _assemble(
+        specs, comparisons, 1, "fig10_unhalted_1g", "Fig. 10", paper_max=27.14
     ),
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )
 
 #: Regenerate Fig. 11 (3-Gigabit NIC).
 run_fig11 = register_grid_experiment(
     "fig11_unhalted_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
-    run_point=run_sweep_point,
-    assemble=lambda scale, specs, points: _assemble(
-        points, 3, "fig11_unhalted_3g", "Fig. 11", paper_max=48.57
+    run_point=run_comparison_point,
+    assemble=lambda scale, specs, comparisons: _assemble(
+        specs, comparisons, 3, "fig11_unhalted_3g", "Fig. 11", paper_max=48.57
     ),
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from ..units import MiB, bits_per_sec
 from .base import ExperimentResult, register_grid_experiment
-from .grids import run_sweep_point, sweep_fig5_specs, sweep_point_key
+from .grids import (
+    comparison_point_key,
+    run_comparison_point,
+    sweep_fig5_specs,
+    sweep_points,
+)
 
 __all__ = ["run_fig5", "run_sec5c"]
 
@@ -34,7 +39,8 @@ def _bandwidth_rows(points):
     return rows
 
 
-def _assemble_fig5(scale, specs, points) -> ExperimentResult:
+def _assemble_fig5(scale, specs, comparisons) -> ExperimentResult:
+    points = sweep_points(specs, comparisons)
     max_speedup = max(p.comparison.bandwidth_speedup for p in points)
     best_at_48 = max(
         (
@@ -69,7 +75,8 @@ def _assemble_fig5(scale, specs, points) -> ExperimentResult:
     )
 
 
-def _assemble_sec5c(scale, specs, points) -> ExperimentResult:
+def _assemble_sec5c(scale, specs, comparisons) -> ExperimentResult:
+    points = sweep_points(specs, comparisons)
     max_speedup = max(p.comparison.bandwidth_speedup for p in points)
     max_bandwidth = max(
         max(p.comparison.baseline.bandwidth, p.comparison.treatment.bandwidth)
@@ -97,16 +104,16 @@ def _assemble_sec5c(scale, specs, points) -> ExperimentResult:
 run_fig5 = register_grid_experiment(
     "fig5_bandwidth_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
-    run_point=run_sweep_point,
+    run_point=run_comparison_point,
     assemble=_assemble_fig5,
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )
 
 #: Regenerate the Sec. V-C 1-Gigabit observation: NIC-bound, small gain.
 run_sec5c = register_grid_experiment(
     "sec5c_bandwidth_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
-    run_point=run_sweep_point,
+    run_point=run_comparison_point,
     assemble=_assemble_sec5c,
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )

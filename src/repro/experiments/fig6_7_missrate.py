@@ -12,7 +12,12 @@ Paper claims:
 from __future__ import annotations
 
 from .base import ExperimentResult, register_grid_experiment
-from .grids import run_sweep_point, sweep_fig5_specs, sweep_point_key
+from .grids import (
+    comparison_point_key,
+    run_comparison_point,
+    sweep_fig5_specs,
+    sweep_points,
+)
 
 __all__ = ["run_fig6", "run_fig7"]
 
@@ -33,7 +38,15 @@ def _missrate_rows(points):
     return rows
 
 
-def _assemble(points, gigabits: int, exp_id: str, figure: str, paper_reduction: float):
+def _assemble(
+    specs,
+    comparisons,
+    gigabits: int,
+    exp_id: str,
+    figure: str,
+    paper_reduction: float,
+):
+    points = sweep_points(specs, comparisons)
     reductions = [p.comparison.miss_rate_reduction for p in points]
     sais_always_lower = all(
         p.comparison.treatment.l2_miss_rate < p.comparison.baseline.l2_miss_rate
@@ -62,20 +75,20 @@ def _assemble(points, gigabits: int, exp_id: str, figure: str, paper_reduction: 
 run_fig6 = register_grid_experiment(
     "fig6_missrate_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
-    run_point=run_sweep_point,
-    assemble=lambda scale, specs, points: _assemble(
-        points, 1, "fig6_missrate_1g", "Fig. 6", paper_reduction=40.0
+    run_point=run_comparison_point,
+    assemble=lambda scale, specs, comparisons: _assemble(
+        specs, comparisons, 1, "fig6_missrate_1g", "Fig. 6", paper_reduction=40.0
     ),
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )
 
 #: Regenerate Fig. 7 (3-Gigabit NIC): ~40% miss-rate reduction.
 run_fig7 = register_grid_experiment(
     "fig7_missrate_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
-    run_point=run_sweep_point,
-    assemble=lambda scale, specs, points: _assemble(
-        points, 3, "fig7_missrate_3g", "Fig. 7", paper_reduction=40.0
+    run_point=run_comparison_point,
+    assemble=lambda scale, specs, comparisons: _assemble(
+        specs, comparisons, 3, "fig7_missrate_3g", "Fig. 7", paper_reduction=40.0
     ),
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )

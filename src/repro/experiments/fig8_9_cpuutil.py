@@ -11,7 +11,12 @@ Paper claims:
 from __future__ import annotations
 
 from .base import ExperimentResult, register_grid_experiment
-from .grids import run_sweep_point, sweep_fig5_specs, sweep_point_key
+from .grids import (
+    comparison_point_key,
+    run_comparison_point,
+    sweep_fig5_specs,
+    sweep_points,
+)
 
 __all__ = ["run_fig8", "run_fig9"]
 
@@ -31,7 +36,8 @@ def _util_rows(points):
     return rows
 
 
-def _assemble_fig8(scale, specs, points) -> ExperimentResult:
+def _assemble_fig8(scale, specs, comparisons) -> ExperimentResult:
+    points = sweep_points(specs, comparisons)
     max_util = max(
         max(
             p.comparison.baseline.cpu_utilization,
@@ -63,7 +69,8 @@ def _grid_fig9(scale):
     )
 
 
-def _assemble_fig9(scale, specs, rows) -> ExperimentResult:
+def _assemble_fig9(scale, specs, comparisons) -> ExperimentResult:
+    rows = sweep_points(specs, comparisons)
     half = len(rows) // 2
     points, one_g = rows[:half], rows[half:]
     irq_always_higher = all(
@@ -101,16 +108,16 @@ def _assemble_fig9(scale, specs, rows) -> ExperimentResult:
 run_fig8 = register_grid_experiment(
     "fig8_cpuutil_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1, n_processes=1),
-    run_point=run_sweep_point,
+    run_point=run_comparison_point,
     assemble=_assemble_fig8,
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )
 
 #: Regenerate Fig. 9: 3-Gigabit NIC, irqbalance burns more CPU.
 run_fig9 = register_grid_experiment(
     "fig9_cpuutil_3g",
     grid=_grid_fig9,
-    run_point=run_sweep_point,
+    run_point=run_comparison_point,
     assemble=_assemble_fig9,
-    point_key=sweep_point_key,
+    point_key=comparison_point_key,
 )

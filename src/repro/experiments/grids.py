@@ -1,26 +1,25 @@
-"""Shared sweep grids and config construction for the figure experiments.
+"""Shared sweep grids and point runners for the experiments.
 
 The Fig. 5–11 family all plot the same underlying campaign: the
-transfer-size x server-count grid run under both policies.  This module
-splits that campaign into the two halves the parallel runner needs:
+transfer-size x server-count grid run under both policies.
+:func:`sweep_fig5_specs` builds that grid's
+:class:`~repro.config.ClusterConfig` cells (pure, cheap, pickleable) and
+:func:`sweep_points` labels each cell's result for the figure tables.
 
-* :func:`sweep_fig5_specs` — *pure* construction of the grid's
-  :class:`~repro.config.ClusterConfig` cells (cheap, pickleable);
-* :func:`run_sweep_point` — the heavy, deterministic simulation of one
-  cell, memoized in-process so the six figure experiments that share a
-  sweep never re-run it within one interpreter.
-
-:func:`sweep_point_key` names a cell's computation content-addressably,
-which lets the pool runner dedupe identical cells *across* experiments
-(Fig. 5, 6/7, 9, 10/11 all reuse the 3-Gigabit sweep).
+Each point runner here is the heavy, deterministic simulation of one
+cell, memoized in-process; its ``*_key`` twin names the computation
+content-addressably, which lets the pool runner run a cell once however
+many experiments consume it.  Every irqbalance-vs-SAIs A/B shares the
+``cmp:`` namespace of :func:`run_comparison_point`: Fig. 5, 6/7, 9 and
+10/11 all reuse the 3-Gigabit sweep, and the Sec. III model and the
+cost-model ablation reuse its cells too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import typing as t
-
-import dataclasses
 
 from ..cluster.simulation import PolicyComparison, compare_policies
 from ..config import ClientConfig, ClusterConfig, WorkloadConfig
@@ -34,9 +33,7 @@ __all__ = [
     "SweepPoint",
     "nic_config",
     "sweep_fig5_specs",
-    "sweep_fig5_grid",
-    "run_sweep_point",
-    "sweep_point_key",
+    "sweep_points",
     "run_comparison_point",
     "comparison_point_key",
     "run_single_point",
@@ -111,26 +108,18 @@ def sweep_fig5_specs(
     )
 
 
-@functools.lru_cache(maxsize=512)
-def run_sweep_point(config: ClusterConfig) -> SweepPoint:
-    """Simulate one grid cell under both policies (deterministic).
-
-    Memoized per config so the figure experiments sharing a sweep reuse
-    the runs within one process, exactly as the paper collected Figs.
-    5-11 from the same IOR executions.
-    """
-    return SweepPoint(
-        transfer_size=config.workload.transfer_size,
-        n_servers=config.n_servers,
-        comparison=compare_policies(config),
-    )
-
-
-def sweep_point_key(config: ClusterConfig) -> str:
-    """Content-addressed name of one cell's computation (runner dedup)."""
-    from ..runner.cache import config_digest
-
-    return f"sweep:{config_digest(config)}"
+def sweep_points(
+    specs: t.Sequence[ClusterConfig], comparisons: t.Sequence[PolicyComparison]
+) -> list[SweepPoint]:
+    """Label each grid cell's comparison with its transfer and server count."""
+    return [
+        SweepPoint(
+            transfer_size=spec.workload.transfer_size,
+            n_servers=spec.n_servers,
+            comparison=comparison,
+        )
+        for spec, comparison in zip(specs, comparisons)
+    ]
 
 
 @functools.lru_cache(maxsize=512)
@@ -160,20 +149,3 @@ def single_point_key(config: ClusterConfig) -> str:
 
     return f"run:{config_digest(config)}"
 
-
-def sweep_fig5_grid(
-    scale: str,
-    nic_gigabits: int,
-    n_processes: int = 8,
-    seed: int = 1,
-) -> list[SweepPoint]:
-    """Run the standard transfer-size x server-count grid, both policies.
-
-    This single sweep underlies Figures 5-11: bandwidth, miss rate,
-    utilization and unhalted cycles are all collected from the same runs
-    (see :func:`run_sweep_point`).
-    """
-    return [
-        run_sweep_point(config)
-        for config in sweep_fig5_specs(scale, nic_gigabits, n_processes, seed)
-    ]

@@ -12,7 +12,6 @@ arriving strips to the consuming application.
 
 from .client import OutstandingRequest, PfsClient
 from .layout import StripExtent, StripeLayout
-from .metadata import FileMeta, MetadataServer
 from .request import IoRequest, StripRequest
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "StripExtent",
     "IoRequest",
     "StripRequest",
-    "MetadataServer",
-    "FileMeta",
     "PfsClient",
     "OutstandingRequest",
 ]

@@ -1,8 +1,8 @@
-"""Tests for Event, Timeout and condition events."""
+"""Tests for Event, Timeout and AllOf."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment
+from repro.des import AllOf, Environment
 from repro.errors import SimulationError
 
 
@@ -116,19 +116,3 @@ class TestAllOf:
         other = Environment()
         with pytest.raises(SimulationError):
             AllOf(env, [other.timeout(1.0)])
-
-
-class TestAnyOf:
-    def test_fires_on_first_child(self, env):
-        t1, t2 = env.timeout(5.0), env.timeout(1.0, value="fast")
-        cond = AnyOf(env, [t1, t2])
-        result = env.run(until=cond)
-        assert env.now == 1.0
-        assert result == {t2: "fast"}
-
-    def test_with_already_processed_child_fires_immediately(self, env):
-        t1 = env.timeout(1.0, value="done")
-        env.run()
-        cond = AnyOf(env, [t1, env.timeout(10.0)])
-        assert cond.triggered
-        assert cond.value == {t1: "done"}

@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from repro.des import Callback, Environment, PriorityResource, Resource, Store
-from repro.des.events import NORMAL, URGENT
+from repro.des import Environment, PriorityResource, Resource, Store
+from repro.des.events import NORMAL, URGENT, Callback
 from repro.errors import SimulationError
 
 
@@ -299,27 +299,6 @@ class TestInlineWakeup:
             store.put_nowait(item)
         env.run()
         assert got == [1, 2, 3]
-
-    def test_nested_resume_restores_active_process(self, env):
-        """A producer process that inline-wakes a consumer must still be
-        the active process afterwards (Request attribution depends on it)."""
-        store = Store(env, inline_wakeup=True)
-        observed = []
-
-        def consumer():
-            yield store.get()
-
-        def producer():
-            me = env.active_process
-            store.put_nowait("x")
-            observed.append(env.active_process is me)
-            yield env.timeout(0.0)
-
-        env.process(consumer())
-        env.run()
-        env.process(producer())
-        env.run()
-        assert observed == [True]
 
     def test_plain_store_still_uses_the_calendar(self, env):
         store = Store(env)

@@ -1,8 +1,8 @@
-"""Tests for generator processes: waiting, returning, failing, interrupts."""
+"""Tests for generator processes: waiting, returning, failing."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 from repro.errors import SimulationError
 
 
@@ -94,18 +94,6 @@ class TestLifecycle:
         assert env.run(until=proc) == "early"
         assert env.now == 1.0
 
-    def test_active_process_visible_during_execution(self, env):
-        observed = []
-
-        def worker(env):
-            observed.append(env.active_process)
-            yield env.timeout(1.0)
-
-        proc = env.process(worker(env))
-        env.run()
-        assert observed == [proc]
-        assert env.active_process is None
-
     def test_immediate_return_process(self, env):
         def instant(env):
             return 5
@@ -113,107 +101,3 @@ class TestLifecycle:
 
         proc = env.process(instant(env))
         assert env.run(until=proc) == 5
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(3.0)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        assert env.run(until=victim) == ("interrupted", "wake up", 3.0)
-
-    def test_interrupt_default_cause_is_none(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as intr:
-                return intr.cause
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        assert env.run(until=victim) is None
-
-    def test_interrupted_process_can_keep_running(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                pass
-            yield env.timeout(5.0)
-            return env.now
-
-        def interrupter(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        assert env.run(until=victim) == 7.0
-
-    def test_interrupting_terminated_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
-
-        proc = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        def selfish(env):
-            env.active_process.interrupt()
-            yield env.timeout(1.0)
-
-        proc = env.process(selfish(env))
-        with pytest.raises(SimulationError):
-            env.run(until=proc)
-
-    def test_interrupt_removes_victim_from_target_waiters(self, env):
-        # After an interrupt, the original target firing must not resume
-        # the victim a second time.
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(4.0)
-                log.append("timeout-completed")
-            except Interrupt:
-                log.append("interrupted")
-            yield env.timeout(10.0)
-            log.append("second-sleep-done")
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == ["interrupted", "second-sleep-done"]
-        assert env.now == 11.0
-
-    def test_uncaught_interrupt_kills_process(self, env):
-        def sleeper(env):
-            yield env.timeout(10.0)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("die")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        with pytest.raises(Interrupt):
-            env.run()

@@ -1,8 +1,8 @@
-"""Tests for Resource, PriorityResource, Store and Container."""
+"""Tests for Resource, PriorityResource and Store."""
 
 import pytest
 
-from repro.des import Container, Environment, PriorityResource, Resource, Store
+from repro.des import Environment, PriorityResource, Resource, Store
 from repro.errors import SimulationError
 
 
@@ -194,49 +194,3 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
 
-
-class TestContainer:
-    def test_initial_level(self, env):
-        box = Container(env, capacity=10, init=4)
-        assert box.level == 4
-
-    def test_get_blocks_until_enough(self, env):
-        box = Container(env, capacity=10, init=0)
-        log = []
-
-        def consumer(env):
-            yield box.get(5)
-            log.append(env.now)
-
-        def producer(env):
-            yield env.timeout(1.0)
-            yield box.put(3)
-            yield env.timeout(1.0)
-            yield box.put(3)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert log == [2.0]
-        assert box.level == 1
-
-    def test_put_blocks_at_capacity(self, env):
-        box = Container(env, capacity=5, init=5)
-        blocked = box.put(1)
-        env.run()
-        assert not blocked.triggered
-        done = box.get(2)
-        env.run()
-        assert done.triggered and blocked.triggered
-        assert box.level == 4
-
-    def test_rejects_non_positive_amounts(self, env):
-        box = Container(env, capacity=5)
-        with pytest.raises(SimulationError):
-            box.put(0)
-        with pytest.raises(SimulationError):
-            box.get(-1)
-
-    def test_init_outside_capacity_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Container(env, capacity=5, init=6)

@@ -290,12 +290,14 @@ class TestCacheBehaviour:
             ExperimentRunner(jobs=0)
 
     def test_real_experiment_cached_rerun_is_zero_tasks(self, tmp_path):
-        ids = ["fig5_bandwidth_3g", "fig7_missrate_3g"]
+        ids = ["fig5_bandwidth_3g", "fig7_missrate_3g", "sec3_model"]
         first = ExperimentRunner(jobs=1, cache_dir=tmp_path).run_many(
             ids, scale="quick"
         )
-        # The two experiments share the 3-Gigabit sweep: 4 unique cells.
-        assert first.executed_tasks == 4
+        # The two figures share the 3-Gigabit sweep: 4 unique cells.  The
+        # Sec. III model reuses its (1 MiB, 48 servers) cell and adds only
+        # its 16-server cell: 5 tasks in all.
+        assert first.executed_tasks == 5
         second = ExperimentRunner(jobs=1, cache_dir=tmp_path).run_many(
             ids, scale="quick"
         )

@@ -2,9 +2,9 @@
 
 The pool runner is only safe because every ``run_point`` is a pure
 function of its spec: same spec, same bits, in any process.  These tests
-pin that property for three representative experiments spanning the
-three point-runner families (the Fig. 5 sweep, the memsim sweep, and
-single-policy runs):
+pin that property for representative experiments spanning the
+point-runner families (policy comparisons such as the Fig. 5 grid, the
+memsim sweep, single-policy runs and generated scenarios):
 
 (a) twice in the same process,
 (b) in a fresh subprocess (fresh interpreter, fresh caches),

@@ -132,9 +132,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Si-SAIs" in out
 
-    def test_run_unknown(self, capsys):
-        assert main(["run", "nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+    def test_run_unknown(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        assert main(["run", "nope", "--cache-dir", str(cache_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("sais-repro: unknown experiment 'nope'")
+        assert "fig5_bandwidth_3g" in lines[0]  # lists what is available
+        assert not cache_dir.exists()  # rejected before the runner exists
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "abc"])
     def test_run_rejects_bad_jobs(self, jobs, capsys):

@@ -86,10 +86,18 @@ class TestSweepErrors:
     def test_missing_spec_file_is_exit_2(self, tmp_path):
         assert main(["sweep", "--spec", str(tmp_path / "absent.json")]) == 2
 
-    def test_unknown_sweep_id_is_exit_2(self, capsys):
-        assert main(["sweep", "fig5_bandwidth_3g"]) == 2
-        err = capsys.readouterr().err
-        assert "sweep_homogeneous" in err  # lists what is available
+    def test_unknown_sweep_id_is_exit_2(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        code = main(["sweep", "fig5_bandwidth_3g", "--cache-dir", str(cache_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("sais-repro: ")
+        assert "'fig5_bandwidth_3g'" in lines[0]
+        assert "sweep_homogeneous" in lines[0]  # lists what is available
+        assert not cache_dir.exists()  # rejected before the runner exists
 
 
 class TestReportDeterminism:

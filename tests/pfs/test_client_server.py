@@ -1,13 +1,13 @@
-"""Tests for the PFS client fan-out, metadata server and I/O server."""
+"""Tests for the PFS client fan-out and I/O server."""
 
 import pytest
 
 from repro.config import ServerConfig
 from repro.core.sais import HintCapsuler, HintMessager
 from repro.des import Environment
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.net import Link, Packet, decode_aff_core_id
-from repro.pfs import MetadataServer, PfsClient, StripeLayout
+from repro.pfs import PfsClient, StripeLayout
 from repro.pfs.server import IoServer
 from repro.rng import RngFactory
 from repro.units import KiB, MiB
@@ -126,45 +126,6 @@ class TestPfsClient:
         outstanding = client.issue(0, 64 * KiB, consumer_core=6)
         assert client.locate_request(outstanding.request.request_id) == 6
         assert client.locate_request(12345) is None
-
-
-class TestMetadataServer:
-    def test_create_and_lookup(self, env, layout):
-        meta_server = MetadataServer(env, service_time=0.001)
-        meta_server.create("ior.dat", 10 * MiB, layout)
-
-        def reader(env):
-            meta = yield from meta_server.lookup("ior.dat")
-            return meta
-
-        proc = env.process(reader(env))
-        meta = env.run(until=proc)
-        assert meta.size == 10 * MiB
-        assert env.now == pytest.approx(0.001)
-
-    def test_lookup_unknown_file(self, env):
-        meta_server = MetadataServer(env)
-        with pytest.raises(ConfigError):
-            list(meta_server.lookup("nope"))
-
-    def test_duplicate_create_rejected(self, env, layout):
-        meta_server = MetadataServer(env)
-        meta_server.create("f", 1 * MiB, layout)
-        with pytest.raises(ConfigError):
-            meta_server.create("f", 1 * MiB, layout)
-
-    def test_lookups_serialize(self, env, layout):
-        meta_server = MetadataServer(env, service_time=0.5)
-        meta_server.create("f", 1 * MiB, layout)
-
-        def reader(env):
-            yield from meta_server.lookup("f")
-
-        env.process(reader(env))
-        env.process(reader(env))
-        env.run()
-        assert env.now == pytest.approx(1.0)
-        assert meta_server.lookups.value == 2
 
 
 class TestIoServer:
