@@ -58,13 +58,13 @@ def build_cluster(
 ) -> Cluster:
     """Build every component of one experiment point and wire the paths.
 
-    Data path: ``IoServer.serve`` -> server uplink ``Link`` ->
-    ``Switch.forward`` -> destination client's ``Nic.receive`` -> I/O APIC
-    (policy) -> softirq -> PFS client.
+    Data path: ``IoServer`` reply -> server uplink ``Link`` -> switch ->
+    destination client's NIC -> I/O APIC (policy) -> softirq -> PFS
+    client.
 
-    Request path: client ``PfsClient.issue`` -> fabric latency ->
-    ``IoServer.serve`` (request messages are a few hundred bytes; only
-    their latency is modeled).
+    Request path: client ``PfsClient.issue`` -> ``IoServer.accept`` with
+    the arrival instant one fabric latency later (request messages are a
+    few hundred bytes; only their latency is modeled).
     """
     env = Environment()
     rngs = RngFactory(config.seed)
@@ -203,11 +203,7 @@ def build_cluster(
                 # Request message: one fabric traversal of latency; its
                 # few hundred bytes of serialization are negligible next
                 # to the data path and are folded into the latency.
-                env.process(
-                    server.serve(request),
-                    quiet=True,
-                    start_delay=net.latency,
-                )
+                server.accept(request, env.now + net.latency)
                 return
 
             # The data strip serializes out the client NIC, crosses the
@@ -223,7 +219,7 @@ def build_cluster(
             if fastpath is not None:
                 env.process(
                     fastpath.transmit_to_server(
-                        uplink, data, lambda: server.serve_write(request)
+                        uplink, data, lambda at: server.accept(request, at)
                     ),
                     quiet=True,
                 )
@@ -233,7 +229,7 @@ def build_cluster(
                 yield from uplink.transmit(
                     data,
                     lambda packet: switch.forward(
-                        packet, lambda _p: server.serve_write(request)
+                        packet, lambda _p: server.accept(request, env.now)
                     ),
                 )
 

@@ -275,15 +275,11 @@ class ClientNode:
                 else:
                     rate = self.costs.mem_fetch_rate
                     category = "memory_fetch"
-                with self.interconnect.acquire() as grant:
-                    yield grant
-                    granted_at = self.env.now
-                    yield from core.run_while(
-                        self.interconnect.transfer_locked(strip.size, rate),
-                        category,
-                    )
-                    if spans is not None:
-                        transfer_span = (category, granted_at)
+                granted_at = yield from self.interconnect.transfer(
+                    strip.size, rate, core=core, category=category
+                )
+                if spans is not None:
+                    transfer_span = (category, granted_at)
         if spans is not None:
             strip_sid = spans.strip_span(self.index, strip.token)
             if transfer_span is not None:

@@ -11,9 +11,10 @@ down to what the model uses:
   and :class:`~repro.des.events.AllOf` once every child event has;
 * :class:`~repro.des.process.Process` wraps a Python generator; the
   generator ``yield``\\ s events to wait on them;
-* :mod:`~repro.des.resources` provides the FIFO and priority-queued
-  resources, object stores and the barrier used to model cores, buses,
-  NICs, disks, softirq queues and MPI-IO collectives.
+* :mod:`~repro.des.resources` provides the fixed-service FIFO queue used
+  for links, disks and buses, the priority-queued resource used for
+  cores, object stores for softirq queues and the barrier of MPI-IO
+  collectives.
 
 The kernel is fully deterministic: events that fire at the same virtual time
 are processed in schedule order (FIFO within a priority class), so identical
@@ -23,7 +24,13 @@ seeds yield identical traces.
 from .environment import Environment
 from .events import AllOf, Event, Timeout
 from .process import Process
-from .resources import Barrier, PriorityResource, Resource, Store
+from .resources import (
+    Barrier,
+    FixedServiceFifo,
+    PriorityResource,
+    Resource,
+    Store,
+)
 
 __all__ = [
     "Environment",
@@ -31,6 +38,7 @@ __all__ = [
     "Timeout",
     "AllOf",
     "Process",
+    "FixedServiceFifo",
     "Resource",
     "PriorityResource",
     "Store",

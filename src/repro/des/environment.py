@@ -73,7 +73,7 @@ class Environment:
         generator: _GeneratorT,
         *,
         quiet: bool = False,
-        start_delay: float = 0.0,
+        start_at: float | None = None,
     ) -> "Process":
         """Start ``generator`` as a new simulation process.
 
@@ -82,13 +82,16 @@ class Environment:
         recorded in place instead of via a calendar event (failures still
         schedule, so an unawaited crash stops the world as always).
 
-        ``start_delay`` defers the generator's first resumption by that
-        much virtual time — equivalent to an immediate process whose body
-        starts with ``yield env.timeout(start_delay)``, minus one event.
+        ``start_at`` defers the generator's first resumption to that
+        absolute virtual time.  A later instant is ordered like a timeout
+        created now (NORMAL priority, this insertion id); ``None`` or the
+        current instant starts the process immediately.  A model folds a
+        chain of private delays into one start this way, computing the
+        instant with the float expression the chain would evaluate.
         """
         from .process import Process
 
-        return Process(self, generator, quiet=quiet, start_delay=start_delay)
+        return Process(self, generator, quiet=quiet, start_at=start_at)
 
     # -- scheduling ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ the generator's return value.
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 from ..errors import SimulationError
 from .events import NORMAL, PENDING, URGENT, Event
@@ -36,7 +37,7 @@ class Process(Event):
         generator: t.Generator,
         *,
         quiet: bool = False,
-        start_delay: float = 0.0,
+        start_at: float | None = None,
     ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
@@ -45,19 +46,22 @@ class Process(Event):
         #: Internal fire-and-forget process: a successful finish with no
         #: subscribed callbacks completes in place, skipping the calendar.
         self._quiet = quiet
-        # Kick the generator off via an immediately-scheduled init event.
-        # An immediate start is URGENT (spawned work begins ahead of other
-        # same-time NORMAL events, as it always has); a *delayed* start is
-        # NORMAL so it is ordered exactly like the `yield env.timeout(d)`
-        # first line it replaces.
+        # Kick the generator off via an init event.  An immediate start
+        # is URGENT (spawned work begins ahead of other same-time NORMAL
+        # events, as it always has); a start at a later instant is NORMAL,
+        # so it is ordered exactly like the timeout it replaces.
         init = Event(env)
         init._ok = True
         init._value = None
         init.callbacks.append(self._resume)
-        if start_delay > 0.0:
-            env.schedule(init, priority=NORMAL, delay=start_delay)
-        else:
+        if start_at is None or start_at == env._now:
             env.schedule(init, priority=URGENT)
+        elif start_at > env._now:
+            heappush(env._queue, (start_at, NORMAL, next(env._eid), init))
+        else:
+            raise SimulationError(
+                f"cannot start a process at {start_at}, before now={env._now}"
+            )
 
     @property
     def is_alive(self) -> bool:

@@ -1,10 +1,11 @@
-"""Shared-resource primitives: FIFO/priority resources, stores, a barrier.
+"""Shared-resource primitives: FIFO queues, resources, stores, a barrier.
 
 These model the contended hardware in the simulator: a CPU core is a
-:class:`PriorityResource` (softirqs outrank application work), the
-inter-core interconnect, NIC and disk are capacity-1 :class:`Resource`\\ s,
-per-core softirq queues are :class:`Store`\\ s, and a :class:`Barrier`
-synchronizes the processes of an MPI-IO collective.
+:class:`PriorityResource` (softirqs outrank application work); the server
+and client uplinks, the disk, the memory bus and the inter-core
+interconnect are :class:`FixedServiceFifo`\\ s; per-core softirq queues
+are :class:`Store`\\ s, and a :class:`Barrier` synchronizes the processes
+of an MPI-IO collective.
 """
 
 from __future__ import annotations
@@ -15,18 +16,89 @@ from heapq import heappop, heappush
 from itertools import count
 
 from ..errors import SimulationError
-from .events import Event
+from .events import NORMAL, Event
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .environment import Environment
 
 __all__ = [
+    "FixedServiceFifo",
     "Resource",
     "PriorityResource",
     "Request",
     "Store",
     "Barrier",
 ]
+
+
+class FixedServiceFifo:
+    """A single-server FIFO queue whose jobs have a known service time.
+
+    :meth:`serve` queues one job and returns its *completion* event, which
+    fires ``service`` seconds after the job is granted, valued with the
+    grant instant.  The completion is put on the calendar at the grant
+    decision: at the :meth:`serve` call when the queue is idle, and at the
+    previous job's completion when it is busy.  One job therefore costs
+    one calendar event, where a :class:`Resource` grant plus a service
+    :class:`~repro.des.events.Timeout` costs two.
+
+    Idle and queued grants are treated alike, so completions that fall on
+    one instant run in grant-decision order, as the grant events of a
+    :class:`Resource` would have ordered them (DESIGN.md §8, "The server
+    tier and fixed-service hops")::
+
+        granted_at = yield link_wire.serve(serialization_time)
+    """
+
+    __slots__ = ("env", "_busy", "_waiting")
+
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        self._busy = False
+        self._waiting: deque[
+            tuple[Event, float, t.Callable[[], None] | None]
+        ] = deque()
+
+    def serve(
+        self, service: float, on_grant: t.Callable[[], None] | None = None
+    ) -> Event:
+        """Queue a job of ``service`` seconds; returns its completion.
+
+        ``on_grant`` runs at the grant instant, before the completion is
+        scheduled (a core stalled on the job opens its stall there).
+        """
+        if service < 0:
+            raise SimulationError(f"negative service time {service}")
+        done = Event(self.env)
+        done.callbacks.append(self._advance)
+        if self._busy:
+            self._waiting.append((done, service, on_grant))
+        else:
+            self._busy = True
+            self._grant(done, service, on_grant)
+        return done
+
+    def _grant(
+        self,
+        done: Event,
+        service: float,
+        on_grant: t.Callable[[], None] | None,
+    ) -> None:
+        env = self.env
+        if on_grant is not None:
+            on_grant()
+        now = env._now
+        done._value = now
+        # Inline Environment.schedule: the same (time, priority, id) key a
+        # Timeout of ``service`` created now would get.
+        heappush(env._queue, (now + service, NORMAL, next(env._eid), done))
+
+    def _advance(self, _done: Event) -> None:
+        """First callback of every completion: hand the server on."""
+        if self._waiting:
+            self._grant(*self._waiting.popleft())
+        else:
+            self._busy = False
 
 
 class Request(Event):

@@ -103,14 +103,26 @@ class Core:
         time counts as unhalted/busy even though the work is elsewhere.
         """
         started = self.env.now
-        self._busy.begin()
-        self._note_load(busy=True)
+        self.begin_stall()
         try:
             yield from inner
         finally:
-            self._busy.end()
-            self._note_load(self._busy.active)
-            self.busy_by_category[category] += self.env.now - started
+            self.end_stall(category, started)
+
+    def begin_stall(self) -> None:
+        """Open a stall mark now: the core counts as busy until
+        :meth:`end_stall`.  For a stall that opens outside the stalled
+        process, e.g. at an interconnect grant decided by another
+        transfer's completion."""
+        self._busy.begin()
+        self._note_load(busy=True)
+
+    def end_stall(self, category: str, started: float) -> None:
+        """Close the stall opened at ``started``, charging it to
+        ``category``."""
+        self._busy.end()
+        self._note_load(self._busy.active)
+        self.busy_by_category[category] += self.env.now - started
 
     # -- accounting -----------------------------------------------------------
 

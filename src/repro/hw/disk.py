@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing as t
 
-from ..des import Environment, Resource
+from ..des import Environment, FixedServiceFifo
 from ..des.monitor import Counter
 from ..rng import Pcg64Stream
 
@@ -37,7 +37,7 @@ class Disk:
         self.seek = seek
         self.seek_jitter = seek_jitter
         self._rng = rng
-        self._spindle = Resource(env, capacity=1)
+        self._spindle = FixedServiceFifo(env)
         self.bytes_read = Counter("disk_bytes")
         self.bytes_written = Counter("disk_bytes_written")
         self.requests = Counter("disk_requests")
@@ -52,23 +52,26 @@ class Disk:
         factor = 1.0 + self.seek_jitter * (2.0 * self._rng.random() - 1.0)
         return self.seek * factor
 
+    def _service_time(self, nbytes: int, sequential: bool) -> float:
+        """Positioning plus streaming time of one request.
+
+        Drawn when the request is queued.  The spindle is FIFO and owns
+        its RNG stream, so the draws come in grant order all the same.
+        """
+        seek = 0.0 if sequential else self._seek_time()
+        return seek + nbytes / self.rate
+
     def read(self, nbytes: int, sequential: bool = False) -> t.Generator:
         """Read ``nbytes``; blocks the calling process until data is off
         the platter.  ``sequential`` skips the positioning cost (the head
         is already there)."""
-        with self._spindle.request() as req:
-            yield req
-            seek = 0.0 if sequential else self._seek_time()
-            yield self.env.timeout(seek + nbytes / self.rate)
+        yield self._spindle.serve(self._service_time(nbytes, sequential))
         self.bytes_read.add(nbytes)
         self.requests.add()
 
     def write(self, nbytes: int, sequential: bool = False) -> t.Generator:
         """Write ``nbytes``; mechanically identical to a read at this level
         (positioning + streaming), tracked separately."""
-        with self._spindle.request() as req:
-            yield req
-            seek = 0.0 if sequential else self._seek_time()
-            yield self.env.timeout(seek + nbytes / self.rate)
+        yield self._spindle.serve(self._service_time(nbytes, sequential))
         self.bytes_written.add(nbytes)
         self.requests.add()

@@ -14,8 +14,11 @@ from __future__ import annotations
 import typing as t
 
 from ..config import CostModel
-from ..des import Environment, Resource
+from ..des import Environment, FixedServiceFifo
 from ..des.monitor import Counter, TimeWeighted
+
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core import Core
 
 __all__ = ["InterconnectBus"]
 
@@ -26,7 +29,7 @@ class InterconnectBus:
     def __init__(self, env: Environment, costs: CostModel) -> None:
         self.env = env
         self.costs = costs
-        self._bus = Resource(env, capacity=1)
+        self._bus = FixedServiceFifo(env)
         #: Number of strip migrations carried.
         self.migrations = Counter("migrations")
         #: Bytes moved cache-to-cache.
@@ -42,24 +45,15 @@ class InterconnectBus:
         self.signals = Counter("interconnect_signals")
         self._busy_total = 0.0
 
-    def acquire(self):
-        """Request the bus (context-managed).  Queueing happens here.
-
-        The waiting consumer is de-scheduled while queued (its stall
-        overlaps other cores' transfers), so queue wait is *not* busy
-        time; only the granted transfer (``transfer_locked``) stalls the
-        core.  Callers should pair this with
-        :meth:`Core.run_while`::
-
-            with bus.acquire() as grant:
-                yield grant
-                yield from core.run_while(bus.transfer_locked(n), "migration")
-        """
-        self.queue_depth.add(1.0)
-        return _TrackedRequest(self)
-
-    def transfer_locked(self, nbytes: int, rate: float | None = None) -> t.Generator:
-        """Carry one strip while already holding the bus.
+    def transfer(
+        self,
+        nbytes: int,
+        rate: float | None = None,
+        core: "Core | None" = None,
+        category: str = "migration",
+    ) -> t.Generator:
+        """Queue for the bus and carry one strip; the caller blocks for
+        both phases.  Returns the grant instant.
 
         With the default ``rate`` the duration is the paper's
         ``M = c2c_latency + nbytes / c2c_rate`` (a dirty cache-to-cache
@@ -68,21 +62,33 @@ class InterconnectBus:
         still serializes on this bus: it is the same per-socket coherence/
         fill path, which is exactly the paper's "only one strip migration
         can happen at any time".
+
+        ``core`` is the consumer core stalled on the transfer.  While
+        *queued* its stall overlaps other transfers (idle, de-scheduled);
+        from the grant on, the transfer stalls it (unhalted), so its stall
+        opens at the grant and is charged to ``category``.
         """
+        env = self.env
+        requested = env.now
         if rate is None:
             duration = self.costs.strip_migration_time(nbytes)
         else:
             duration = self.costs.c2c_latency + nbytes / rate
-        yield self.env.timeout(duration)
+        self.queue_depth.add(1.0)
+
+        def granted() -> None:
+            self.wait_time.add(env.now - requested)
+            if core is not None:
+                core.begin_stall()
+
+        granted_at = yield self._bus.serve(duration, granted)
         self._busy_total += duration
         self.migrations.add()
         self.bytes_moved.add(nbytes)
-
-    def transfer(self, nbytes: int, rate: float | None = None) -> t.Generator:
-        """Acquire + carry in one call; the caller blocks for both phases."""
-        with self.acquire() as grant:
-            yield grant
-            yield from self.transfer_locked(nbytes, rate)
+        if core is not None:
+            core.end_stall(category, granted_at)
+        self.queue_depth.add(-1.0)
+        return granted_at
 
     def signal(self) -> t.Generator:
         """One small inter-processor control message (an RPS/RFS IPI).
@@ -93,12 +99,10 @@ class InterconnectBus:
         queue-wait instrumentation so ``migration_wait`` keeps measuring
         strip traffic only.
         """
-        with self._bus.request() as req:
-            yield req
-            duration = self.costs.c2c_latency
-            yield self.env.timeout(duration)
-            self._busy_total += duration
-            self.signals.add()
+        duration = self.costs.c2c_latency
+        yield self._bus.serve(duration)
+        self._busy_total += duration
+        self.signals.add()
 
     @property
     def total_busy_time(self) -> float:
@@ -118,23 +122,3 @@ class InterconnectBus:
             f"{prefix}.busy_time", lambda: self.total_busy_time
         )
 
-
-class _TrackedRequest:
-    """Context manager pairing a bus grant with queue-depth/wait tracking."""
-
-    def __init__(self, bus: "InterconnectBus") -> None:
-        self._bus = bus
-        started = bus.env.now
-        self._request = bus._bus.request()
-        callbacks = self._request.callbacks
-        if callbacks is not None:
-            callbacks.append(
-                lambda _ev: bus.wait_time.add(bus.env.now - started)
-            )
-
-    def __enter__(self):
-        return self._request.__enter__()
-
-    def __exit__(self, *exc_info: t.Any) -> None:
-        self._bus.queue_depth.add(-1.0)
-        self._request.__exit__(*exc_info)

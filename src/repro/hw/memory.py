@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import typing as t
 
-from ..des import Environment, Resource
+from ..des import Environment, FixedServiceFifo
 from ..des.monitor import Counter
 
 __all__ = ["MemoryBus"]
@@ -33,7 +33,7 @@ class MemoryBus:
         self.env = env
         self.bandwidth = bandwidth
         self.latency = latency
-        self._bus = Resource(env, capacity=1)
+        self._bus = FixedServiceFifo(env)
         self.bytes_moved = Counter("memory_bytes")
         self.transfers = Counter("memory_transfers")
         self.wait_time = Counter("memory_wait")
@@ -53,10 +53,10 @@ class MemoryBus:
             raise ValueError(f"rate must be positive, got {rate}")
         effective = min(rate, self.bandwidth)
         started = self.env.now
-        with self._bus.request() as req:
-            yield req
-            self.wait_time.add(self.env.now - started)
-            yield self.env.timeout(self.latency + nbytes / effective)
+        yield self._bus.serve(
+            self.latency + nbytes / effective,
+            lambda: self.wait_time.add(self.env.now - started),
+        )
         self.bytes_moved.add(nbytes)
         self.transfers.add()
 

@@ -15,7 +15,7 @@ from .ip_options import (
 from .links import Link
 from .packet import Packet
 from .switch import Switch
-from .tcp import TcpStream, segment_sizes
+from .tcp import TcpStream, segment_sizes, segments_for_strip
 
 __all__ = [
     "Packet",
@@ -26,4 +26,5 @@ __all__ = [
     "Switch",
     "TcpStream",
     "segment_sizes",
+    "segments_for_strip",
 ]

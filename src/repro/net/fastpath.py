@@ -1,40 +1,39 @@
 """Coalesced wire fast path: analytic FIFO pipelines for the shared fabric.
 
 The per-segment reference path charges every segment one full event
-round-trip per hop: a wire-``Resource`` grant, a serialization ``Timeout``
-and a spawned ``_arrive`` process at the server uplink, the switch
-backplane and the client NIC — ~11 calendar events per segment before the
-interrupt is even raised.  Every one of those hops is a deterministic FIFO
-server, so its behaviour has a closed form: if ``free`` is the time the hop
-last drains, a packet arriving at ``a`` with service time ``s`` departs
-at::
+round-trip per shared hop: a wire-``Resource`` grant, a serialization
+``Timeout`` and a spawned ``_arrive`` process at the switch backplane and
+the client NIC, on top of the uplink's departure and delivery, before the
+interrupt is even raised.  Every one of those hops is a deterministic
+FIFO server, so its behaviour has a closed form: if ``free`` is the time
+the hop last drains, a packet arriving at ``a`` with service time ``s``
+departs at::
 
     depart = max(free, a) + s;  free = depart
 
 This module replays that recurrence in plain arithmetic for the *shared*
-hops (switch backplane, client NIC wire).  The sender-side uplink keeps
-its real ``Resource`` + serialization ``Timeout`` through
-:meth:`Link.send <repro.net.links.Link.send>`, the same serialize/drop/
-back-off loop the reference path runs: simultaneous departures on
-*different* uplinks are ordered by event-insertion order, and only the
-resource machinery reproduces the reference path's insertion points
-exactly (an analytic uplink would assign its departure event at *request*
-time, the resource path at *grant* time — ties across uplinks would then
+hops (switch backplane, client NIC wire).  The sender-side uplink stays a
+queue, :meth:`Link.send <repro.net.links.Link.send>` on a
+:class:`~repro.des.FixedServiceFifo`, the same serialize/drop/back-off
+loop the reference path runs: simultaneous departures on *different*
+uplinks are ordered by event-insertion order, and a departure event
+created at the grant decision keeps the reference order, where one created
+at the request by a recurrence would not (ties across uplinks would then
 break differently, reordering the shared fabric's FIFO).  Per segment the
-transport is **three** calendar events instead of ~11:
+transport is **two** calendar events:
 
-1. the uplink wire grant (unchanged resource machinery, so per-uplink
-   queueing and cross-uplink ties are bit-for-bit the reference path's);
-2. the sender's serialization ``Timeout`` to the uplink departure, inside
-   which the switch and NIC recurrences advance; and
-3. one pooled :meth:`~repro.des.environment.Environment.call_at` callback
+1. the uplink departure, put on the calendar at the wire's grant decision
+   (so per-uplink queueing and cross-uplink ties are bit-for-bit the
+   reference path's), inside which the switch and NIC recurrences
+   advance; and
+2. one pooled :meth:`~repro.des.environment.Environment.call_at` callback
    at the NIC wire-completion instant, which runs the NIC's post-wire
    receive half (counters, wire span, ordering tripwire, NAPI, interrupt
    raise) at exactly the time the reference path would have.
 
-A lost attempt adds one back-off ``Timeout`` plus another grant and
-serialization, exactly as on the reference path, and a reorder-delayed
-packet adds one callback (below).
+A lost attempt adds one back-off ``Timeout`` plus another uplink
+departure, exactly as on the reference path, and a reorder-delayed packet
+adds one callback (below).
 
 Why this is exact (see DESIGN.md §8 for the full argument):
 
@@ -63,8 +62,9 @@ Why this is exact (see DESIGN.md §8 for the full argument):
   insertion order;
 * all counters/observers fire at the same simulated instants as before.
 
-Straggler slowdowns and server-failure windows are service-time edits
-inside :class:`~repro.pfs.server.IoServer`, the same on both paths.
+Straggler slowdowns and server-failure windows are folded into the start
+instant of each reply inside :class:`~repro.pfs.server.IoServer`, the same
+on both paths.
 
 The cluster builder installs the fast path under every fault plan.
 ``REPRO_NO_WIRE_FASTPATH=1`` selects the per-segment reference path
@@ -194,12 +194,12 @@ class WireFastPath:
         self,
         link: "Link",
         packet: "Packet",
-        arrival: t.Callable[[], t.Generator],
+        arrive: t.Callable[[float], None],
     ) -> t.Generator:
-        """Send one write strip client->server; ``arrival()`` builds the
-        server-side generator (``serve_write``), spawned at the instant
-        the strip clears the switch port.  ``packet`` is the strip's data
-        packet: it keys the loss and reorder draws and the fabric span."""
+        """Send one write strip client->server; at the uplink departure,
+        ``arrive(at)`` hands the server the instant ``at`` the strip
+        clears the switch port.  ``packet`` is the strip's data packet: it
+        keys the loss and reorder draws and the fabric span."""
         env = self.env
         yield from link.send(packet)
         switch = self.switch
@@ -209,8 +209,6 @@ class WireFastPath:
         delay = switch.latency
         if switch.middlebox is not None:
             delay += switch.middlebox(packet)[1]
-        env.process(
-            arrival(),
-            quiet=True,
-            start_delay=(fabric_departure + delay) - env.now,
-        )
+        # The arrival as a delay from now, added back: the float
+        # expression of a process started that much later.
+        arrive(env.now + ((fabric_departure + delay) - env.now))

@@ -1,15 +1,16 @@
 """Point-to-point links with serialization and pipelined propagation.
 
 A :class:`Link` charges the sender for queueing + serialization time (the
-wire is a unit-capacity resource) and then delivers asynchronously after the
-propagation latency — so back-to-back packets pipeline, as on real Ethernet.
+wire is a :class:`~repro.des.FixedServiceFifo`) and then delivers
+asynchronously after the propagation latency — so back-to-back packets
+pipeline, as on real Ethernet.
 """
 
 from __future__ import annotations
 
 import typing as t
 
-from ..des import Environment, Resource
+from ..des import Environment, FixedServiceFifo
 from ..des.monitor import Counter
 from .packet import Packet
 
@@ -42,7 +43,7 @@ class Link:
         self.name = name
         #: Loss injection + backoff schedule; None on a fault-free link.
         self.faults = faults
-        self._wire = Resource(env, capacity=1)
+        self._wire = FixedServiceFifo(env)
         self.bytes_sent = Counter(f"{name}_bytes")
         self.packets_sent = Counter(f"{name}_packets")
         #: Transmission attempts repeated after an injected loss.
@@ -66,9 +67,7 @@ class Link:
         """
         attempt = 0
         while True:
-            with self._wire.request() as req:
-                yield req
-                yield self.env.timeout(self.serialization_time(packet.size))
+            yield self._wire.serve(self.serialization_time(packet.size))
             self.bytes_sent.add(packet.size)
             self.packets_sent.add()
             if self.faults is None or not self.faults.should_drop(

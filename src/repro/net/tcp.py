@@ -27,7 +27,7 @@ from collections import deque
 from ..errors import ProtocolError
 from .packet import Packet
 
-__all__ = ["segment_sizes", "TcpStream"]
+__all__ = ["segment_sizes", "segments_for_strip", "TcpStream"]
 
 
 def segment_sizes(nbytes: int, mss: int) -> list[int]:
@@ -45,6 +45,23 @@ def segment_sizes(nbytes: int, mss: int) -> list[int]:
     if rest:
         sizes.append(rest)
     return sizes
+
+
+def segments_for_strip(base: Packet, mss: int | None) -> list[Packet]:
+    """Explode a strip-sized packet into per-segment packets.
+
+    With ``mss=None``, or a strip that fits one segment, the strip travels
+    as a single coalesced train (the default interrupt-per-strip
+    accounting) and ``base`` itself is returned: nothing downstream
+    mutates a packet in flight (the fault middlebox replaces packets).
+    """
+    if mss is None or base.size <= mss:
+        return [base]
+    sizes = segment_sizes(base.size, mss)
+    return [
+        dataclasses.replace(base, size=size, segment=i, n_segments=len(sizes))
+        for i, size in enumerate(sizes)
+    ]
 
 
 @dataclasses.dataclass
@@ -108,26 +125,6 @@ class TcpStream:
         seq = self._next_seq
         self._next_seq += 1
         return seq
-
-    def segments_for_strip(
-        self,
-        base: Packet,
-        mss: int | None,
-    ) -> list[Packet]:
-        """Explode a strip-sized packet into per-segment packets.
-
-        With ``mss=None`` the strip travels as a single coalesced train
-        (the default interrupt-per-strip accounting).
-        """
-        if mss is None or base.size <= mss:
-            return [dataclasses.replace(base, segment=0, n_segments=1)]
-        sizes = segment_sizes(base.size, mss)
-        return [
-            dataclasses.replace(
-                base, size=size, segment=i, n_segments=len(sizes)
-            )
-            for i, size in enumerate(sizes)
-        ]
 
     def observe_wire(self, packet: Packet) -> bool:
         """Record a segment's *wire arrival* order; True if it was in order.

@@ -82,7 +82,8 @@ class PfsClient:
         self.client_index = client_index
         self.layout = layout
         #: Dispatches a strip request toward its server (wired by the
-        #: cluster builder: request-path latency then ``IoServer.serve``).
+        #: cluster builder: ``IoServer.accept``, one request-path latency
+        #: later).
         self._submit = submit
         #: Client-side SAIs component (None on a stock PVFS client).
         self.hint_messager = hint_messager

@@ -18,7 +18,7 @@ from ..des.monitor import Counter
 from ..hw.disk import Disk
 from ..net.links import Link
 from ..net.packet import Packet
-from ..net.tcp import TcpStream
+from ..net.tcp import segments_for_strip
 from ..rng import Pcg64Stream, hash_unit
 from .request import StripRequest
 
@@ -65,7 +65,6 @@ class IoServer:
         #: Span recorder + this server's serve lane (repro.obs); None off.
         self.spans = spans
         self.obs_track = obs_track
-        self._streams: dict[int, TcpStream] = {}
         self.disk = Disk(
             env, rate=config.disk_rate, seek=config.disk_seek, rng=rng
         )
@@ -73,36 +72,109 @@ class IoServer:
         self.bytes_served = Counter(f"server{index}_bytes")
         self.cache_hits = Counter(f"server{index}_cache_hits")
 
-    def serve(self, request: StripRequest) -> t.Generator:
-        """Handle one strip request end-to-end (run as a process)."""
+    def accept(self, request: StripRequest, arrival: float) -> None:
+        """Take one strip request that reaches this server at ``arrival``.
+
+        ``arrival`` is an absolute instant, now or later: the builder
+        accepts a read request when it leaves the client and a written
+        strip when it leaves the fabric.  Everything before the reply's
+        first shared hop is private to the request (service overhead, a
+        page-cache or buffered-write copy, the straggler stretch), so it
+        is summed here into the start instant of one process, with the
+        float expressions a chain of timeouts would evaluate.  A read hit
+        and a write's ack start at their uplink request, a read miss at
+        its disk request.
+        """
         if request.server != self.index:
             raise ValueError(
                 f"strip for server {request.server} routed to server {self.index}"
             )
-        if self._drop_if_offline():
+        env = self.env
+        config = self.config
+        faults = self.faults
+        if faults is not None and faults.server_offline(self.index, arrival):
+            # Inside a transient-failure window the request vanishes; the
+            # client-side retry watchdog is what recovers it, exactly the
+            # failure mode a crashed-and-restarting server presents.  The
+            # drop is counted at the arrival instant.
+            env.call_at(arrival, faults.requests_dropped.add, 1.0)
             return
-        sid = None
-        if self.spans is not None:
-            # Concurrent serves on one server legitimately overlap, so
-            # the lane uses async (b/e) rendering.
-            sid = self.spans.begin(
-                "serve",
-                "server",
-                self.obs_track,
-                parent=self.spans.strip_span(request.client, request.strip_id),
-                overlapping=True,
-                args={"strip": request.strip_id, "size": request.size},
+        fetch_at = arrival + config.service_overhead
+        if request.is_write:
+            # Buffered write: PVFS servers ack once the data is copied into
+            # the page cache at memory speed; the flush is asynchronous.
+            env.process(
+                self._acknowledge(request, arrival),
+                quiet=True,
+                start_at=fetch_at + request.size / config.cache_rate,
             )
-        if self.config.service_overhead > 0:
-            yield self.env.timeout(self.config.service_overhead)
-        fetch_started = self.env.now
-        yield from self._storage_fetch(request.size, request.offset)
+        elif hash_unit(self.index, request.offset) < config.cache_hit_ratio:
+            # Whether an offset is page-cache-resident is a property of
+            # the data (keyed on the offset), not of event order, so
+            # paired A/B policy runs see identical hit patterns.
+            ready = fetch_at + request.size / config.cache_rate
+            factor = self._slowdown()
+            if factor > 1.0:
+                ready = ready + (factor - 1.0) * (ready - fetch_at)
+            if faults is not None:
+                # A re-submitted strip may still be in flight when the
+                # run ends, so the hit is counted at its fetch instant.
+                env.call_at(fetch_at, self.cache_hits.add, 1.0)
+            env.process(
+                self._reply(request, arrival, fetch_at, faults is None),
+                quiet=True,
+                start_at=ready,
+            )
+        else:
+            env.process(
+                self._read_miss(request, arrival), quiet=True, start_at=fetch_at
+            )
+
+    #: Size of a write acknowledgement message on the wire.
+    ACK_SIZE = 1024
+
+    def _slowdown(self) -> float:
+        """Straggler service-time multiplier of this server (1.0 = healthy).
+
+        The slowdown is extra service time proportional to the storage
+        fetch's duration, so it stretches cache hits and disk reads alike —
+        a uniformly slow server, as in the straggler literature, not just a
+        slow spindle.
+        """
+        if self.faults is None:
+            return 1.0
+        return self.faults.server_slowdown(self.index)
+
+    def _read_miss(self, request: StripRequest, arrival: float) -> t.Generator:
+        """A page-cache miss, started at its disk request."""
+        fetch_at = self.env.now
+        yield from self.disk.read(request.size)
+        factor = self._slowdown()
+        if factor > 1.0:
+            yield self.env.timeout((factor - 1.0) * (self.env.now - fetch_at))
+        yield from self._reply(request, arrival, fetch_at)
+
+    def _reply(
+        self,
+        request: StripRequest,
+        arrival: float,
+        fetch_at: float,
+        count_hit: bool = False,
+    ) -> t.Generator:
+        """Return the fetched strip as one packet train over the uplink,
+        started at its uplink request."""
+        if count_hit:
+            # Every strip of a fault-free run is awaited by its IOR
+            # process, so this start lies inside the run and the hit
+            # counts the same here as at its fetch instant.
+            self.cache_hits.add()
+        sid = self._begin_span("serve", request, arrival)
         if sid is not None:
             self.spans.add(
                 "storage",
                 "server",
                 self.obs_track,
-                start=fetch_started,
+                start=fetch_at,
                 end=self.env.now,
                 parent=sid,
                 overlapping=True,
@@ -119,57 +191,28 @@ class IoServer:
             self.capsuler.encapsulate(packet, request.hint_aff_core_id)
         self.strips_served.add()
         self.bytes_served.add(request.size)
-        stream = self._streams.setdefault(
-            request.client, TcpStream(self.index, request.client)
-        )
-        if self.fastpath is not None:
-            for segment in stream.segments_for_strip(packet, self.mss):
-                # The IP option's copied flag (Fig. 4) replicates the hint
-                # onto every segment, so SrcParser works on any of them.
-                yield from self.fastpath.transmit_to_client(
-                    self.uplink, segment
-                )
-        else:
-            for segment in stream.segments_for_strip(packet, self.mss):
+        fastpath = self.fastpath
+        for segment in segments_for_strip(packet, self.mss):
+            # The IP option's copied flag (Fig. 4) replicates the hint
+            # onto every segment, so SrcParser works on any of them.
+            if fastpath is not None:
+                yield from fastpath.transmit_to_client(self.uplink, segment)
+            else:
                 yield from self.uplink.transmit(segment, self._deliver)
         if sid is not None:
             self.spans.end(sid)
 
-    #: Size of a write acknowledgement message on the wire.
-    ACK_SIZE = 1024
+    def _acknowledge(
+        self, request: StripRequest, arrival: float
+    ) -> t.Generator:
+        """Acknowledge one buffered write, started at the ack's uplink
+        request.
 
-    def serve_write(self, request: StripRequest) -> t.Generator:
-        """Absorb one written strip and return a small acknowledgement.
-
-        Writes land in the server's page cache (PVFS servers ack once the
-        data is buffered; the flush is asynchronous), so the client-visible
-        cost is the buffered-write copy plus the ack round trip.  The ack
-        still traverses the full interrupt path on the client — but it is
-        tiny and carries no consumable data, which is exactly why the
-        paper scopes the locality problem to reads.
+        The ack still traverses the full interrupt path on the client —
+        but it is tiny and carries no consumable data, which is exactly
+        why the paper scopes the locality problem to reads.
         """
-        if request.server != self.index:
-            raise ValueError(
-                f"strip for server {request.server} routed to server {self.index}"
-            )
-        if not request.is_write:
-            raise ValueError("serve_write called with a read strip request")
-        if self._drop_if_offline():
-            return
-        sid = None
-        if self.spans is not None:
-            sid = self.spans.begin(
-                "serve_write",
-                "server",
-                self.obs_track,
-                parent=self.spans.strip_span(request.client, request.strip_id),
-                overlapping=True,
-                args={"strip": request.strip_id, "size": request.size},
-            )
-        if self.config.service_overhead > 0:
-            yield self.env.timeout(self.config.service_overhead)
-        # Buffered write: memory-speed copy into the page cache.
-        yield self.env.timeout(request.size / self.config.cache_rate)
+        sid = self._begin_span("serve_write", request, arrival)
         # Asynchronous flush to disk, off the client's critical path.
         self.env.process(self.disk.write(request.size), quiet=True)
         ack = Packet(
@@ -192,48 +235,20 @@ class IoServer:
         if sid is not None:
             self.spans.end(sid)
 
-    def _drop_if_offline(self) -> bool:
-        """Transient-failure check: inside a window, requests vanish.
-
-        The client-side retry watchdog is what recovers them — exactly
-        the failure mode a crashed-and-restarting server presents.
-        """
-        if self.faults is not None and self.faults.server_offline(
-            self.index, self.env.now
-        ):
-            self.faults.requests_dropped.add()
-            return True
-        return False
-
-    def _storage_fetch(self, nbytes: int, offset: int) -> t.Generator:
-        """:meth:`_fetch` plus the straggler slowdown, when one applies.
-
-        The slowdown is charged as extra service time proportional to
-        the *measured* fetch duration, so it stretches cache hits and
-        disk reads alike — a uniformly slow server, as in the straggler
-        literature, not just a slow spindle.
-        """
-        factor = (
-            self.faults.server_slowdown(self.index)
-            if self.faults is not None
-            else 1.0
+    def _begin_span(
+        self, name: str, request: StripRequest, arrival: float
+    ) -> int | None:
+        """Open the serve lane's span of one request at its arrival."""
+        if self.spans is None:
+            return None
+        # Concurrent serves on one server legitimately overlap, so the
+        # lane uses async (b/e) rendering.
+        return self.spans.begin(
+            name,
+            "server",
+            self.obs_track,
+            parent=self.spans.strip_span(request.client, request.strip_id),
+            args={"strip": request.strip_id, "size": request.size},
+            start=arrival,
+            overlapping=True,
         )
-        if factor <= 1.0:
-            yield from self._fetch(nbytes, offset)
-            return
-        started = self.env.now
-        yield from self._fetch(nbytes, offset)
-        yield self.env.timeout((factor - 1.0) * (self.env.now - started))
-
-    def _fetch(self, nbytes: int, offset: int) -> t.Generator:
-        """Read ``nbytes`` at ``offset`` from page cache or disk.
-
-        Whether an offset is page-cache-resident is a property of the data
-        (keyed deterministically on the offset), not of event order — so
-        paired A/B policy runs see identical hit patterns.
-        """
-        if hash_unit(self.index, offset) < self.config.cache_hit_ratio:
-            self.cache_hits.add()
-            yield self.env.timeout(nbytes / self.config.cache_rate)
-        else:
-            yield from self.disk.read(nbytes)

@@ -186,17 +186,59 @@ class TestQuietProcesses:
         with pytest.raises(RuntimeError, match="kept visible"):
             env.run()
 
-    def test_start_delay_defers_the_first_step(self, env):
+    def test_start_at_defers_the_first_step(self, env):
         seen = []
 
         def proc():
             seen.append(env.now)
             yield env.timeout(1.0)
 
-        env.process(proc(), start_delay=3.0)
+        env.process(proc(), start_at=3.0)
         env.run()
         assert seen == [3.0]
         assert env.now == 4.0
+
+    def test_start_at_orders_like_a_timeout_created_now(self, env):
+        order = []
+
+        def tagged(tag):
+            order.append(tag)
+            yield env.timeout(0.0)
+
+        def witness():
+            yield env.timeout(2.0)
+            order.append("timeout")
+
+        env.process(witness())
+        env.run(until=1.0)
+        # Created after the witness's timeout, so it runs after it; an
+        # earlier-created timeout still runs first at the same instant.
+        env.process(tagged("started"), start_at=2.0)
+        env.run()
+        assert order == ["timeout", "started"]
+
+    def test_start_at_now_is_an_immediate_start(self, env):
+        order = []
+
+        def proc():
+            order.append("started")
+            yield env.timeout(0.0)
+
+        env.timeout(0.0).callbacks.append(lambda _e: order.append("timeout"))
+        env.process(proc(), start_at=env.now)
+        env.run()
+        # URGENT, like a start with no deferral: ahead of the earlier
+        # same-instant timeout.
+        assert order == ["started", "timeout"]
+
+    def test_start_at_in_the_past_is_rejected(self, env):
+        env.run(until=2.0)
+
+        def proc():
+            yield env.timeout(1.0)
+
+        with pytest.raises(SimulationError):
+            env.process(proc(), start_at=1.0)
 
 
 class TestInlineGrant:

@@ -40,8 +40,8 @@ def test_quick_scale_snapshot(exp_id, update_goldens):
 
 @pytest.mark.parametrize(
     "shards,server_shards",
-    [(2, None), (4, 2)],
-    ids=["one-server-calendar", "server-split"],
+    [(4, 2)],
+    ids=["server-split"],
 )
 @pytest.mark.parametrize("exp_id", all_experiment_ids())
 def test_quick_scale_snapshot_sharded(
@@ -51,19 +51,15 @@ def test_quick_scale_snapshot_sharded(
 
     Within-run sharding is gone (DESIGN.md §10), and with it every
     reader of its environment variables.  A shell or script that still
-    exports them — the classic two-calendar request or the server-split
-    one, with a transport and a round trace — must get the
-    single-calendar bytes: every quick-scale golden stays byte-identical
-    and no round trace is written."""
+    exports the server-split request, with a transport and a round
+    trace, must get the single-calendar bytes: every quick-scale golden
+    stays byte-identical and no round trace is written."""
     path = golden_path(exp_id, "quick")
     rounds = tmp_path / "rounds.json"
     monkeypatch.setenv("REPRO_SHARDS", str(shards))
     monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "inproc")
     monkeypatch.setenv("REPRO_TRACE_ROUNDS", str(rounds))
-    if server_shards is None:
-        monkeypatch.delenv("REPRO_SERVER_SHARDS", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_SERVER_SHARDS", str(server_shards))
+    monkeypatch.setenv("REPRO_SERVER_SHARDS", str(server_shards))
     payload = run_experiment_by_id(exp_id, scale="quick").to_dict()
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert payload == golden, (

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import CostModel
 from repro.des import Environment
-from repro.hw import InterconnectBus, MemoryBus
+from repro.hw import Core, InterconnectBus, MemoryBus
 from repro.units import KiB, MiB
 
 
@@ -52,6 +52,57 @@ class TestInterconnectBus:
             128 * KiB
         )
         assert bus.total_busy_time == pytest.approx(expected)
+
+
+    def test_stalled_core_is_busy_from_grant_to_completion(self, env):
+        """A queued consumer is idle; the granted transfer stalls it."""
+        costs = CostModel()
+        bus = InterconnectBus(env, costs)
+        first, second = Core(env, 0, 1e9), Core(env, 1, 1e9)
+        grants = []
+
+        def merge(core):
+            granted_at = yield from bus.transfer(64 * KiB, core=core)
+            grants.append(granted_at)
+
+        env.process(merge(first))
+        env.process(merge(second))
+        env.run()
+        m = costs.strip_migration_time(64 * KiB)
+        assert grants == [0.0, m]
+        assert first.busy_time == pytest.approx(m)
+        assert second.busy_time == pytest.approx(m)  # not 2m: queue is idle
+        assert second.busy_by_category["migration"] == pytest.approx(m)
+        assert bus.wait_time.value == pytest.approx(m)
+        assert not first.is_busy and not second.is_busy
+
+    def test_refetch_category_and_rate(self, env):
+        costs = CostModel()
+        bus = InterconnectBus(env, costs)
+        core = Core(env, 0, 1e9)
+        env.process(
+            bus.transfer(
+                64 * KiB, costs.mem_fetch_rate, core=core, category="memory_fetch"
+            )
+        )
+        env.run()
+        expected = costs.c2c_latency + 64 * KiB / costs.mem_fetch_rate
+        assert env.now == pytest.approx(expected)
+        assert core.busy_by_category["memory_fetch"] == pytest.approx(expected)
+        assert bus.migrations.value == 1
+
+    def test_signals_share_the_bus_but_not_the_counters(self, env):
+        costs = CostModel()
+        bus = InterconnectBus(env, costs)
+        env.process(bus.transfer(64 * KiB))
+        env.process(bus.signal())
+        env.run()
+        m = costs.strip_migration_time(64 * KiB)
+        assert env.now == pytest.approx(m + costs.c2c_latency)
+        assert bus.signals.value == 1
+        assert bus.migrations.value == 1
+        assert bus.wait_time.value == 0.0
+        assert bus.total_busy_time == pytest.approx(m + costs.c2c_latency)
 
 
 class TestMemoryBus:

@@ -4,7 +4,14 @@ import pytest
 
 from repro.des import Environment
 from repro.errors import ProtocolError
-from repro.net import Link, Packet, Switch, TcpStream, segment_sizes
+from repro.net import (
+    Link,
+    Packet,
+    Switch,
+    TcpStream,
+    segment_sizes,
+    segments_for_strip,
+)
 from repro.units import KiB, MiB
 
 
@@ -166,16 +173,19 @@ class TestTcpStream:
     def test_multi_segment_strip(self):
         stream = TcpStream(server=0, client=0)
         base = make_packet(size=3000, strip=5)
-        segments = stream.segments_for_strip(base, mss=1500)
+        segments = segments_for_strip(base, mss=1500)
         assert len(segments) == 2
         assert stream.deliver(segments[0]) is False
         assert stream.deliver(segments[1]) is True
 
     def test_no_mss_means_single_train(self):
-        stream = TcpStream(server=0, client=0)
-        segments = stream.segments_for_strip(make_packet(size=64 * KiB), mss=None)
+        base = make_packet(size=64 * KiB)
+        segments = segments_for_strip(base, mss=None)
         assert len(segments) == 1
         assert segments[0].n_segments == 1
+        # An unsplit strip travels as the packet itself, not a copy.
+        assert segments[0] is base
+        assert segments_for_strip(base, mss=64 * KiB)[0] is base
 
     def test_duplicate_segment_rejected(self):
         stream = TcpStream(server=0, client=0)
@@ -196,6 +206,6 @@ class TestTcpStream:
     def test_in_flight_tracking(self):
         stream = TcpStream(server=0, client=0)
         base = make_packet(size=3000, strip=7)
-        segments = stream.segments_for_strip(base, mss=1500)
+        segments = segments_for_strip(base, mss=1500)
         stream.deliver(segments[0])
         assert list(stream.in_flight_strips()) == [7]

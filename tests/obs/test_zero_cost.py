@@ -8,7 +8,7 @@ tracing disabled (the default — nothing on the experiment path ever
 constructs a recorder), the committed goldens and the pinned event counts
 cannot move.  The golden snapshots themselves are asserted by
 ``tests/experiments/test_golden_snapshots.py``; here we pin the exact
-event count and end time of nine points, one per simulator regime, and
+event count and end time of ten points, one per simulator regime, and
 prove the enabled/disabled A/B identity.
 """
 
@@ -104,6 +104,7 @@ def _point(
     n_processes=4,
     transfer=512 * KiB,
     file_size=2 * MiB,
+    faults=None,
 ):
     """A 3-Gigabit-client point, by default 8 servers reading 2 MiB."""
     return ClusterConfig(
@@ -118,7 +119,25 @@ def _point(
             operation=operation,
         ),
         policy=policy,
+        faults=faults,
     )
+
+
+def _faulty_server_tier():
+    return _point(
+        None,
+        faults=FaultPlan(
+            loss_prob=0.05,
+            straggler_servers=(1,),
+            straggler_slowdown=3.0,
+            server_failure_windows=((2, 0.005, 0.015),),
+            strip_retry_timeout=0.01,
+            seed=5,
+        ),
+    )
+
+
+_FAULTY_END = "0x1.84d32afcf835dp-4"
 
 
 def _pinned_points():
@@ -130,48 +149,52 @@ def _pinned_points():
     )[0].config
     return (
         # MSS 1500: every 64 KiB strip is a ~44-segment train.
-        ("mtu1500_read", _point(1500), 23_488, "0x1.bbaea50ab6799p-5"),
+        ("mtu1500_read", _point(1500), 17_600, "0x1.bbaea50ab6799p-5"),
         # Jumbo frames: ~8 segments per strip.
-        ("jumbo9k_read", _point(8960), 5_019, "0x1.bc707a54b52adp-5"),
+        ("jumbo9k_read", _point(8960), 3_739, "0x1.bc707a54b52adp-5"),
         # mss=None: one interrupt per strip, as in the Fig. 5-11 sweeps.
-        ("strip_train_read", _point(None), 1_360, "0x1.ca070286fbd28p-5"),
+        ("strip_train_read", _point(None), 976, "0x1.ca070286fbd28p-5"),
         (
             "micro_read",
             _point(
                 1500, n_processes=2, transfer=128 * KiB, file_size=256 * KiB
             ),
-            1_478,
+            1_110,
             "0x1.bb078349d546fp-7",
         ),
         # A generator-drawn point: drift in the scenario generator's
         # draws changes its config and so its counts.
-        ("scenario_mixed", scenario, 503, "0x1.33ba805be73f9p-7"),
+        ("scenario_mixed", scenario, 356, "0x1.33ba805be73f9p-7"),
         # Four clients fan in from 16 servers: client-side NIC and
         # softirq work dominates.
         (
             "fanin_multiclient",
             _point(1500, n_servers=16, n_clients=4, file_size=4 * MiB),
-            187_679,
+            140_575,
             "0x1.6a9b4e336f474p-3",
         ),
         (
             "irqbalance_jumbo9k",
             _point(8960, policy="irqbalance"),
-            5_323,
+            3_932,
             "0x1.c550df5cbe474p-5",
         ),
         (
             "napi_mtu1500",
             _point(1500, napi=True),
-            23_488,
+            17_588,
             "0x1.bbb7484020d43p-5",
         ),
         (
             "write_path",
             _point(None, operation="write"),
-            1_771,
+            1_218,
             "0x1.a6dedcf3cf2d0p-6",
         ),
+        # The server tier under faults: a lost segment is re-sent, server
+        # 1 straggles, and server 2 drops what arrives inside its failure
+        # window until the client's retry watchdog re-submits it.
+        ("faulty_server_tier", _faulty_server_tier(), 1_574, _FAULTY_END),
     )
 
 
@@ -188,6 +211,30 @@ class TestCommittedBenchCounts:
             if got != (elapsed, events):
                 drifted.append(f"{name}: got {got}, want {(elapsed, events)}")
         assert not drifted, "\n".join(drifted)
+
+
+    def test_server_tier_counters_match_committed_baseline(self):
+        """The server tier's fault and cache counters end the faulty run
+        with the values the timeout-chain server produced: a dropped
+        request is counted at its arrival instant and a hit at its fetch
+        instant, even when a re-submitted strip is still in flight."""
+        sim = Simulation(_faulty_server_tier())
+        metrics = sim.run()
+        servers = sim.cluster.servers
+        assert metrics.elapsed.hex() == _FAULTY_END
+        resilience = metrics.resilience
+        assert (
+            resilience.requests_dropped,
+            resilience.packets_dropped,
+            resilience.strip_retries,
+            resilience.duplicate_strips,
+        ) == (2, 5, 20, 17)
+        assert [s.cache_hits.value for s in servers] == [
+            10, 9, 8, 13, 13, 10, 10, 8
+        ]
+        assert [s.disk.requests.value for s in servers] == [
+            6, 15, 8, 3, 3, 9, 7, 14
+        ]
 
 
 class TestNothingConstructsARecorderByDefault:

@@ -159,7 +159,7 @@ class TestIoServer:
 
     def test_serves_strip_as_packet(self, env):
         server, delivered = self.make_server(env)
-        env.process(server.serve(self.request()))
+        server.accept(self.request(), env.now)
         env.run()
         assert len(delivered) == 1
         packet = delivered[0]
@@ -171,48 +171,91 @@ class TestIoServer:
     def test_wrong_server_rejected(self, env):
         server, _ = self.make_server(env)
         with pytest.raises(ValueError):
-            list(server.serve(self.request(server=3)))
+            server.accept(self.request(server=3), env.now)
 
     def test_capsuler_stamps_options(self, env):
         server, delivered = self.make_server(env, capsuler=HintCapsuler())
-        env.process(server.serve(self.request(hint=4)))
+        server.accept(self.request(hint=4), env.now)
         env.run()
         assert decode_aff_core_id(delivered[0].options) == 4
 
     def test_no_capsuler_no_options(self, env):
         server, delivered = self.make_server(env)
-        env.process(server.serve(self.request(hint=4)))
+        server.accept(self.request(hint=4), env.now)
         env.run()
         assert delivered[0].options == b""
 
     def test_page_cache_hit_is_deterministic_per_offset(self, env):
         server, _ = self.make_server(env, cache_hit_ratio=0.5)
         before = server.cache_hits.value
-
-        def drive(env):
-            yield from server.serve(self.request(offset=0))
-            yield from server.serve(self.request(offset=0))
-
-        env.process(drive(env))
+        server.accept(self.request(offset=0), env.now)
+        server.accept(self.request(offset=0), env.now)
         env.run()
         hits = server.cache_hits.value - before
         assert hits in (0, 2)  # same offset -> same outcome both times
 
     def test_all_hits_when_ratio_one(self, env):
         server, _ = self.make_server(env, cache_hit_ratio=1.0)
-
-        def drive(env):
-            for offset in range(0, 10 * 64 * KiB, 64 * KiB):
-                yield from server.serve(self.request(offset=offset))
-
-        env.process(drive(env))
+        for offset in range(0, 10 * 64 * KiB, 64 * KiB):
+            server.accept(self.request(offset=offset), env.now)
         env.run()
         assert server.cache_hits.value == 10
         assert server.disk.requests.value == 0
 
     def test_all_misses_when_ratio_zero(self, env):
         server, _ = self.make_server(env, cache_hit_ratio=0.0)
-        env.process(server.serve(self.request()))
+        server.accept(self.request(), env.now)
         env.run()
         assert server.cache_hits.value == 0
         assert server.disk.requests.value == 1
+
+    def test_hit_departs_after_the_folded_private_delays(self, env):
+        """A hit's one process starts at its uplink request: arrival +
+        service overhead + page-cache copy, summed as a timeout chain
+        would sum them."""
+        server, delivered = self.make_server(env, cache_hit_ratio=1.0)
+        config = server.config
+        arrival = 3e-6
+        server.accept(self.request(), arrival)
+        env.run()
+        ready = (arrival + config.service_overhead) + 64 * KiB / config.cache_rate
+        assert env.now == ready + server.uplink.serialization_time(64 * KiB)
+        assert len(delivered) == 1
+        # Process start, uplink completion and the link's delivery
+        # process: no overhead or page-cache timeout left.
+        assert env.events_processed == 3
+
+    def test_miss_starts_at_its_disk_request(self, env):
+        server, delivered = self.make_server(env, cache_hit_ratio=0.0)
+        server.accept(self.request(), 2e-6)
+        env.run(until=2e-6 + server.config.service_overhead)
+        assert server.disk.requests.value == 0
+        env.run()
+        assert server.disk.requests.value == 1
+        assert len(delivered) == 1
+
+    def test_write_is_acked_after_the_buffered_copy(self, env):
+        from repro.pfs.request import StripRequest
+
+        server, delivered = self.make_server(env)
+        config = server.config
+        write = StripRequest(
+            request_id=1,
+            client=0,
+            server=0,
+            strip_id=7,
+            offset=0,
+            size=64 * KiB,
+            issuing_core=2,
+            is_write=True,
+        )
+        server.accept(write, 0.0)
+        env.run()
+        ack_at = (0.0 + config.service_overhead) + 64 * KiB / config.cache_rate
+        (ack,) = delivered
+        assert not ack.carries_data
+        assert ack.size == server.ACK_SIZE
+        assert server.bytes_served.value == 64 * KiB
+        # The asynchronous flush reached the disk after the ack left.
+        assert server.disk.bytes_written.value == 64 * KiB
+        assert env.now >= ack_at + server.uplink.serialization_time(ack.size)
