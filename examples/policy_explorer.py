@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Policy explorer: all six interrupt-scheduling policies side by side.
+"""Policy explorer: every registered interrupt-scheduling policy side by side.
 
 Runs the same IOR workload under every registered policy — the paper's
 Sec. III taxonomy: (i) request core [SAIs], (ii) current process core,
-(iii) least-loaded, (iv) dedicated, plus round-robin and the irqbalance
-baseline — and shows how interrupt placement drives data locality.
+(iii) least-loaded, (iv) dedicated, plus round-robin, the irqbalance
+baseline and the modern NIC-steering schemes — and shows how interrupt
+placement drives data locality.
 
 Run:  python examples/policy_explorer.py
 """
@@ -12,31 +13,25 @@ Run:  python examples/policy_explorer.py
 from repro import (
     ClientConfig,
     ClusterConfig,
+    Simulation,
     WorkloadConfig,
     available_policies,
 )
-from repro.cluster.builder import build_cluster
-from repro.des import AllOf
-from repro.metrics import core_heatmap, render_table
-from repro.metrics.collectors import collect_client_metrics
-from repro.metrics.sar import SarSampler
+from repro.metrics import render_table
 from repro.units import MiB
-from repro.workloads import spawn_ior_processes
+
+#: Policies whose per-core busy shares are printed.
+HIGHLIGHTED = ("irqbalance", "source_aware", "dedicated")
 
 
-def run_sampled(config):
-    """Run one policy with a sar sampler attached; returns metrics + strips."""
-    cluster = build_cluster(config)
-    client = cluster.clients[0]
-    sampler = SarSampler(cluster.env, client.cores, interval=10e-3)
-    procs = spawn_ior_processes(client, config.workload)
-    cluster.env.run(until=AllOf(cluster.env, procs))
-    bytes_read = sum(int(p.value) for p in procs)
-    metrics = collect_client_metrics(client, cluster.env.now, bytes_read)
-    per_core = list(
-        zip(*(sample.per_core for sample in sampler.samples))
-    )
-    return metrics, per_core
+def run_policy(config):
+    """Run one policy; returns the client's metrics and each core's busy
+    share of the run (``core.busy_time / elapsed``)."""
+    sim = Simulation(config)
+    metrics = sim.run()
+    cores = sim.cluster.clients[0].cores
+    shares = [core.busy_time / metrics.elapsed for core in cores]
+    return metrics.clients[0], shares
 
 
 def main() -> None:
@@ -49,20 +44,16 @@ def main() -> None:
     )
 
     rows = []
-    heatmaps = {}
-    baseline_bw = None
+    busy_rows = []
     for policy in available_policies():
-        metrics, per_core = run_sampled(config.with_policy(policy))
-        client = metrics
-        if policy == "irqbalance":
-            baseline_bw = metrics.bandwidth
-        if policy in ("irqbalance", "source_aware", "dedicated"):
-            heatmaps[policy] = per_core
+        client, shares = run_policy(config.with_policy(policy))
+        if policy in HIGHLIGHTED:
+            busy_rows.append((policy, *(f"{share:.0%}" for share in shares)))
         rows.append(
             (
                 policy,
-                f"{metrics.bandwidth / MiB:.1f}",
-                f"{metrics.l2_miss_rate:.2%}",
+                f"{client.bandwidth / MiB:.1f}",
+                f"{client.l2_miss_rate:.2%}",
                 f"{client.consume_locations['local']}",
                 f"{client.consume_locations['remote']}",
                 f"{client.consume_locations['memory']}",
@@ -85,7 +76,6 @@ def main() -> None:
             title="Where each policy leaves the data (32 servers, 3-Gigabit NIC)",
         )
     )
-    assert baseline_bw is not None
     print()
     print(
         "The 'local' column is the whole story: source-aware policies "
@@ -94,11 +84,14 @@ def main() -> None:
         "cache-to-cache migration per strip."
     )
     print()
-    print("Per-core load over time (10 ms sar intervals, dark = busy):")
-    for policy, per_core in heatmaps.items():
-        print()
-        print(f"[{policy}]")
-        print(core_heatmap([series[:72] for series in per_core]))
+    n_cores = config.client.n_cores
+    print(
+        render_table(
+            ("policy", *(f"core {i}" for i in range(n_cores))),
+            busy_rows,
+            title="Where the work landed: each core's busy share of the run",
+        )
+    )
 
 
 if __name__ == "__main__":

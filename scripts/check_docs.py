@@ -1,8 +1,10 @@
 #!/usr/bin/env python
-"""Docs hygiene checker: broken links, stale CLI flags, API coverage.
+"""Docs hygiene checker: broken links, stale CLI flags, API coverage,
+stale dotted names.
 
-Three fast, dependency-free checks over the user-facing markdown
-(README.md, DESIGN.md, EXPERIMENTS.md, CONTRIBUTING.md, docs/*.md):
+Four fast, dependency-free checks over the user-facing markdown
+(README.md, DESIGN.md, EXPERIMENTS.md, CONTRIBUTING.md, ROADMAP.md,
+docs/*.md):
 
 1. **Links** — every relative markdown link/image target must exist in
    the repository (anchors are stripped; external schemes are skipped).
@@ -12,6 +14,10 @@ Three fast, dependency-free checks over the user-facing markdown
    options can't linger in prose.
 3. **API coverage** — ``docs/API.md`` must mention every ``src/repro``
    subsystem as ``repro.<name>``.
+4. **Dotted names** — every backticked dotted name that starts with
+   ``repro.`` must resolve: the longest importable module prefix is
+   imported and the rest looked up with ``getattr``, so deleted or moved
+   code can't linger in prose.
 
 Run from the repository root::
 
@@ -23,6 +29,7 @@ Exits non-zero listing every problem; CI runs this as a fast job.
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import re
 import sys
@@ -46,6 +53,7 @@ EXTERNAL_FLAGS = {
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w/-])--[a-z][a-z0-9-]+")
+DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def parser_flags() -> set[str]:
@@ -114,11 +122,51 @@ def check_api_coverage(problems: list[str]) -> None:
             problems.append(f"docs/API.md: subsystem repro.{name} not mentioned")
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from the
+    longest importable module prefix by ``getattr``."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            missing = exc.name or ""
+            if module_name == missing or module_name.startswith(missing + "."):
+                continue  # no such module: try a shorter prefix
+            raise  # a real module failed to import
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names(problems: list[str]) -> None:
+    seen: dict[str, bool] = {}
+    for rel in DOC_FILES:
+        path = ROOT / rel
+        if not path.exists():
+            continue
+        for line_no, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for name in DOTTED_RE.findall(line):
+                if name not in seen:
+                    seen[name] = resolves(name)
+                if not seen[name]:
+                    problems.append(
+                        f"{rel}:{line_no}: names {name}, which does not exist"
+                    )
+
+
 def main() -> int:
     problems: list[str] = []
     check_links(problems)
     check_flags(problems)
     check_api_coverage(problems)
+    check_dotted_names(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

@@ -23,7 +23,6 @@ from ..hw.apic import IoApic
 from ..hw.cache import CacheSystem, Location
 from ..hw.core import APP_PRIORITY, Core
 from ..hw.interconnect import InterconnectBus
-from ..hw.memory import MemoryBus
 from ..hw.nic import Nic
 from ..kernel.irq import wire_interrupts
 from ..kernel.process import ProcessTable
@@ -98,7 +97,6 @@ class ClientNode:
             cache_line=client_cfg.cache_line,
         )
         self.interconnect = InterconnectBus(env, costs)
-        self.membus = MemoryBus(env, client_cfg.memory_bandwidth)
         self.processes = ProcessTable(client_cfg.n_cores)
 
         # SAIs components exist only when the policy consumes hints; a
@@ -227,7 +225,8 @@ class ClientNode:
         * in a remote core's cache — the consumer stalls for the
           cache-to-cache migration, serialized on the interconnect bus
           (the paper's ``M`` and the heart of the whole effect);
-        * evicted to DRAM — a refetch over the shared memory bus.
+        * evicted to DRAM — a refetch at ``mem_fetch_rate``, serialized on
+          the same interconnect bus.
         """
         core = self.cores[core_index]
         spans = self.spans

@@ -7,7 +7,10 @@ The defaults model the paper's testbed (Sec. V-A):
 * servers = Sun-Fire 2200 compute nodes — 250 GB 7.2K-RPM SATA-II disk,
   1-Gigabit ports;
 * PVFS 2.8.1 with a 64 KiB strip size;
-* DDR2-667 memory, 5333 MB/s peak (JESD79-2F, the paper's ref [19]).
+* DDR2-667 memory: an evicted strip is refetched over the interconnect at
+  the latency-bound ``CostModel.mem_fetch_rate``, well below the 5333 MB/s
+  peak (JESD79-2F, the paper's ref [19]) that only the Section VI memory
+  simulation models (:class:`repro.memsim.MemsimConfig`).
 
 Per-byte cost rates in :class:`CostModel` are where the reproduction is
 *calibrated* rather than measured: they are chosen to be physically plausible
@@ -154,8 +157,6 @@ class ClientConfig:
     #: Number of bonded 1-Gigabit ports (1 or 3 in the paper).
     nic_ports: int = 3
     nic_port_bandwidth: float = 1.0 * Gbit
-    #: Shared memory bus peak (DDR2-667 x4 single rank).
-    memory_bandwidth: float = 5333 * MiB
     #: Linux-NAPI style adaptive coalescing: interrupts are disabled while
     #: a poll runs and the polling core drains pending packets in batches.
     #: Off by default — the paper-era driver raises one IRQ per strip.
@@ -172,7 +173,6 @@ class ClientConfig:
         _positive("cache_line", self.cache_line)
         _positive("nic_ports", self.nic_ports)
         _positive("nic_port_bandwidth", self.nic_port_bandwidth)
-        _positive("memory_bandwidth", self.memory_bandwidth)
         if self.l2_bytes % self.cache_line:
             raise ConfigError("l2_bytes must be a multiple of cache_line")
         if self.n_cores % self.n_sockets:

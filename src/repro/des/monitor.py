@@ -3,8 +3,8 @@
 Two kinds of instruments:
 
 * :class:`Counter` — monotonically accumulating event counts / byte totals;
-* :class:`TimeWeighted` — a piecewise-constant signal (queue length, busy
-  state) whose time-average matters.
+* :class:`IntervalAccumulator` — total busy time from begin/end marks (a
+  core's ``CPU_CLK_UNHALTED`` accounting).
 
 Both are cheap (O(1) per update) and deterministic.  The hardware models in
 :mod:`repro.hw` expose their statistics through these.
@@ -19,7 +19,7 @@ from ..errors import SimulationError
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .environment import Environment
 
-__all__ = ["Counter", "TimeWeighted", "IntervalAccumulator"]
+__all__ = ["Counter", "IntervalAccumulator"]
 
 
 class Counter:
@@ -39,53 +39,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    >>> from repro.des import Environment
-    >>> env = Environment()
-    >>> sig = TimeWeighted(env, initial=0.0)
-    >>> env.run(until=2.0); sig.set(1.0)
-    >>> env.run(until=4.0)
-    >>> sig.mean()          # 0 for 2s then 1 for 2s
-    0.5
-    """
-
-    __slots__ = ("env", "_value", "_last_change", "_area", "_start")
-
-    def __init__(self, env: "Environment", initial: float = 0.0) -> None:
-        self.env = env
-        self._value = float(initial)
-        self._last_change = env.now
-        self._area = 0.0
-        self._start = env.now
-
-    @property
-    def value(self) -> float:
-        """Current signal value."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Change the signal value at the current time."""
-        now = self.env.now
-        self._area += self._value * (now - self._last_change)
-        self._last_change = now
-        self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        """Shift the signal by ``delta`` at the current time."""
-        self.set(self._value + delta)
-
-    def mean(self, until: float | None = None) -> float:
-        """Time-average of the signal from creation to ``until`` (or now)."""
-        end = self.env.now if until is None else until
-        span = end - self._start
-        if span <= 0:
-            return self._value
-        area = self._area + self._value * (end - self._last_change)
-        return area / span
 
 
 class IntervalAccumulator:

@@ -32,7 +32,7 @@ from .grids import (
     single_point_key,
 )
 
-__all__ = ["run_ablation_policies", "run_ablation_costmodel"]
+__all__: list[str] = []
 
 _POLICIES = (
     "irqbalance",
@@ -110,8 +110,8 @@ def _assemble_policies(scale, specs, metrics_list) -> ExperimentResult:
     )
 
 
-#: All registered scheduling policies on the Fig. 5 (48-server) point.
-run_ablation_policies = register_grid_experiment(
+# All registered scheduling policies on the Fig. 5 (48-server) point.
+register_grid_experiment(
     "ablation_policies",
     grid=_grid_policies,
     run_point=run_single_point,
@@ -188,8 +188,8 @@ def _assemble_migration(scale, specs, metrics_list) -> ExperimentResult:
     )
 
 
-#: Policy (i) vs (ii) as migration-during-I/O becomes common.
-run_ablation_migration = register_grid_experiment(
+# Policy (i) vs (ii) as migration-during-I/O becomes common.
+register_grid_experiment(
     "ablation_migration",
     grid=_grid_migration,
     run_point=run_single_point,
@@ -253,8 +253,8 @@ def _assemble_write(scale, specs, metrics_list) -> ExperimentResult:
     )
 
 
-#: The write workload under both policies: the paper's scoping claim.
-run_ablation_write = register_grid_experiment(
+# The write workload under both policies: the paper's scoping claim.
+register_grid_experiment(
     "ablation_write_path",
     grid=_grid_write,
     run_point=run_single_point,
@@ -335,8 +335,8 @@ def _assemble_stripsize(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Sensitivity to the PVFS strip size (the paper fixes 64 KiB).
-run_ablation_stripsize = register_grid_experiment(
+# Sensitivity to the PVFS strip size (the paper fixes 64 KiB).
+register_grid_experiment(
     "ablation_stripsize",
     grid=_grid_stripsize,
     run_point=run_comparison_point,
@@ -415,8 +415,8 @@ def _assemble_costmodel(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: SAIs advantage vs the M/P ratio and the NIC bandwidth.
-run_ablation_costmodel = register_grid_experiment(
+# SAIs advantage vs the M/P ratio and the NIC bandwidth.
+register_grid_experiment(
     "ablation_costmodel",
     grid=_grid_costmodel,
     run_point=run_comparison_point,

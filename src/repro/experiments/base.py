@@ -156,11 +156,11 @@ def register_grid_experiment(
         [str, t.Sequence[t.Any], t.Sequence[t.Any]], ExperimentResult
     ],
     point_key: t.Callable[[t.Any], str] | None = None,
-) -> ExperimentFn:
+) -> None:
     """Register an experiment under ``exp_id``.
 
-    Returns its serial ``fn(scale) -> ExperimentResult`` runner, which
-    modules export under their historical ``run_*`` names.
+    :func:`get_experiment` returns its serial ``fn(scale) ->
+    ExperimentResult`` runner.
     """
     if exp_id in _REGISTRY:
         raise ConfigError(f"experiment {exp_id!r} already registered")
@@ -172,7 +172,6 @@ def register_grid_experiment(
         point_key=point_key,
     )
     _REGISTRY[exp_id] = experiment
-    return experiment.run_serial
 
 
 def get_grid_experiment(exp_id: str) -> GridExperiment:

@@ -20,7 +20,7 @@ from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import comparison_point_key, run_comparison_point
 
-__all__ = ["run_napi", "run_collective"]
+__all__: list[str] = []
 
 
 def _workload(scale: str) -> WorkloadConfig:
@@ -83,8 +83,8 @@ def _assemble_napi(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: SAIs vs irqbalance with and without NAPI coalescing.
-run_napi = register_grid_experiment(
+# SAIs vs irqbalance with and without NAPI coalescing.
+register_grid_experiment(
     "extension_napi",
     grid=_grid_napi,
     run_point=run_comparison_point,
@@ -150,8 +150,8 @@ def _assemble_collective(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Independent vs collective MPI-IO transfers under both policies.
-run_collective = register_grid_experiment(
+# Independent vs collective MPI-IO transfers under both policies.
+register_grid_experiment(
     "extension_collective",
     grid=_grid_collective,
     run_point=run_comparison_point,

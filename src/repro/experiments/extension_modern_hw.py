@@ -24,7 +24,7 @@ from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import comparison_point_key, run_comparison_point
 
-__all__ = ["run_modern_hw"]
+__all__: list[str] = []
 
 #: One grid cell: (generation label, config).
 GenerationSpec = t.Tuple[str, ClusterConfig]
@@ -97,8 +97,8 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Bandwidth speed-up of source-aware delivery per hardware generation.
-run_modern_hw = register_grid_experiment(
+# Bandwidth speed-up of source-aware delivery per hardware generation.
+register_grid_experiment(
     "extension_modern_hw",
     grid=_grid,
     run_point=_run_point,

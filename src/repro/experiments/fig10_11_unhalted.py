@@ -19,7 +19,7 @@ from .grids import (
     sweep_points,
 )
 
-__all__ = ["run_fig10", "run_fig11"]
+__all__: list[str] = []
 
 
 def _unhalted_rows(points):
@@ -72,8 +72,8 @@ def _assemble(
     )
 
 
-#: Regenerate Fig. 10 (1-Gigabit NIC).
-run_fig10 = register_grid_experiment(
+# Regenerate Fig. 10 (1-Gigabit NIC).
+register_grid_experiment(
     "fig10_unhalted_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
     run_point=run_comparison_point,
@@ -83,8 +83,8 @@ run_fig10 = register_grid_experiment(
     point_key=comparison_point_key,
 )
 
-#: Regenerate Fig. 11 (3-Gigabit NIC).
-run_fig11 = register_grid_experiment(
+# Regenerate Fig. 11 (3-Gigabit NIC).
+register_grid_experiment(
     "fig11_unhalted_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
     run_point=run_comparison_point,

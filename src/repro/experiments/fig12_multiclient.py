@@ -13,7 +13,7 @@ from ..units import Gbit, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import comparison_point_key, nic_config, run_comparison_point
 
-__all__ = ["run_fig12", "CLIENT_COUNTS"]
+__all__ = ["CLIENT_COUNTS"]
 
 #: The paper's client-count sweep.
 CLIENT_COUNTS = (4, 8, 16, 24, 32, 48, 56)
@@ -86,8 +86,8 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Regenerate Fig. 12: aggregate bandwidth vs number of clients.
-run_fig12 = register_grid_experiment(
+# Regenerate Fig. 12: aggregate bandwidth vs number of clients.
+register_grid_experiment(
     "fig12_multiclient",
     grid=_grid,
     run_point=run_comparison_point,

@@ -15,7 +15,7 @@ from ..memsim.experiment import SCHEMES
 from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 
-__all__ = ["run_fig14", "APP_COUNTS"]
+__all__ = ["APP_COUNTS"]
 
 #: Application-pair counts swept on the 8-core head node.
 APP_COUNTS = (1, 2, 3, 4, 6, 8, 12, 16)
@@ -119,8 +119,8 @@ def _assemble(scale, specs, metrics) -> ExperimentResult:
     )
 
 
-#: Regenerate Fig. 14: Si-SAIs vs Si-Irqbalance bandwidth sweep.
-run_fig14 = register_grid_experiment(
+# Regenerate Fig. 14: Si-SAIs vs Si-Irqbalance bandwidth sweep.
+register_grid_experiment(
     "fig14_memsim",
     grid=_grid,
     run_point=_run_point,

@@ -20,7 +20,7 @@ from .grids import (
     sweep_points,
 )
 
-__all__ = ["run_fig5", "run_sec5c"]
+__all__: list[str] = []
 
 
 def _bandwidth_rows(points):
@@ -100,8 +100,8 @@ def _assemble_sec5c(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Regenerate Fig. 5: IOR bandwidth under irqbalance vs SAIs, 3 Gb.
-run_fig5 = register_grid_experiment(
+# Regenerate Fig. 5: IOR bandwidth under irqbalance vs SAIs, 3 Gb.
+register_grid_experiment(
     "fig5_bandwidth_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
     run_point=run_comparison_point,
@@ -109,8 +109,8 @@ run_fig5 = register_grid_experiment(
     point_key=comparison_point_key,
 )
 
-#: Regenerate the Sec. V-C 1-Gigabit observation: NIC-bound, small gain.
-run_sec5c = register_grid_experiment(
+# Regenerate the Sec. V-C 1-Gigabit observation: NIC-bound, small gain.
+register_grid_experiment(
     "sec5c_bandwidth_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
     run_point=run_comparison_point,

@@ -19,7 +19,7 @@ from .grids import (
     sweep_points,
 )
 
-__all__ = ["run_fig6", "run_fig7"]
+__all__: list[str] = []
 
 
 def _missrate_rows(points):
@@ -69,10 +69,10 @@ def _assemble(
     )
 
 
-#: Regenerate Fig. 6 (1-Gigabit NIC).  The paper reports the gap
-#: qualitatively at 1 Gb; reuse the 3 Gb headline (~40%) as the
-#: reference magnitude.
-run_fig6 = register_grid_experiment(
+# Regenerate Fig. 6 (1-Gigabit NIC).  The paper reports the gap
+# qualitatively at 1 Gb; reuse the 3 Gb headline (~40%) as the
+# reference magnitude.
+register_grid_experiment(
     "fig6_missrate_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
     run_point=run_comparison_point,
@@ -82,8 +82,8 @@ run_fig6 = register_grid_experiment(
     point_key=comparison_point_key,
 )
 
-#: Regenerate Fig. 7 (3-Gigabit NIC): ~40% miss-rate reduction.
-run_fig7 = register_grid_experiment(
+# Regenerate Fig. 7 (3-Gigabit NIC): ~40% miss-rate reduction.
+register_grid_experiment(
     "fig7_missrate_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
     run_point=run_comparison_point,

@@ -18,7 +18,7 @@ from .grids import (
     sweep_points,
 )
 
-__all__ = ["run_fig8", "run_fig9"]
+__all__: list[str] = []
 
 
 def _util_rows(points):
@@ -104,8 +104,8 @@ def _assemble_fig9(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Regenerate Fig. 8: single application, 1-Gigabit NIC.
-run_fig8 = register_grid_experiment(
+# Regenerate Fig. 8: single application, 1-Gigabit NIC.
+register_grid_experiment(
     "fig8_cpuutil_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1, n_processes=1),
     run_point=run_comparison_point,
@@ -113,8 +113,8 @@ run_fig8 = register_grid_experiment(
     point_key=comparison_point_key,
 )
 
-#: Regenerate Fig. 9: 3-Gigabit NIC, irqbalance burns more CPU.
-run_fig9 = register_grid_experiment(
+# Regenerate Fig. 9: 3-Gigabit NIC, irqbalance burns more CPU.
+register_grid_experiment(
     "fig9_cpuutil_3g",
     grid=_grid_fig9,
     run_point=run_comparison_point,

@@ -29,7 +29,7 @@ from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import comparison_point_key, nic_config, run_comparison_point
 
-__all__ = ["run_resilience_loss", "run_resilience_straggler"]
+__all__: list[str] = []
 
 #: Combined loss / strip / reorder probability levels per scale.
 _LOSS_LEVELS = {
@@ -289,8 +289,8 @@ def _assemble_straggler(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Bandwidth retention under combined loss / stripping / reordering.
-run_resilience_loss = register_grid_experiment(
+# Bandwidth retention under combined loss / stripping / reordering.
+register_grid_experiment(
     "resilience_loss_sweep",
     grid=_loss_grid,
     run_point=run_comparison_point,
@@ -298,8 +298,8 @@ run_resilience_loss = register_grid_experiment(
     point_key=comparison_point_key,
 )
 
-#: Bandwidth retention with one slow (and briefly dead) I/O server.
-run_resilience_straggler = register_grid_experiment(
+# Bandwidth retention with one slow (and briefly dead) I/O server.
+register_grid_experiment(
     "resilience_straggler_sweep",
     grid=_straggler_grid,
     run_point=run_comparison_point,

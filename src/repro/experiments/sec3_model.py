@@ -15,7 +15,7 @@ from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import comparison_point_key, nic_config, run_comparison_point
 
-__all__ = ["run_sec3"]
+__all__: list[str] = []
 
 #: Simulator cross-check points (measured speed-ups must be ordered the
 #: way the analytic gap is).
@@ -103,8 +103,8 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-#: Evaluate eqs. (3)-(9) and compare trends with the simulator.
-run_sec3 = register_grid_experiment(
+# Evaluate eqs. (3)-(9) and compare trends with the simulator.
+register_grid_experiment(
     "sec3_model",
     grid=_grid,
     run_point=run_comparison_point,

@@ -27,7 +27,7 @@ from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import nic_config, run_single_point, single_point_key
 
-__all__ = ["run_steering_comparison", "run_steering_reorder_pathology"]
+__all__: list[str] = []
 
 #: Policies that bypass the interrupt path entirely (no APIC deliveries).
 _INTERRUPT_FREE = ("rdma_zerointr",)
@@ -132,8 +132,8 @@ def _assemble_comparison(scale, specs, metrics_list) -> ExperimentResult:
     )
 
 
-#: Every registered policy on the Fig. 5 (48-server, 3-Gigabit) point.
-run_steering_comparison = register_grid_experiment(
+# Every registered policy on the Fig. 5 (48-server, 3-Gigabit) point.
+register_grid_experiment(
     "steering_comparison",
     grid=_grid_comparison,
     run_point=run_single_point,
@@ -232,8 +232,8 @@ def _assemble_pathology(scale, specs, metrics_list) -> ExperimentResult:
     )
 
 
-#: RSS vs Flow Director on the segmented-flow + migration workload.
-run_steering_reorder_pathology = register_grid_experiment(
+# RSS vs Flow Director on the segmented-flow + migration workload.
+register_grid_experiment(
     "steering_reorder_pathology",
     grid=_grid_pathology,
     run_point=run_single_point,

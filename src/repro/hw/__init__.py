@@ -10,7 +10,8 @@ need (busy cycles, cache accesses/misses, bus occupancy):
 * :class:`~repro.hw.interconnect.InterconnectBus` — the serialized
   cache-to-cache transfer path (the paper's "only one strip migration can
   happen at any time");
-* :class:`~repro.hw.memory.MemoryBus` — shared DRAM bandwidth;
+* :class:`~repro.hw.memory.MemoryBus` — shared DRAM bandwidth of the
+  memory simulation (:mod:`repro.memsim`);
 * :class:`~repro.hw.nic.Nic` — receive-side serialization, coalescing and
   the driver hook where ``SrcParser`` runs;
 * :class:`~repro.hw.apic.IoApic` / :class:`~repro.hw.apic.LocalApic` — the

@@ -160,13 +160,6 @@ class Core:
             labels=labels,
         )
 
-    def utilization(self, elapsed: float | None = None) -> float:
-        """Busy fraction over ``elapsed`` (defaults to time since t=0)."""
-        span = self.env.now if elapsed is None else elapsed
-        if span <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / span)
-
     # -- load estimate (policy-visible) --------------------------------------
 
     def _note_load(self, busy: bool) -> None:

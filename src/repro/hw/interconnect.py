@@ -15,7 +15,7 @@ import typing as t
 
 from ..config import CostModel
 from ..des import Environment, FixedServiceFifo
-from ..des.monitor import Counter, TimeWeighted
+from ..des.monitor import Counter
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Core
@@ -37,8 +37,6 @@ class InterconnectBus:
         #: Time transfers spent *waiting* for the bus (queueing) — the
         #: contention signal that grows with server count.
         self.wait_time = Counter("migration_wait")
-        #: Instantaneous queue depth (for diagnostics).
-        self.queue_depth = TimeWeighted(env, 0.0)
         #: Small cross-core control messages carried (RPS/RFS softirq
         #: handoffs) — deliberately separate from :attr:`migrations`,
         #: which counts only strip-data transfers.
@@ -74,7 +72,6 @@ class InterconnectBus:
             duration = self.costs.strip_migration_time(nbytes)
         else:
             duration = self.costs.c2c_latency + nbytes / rate
-        self.queue_depth.add(1.0)
 
         def granted() -> None:
             self.wait_time.add(env.now - requested)
@@ -87,7 +84,6 @@ class InterconnectBus:
         self.bytes_moved.add(nbytes)
         if core is not None:
             core.end_stall(category, granted_at)
-        self.queue_depth.add(-1.0)
         return granted_at
 
     def signal(self) -> t.Generator:
@@ -115,9 +111,6 @@ class InterconnectBus:
         registry.register_counter(f"{prefix}.signals", self.signals)
         registry.register_counter(f"{prefix}.bytes_moved", self.bytes_moved)
         registry.register_counter(f"{prefix}.wait_time", self.wait_time)
-        registry.register_time_weighted(
-            f"{prefix}.queue_depth", self.queue_depth
-        )
         registry.register_probe(
             f"{prefix}.busy_time", lambda: self.total_busy_time
         )

@@ -79,49 +79,6 @@ def grouped_bars(
     return "\n".join(lines)
 
 
-_HEAT = " ▁▂▃▄▅▆▇█"
-
-
-def heat_strip(values: t.Sequence[float], vmax: float = 1.0) -> str:
-    """Render a sequence of [0, vmax] values as a density strip.
-
-    One character per value, from blank (0) to a full block (vmax) — a
-    terminal sparkline for utilization time series.
-    """
-    if not values:
-        raise ReproError("nothing to render")
-    if vmax <= 0:
-        raise ReproError("vmax must be positive")
-    cells = []
-    top = len(_HEAT) - 1
-    for value in values:
-        level = int(min(max(value / vmax, 0.0), 1.0) * top)
-        cells.append(_HEAT[level])
-    return "".join(cells)
-
-
-def core_heatmap(
-    per_core_series: t.Sequence[t.Sequence[float]],
-    labels: t.Sequence[str] | None = None,
-) -> str:
-    """One heat strip per core: a terminal view of where work landed.
-
-    ``per_core_series[c][k]`` is core ``c``'s utilization in interval
-    ``k`` (e.g. transposed :class:`~repro.metrics.sar.SarSampler`
-    samples).
-    """
-    if not per_core_series:
-        raise ReproError("no cores to render")
-    labels = labels or [f"core {i}" for i in range(len(per_core_series))]
-    if len(labels) != len(per_core_series):
-        raise ReproError("labels length mismatch")
-    width = max(len(str(label)) for label in labels)
-    return "\n".join(
-        f"{str(label).rjust(width)} |{heat_strip(series)}|"
-        for label, series in zip(labels, per_core_series)
-    )
-
-
 def _numeric(cell: t.Any) -> float | None:
     text = str(cell).strip().rstrip("%").replace("+", "")
     try:

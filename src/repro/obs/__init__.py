@@ -13,19 +13,19 @@ Two complementary layers, both **zero-cost when disabled**:
   event is added or reordered — goldens and pinned event counts stay
   byte-identical (``tests/obs/test_zero_cost.py``).
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` unifying the DES
-  monitor instruments (``Counter``/``TimeWeighted``), ``sar`` samples and
-  the fault/recovery counters behind one labeled snapshot, so experiments,
-  perfbench and the trace exporter pull from a single source.
+  monitor ``Counter`` instruments, busy-time probes and the fault/recovery
+  counters behind one labeled snapshot, so perfbench and tests read every
+  component's counts from a single source.
 
 Exports (:mod:`repro.obs.export`) target Chrome trace-event JSON —
 loadable in ui.perfetto.dev or chrome://tracing — plus an ASCII tree/
 timeline fallback.  ``python -m repro trace <experiment>`` drives it.
 
-On top of the recorder sits :mod:`repro.obs.analysis`: stage breakdowns
-folded from span trees, the per-strip lifecycle breakdown (the span tree
-is the only record of a strip's issued/served/received/handled/merged
-stamps), critical-path extraction over parents + flow edges, and the
-``sais-repro trace diff`` A/B attribution engine.
+On top of the recorder sits :mod:`repro.obs.analysis`: per-strip stage
+durations folded from span trees, the per-strip lifecycle breakdown (the
+span tree is the only record of a strip's issued/served/received/handled/
+merged stamps), critical-path extraction over parents + flow edges, and
+the ``sais-repro trace diff`` A/B attribution engine.
 
 This package exports only the recorder and the registry, which every
 simulation imports.  Import the trace-only names from their submodules

@@ -1,4 +1,4 @@
-"""Trace analysis: stage breakdowns, critical paths, and A/B span diffs.
+"""Trace analysis: stage durations, critical paths, and A/B span diffs.
 
 The span recorder (:mod:`repro.obs.spans`) captures *what happened*; this
 module answers *where the time went*.  It operates on a normalized
@@ -6,9 +6,10 @@ module answers *where the time went*.  It operates on a normalized
 (float-exact) or from an exported Chrome trace-event JSON file
 (microsecond-rounded, but deterministic), and provides four analyses:
 
-* **Stage breakdowns** — every per-strip span tree folds into named stage
-  durations (server service, storage, switch, NIC wire, irq, softirq,
-  merge, migration/refetch), aggregated per client and per run.
+* **Stage durations** — :func:`stage_durations` folds every per-strip
+  span tree into named stage durations (server service, storage, switch,
+  NIC wire, irq, softirq, merge, migration/refetch), the per-strip input
+  of the A/B diff.
 * **Lifecycle breakdowns** — :func:`strip_stage_times` reads each
   strip's five lifecycle stamps (:data:`LIFECYCLE_STAGES`, the paper's
   eq. (1) split) off its span tree, and :func:`breakdown_from_spans`
@@ -46,9 +47,7 @@ __all__ = [
     "model_from_recorder",
     "model_from_events",
     "load_trace",
-    "StageStat",
-    "StageBreakdown",
-    "stage_breakdown",
+    "stage_durations",
     "LIFECYCLE_STAGES",
     "StageDelta",
     "LatencyBreakdown",
@@ -69,7 +68,7 @@ __all__ = [
 #: Span names that fold into named stage durations, in pipeline order.
 #: ``serve``/``storage`` live on the server, ``switch`` on the fabric,
 #: ``wire``/``irq``/``softirq``/``merge`` on the client, and
-#: ``migration``/``memory_fetch`` on the interconnect/memory bus.
+#: ``migration``/``memory_fetch`` on the interconnect.
 STAGE_NAMES = (
     "serve",
     "storage",
@@ -358,48 +357,7 @@ def load_trace(path: str) -> TraceModel:
         raise ConfigError(f"{path!r}: {exc}") from exc
 
 
-# -- stage breakdowns --------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class StageStat:
-    """One stage's durations aggregated over strips."""
-
-    stage: str
-    count: int
-    total: float
-    mean: float
-    p99: float
-
-
-@dataclasses.dataclass(frozen=True)
-class StageBreakdown:
-    """Per-stage durations for one run: aggregate plus per-client."""
-
-    policy: str
-    strips: int
-    per_stage: tuple[StageStat, ...]
-    per_client: tuple[tuple[int, tuple[StageStat, ...]], ...]
-
-    def stat(self, stage: str) -> StageStat | None:
-        for entry in self.per_stage:
-            if entry.stage == stage:
-                return entry
-        return None
-
-    def to_dict(self) -> dict[str, t.Any]:
-        return {
-            "policy": self.policy,
-            "strips": self.strips,
-            "per_stage": [dataclasses.asdict(s) for s in self.per_stage],
-            "per_client": [
-                {
-                    "client": client,
-                    "per_stage": [dataclasses.asdict(s) for s in stats],
-                }
-                for client, stats in self.per_client
-            ],
-        }
+# -- stage durations ---------------------------------------------------------
 
 
 def stage_durations(
@@ -423,45 +381,6 @@ def stage_durations(
             stages["total"] = root.duration
         folded[key] = stages
     return folded
-
-
-def _stats_over(
-    per_strip: t.Sequence[t.Mapping[str, float]],
-) -> tuple[StageStat, ...]:
-    stats = []
-    for stage in STAGE_NAMES + ("total",):
-        values = sorted(
-            record[stage] for record in per_strip if stage in record
-        )
-        if not values:
-            continue
-        stats.append(
-            StageStat(
-                stage=stage,
-                count=len(values),
-                total=sum(values),
-                mean=sum(values) / len(values),
-                p99=values[min(len(values) - 1, int(0.99 * len(values)))],
-            )
-        )
-    return tuple(stats)
-
-
-def stage_breakdown(model: TraceModel) -> StageBreakdown:
-    """Aggregate stage durations per client and over the whole run."""
-    folded = stage_durations(model)
-    by_client: dict[int, list[dict[str, float]]] = {}
-    for (client, _strip), stages in sorted(folded.items()):
-        by_client.setdefault(client, []).append(stages)
-    return StageBreakdown(
-        policy=model.label,
-        strips=len(folded),
-        per_stage=_stats_over(list(folded.values())),
-        per_client=tuple(
-            (client, _stats_over(records))
-            for client, records in sorted(by_client.items())
-        ),
-    )
 
 
 # -- strip lifecycle stamps ---------------------------------------------------

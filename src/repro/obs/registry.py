@@ -1,8 +1,8 @@
 """A unified metrics registry over the simulator's scattered instruments.
 
-The stack grew three telemetry dialects: DES :class:`~repro.des.monitor`
-instruments (``Counter``/``TimeWeighted``) on the hardware models, the
-``sar`` utilization sampler, and ad-hoc dataclasses
+The stack has two telemetry dialects: DES :class:`~repro.des.monitor`
+``Counter`` instruments (plus probes over busy-time totals) on the
+hardware models, and post-run dataclasses
 (:class:`~repro.metrics.collectors.ResilienceMetrics`).  The
 :class:`MetricsRegistry` gives them one namespace: components *register*
 their instruments under labeled names at build time (registration is a
@@ -25,7 +25,7 @@ import typing as t
 from ..errors import SimulationError
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..des.monitor import Counter, TimeWeighted
+    from ..des.monitor import Counter
 
 __all__ = ["MetricSample", "MetricsRegistry"]
 
@@ -96,15 +96,6 @@ class MetricsRegistry:
     ) -> None:
         """Expose a DES monitor :class:`Counter` under ``name``."""
         self._register(name, "counter", lambda: counter.value, labels)
-
-    def register_time_weighted(
-        self,
-        name: str,
-        signal: "TimeWeighted",
-        labels: dict[str, t.Any] | None = None,
-    ) -> None:
-        """Expose a :class:`TimeWeighted` signal's running time-average."""
-        self._register(name, "gauge", signal.mean, labels)
 
     def register_probe(
         self,

@@ -61,7 +61,6 @@ def modern_datacenter(
         l2_bytes=1024 * KiB,
         nic_ports=nic_gigabits,
         nic_port_bandwidth=1.0 * Gbit,
-        memory_bandwidth=50_000 * MiB,
     )
     costs = CostModel(
         protocol_rate=25.0e9,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Environment
-from repro.des.monitor import Counter, IntervalAccumulator, TimeWeighted
+from repro.des.monitor import Counter, IntervalAccumulator
 from repro.errors import SimulationError
 
 
@@ -33,42 +33,6 @@ class TestCounter:
         c = Counter("misses")
         c.add(3)
         assert "misses" in repr(c) and "3" in repr(c)
-
-
-class TestTimeWeighted:
-    def test_constant_signal_mean(self, env):
-        sig = TimeWeighted(env, initial=2.0)
-        env.run(until=10.0)
-        assert sig.mean() == 2.0
-
-    def test_step_signal_mean(self, env):
-        sig = TimeWeighted(env, initial=0.0)
-        env.run(until=2.0)
-        sig.set(1.0)
-        env.run(until=4.0)
-        assert sig.mean() == pytest.approx(0.5)
-
-    def test_add_shifts_value(self, env):
-        sig = TimeWeighted(env, initial=1.0)
-        sig.add(2.0)
-        assert sig.value == 3.0
-
-    def test_mean_with_zero_span_returns_value(self, env):
-        sig = TimeWeighted(env, initial=7.0)
-        assert sig.mean() == 7.0
-
-    def test_mean_until_explicit_time(self, env):
-        sig = TimeWeighted(env, initial=1.0)
-        env.run(until=2.0)
-        sig.set(3.0)
-        # mean over [0, 4]: 1*2 + 3*2 = 8 -> 2.0
-        assert sig.mean(until=4.0) == pytest.approx(2.0)
-
-    def test_starts_at_creation_time(self, env):
-        env.run(until=5.0)
-        sig = TimeWeighted(env, initial=4.0)
-        env.run(until=10.0)
-        assert sig.mean() == 4.0
 
 
 class TestIntervalAccumulator:

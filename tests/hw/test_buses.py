@@ -119,12 +119,6 @@ class TestMemoryBus:
         env.run()
         assert env.now == pytest.approx(2.0)
 
-    def test_latency_added_per_transfer(self, env):
-        bus = MemoryBus(env, bandwidth=1 * MiB, latency=0.25)
-        env.process(bus.transfer(1 * MiB))
-        env.run()
-        assert env.now == pytest.approx(1.25)
-
     def test_rejects_bad_bandwidth(self, env):
         with pytest.raises(ValueError):
             MemoryBus(env, bandwidth=0)
@@ -135,22 +129,3 @@ class TestMemoryBus:
         env.run()
         assert bus.total_busy_time == pytest.approx(0.5)
         assert bus.bytes_moved.value == MiB
-
-    def test_transfer_at_accessor_limited(self, env):
-        # A slow accessor occupies the bus at its own rate...
-        bus = MemoryBus(env, bandwidth=4 * MiB)
-        env.process(bus.transfer_at(1 * MiB, rate=1 * MiB))
-        env.run()
-        assert env.now == pytest.approx(1.0)
-
-    def test_transfer_at_capped_by_bus_peak(self, env):
-        # ...but can never exceed the bus peak.
-        bus = MemoryBus(env, bandwidth=2 * MiB)
-        env.process(bus.transfer_at(1 * MiB, rate=100 * MiB))
-        env.run()
-        assert env.now == pytest.approx(0.5)
-
-    def test_transfer_at_rejects_bad_rate(self, env):
-        bus = MemoryBus(env, bandwidth=2 * MiB)
-        with pytest.raises(ValueError):
-            list(bus.transfer_at(1 * MiB, rate=0))

@@ -58,17 +58,6 @@ def test_unhalted_cycles_scale_with_clock(env):
     assert fast.unhalted_cycles() == pytest.approx(2 * slow.unhalted_cycles())
 
 
-def test_utilization(env, core):
-    env.process(core.run(1.0, "x"))
-    env.run()
-    env.run(until=4.0)
-    assert core.utilization() == pytest.approx(0.25)
-
-
-def test_utilization_zero_span(env, core):
-    assert core.utilization() == 0.0
-
-
 def test_run_queue_length(env, core):
     env.process(core.run(1.0, "x"))
     env.process(core.run(1.0, "y"))

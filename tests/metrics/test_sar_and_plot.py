@@ -1,84 +1,9 @@
-"""Tests for the sar-style sampler and the ASCII plotting helpers."""
+"""Tests for the ASCII plotting helpers."""
 
 import pytest
 
-from repro import ClusterConfig, WorkloadConfig
-from repro.cluster.builder import build_cluster
-from repro.des import AllOf, Environment
-from repro.errors import ConfigError, ReproError, SimulationError
-from repro.hw.core import Core
+from repro.errors import ReproError
 from repro.metrics.ascii_plot import bar_chart, grouped_bars, plot_result
-from repro.metrics.sar import SarSampler
-from repro.units import GHz, KiB, MiB
-from repro.workloads import spawn_ior_processes
-
-
-class TestSarSamplerUnit:
-    def test_idle_machine_samples_zero(self):
-        env = Environment()
-        cores = [Core(env, i, 2 * GHz) for i in range(2)]
-        sampler = SarSampler(env, cores, interval=1.0)
-        env.run(until=3.5)
-        assert len(sampler.samples) == 3
-        assert sampler.mean_utilization() == 0.0
-
-    def test_busy_core_sampled(self):
-        env = Environment()
-        cores = [Core(env, i, 2 * GHz) for i in range(2)]
-        sampler = SarSampler(env, cores, interval=1.0)
-        env.process(cores[0].run(2.0, "work"))
-        env.run(until=4.0)
-        # Core 0 busy for intervals 1 and 2, idle after.
-        assert sampler.samples[0].utilization == pytest.approx(0.5)
-        assert sampler.samples[1].utilization == pytest.approx(0.5)
-        assert sampler.samples[3].utilization == pytest.approx(0.0)
-
-    def test_per_core_breakdown(self):
-        env = Environment()
-        cores = [Core(env, i, 2 * GHz) for i in range(2)]
-        sampler = SarSampler(env, cores, interval=1.0)
-        env.process(cores[1].run(1.0, "work"))
-        env.run(until=1.0)
-        env.run(until=1.5)
-        assert sampler.samples[0].per_core == (0.0, pytest.approx(1.0))
-
-    def test_summaries_require_samples(self):
-        env = Environment()
-        sampler = SarSampler(env, [Core(env, 0, 2 * GHz)], interval=1.0)
-        with pytest.raises(SimulationError):
-            sampler.mean_utilization()
-
-    def test_invalid_interval(self):
-        env = Environment()
-        with pytest.raises(ConfigError):
-            SarSampler(env, [Core(env, 0, 2 * GHz)], interval=0)
-
-
-class TestSarOnCluster:
-    def run_sampled(self, policy):
-        config = ClusterConfig(
-            n_servers=16,
-            policy=policy,
-            workload=WorkloadConfig(
-                n_processes=8, transfer_size=1 * MiB, file_size=4 * MiB
-            ),
-        )
-        cluster = build_cluster(config)
-        sampler = SarSampler(
-            cluster.env, cluster.clients[0].cores, interval=5e-3
-        )
-        procs = spawn_ior_processes(cluster.clients[0], config.workload)
-        cluster.env.run(until=AllOf(cluster.env, procs))
-        return sampler
-
-    def test_sampled_mean_tracks_final_utilization(self):
-        sampler = self.run_sampled("irqbalance")
-        assert 0.05 < sampler.mean_utilization() < 0.6
-
-    def test_dedicated_concentrates_load(self):
-        balanced = self.run_sampled("irqbalance")
-        dedicated = self.run_sampled("dedicated")
-        assert dedicated.core_imbalance() > balanced.core_imbalance()
 
 
 class TestAsciiPlot:
@@ -126,40 +51,6 @@ class TestAsciiPlot:
         chart = plot_result(result)
         assert "irq MB/s" in chart and "SAIs MB/s" in chart
         assert "120" in chart
-
-    def test_heat_strip_levels(self):
-        from repro.metrics import heat_strip
-
-        strip = heat_strip([0.0, 0.5, 1.0])
-        assert len(strip) == 3
-        assert strip[0] == " "
-        assert strip[2] == "█"
-
-    def test_heat_strip_clamps_out_of_range(self):
-        from repro.metrics import heat_strip
-
-        strip = heat_strip([-1.0, 2.0])
-        assert strip == " █"
-
-    def test_heat_strip_empty_rejected(self):
-        from repro.metrics import heat_strip
-
-        with pytest.raises(ReproError):
-            heat_strip([])
-
-    def test_core_heatmap_one_row_per_core(self):
-        from repro.metrics import core_heatmap
-
-        rendered = core_heatmap([[0.0, 1.0], [1.0, 0.0]])
-        lines = rendered.splitlines()
-        assert len(lines) == 2
-        assert "core 0" in lines[0] and "core 1" in lines[1]
-
-    def test_core_heatmap_label_mismatch(self):
-        from repro.metrics import core_heatmap
-
-        with pytest.raises(ReproError):
-            core_heatmap([[0.5]], labels=["a", "b"])
 
     def test_plot_result_empty_rows_rejected(self):
         from repro.experiments.base import ExperimentResult

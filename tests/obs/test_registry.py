@@ -4,8 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.des import Environment
-from repro.des.monitor import Counter, TimeWeighted
+from repro.des.monitor import Counter
 from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
 
@@ -18,13 +17,6 @@ class TestRegistration:
         assert registry.read("hits") == 0.0
         counter.add(3)
         assert registry.read("hits") == 3.0
-
-    def test_time_weighted_reads_mean(self):
-        env = Environment()
-        registry = MetricsRegistry()
-        signal = TimeWeighted(env, 2.0)
-        registry.register_time_weighted("depth", signal)
-        assert registry.read("depth") == pytest.approx(signal.mean())
 
     def test_probe(self):
         registry = MetricsRegistry()

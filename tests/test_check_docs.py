@@ -72,3 +72,20 @@ def test_api_coverage_detects_an_undocumented_subsystem(
     problems: list[str] = []
     check_docs.check_api_coverage(problems)
     assert problems == ["docs/API.md: subsystem repro.newthing not mentioned"]
+
+
+def test_dotted_name_check_detects_stale_names(check_docs, tmp_path, monkeypatch):
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "`repro.des.Environment` and `repro.pfs.server.IoServer.accept` "
+        "exist;\n`repro.pfs.IoServer` and `repro.nosuchmodule.thing` do not\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ["DOC.md"])
+    problems: list[str] = []
+    check_docs.check_dotted_names(problems)
+    assert problems == [
+        "DOC.md:2: names repro.pfs.IoServer, which does not exist",
+        "DOC.md:2: names repro.nosuchmodule.thing, which does not exist",
+    ]

@@ -2,8 +2,10 @@
 
 Every ``sais-repro`` invocation starts a fresh interpreter and pays for
 whatever ``repro.cli`` imports before the first simulation.  numpy is not a
-dependency, and the trace-only parts of :mod:`repro.obs` load only for
-``sais-repro trace``.
+dependency, the trace-only parts of :mod:`repro.obs` load only for
+``sais-repro trace``, and only the trace-only :mod:`repro.obs.analysis`
+needs :mod:`statistics` (which pulls in ``fractions``, ``decimal`` and
+``numbers``).
 """
 
 import os
@@ -17,6 +19,7 @@ KEPT_OFF = (
     "numpy",
     "repro.obs.analysis",
     "repro.obs.export",
+    "statistics",
 )
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.core.analysis import AnalysisParams
 from repro.des import Environment, Resource
-from repro.des.monitor import TimeWeighted
 from repro.hw.cache import PrivateCache
 from repro.net.ip_options import (
     MAX_ENCODABLE_CORES,
@@ -193,29 +192,6 @@ def test_resource_capacity_never_exceeded(capacity, jobs):
     # Work conservation: makespan of an M-server queue is bounded by the
     # serial sum and at least the max job.
     assert max(jobs) - 1e-9 <= env.now <= sum(jobs) + 1e-9
-
-
-@given(
-    steps=st.lists(
-        st.tuples(
-            st.floats(min_value=0.001, max_value=100.0),
-            st.floats(min_value=-50.0, max_value=50.0),
-        ),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=50)
-def test_time_weighted_mean_bounded_by_extremes(steps):
-    env = Environment()
-    signal = TimeWeighted(env, initial=0.0)
-    values = [0.0]
-    for advance, value in steps:
-        env.run(until=env.now + advance)
-        signal.set(value)
-        values.append(value)
-    env.run(until=env.now + 1.0)
-    assert min(values) - 1e-9 <= signal.mean() <= max(values) + 1e-9
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=20))
