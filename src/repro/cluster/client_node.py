@@ -233,8 +233,10 @@ class ClientNode:
         merge_sid = None
         merge_started = 0.0
         transfer_span: tuple[str, float] | None = None
-        with core.request(priority=APP_PRIORITY) as req:
-            yield req
+        grant = core.acquire(APP_PRIORITY)
+        if grant is not None:
+            yield grant
+        try:
             if spans is not None:
                 # Post-grant on the consumer core's serialized lane.
                 merge_started = self.env.now
@@ -279,6 +281,8 @@ class ClientNode:
                 )
                 if spans is not None:
                     transfer_span = (category, granted_at)
+        finally:
+            core.release()
         if spans is not None:
             strip_sid = spans.strip_span(self.index, strip.token)
             if transfer_span is not None:

@@ -12,9 +12,10 @@ down to what the model uses:
 * :class:`~repro.des.process.Process` wraps a Python generator; the
   generator ``yield``\\ s events to wait on them;
 * :mod:`~repro.des.resources` provides the fixed-service FIFO queue used
-  for links, disks and buses, the priority-queued resource used for
-  cores, object stores for softirq queues and the barrier of MPI-IO
-  collectives.
+  for links, disks and buses, the FIFO resource of the reference wire
+  path, object stores and the barrier of MPI-IO collectives.  CPU cores
+  and softirq backlogs own their queues in the model
+  (:class:`repro.hw.core.Core`, :class:`repro.kernel.softirq.SoftirqDaemon`).
 
 The kernel is fully deterministic: events that fire at the same virtual time
 are processed in schedule order (FIFO within a priority class), so identical
@@ -27,7 +28,6 @@ from .process import Process
 from .resources import (
     Barrier,
     FixedServiceFifo,
-    PriorityResource,
     Resource,
     Store,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "Process",
     "FixedServiceFifo",
     "Resource",
-    "PriorityResource",
     "Store",
     "Barrier",
 ]

@@ -1,19 +1,20 @@
 """Shared-resource primitives: FIFO queues, resources, stores, a barrier.
 
-These model the contended hardware in the simulator: a CPU core is a
-:class:`PriorityResource` (softirqs outrank application work); the server
-and client uplinks, the disk, the memory bus and the inter-core
-interconnect are :class:`FixedServiceFifo`\\ s; per-core softirq queues
-are :class:`Store`\\ s, and a :class:`Barrier` synchronizes the processes
-of an MPI-IO collective.
+These model the contended hardware in the simulator: the server and
+client uplinks, the disk, the memory bus and the inter-core interconnect
+are :class:`FixedServiceFifo`\\ s; the per-segment reference wire path
+queues on :class:`Resource`\\ s; a :class:`Store` carries each request's
+arrived strips and memsim's reader-to-combiner pipe, and a
+:class:`Barrier` synchronizes the processes of an MPI-IO collective.  CPU
+cores and softirq backlogs are not here: :class:`repro.hw.core.Core` and
+:class:`repro.kernel.softirq.SoftirqDaemon` own their queues.
 """
 
 from __future__ import annotations
 
 import typing as t
 from collections import deque
-from heapq import heappop, heappush
-from itertools import count
+from heapq import heappush
 
 from ..errors import SimulationError
 from .events import NORMAL, Event
@@ -24,7 +25,6 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "FixedServiceFifo",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
     "Barrier",
@@ -106,7 +106,7 @@ class Request(Event):
 
     Usable as a context manager::
 
-        with core.request(priority=5) as req:
+        with fabric.request() as req:
             yield req                 # wait for the slot
             yield env.timeout(work)   # hold it
         # slot released on exit
@@ -114,13 +114,11 @@ class Request(Event):
     Exiting before the request was granted cancels it.
     """
 
-    __slots__ = ("resource", "priority", "key", "cancelled")
+    __slots__ = ("resource", "cancelled")
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
-        self.key = (priority, resource.env.now, next(resource._seq))
         self.cancelled = False
         resource._do_request(self)
 
@@ -143,36 +141,22 @@ class Request(Event):
 class Resource:
     """A FIFO-queued resource with ``capacity`` identical slots.
 
-    ``inline_grant=True`` grants requests that find a free slot
-    *synchronously*: the request is born already processed, so the
-    requester's ``yield req`` continues in the same calendar event instead
-    of paying a same-time grant event.  The requester's continuation then
-    runs before other already-queued same-time events rather than after
-    them, which is observable — opt in only where that reordering is
-    acceptable (CPU core slots, whose goldens pin the behaviour).
-    Contended grants (at release time) always go through the calendar.
+    Every grant, idle or contended, is a calendar event.
     """
 
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: int = 1,
-        inline_grant: bool = False,
-    ) -> None:
+    def __init__(self, env: "Environment", capacity: int = 1) -> None:
         if capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self.inline_grant = inline_grant
         self.users: list[Request] = []
         self._waiting: deque[Request] = deque()
-        self._seq = count()
 
     # -- public API ---------------------------------------------------------
 
-    def request(self, priority: int = 0) -> Request:
-        """Ask for a slot.  ``priority`` is ignored by the FIFO base class."""
-        return Request(self, priority)
+    def request(self) -> Request:
+        """Ask for a slot."""
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Give back a granted slot and wake the next waiter, if any."""
@@ -196,71 +180,20 @@ class Resource:
 
     def _do_request(self, request: Request) -> None:
         if len(self.users) < self.capacity:
-            if self.inline_grant:
-                # The request was constructed this instant, so nothing can
-                # have subscribed to it yet: complete it in place and let
-                # the requester's ``yield req`` fall straight through.
-                self.users.append(request)
-                request._ok = True
-                request._value = None
-                request.callbacks = None
-            else:
-                self._grant(request)
+            self._grant(request)
         else:
-            self._enqueue(request)
-
-    def _enqueue(self, request: Request) -> None:
-        self._waiting.append(request)
-
-    def _next_waiter(self) -> Request | None:
-        while self._waiting:
-            request = self._waiting.popleft()
-            if not request.cancelled:
-                return request
-        return None
+            self._waiting.append(request)
 
     def _grant_waiters(self) -> None:
-        while len(self.users) < self.capacity:
-            request = self._next_waiter()
-            if request is None:
-                return
-            self._grant(request)
+        waiting = self._waiting
+        while len(self.users) < self.capacity and waiting:
+            request = waiting.popleft()
+            if not request.cancelled:
+                self._grant(request)
 
     def _grant(self, request: Request) -> None:
         self.users.append(request)
         request.succeed()
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by ``priority`` (lower first).
-
-    Ties resolve by request time, then insertion order, so behaviour is
-    deterministic.  Used for CPU cores where softirq work (priority 0) must
-    run ahead of queued application work (priority 10).
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: int = 1,
-        inline_grant: bool = False,
-    ) -> None:
-        super().__init__(env, capacity, inline_grant)
-        self._heap: list[tuple[tuple[int, float, int], Request]] = []
-
-    def _enqueue(self, request: Request) -> None:
-        heappush(self._heap, (request.key, request))
-
-    def _next_waiter(self) -> Request | None:
-        while self._heap:
-            _key, request = heappop(self._heap)
-            if not request.cancelled:
-                return request
-        return None
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for _k, req in self._heap if not req.cancelled)
 
 
 class Store:
@@ -268,26 +201,18 @@ class Store:
 
     ``put`` returns an event that fires when the item is accepted (always
     immediately for unbounded stores); ``get`` returns an event that fires
-    with the next item.
+    with the next item.  An item meets a waiting getter directly when no
+    putter waits: the getter's event is triggered with it, the same
+    calendar operation the general hand-off makes.
     """
 
     def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        inline_wakeup: bool = False,
+        self, env: "Environment", capacity: float = float("inf")
     ) -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
         self.env = env
         self.capacity = capacity
-        #: :meth:`put_nowait` into a waiting getter delivers the item by
-        #: running the getter's callbacks *synchronously* instead of via a
-        #: same-time calendar event.  The consumer's continuation then runs
-        #: inside the producer's event, ahead of other already-queued
-        #: same-time events — observable, so opt in only where that
-        #: ordering is acceptable (the softirq queues, pinned by goldens).
-        self.inline_wakeup = inline_wakeup
         self.items: deque[t.Any] = deque()
         self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Event, t.Any]] = deque()
@@ -302,38 +227,33 @@ class Store:
     def put_nowait(self, item: t.Any) -> None:
         """Store ``item`` immediately with no acknowledgement event.
 
-        For producers that never await the put (IRQ-style enqueues): on an
-        unbounded store — or one with free space and no queued putters —
-        the acknowledgement event of :meth:`put` fires instantly and runs
-        zero callbacks, so skipping it is unobservable and saves one
-        calendar event per item.  A full store (or one with waiting
-        putters, to keep FIFO put order) falls back to the event-based
-        path with the acknowledgement discarded.
+        For producers that never await the put: on an unbounded store, or
+        one with free space and no queued putters, the acknowledgement
+        event of :meth:`put` fires instantly and runs zero callbacks, so
+        skipping it is unobservable and saves one calendar event per item.
+        A full store (or one with waiting putters, to keep FIFO put order)
+        falls back to the event-based path with the acknowledgement
+        discarded.
         """
         if self._putters or len(self.items) >= self.capacity:
             self.put(item)
-            return
-        self.items.append(item)
-        if not self._getters:
-            return
-        if not self.inline_wakeup:
-            self._dispatch()
-            return
-        # Synchronous hand-off: complete the oldest get in place and run
-        # its subscribers now, saving the same-time wake-up event.
-        event = self._getters.popleft()
-        event._ok = True
-        event._value = self.items.popleft()
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
+        elif self._getters:
+            # A getter waits, so no item does: hand this one over.
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> Event:
         """The returned event fires with the oldest available item."""
         event = Event(self.env)
-        self._getters.append(event)
-        self._dispatch()
+        if self._putters:
+            self._getters.append(event)
+            self._dispatch()
+        elif self.items:
+            # Items wait, so no getter does: take the oldest.
+            event.succeed(self.items.popleft())
+        else:
+            self._getters.append(event)
         return event
 
     def __len__(self) -> int:

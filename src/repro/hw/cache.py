@@ -148,7 +148,14 @@ class CacheSystem:
         self.strip_size = strip_size
         self.cache_line = cache_line
         self.lines_per_strip = max(1, strip_size // cache_line)
-        self.model = model or CacheAccessModel()
+        self.model = model = model or CacheAccessModel()
+        #: Per-line miss fraction of a consume, by where the strip was.
+        self._consume_miss = {
+            Location.LOCAL: model.local_miss,
+            Location.REMOTE: model.remote_miss,
+            Location.MEMORY: model.memory_miss,
+            Location.ABSENT: model.memory_miss,
+        }
         self.caches = [PrivateCache(i, capacity) for i in range(n_cores)]
         self._directory: dict[int, int] = {}
         # Metric counters (line granularity).
@@ -199,14 +206,7 @@ class CacheSystem:
 
         lines = self.lines_per_strip
         self.accesses.add(lines)
-        model = self.model
-        miss_fraction = {
-            Location.LOCAL: model.local_miss,
-            Location.REMOTE: model.remote_miss,
-            Location.MEMORY: model.memory_miss,
-            Location.ABSENT: model.memory_miss,
-        }[location]
-        self.misses.add(lines * miss_fraction)
+        self.misses.add(lines * self._consume_miss[location])
         self.consume_by_location[location].add()
 
         if location is Location.LOCAL:

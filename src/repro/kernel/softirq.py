@@ -1,7 +1,9 @@
 """Per-core softirq daemons: where interrupt protocol work actually runs.
 
-Each core has one daemon draining its interrupt queue.  For every strip
-interrupt the daemon
+Each core has one daemon draining its interrupt backlog, a FIFO of pending
+contexts it owns.  An idle daemon parks on one wake event, which the next
+IRQ entry completes in place, so the handling starts within the raising
+event.  For every strip interrupt the daemon
 
 1. occupies its core at softirq priority for ``P`` (the paper's strip
    processing cost: protocol work proportional to the strip size plus a
@@ -16,9 +18,10 @@ interrupt the daemon
 from __future__ import annotations
 
 import typing as t
+from collections import deque
 
 from ..config import CostModel
-from ..des import Environment, Store
+from ..des import Environment, Event
 from ..des.monitor import Counter
 from ..hw.apic import InterruptContext
 from ..hw.cache import CacheSystem
@@ -57,7 +60,10 @@ class SoftirqDaemon:
         #: All sibling daemons indexed by core (set by ``wire_interrupts``);
         #: the RPS handoff enqueues into the target core's daemon.
         self.peers: t.Sequence["SoftirqDaemon"] | None = None
-        self.queue: Store = Store(env, inline_wakeup=True)
+        #: Pending contexts, oldest first.
+        self.backlog: deque[InterruptContext] = deque()
+        #: The event the idle daemon waits on; None while it is working.
+        self._wake: Event | None = None
         self.handled = Counter(f"softirq{core.index}_handled")
         self.bytes_handled = Counter(f"softirq{core.index}_bytes")
         #: Contexts this core re-steered to another core's softirq
@@ -71,20 +77,32 @@ class SoftirqDaemon:
         self._process = env.process(self._run())
 
     def enqueue(self, ctx: InterruptContext) -> None:
-        """IRQ entry: push the context onto this core's pending queue."""
-        self.queue.put_nowait(ctx)
+        """IRQ entry: hand the context to this core's daemon.
+
+        A working daemon finds it in its backlog.  An idle one is resumed
+        here: its wake event is completed in place and its one subscriber,
+        the daemon's own process, runs now, inside the raising event and
+        ahead of other same-time events, with no wake-up event on the
+        calendar (the goldens pin this order).
+        """
+        wake = self._wake
+        if wake is None:
+            self.backlog.append(ctx)
+            return
+        self._wake = None
+        wake._value = ctx
+        callbacks, wake.callbacks = wake.callbacks, None
+        for callback in callbacks:
+            callback(wake)
 
     def _run(self) -> t.Generator:
-        queue = self.queue
+        backlog = self.backlog
         while True:
-            if queue.items:
-                # Inline drain: under load the next context is already
-                # queued, so skip the Store.get round-trip (one calendar
-                # event per strip) and pop it directly.  FIFO order is the
-                # Store's, and this daemon is the queue's only getter.
-                ctx = queue.items.popleft()
+            if backlog:
+                ctx = backlog.popleft()
             else:
-                ctx = yield queue.get()
+                self._wake = Event(self.env)
+                ctx = yield self._wake
             yield from self._handle(ctx)
 
     def _handle(self, ctx: InterruptContext) -> t.Generator:
@@ -94,18 +112,19 @@ class SoftirqDaemon:
             if target != self.core.index and self.peers is not None:
                 yield from self._steer(ctx, target)
                 return
-        if ctx.napi_source is None:
-            with self.core.request(priority=SOFTIRQ_PRIORITY) as req:
-                yield req
-                yield from self._process_packet(ctx.packet, ctx.obs_flow)
-            return
-        # NAPI poll: drain the NIC's pending queue on this core, up to
-        # the poll budget, then either re-arm interrupts (drained) or
-        # reschedule a fresh poll (budget exhausted under load).
+        core = self.core
+        grant = core.acquire(SOFTIRQ_PRIORITY)
+        if grant is not None:
+            yield grant
         nic = ctx.napi_source
-        flow = ctx.obs_flow
-        with self.core.request(priority=SOFTIRQ_PRIORITY) as req:
-            yield req
+        try:
+            if nic is None:
+                yield from self._process_packet(ctx.packet, ctx.obs_flow)
+                return
+            # NAPI poll: drain the NIC's pending queue on this core, up to
+            # the poll budget, then either re-arm interrupts (drained) or
+            # reschedule a fresh poll (budget exhausted under load).
+            flow = ctx.obs_flow
             budget = nic.napi_budget
             while budget > 0:
                 packet = nic.napi_poll()
@@ -114,6 +133,8 @@ class SoftirqDaemon:
                 yield from self._process_packet(packet, flow)
                 flow = None  # the edge lands on the first polled packet
                 budget -= 1
+        finally:
+            core.release()
         nic.napi_reschedule()
 
     def _steer(self, ctx: InterruptContext, target: int) -> t.Generator:
@@ -127,11 +148,9 @@ class SoftirqDaemon:
         the extra inter-core hop is the price RPS/RFS pays for
         source-aware placement without SAIs' wire hints.
         """
-        with self.core.request(priority=SOFTIRQ_PRIORITY) as req:
-            yield req
-            yield from self.core.run_locked(
-                self.costs.rps_dispatch_cost, "rps_dispatch"
-            )
+        yield from self.core.run(
+            self.costs.rps_dispatch_cost, "rps_dispatch", SOFTIRQ_PRIORITY
+        )
         if self.interconnect is not None:
             yield from self.interconnect.signal()
         self.steered.add()

@@ -72,18 +72,21 @@ class AppPair:
     def _reader(self) -> t.Generator:
         cfg = self.config
         strip = cfg.strip_size
+        core = self.reader_core
         for index in range(self._strip_count()):
-            with self.reader_core.request(priority=APP_PRIORITY) as req:
-                yield req
+            grant = core.acquire(APP_PRIORITY)
+            if grant is not None:
+                yield grant
+            try:
                 # RAM-disk read: bus transfer (the core stalls on it), then
                 # the reader-side strip handling.
-                yield from self.reader_core.run_while(
+                yield from core.run_while(
                     self.membus.transfer(int(strip * cfg.read_traffic)),
                     "ramdisk_read",
                 )
-                yield from self.reader_core.run_locked(
-                    strip / cfg.read_rate, "read"
-                )
+                yield from core.run_locked(strip / cfg.read_rate, "read")
+            finally:
+                core.release()
             self._account(1.0, cfg.read_miss)
             yield self._pipe.put(index)
 
@@ -91,24 +94,27 @@ class AppPair:
         cfg = self.config
         strip = cfg.strip_size
         shared = self.shared_address_space
+        core = self.combiner_core
         for _ in range(self._strip_count()):
             yield self._pipe.get()
             hot = shared and self._is_hot()
-            with self.combiner_core.request(priority=APP_PRIORITY) as req:
-                yield req
+            grant = core.acquire(APP_PRIORITY)
+            if grant is not None:
+                yield grant
+            try:
                 extra_traffic = 0.0 if shared else cfg.ipc_traffic
                 if not hot and shared:
                     # Evicted before combine: re-read through the bus.
                     extra_traffic += 1.0
                 traffic = int(strip * (cfg.writeback_traffic + extra_traffic))
                 if traffic > 0:
-                    yield from self.combiner_core.run_while(
+                    yield from core.run_while(
                         self.membus.transfer(traffic), "combine_traffic"
                     )
                 rate = cfg.combine_hot_rate if hot else cfg.combine_cold_rate
-                yield from self.combiner_core.run_locked(
-                    strip / rate, "combine"
-                )
+                yield from core.run_locked(strip / rate, "combine")
+            finally:
+                core.release()
             self._account(
                 1.0, cfg.combine_hot_miss if hot else cfg.combine_cold_miss
             )

@@ -54,6 +54,27 @@ class Packet:
                 f"bad segmentation: segment={self.segment} of {self.n_segments}"
             )
 
+    def as_segment(self, size: int, segment: int, n_segments: int) -> "Packet":
+        """This packet's flow and strip as segment ``segment`` of
+        ``n_segments``, carrying ``size`` bytes.
+
+        Built with the constructor, so the new packet is validated like
+        any other; :func:`dataclasses.replace` costs several times more
+        on the per-segment path.
+        """
+        return Packet(
+            size,
+            self.src_server,
+            self.dst_client,
+            self.request_id,
+            self.strip_id,
+            self.options,
+            self.request_core,
+            segment,
+            n_segments,
+            self.carries_data,
+        )
+
     @property
     def is_last_segment(self) -> bool:
         """True if this packet completes its strip."""

@@ -58,9 +58,9 @@ def segments_for_strip(base: Packet, mss: int | None) -> list[Packet]:
     if mss is None or base.size <= mss:
         return [base]
     sizes = segment_sizes(base.size, mss)
+    n_segments = len(sizes)
     return [
-        dataclasses.replace(base, size=size, segment=i, n_segments=len(sizes))
-        for i, size in enumerate(sizes)
+        base.as_segment(size, i, n_segments) for i, size in enumerate(sizes)
     ]
 
 

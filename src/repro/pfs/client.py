@@ -247,9 +247,7 @@ class PfsClient:
         if not stream.deliver(packet):
             return None
         full_size = stream.take_completed_size(packet.strip_id)
-        whole = dataclasses.replace(
-            packet, size=full_size, segment=0, n_segments=1
-        )
+        whole = packet.as_segment(full_size, 0, 1)
         return self.strip_arrived(whole, handled_on)
 
     def observe_wire(self, packet: "Packet") -> None:

@@ -1,13 +1,15 @@
 """DES kernel edge cases and hot-path mechanisms added with the coalesced
 wire fast path: calendar edge behaviour, event pooling, quiet processes,
-inline grants/wake-ups, and the event counter that perfbench reads and
-``tests/obs/test_zero_cost.py`` pins."""
+acknowledgement-free puts, and the event counter that perfbench reads and
+``tests/obs/test_zero_cost.py`` pins.  The in-place grants and wake-ups of
+the per-strip path live with their owners, in ``tests/hw/test_core.py``
+and ``tests/kernel/test_kernel.py``."""
 
 import math
 
 import pytest
 
-from repro.des import Environment, PriorityResource, Resource, Store
+from repro.des import Environment, Store
 from repro.des.events import NORMAL, URGENT, Callback
 from repro.errors import SimulationError
 
@@ -241,122 +243,6 @@ class TestQuietProcesses:
             env.process(proc(), start_at=1.0)
 
 
-class TestInlineGrant:
-    def test_idle_inline_grant_continues_synchronously(self, env):
-        order = []
-
-        def requester():
-            with res.request() as req:
-                yield req
-                order.append("granted")
-                yield env.timeout(1.0)
-
-        def bystander():
-            order.append("bystander")
-            yield env.timeout(0.5)
-
-        res = Resource(env, capacity=1, inline_grant=True)
-        env.process(requester())
-        env.process(bystander())
-        env.run()
-        # The requester's init runs first and, with the inline grant, gets
-        # the slot within its own event — before the bystander's init.
-        assert order == ["granted", "bystander"]
-
-    def test_inline_granted_request_is_released_on_exit(self, env):
-        res = Resource(env, capacity=1, inline_grant=True)
-
-        def user():
-            with res.request() as req:
-                yield req
-                yield env.timeout(1.0)
-
-        env.process(user())
-        env.run()
-        assert res.in_use == 0
-
-    def test_contended_grant_still_goes_through_the_calendar(self, env):
-        res = PriorityResource(env, capacity=1, inline_grant=True)
-        grants = []
-
-        def user(tag, hold):
-            with res.request() as req:
-                yield req
-                grants.append((tag, env.now))
-                yield env.timeout(hold)
-
-        env.process(user("a", 2.0))
-        env.process(user("b", 1.0))
-        env.run()
-        assert grants == [("a", 0.0), ("b", 2.0)]
-
-    def test_timing_matches_the_event_based_resource(self, env):
-        def scenario(inline):
-            local = Environment()
-            res = Resource(local, capacity=1, inline_grant=inline)
-            log = []
-
-            def user(tag, hold):
-                with res.request() as req:
-                    yield req
-                    yield local.timeout(hold)
-                log.append((tag, local.now))
-
-            for i in range(4):
-                local.process(user(i, 1.5))
-            local.run()
-            return log
-
-        assert scenario(True) == scenario(False)
-
-
-class TestInlineWakeup:
-    def test_put_nowait_resumes_waiting_getter_synchronously(self, env):
-        store = Store(env, inline_wakeup=True)
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        assert got == []
-        baseline = env.events_processed
-        store.put_nowait("item")
-        # Delivered without any calendar activity at all.
-        assert got == ["item"]
-        assert env.events_processed == baseline
-
-    def test_inline_wakeup_preserves_fifo_order(self, env):
-        store = Store(env, inline_wakeup=True)
-        got = []
-
-        def consumer():
-            while True:
-                got.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        for item in (1, 2, 3):
-            store.put_nowait(item)
-        env.run()
-        assert got == [1, 2, 3]
-
-    def test_plain_store_still_uses_the_calendar(self, env):
-        store = Store(env)
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        env.process(consumer())
-        env.run()
-        store.put_nowait("item")
-        assert got == []  # wake-up rides a calendar event
-        env.run()
-        assert got == ["item"]
-
-
 class TestPutNowait:
     def test_put_nowait_skips_the_ack_event(self, env):
         store = Store(env)
@@ -367,6 +253,23 @@ class TestPutNowait:
         assert list(store.items) == ["a", "b"]
         env.run()
         assert env.events_processed == baseline
+
+    def test_put_nowait_wakes_a_getter_through_the_calendar(self, env):
+        store = Store(env)
+        got = []
+
+        def consumer():
+            got.append((yield store.get()))
+
+        env.process(consumer())
+        env.run()
+        baseline = env.events_processed
+        store.put_nowait("item")
+        assert got == []  # wake-up rides a calendar event
+        env.run()
+        assert got == ["item"]
+        assert env.events_processed == baseline + 2  # wake-up, process end
+        assert len(store) == 0
 
     def test_put_nowait_falls_back_when_bounded_store_is_full(self, env):
         store = Store(env, capacity=1)

@@ -1,8 +1,8 @@
-"""Tests for Resource, PriorityResource and Store."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.des import Environment, PriorityResource, Resource, Store
+from repro.des import Environment, Resource, Store
 from repro.errors import SimulationError
 
 
@@ -11,8 +11,8 @@ def env():
     return Environment()
 
 
-def hold(env, resource, duration, log, tag, priority=0):
-    with resource.request(priority=priority) as req:
+def hold(env, resource, duration, log, tag):
+    with resource.request() as req:
         yield req
         log.append((env.now, "start", tag))
         yield env.timeout(duration)
@@ -101,43 +101,6 @@ class TestResource:
         assert res.queue_length == 0
 
 
-class TestPriorityResource:
-    def test_lower_priority_number_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-        env.process(hold(env, res, 1.0, log, "holder", priority=0))
-
-        def submit(env):
-            yield env.timeout(0.1)
-            env.process(hold(env, res, 1.0, log, "low", priority=10))
-            env.process(hold(env, res, 1.0, log, "high", priority=0))
-
-        env.process(submit(env))
-        env.run()
-        starts = [entry[2] for entry in log if entry[1] == "start"]
-        assert starts == ["holder", "high", "low"]
-
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-        for tag in ("x", "y", "z"):
-            env.process(hold(env, res, 1.0, log, tag, priority=5))
-        env.run()
-        starts = [entry[2] for entry in log if entry[1] == "start"]
-        assert starts == ["x", "y", "z"]
-
-    def test_cancelled_priority_waiter_skipped(self, env):
-        res = PriorityResource(env, capacity=1)
-        held = res.request(priority=0)
-        urgent = res.request(priority=0)
-        urgent.cancel()
-        casual = res.request(priority=9)
-        env.run()
-        res.release(held)
-        assert casual.triggered
-        assert res.queue_length == 0
-
-
 class TestStore:
     def test_put_then_get(self, env):
         store = Store(env)
@@ -193,4 +156,24 @@ class TestStore:
     def test_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
+
+    def test_get_takes_a_waiting_item_with_one_event(self, env):
+        store = Store(env)
+        store.put_nowait("a")
+        store.put_nowait("b")
+        got = store.get()
+        assert got.triggered and got.value == "a"
+        assert list(store.items) == ["b"]
+        env.run()
+        assert env.events_processed == 1
+
+    def test_getter_waiting_behind_a_full_store_gets_items_in_order(self, env):
+        store = Store(env, capacity=1)
+        store.put("a")
+        blocked = store.put("b")
+        first, second = store.get(), store.get()
+        env.run()
+        assert (first.value, second.value) == ("a", "b")
+        assert blocked.triggered
+        assert len(store) == 0
 

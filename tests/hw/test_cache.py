@@ -102,6 +102,22 @@ class TestCacheSystem:
         sys.compute_pass(0, 64 * KiB)
         assert sys.miss_rate() < rate_before
 
+    def test_consume_charges_the_miss_fraction_of_its_location(self):
+        sys = make_system(
+            dma_touch_miss=0.25, local_miss=0.125, remote_miss=0.5, memory_miss=0.75
+        )
+        lines = sys.lines_per_strip
+        sys.install(0, 1)
+        steps = [
+            (lambda: sys.consume(0, 1), Location.LOCAL, 0.125),
+            (lambda: sys.consume(1, 1), Location.REMOTE, 0.5),
+            (lambda: sys.consume(1, 2), Location.ABSENT, 0.75),
+        ]
+        for consume, location, fraction in steps:
+            before = sys.misses.value
+            assert consume() is location
+            assert sys.misses.value - before == lines * fraction
+
     def test_consume_location_counters(self):
         sys = make_system()
         sys.install(0, 1)

@@ -1,8 +1,9 @@
-"""Tests for the Core model: occupancy, priorities, accounting."""
+"""Tests for the Core model: run queue, priorities, busy and load accounting."""
 
 import pytest
 
 from repro.des import Environment
+from repro.errors import SimulationError
 from repro.hw import APP_PRIORITY, SOFTIRQ_PRIORITY, Core
 from repro.units import GHz
 
@@ -15,6 +16,18 @@ def env():
 @pytest.fixture
 def core(env):
     return Core(env, index=0, clock_hz=2.7 * GHz)
+
+
+def hold(env, core, duration, log, tag, priority=APP_PRIORITY):
+    """A multi-phase holder: acquire, log the grant, run, release."""
+    grant = core.acquire(priority)
+    if grant is not None:
+        yield grant
+    try:
+        log.append((tag, env.now))
+        yield from core.run_locked(duration, tag)
+    finally:
+        core.release()
 
 
 def test_run_accumulates_busy_time(env, core):
@@ -49,6 +62,95 @@ def test_softirq_priority_jumps_queue(env, core):
     assert order == ["holder", "softirq", "app"]
 
 
+def test_lower_priority_number_served_first(env, core):
+    log = []
+    env.process(hold(env, core, 1.0, log, "holder", priority=0))
+
+    def submit(env):
+        yield env.timeout(0.1)
+        env.process(hold(env, core, 1.0, log, "low", priority=10))
+        env.process(hold(env, core, 1.0, log, "high", priority=0))
+
+    env.process(submit(env))
+    env.run()
+    assert [tag for tag, _ in log] == ["holder", "high", "low"]
+
+
+def test_equal_priority_is_fifo(env, core):
+    log = []
+    for tag in ("x", "y", "z"):
+        env.process(hold(env, core, 1.0, log, tag, priority=5))
+    env.run()
+    assert log == [("x", 0.0), ("y", 1.0), ("z", 2.0)]
+
+
+def test_cancelled_waiter_is_skipped(env, core):
+    assert core.acquire(SOFTIRQ_PRIORITY) is None
+    urgent = core.acquire(SOFTIRQ_PRIORITY)
+    casual = core.acquire(9)
+    core.cancel(urgent)
+    assert core.run_queue_length == 1
+    core.release()
+    env.run()
+    assert casual.processed
+    assert not urgent.triggered
+    assert core.run_queue_length == 0
+
+
+def test_cancel_granted_hold_raises(env, core):
+    core.acquire()
+    grant = core.acquire()
+    core.release()
+    with pytest.raises(SimulationError):
+        core.cancel(grant)
+
+
+def test_release_while_idle_raises(core):
+    with pytest.raises(SimulationError):
+        core.release()
+
+
+def test_idle_core_is_granted_within_the_callers_step(env, core):
+    order = []
+
+    def requester():
+        grant = core.acquire()
+        order.append(("granted", grant))
+        yield env.timeout(1.0)
+        core.release()
+
+    def bystander():
+        order.append(("bystander", None))
+        yield env.timeout(0.5)
+
+    env.process(requester())
+    env.process(bystander())
+    env.run()
+    # No grant event: the requester holds the core inside its own init
+    # event, before the bystander's init runs.
+    assert order == [("granted", None), ("bystander", None)]
+    assert env.events_processed == 6  # two inits, two timeouts, two ends
+
+
+def test_release_after_an_idle_grant_frees_the_core(env, core):
+    env.process(core.run(1.0, "x"))
+    env.run()
+    assert core.acquire() is None
+
+
+def test_contended_grant_goes_through_the_calendar(env, core):
+    log = []
+    env.process(hold(env, core, 2.0, log, "a"))
+    env.process(hold(env, core, 1.0, log, "b"))
+    env.run(until=1.0)
+    assert log == [("a", 0.0)]
+    assert core.run_queue_length == 1
+    env.run()
+    assert log == [("a", 0.0), ("b", 2.0)]
+    # inits, two timeouts, one grant event, two process ends
+    assert env.events_processed == 7
+
+
 def test_unhalted_cycles_scale_with_clock(env):
     slow = Core(env, 0, clock_hz=1 * GHz)
     fast = Core(env, 1, clock_hz=2 * GHz)
@@ -74,6 +176,54 @@ def test_is_busy_flag(env, core):
     assert not core.is_busy
 
 
+def test_held_but_stalled_on_a_bus_is_not_busy(env, core):
+    core.acquire()
+    assert not core.is_busy
+    core.begin_stall()
+    assert core.is_busy
+    env.run(until=2.5)
+    core.end_stall("migration", 0.0)
+    assert not core.is_busy
+    assert core.busy_by_category["migration"] == 2.5
+
+
+def test_single_busy_interval(env, core):
+    core.begin_stall()
+    env.run(until=3.0)
+    core.end_stall("migration", 0.0)
+    assert core.busy_time == 3.0
+
+
+def test_busy_time_includes_open_interval(env, core):
+    core.begin_stall()
+    env.run(until=2.5)
+    assert core.busy_time == 2.5
+    assert not core.busy_by_category  # charged only when the mark closes
+
+
+def test_disjoint_busy_intervals_sum(env, core):
+    core.begin_stall()
+    env.run(until=1.0)
+    core.end_stall("a", 0.0)
+    env.run(until=5.0)
+    core.begin_stall()
+    env.run(until=7.0)
+    core.end_stall("b", 5.0)
+    assert core.busy_time == 3.0
+
+
+def test_busy_close_without_open_raises(core):
+    with pytest.raises(SimulationError):
+        core.end_stall("x", 0.0)
+
+
+def test_nested_busy_mark_raises(core):
+    # The model never nests busy marks, so a nested open is a bug.
+    core.begin_stall()
+    with pytest.raises(SimulationError):
+        core.begin_stall()
+
+
 def test_load_reflects_queue_pressure(env, core):
     env.process(core.run(1.0, "x"))
     env.process(core.run(1.0, "y"))
@@ -96,9 +246,11 @@ def test_run_while_stays_busy_for_inner_duration(env, core):
         yield env.timeout(2.5)
 
     def job(env):
-        with core.request() as req:
-            yield req
+        core.acquire()
+        try:
             yield from core.run_while(inner(env), "stall")
+        finally:
+            core.release()
 
     env.process(job(env))
     env.run()
@@ -112,27 +264,159 @@ def test_run_while_accounts_even_on_inner_failure(env, core):
         raise ValueError("inner died")
 
     def job(env):
-        with core.request() as req:
-            yield req
+        core.acquire()
+        try:
             yield from core.run_while(bomb(env), "stall")
+        finally:
+            core.release()
 
     proc = env.process(job(env))
     with pytest.raises(ValueError):
         env.run(until=proc)
-    # The busy interval was closed despite the exception.
+    # The busy interval was closed and the core released despite the
+    # exception.
     assert not core.is_busy
     assert core.busy_by_category["stall"] == pytest.approx(1.0)
+    assert core.acquire() is None
 
 
 def test_multiphase_run_locked(env, core):
     def job(env):
-        with core.request(priority=APP_PRIORITY) as req:
-            yield req
+        grant = core.acquire(APP_PRIORITY)
+        if grant is not None:
+            yield grant
+        try:
             yield from core.run_locked(1.0, "phase1")
             yield from core.run_locked(2.0, "phase2")
+        finally:
+            core.release()
 
     env.process(job(env))
     env.run()
     assert core.busy_by_category["phase1"] == pytest.approx(1.0)
     assert core.busy_by_category["phase2"] == pytest.approx(2.0)
     assert core.busy_time == pytest.approx(3.0)
+
+
+class TestKnownAnswers:
+    """One scripted schedule, read at fixed instants.
+
+    The values were recorded from the core built on the kernel's generic
+    priority resource and interval accumulator, before the core owned its
+    run queue and busy interval; irqbalance steers by :meth:`Core.load`,
+    so its EWMA arithmetic must stay bit-identical.  The schedule covers
+    softirq-over-app contention, a cancelled waiter, a ``run_while``
+    stall, a stall opened while holding the core, and idle gaps.
+    """
+
+    #: (instant, busy_time.hex(), load().hex(), run_queue_length, is_busy)
+    READINGS = [
+        (0.1, "0x1.999999999999ap-4", "0x1.a1d2a7274c432p+0", 0, True),
+        (0.35, "0x1.6666666666666p-2", "0x1.3e113efe71b01p+2", 3, True),
+        (0.45, "0x1.ccccccccccccdp-2", "0x1.fe93fafb96a3cp+1", 2, True),
+        (1.25, "0x1.4000000000000p+0", "0x1.ffffe0bd12c09p+1", 2, True),
+        (2.5, "0x1.4000000000000p+1", "0x1.fffffffff0baep+0", 0, True),
+        (2.6, "0x1.4cccccccccccdp+1", "0x1.fffffffffa61fp+0", 0, True),
+        (3.0, "0x1.6000000000000p+1", "0x1.50385c094d9cep-4", 0, False),
+        (4.25, "0x1.8000000000000p+1", "0x1.eafc7f6142346p+0", 0, True),
+        (5.05, "0x1.a000000000000p+1", "0x1.0a06a9f73ca89p-8", 0, False),
+        (5.2, "0x1.acccccccccccep+1", "0x1.a20e02e96ccd0p+0", 0, True),
+        (8.0, "0x1.b99999999999ap+1", "0x1.c99e68a820722p-40", 0, False),
+    ]
+    BY_CATEGORY = {
+        "compute": 1.0,
+        "softirq": 0.5,
+        "copy": 0.75,
+        "phase": 0.2,
+        "stall": 0.2999999999999998,
+        "late": 0.5,
+        "migration": 0.20000000000000018,
+    }
+    DONE = [
+        ("compute", 1.0),
+        ("softirq", 1.5),
+        ("copy", 2.25),
+        ("staller", 2.25),
+        ("late", 4.5),
+    ]
+
+    def schedule(self):
+        env = Environment()
+        core = Core(env, index=0, clock_hz=2.7 * GHz)
+        done = []
+
+        def job(tag, start, duration, priority):
+            yield env.timeout(start)
+            yield from core.run(duration, tag, priority)
+            done.append((tag, env.now))
+
+        def canceller():
+            yield env.timeout(0.3)
+            grant = core.acquire(APP_PRIORITY)
+            yield env.timeout(0.1)
+            core.cancel(grant)
+
+        def inner():
+            yield env.timeout(0.3)
+
+        def staller():
+            yield env.timeout(1.2)
+            grant = core.acquire(APP_PRIORITY)
+            if grant is not None:
+                yield grant
+            try:
+                done.append(("staller", env.now))
+                yield from core.run_locked(0.2, "phase")
+                yield from core.run_while(inner(), "stall")
+            finally:
+                core.release()
+
+        def bus_stall():
+            yield env.timeout(5.0)
+            grant = core.acquire(APP_PRIORITY)
+            if grant is not None:
+                yield grant
+            try:
+                yield env.timeout(0.1)  # queued on a bus: held, not busy
+                started = env.now
+                core.begin_stall()
+                yield env.timeout(0.2)
+                core.end_stall("migration", started)
+            finally:
+                core.release()
+
+        env.process(job("compute", 0.0, 1.0, APP_PRIORITY))
+        env.process(job("copy", 0.25, 0.75, APP_PRIORITY))
+        env.process(job("softirq", 0.25, 0.5, SOFTIRQ_PRIORITY))
+        env.process(canceller())
+        env.process(staller())
+        env.process(job("late", 4.0, 0.5, APP_PRIORITY))
+        env.process(bus_stall())
+        readings = []
+        for instant, *_ in self.READINGS:
+            env.run(until=instant)
+            readings.append(
+                (
+                    instant,
+                    core.busy_time.hex(),
+                    core.load().hex(),
+                    core.run_queue_length,
+                    core.is_busy,
+                )
+            )
+        return env, core, done, readings
+
+    def test_readings_at_fixed_instants(self):
+        _env, _core, _done, readings = self.schedule()
+        assert readings == self.READINGS
+
+    def test_busy_by_category(self):
+        _env, core, _done, _readings = self.schedule()
+        assert dict(core.busy_by_category) == self.BY_CATEGORY
+        assert core.busy_time.hex() == "0x1.b99999999999ap+1"
+
+    def test_completion_order_and_calendar(self):
+        env, _core, done, _readings = self.schedule()
+        assert done == self.DONE
+        assert env.events_processed == 33
+        assert env.now == 8.0

@@ -113,6 +113,61 @@ class TestSoftirqDaemon:
         assert daemons[0].bytes_handled.value == 192 * KiB
 
 
+    def test_enqueue_resumes_an_idle_daemon_in_place(self, env):
+        cores, cache, pfs, daemons, ioapic = build_stack(env)
+        outstanding = pfs.issue(0, 64 * KiB, consumer_core=0)
+        env.run()  # the daemons start and park on their wake events
+        baseline = env.events_processed
+        packet = Packet(
+            size=64 * KiB,
+            src_server=0,
+            dst_client=0,
+            request_id=outstanding.request.request_id,
+            strip_id=0,
+        )
+        daemons[0].enqueue(InterruptContext(packet=packet))
+        # Handling began inside the enqueue: no wake-up or core-grant
+        # event was needed to put the softirq on its core.
+        assert cores[0].is_busy
+        assert not daemons[0].backlog
+        assert env.events_processed == baseline
+        env.run()
+        assert daemons[0].handled.value == 1
+        # the softirq's processing timeout and nothing else
+        assert env.events_processed == baseline + 1
+
+    def test_backlog_drains_in_fifo_order(self, env):
+        cores, cache, pfs, daemons, ioapic = build_stack(env)
+        outstanding = pfs.issue(0, 192 * KiB, consumer_core=0)
+        env.run()
+        seen = []
+        arrived = pfs.segment_arrived
+
+        def record(packet, handled_on):
+            seen.append((packet.strip_id, env.now))
+            return arrived(packet, handled_on)
+
+        pfs.segment_arrived = record
+        for strip in (2, 0, 1):
+            daemons[0].enqueue(
+                InterruptContext(
+                    packet=Packet(
+                        size=64 * KiB,
+                        src_server=strip,
+                        dst_client=0,
+                        request_id=outstanding.request.request_id,
+                        strip_id=strip,
+                    )
+                )
+            )
+        # The first context is being handled; the others wait in order.
+        assert [ctx.packet.strip_id for ctx in daemons[0].backlog] == [0, 1]
+        env.run()
+        p = CostModel().strip_processing_time(64 * KiB)
+        assert [strip for strip, _ in seen] == [2, 0, 1]
+        assert [when for _, when in seen] == pytest.approx([p, 2 * p, 3 * p])
+
+
 class TestWireInterrupts:
     def test_mismatched_counts_rejected(self, env):
         cores, cache, pfs, daemons, ioapic = build_stack(env)

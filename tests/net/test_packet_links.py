@@ -187,6 +187,23 @@ class TestTcpStream:
         assert segments[0] is base
         assert segments_for_strip(base, mss=64 * KiB)[0] is base
 
+    def test_segments_keep_every_other_field(self):
+        base = make_packet(
+            size=4000, strip=3, options=b"\x88\x04\x00\x02", request_core=2
+        )
+        segments = segments_for_strip(base, mss=1500)
+        assert [seg.size for seg in segments] == [1500, 1500, 1000]
+        assert [seg.segment for seg in segments] == [0, 1, 2]
+        for seg in segments:
+            assert seg.n_segments == 3
+            assert seg.as_segment(base.size, 0, 1) == base
+
+    def test_as_segment_validates(self):
+        with pytest.raises(ProtocolError):
+            make_packet().as_segment(1500, 2, 2)
+        with pytest.raises(ProtocolError):
+            make_packet().as_segment(0, 0, 1)
+
     def test_duplicate_segment_rejected(self):
         stream = TcpStream(server=0, client=0)
         packet = make_packet(segment=0, n_segments=2)
