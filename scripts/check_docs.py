@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Docs hygiene checker: broken links, stale CLI flags, API coverage,
-stale dotted names.
+stale dotted names, stale class attributes.
 
-Four fast, dependency-free checks over the user-facing markdown
+Five fast, dependency-free checks over the user-facing markdown
 (README.md, DESIGN.md, EXPERIMENTS.md, CONTRIBUTING.md, ROADMAP.md,
 docs/*.md):
 
@@ -18,6 +18,12 @@ docs/*.md):
    ``repro.`` must resolve: the longest importable module prefix is
    imported and the rest looked up with ``getattr``, so deleted or moved
    code can't linger in prose.
+5. **Class attributes** — a backticked ``Name.attr``, where ``Name`` is
+   a class defined under ``src/repro``, must name something the class
+   has: a class attribute, method, property or dataclass field, a
+   ``self.attr`` assignment in its source, or the same in a base class.
+   ROADMAP.md is exempt: its "Recent" section names deleted code on
+   purpose.
 
 Run from the repository root::
 
@@ -29,6 +35,7 @@ Exits non-zero listing every problem; CI runs this as a fast job.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import pathlib
 import re
@@ -54,6 +61,11 @@ EXTERNAL_FLAGS = {
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w/-])--[a-z][a-z0-9-]+")
 DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+CLASS_ATTR_RE = re.compile(r"([A-Z]\w*)\.([A-Za-z_]\w*)")
+
+#: Docs allowed to name class attributes that no longer exist.
+HISTORY_FILES = {"ROADMAP.md"}
 
 
 def parser_flags() -> set[str]:
@@ -161,12 +173,106 @@ def check_dotted_names(problems: list[str]) -> None:
                     )
 
 
+def _class_index() -> dict[str, list[tuple[str, set[str], list[str]]]]:
+    """Every class defined under ``src/repro``: its name -> a list of
+    (module, member names from its source, base-class names)."""
+    src = ROOT / "src"
+    index: dict[str, list[tuple[str, set[str], list[str]]]] = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        if module.endswith(".__init__"):
+            module = module[: -len(".__init__")]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members: set[str] = set()
+            for item in node.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    members.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    members.update(
+                        t.id for t in item.targets if isinstance(t, ast.Name)
+                    )
+                elif isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    members.add(item.target.id)
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    members.add(sub.attr)
+            bases = [
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute))
+            ]
+            index.setdefault(node.name, []).append((module, members, bases))
+    return index
+
+
+def has_member(
+    index: dict[str, list[tuple[str, set[str], list[str]]]],
+    name: str,
+    attr: str,
+    seen: frozenset[str] = frozenset(),
+) -> bool:
+    """Whether some repro class called ``name`` (or a base) has ``attr``."""
+    for module, members, bases in index[name]:
+        if attr in members:
+            return True
+        for base in bases:
+            if base in index:
+                if base not in seen and has_member(
+                    index, base, attr, seen | {name}
+                ):
+                    return True
+            else:
+                # A base from outside repro (Enum, Exception, ...): ask
+                # the class itself.
+                cls = getattr(importlib.import_module(module), name, None)
+                if hasattr(cls, attr):
+                    return True
+    return False
+
+
+def check_class_attributes(problems: list[str]) -> None:
+    index = _class_index()
+    seen: dict[tuple[str, str], bool] = {}
+    for rel in DOC_FILES:
+        path = ROOT / rel
+        if rel in HISTORY_FILES or not path.exists():
+            continue
+        for line_no, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for span in CODE_SPAN_RE.findall(line):
+                match = CLASS_ATTR_RE.match(span)
+                if match is None or match.group(1) not in index:
+                    continue
+                key = (match.group(1), match.group(2))
+                if key not in seen:
+                    seen[key] = has_member(index, *key)
+                if not seen[key]:
+                    problems.append(
+                        f"{rel}:{line_no}: names {key[0]}.{key[1]}, which "
+                        f"{key[0]} does not have"
+                    )
+
+
 def main() -> int:
     problems: list[str] = []
     check_links(problems)
     check_flags(problems)
     check_api_coverage(problems)
     check_dotted_names(problems)
+    check_class_attributes(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

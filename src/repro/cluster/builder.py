@@ -47,9 +47,9 @@ class Cluster:
     #: Causal span recorder (repro.obs); None unless the caller asked for
     #: tracing — the zero-cost-off guarantee hinges on this being None.
     spans: "SpanRecorder | None" = None
-    #: Unified metrics registry over every component's instruments.
-    #: Always built (registration is O(#instruments) dict inserts at
-    #: build time; sources are read lazily at snapshot time).
+    #: Metrics registry over every component's instruments.  Always built
+    #: (registration is one dict insert per name at build time; readers
+    #: run only when a name is read).
     metrics: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
 
 
@@ -241,35 +241,30 @@ def build_cluster(
         client.connect(make_submit(client.index))
 
     metrics = MetricsRegistry()
-    metrics.register_probe(
-        "des.events_processed",
-        lambda: float(env.events_processed),
-        kind="counter",
+    metrics.register(
+        "des.events_processed", lambda: float(env.events_processed)
     )
-    metrics.register_counter("switch.bytes", switch.bytes_switched)
-    metrics.register_counter("switch.packets", switch.packets_switched)
+    metrics.register("switch.bytes", lambda: switch.bytes_switched)
+    metrics.register("switch.packets", lambda: switch.packets_switched)
     for server in servers:
-        prefix = f"server{server.index}"
-        metrics.register_counter(f"{prefix}.strips_served", server.strips_served)
-        metrics.register_counter(f"{prefix}.bytes_served", server.bytes_served)
-        metrics.register_counter(f"{prefix}.cache_hits", server.cache_hits)
+        server.register_metrics(metrics)
     for client in clients:
         client.register_metrics(metrics)
     if injector is not None:
-        metrics.register_counter(
-            "faults.packets_dropped", injector.packets_dropped
+        metrics.register(
+            "faults.packets_dropped", lambda: injector.packets_dropped
         )
-        metrics.register_counter(
-            "faults.options_stripped", injector.options_stripped
+        metrics.register(
+            "faults.options_stripped", lambda: injector.options_stripped
         )
-        metrics.register_counter(
-            "faults.options_corrupted", injector.options_corrupted
+        metrics.register(
+            "faults.options_corrupted", lambda: injector.options_corrupted
         )
-        metrics.register_counter(
-            "faults.packets_delayed", injector.packets_delayed
+        metrics.register(
+            "faults.packets_delayed", lambda: injector.packets_delayed
         )
-        metrics.register_counter(
-            "faults.requests_dropped", injector.requests_dropped
+        metrics.register(
+            "faults.requests_dropped", lambda: injector.requests_dropped
         )
 
     return Cluster(

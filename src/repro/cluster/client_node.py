@@ -350,59 +350,48 @@ class ClientNode:
         for core in self.cores:
             core.register_metrics(registry, f"{prefix}.core{core.index}")
         self.interconnect.register_metrics(registry, f"{prefix}.interconnect")
-        registry.register_counter(
-            f"{prefix}.nic.bytes_received", self.nic.bytes_received
-        )
-        registry.register_counter(
-            f"{prefix}.nic.packets_received", self.nic.packets_received
-        )
-        registry.register_counter(
-            f"{prefix}.nic.interrupts_raised", self.nic.interrupts_raised
-        )
-        registry.register_counter(
-            f"{prefix}.ioapic.interrupts", self.ioapic.interrupts_raised
-        )
-        registry.register_counter(
-            f"{prefix}.pfs.requests_issued", self.pfs.requests_issued
-        )
-        registry.register_counter(
-            f"{prefix}.pfs.strips_requested", self.pfs.strips_requested
-        )
-        registry.register_counter(
-            f"{prefix}.pfs.bytes_requested", self.pfs.bytes_requested
-        )
-        registry.register_counter(
-            f"{prefix}.pfs.strip_retries", self.pfs.strip_retries
-        )
         for daemon in self.daemons:
-            registry.register_counter(
-                f"{prefix}.softirq{daemon.core.index}.handled",
-                daemon.handled,
-                labels={"core": daemon.core.index},
+            daemon.register_metrics(
+                registry, f"{prefix}.softirq{daemon.core.index}"
             )
-            registry.register_counter(
-                f"{prefix}.softirq{daemon.core.index}.steered",
-                daemon.steered,
-                labels={"core": daemon.core.index},
-            )
-        registry.register_probe(
+        registry.register(
+            f"{prefix}.nic.bytes_received", lambda: self.nic.bytes_received
+        )
+        registry.register(
+            f"{prefix}.nic.packets_received", lambda: self.nic.packets_received
+        )
+        registry.register(
+            f"{prefix}.nic.interrupts_raised", lambda: self.nic.interrupts_raised
+        )
+        registry.register(
+            f"{prefix}.ioapic.interrupts",
+            lambda: sum(self.ioapic.deliveries),
+        )
+        registry.register(
+            f"{prefix}.pfs.requests_issued", lambda: self.pfs.requests_issued
+        )
+        registry.register(
+            f"{prefix}.pfs.strips_requested", lambda: self.pfs.strips_requested
+        )
+        registry.register(
+            f"{prefix}.pfs.bytes_requested", lambda: self.pfs.bytes_requested
+        )
+        registry.register(
+            f"{prefix}.pfs.strip_retries", lambda: self.pfs.strip_retries
+        )
+        registry.register(
             f"{prefix}.tcp.out_of_order_segments",
             lambda: self.pfs.out_of_order_segments,
         )
-        registry.register_probe(
-            f"{prefix}.tcp.dup_acks", lambda: self.pfs.dup_acks
+        registry.register(f"{prefix}.tcp.dup_acks", lambda: self.pfs.dup_acks)
+        registry.register(
+            f"{prefix}.tcp.fast_retransmits", lambda: self.pfs.fast_retransmits
         )
-        registry.register_probe(
-            f"{prefix}.tcp.fast_retransmits",
-            lambda: self.pfs.fast_retransmits,
-        )
-        registry.register_probe(
+        registry.register(
             f"{prefix}.steering.flow_migrations",
             lambda: getattr(self.policy, "flow_migrations", 0),
         )
-        registry.register_probe(
-            f"{prefix}.cache.miss_rate", self.cache.miss_rate
-        )
-        registry.register_counter(
-            f"{prefix}.cache.evictions", self.cache.evictions
+        registry.register(f"{prefix}.cache.miss_rate", self.cache.miss_rate)
+        registry.register(
+            f"{prefix}.cache.evictions", lambda: self.cache.evictions
         )

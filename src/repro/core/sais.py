@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import typing as t
 
-from ..des.monitor import Counter
 from ..errors import CoreIdOutOfRangeError, ProtocolError
 from ..hw.apic import InterruptContext
 from ..net.ip_options import decode_aff_core_id, encode_aff_core_id
@@ -39,12 +38,12 @@ class HintMessager:
     """Attaches ``aff_core_id`` to outgoing PVFS requests (PVFS_hint)."""
 
     def __init__(self) -> None:
-        self.hints_attached = Counter("hints_attached")
+        self.hints_attached = 0
         #: Requests whose issuing core exceeds the 5-bit wire encoding —
         #: the paper's "maximum 2^5 = 32 cores could be identified by
         #: SAIs" limitation.  These requests travel unhinted and their
         #: interrupts fall back to load-based placement.
-        self.hints_unencodable = Counter("hints_unencodable")
+        self.hints_unencodable = 0
 
     def attach(self, request: "StripRequest", core_index: int) -> bool:
         """Record the issuing core in the request's hint field.
@@ -59,10 +58,10 @@ class HintMessager:
             # by the server's HintCapsuler per returned packet.
             encode_aff_core_id(core_index)
         except CoreIdOutOfRangeError:
-            self.hints_unencodable.add()
+            self.hints_unencodable += 1
             return False
         request.hint_aff_core_id = core_index
-        self.hints_attached.add()
+        self.hints_attached += 1
         return True
 
 
@@ -71,14 +70,14 @@ class HintCapsuler:
     options field."""
 
     def __init__(self) -> None:
-        self.packets_stamped = Counter("packets_stamped")
+        self.packets_stamped = 0
 
     def encapsulate(self, packet: "Packet", hint_aff_core_id: int | None) -> None:
         """Stamp ``packet`` with the hint, if the request carried one."""
         if hint_aff_core_id is None:
             return
         packet.options = encode_aff_core_id(hint_aff_core_id)
-        self.packets_stamped.add()
+        self.packets_stamped += 1
 
 
 class SrcParser:
@@ -92,15 +91,15 @@ class SrcParser:
 
     def __init__(self, n_cores: int | None = None) -> None:
         self.n_cores = n_cores
-        self.packets_parsed = Counter("packets_parsed")
-        self.hints_found = Counter("hints_found")
+        self.packets_parsed = 0
+        self.hints_found = 0
         #: Packets whose options field could not be decoded.  A driver
         #: must never crash on wire garbage: the packet is treated as
         #: unhinted and interrupt routing falls back to load-based.
-        self.parse_errors = Counter("parse_errors")
+        self.parse_errors = 0
         #: The subset of parse errors where a well-formed option decoded
         #: to a core id >= ``n_cores`` (corruption fabricating a core).
-        self.hints_out_of_range = Counter("hints_out_of_range")
+        self.hints_out_of_range = 0
 
     def parse(self, packet: "Packet") -> int | None:
         """Decode the packet's IP options; None when no SAIs option.
@@ -109,18 +108,18 @@ class SrcParser:
         tolerated: the parser counts the error and returns None rather
         than propagating, exactly as a production NIC driver must.
         """
-        self.packets_parsed.add()
+        self.packets_parsed += 1
         try:
             aff = decode_aff_core_id(packet.options, self.n_cores)
         except CoreIdOutOfRangeError:
-            self.hints_out_of_range.add()
-            self.parse_errors.add()
+            self.hints_out_of_range += 1
+            self.parse_errors += 1
             return None
         except ProtocolError:
-            self.parse_errors.add()
+            self.parse_errors += 1
             return None
         if aff is not None:
-            self.hints_found.add()
+            self.hints_found += 1
         return aff
 
 
@@ -128,11 +127,11 @@ class IMComposer:
     """Builds the interrupt message carrying the affinitive destination."""
 
     def __init__(self) -> None:
-        self.messages_composed = Counter("messages_composed")
+        self.messages_composed = 0
 
     def compose(self, packet: "Packet", aff_core_id: int | None) -> InterruptContext:
         """Create the interrupt context delivered to the I/O APIC."""
-        self.messages_composed.add()
+        self.messages_composed += 1
         return InterruptContext(
             packet=packet,
             aff_core_id=aff_core_id,

@@ -88,11 +88,6 @@ class Event:
             raise SimulationError("value of untriggered event is not available")
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """True if a failure was delivered to (and absorbed by) a waiter."""
-        return self._defused
-
     def defuse(self) -> None:
         """Mark a failed event as handled so it won't crash the simulation."""
         self._defused = True

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from ..des.monitor import Counter
 from ..rng import _stable_hash, hash_unit
 from .plan import FaultPlan
 
@@ -67,7 +66,7 @@ class LinkFaults:
         )
         if draw >= plan.loss_prob:
             return False
-        injector.packets_dropped.add()
+        injector.packets_dropped += 1
         return True
 
     def retransmit_delay(self, attempt: int) -> float:
@@ -86,11 +85,11 @@ class FaultInjector:
         self._windows: dict[int, list[tuple[float, float]]] = {}
         for server, start, end in plan.server_failure_windows:
             self._windows.setdefault(server, []).append((start, end))
-        self.packets_dropped = Counter("fault_packets_dropped")
-        self.options_stripped = Counter("fault_options_stripped")
-        self.options_corrupted = Counter("fault_options_corrupted")
-        self.packets_delayed = Counter("fault_packets_delayed")
-        self.requests_dropped = Counter("fault_requests_dropped")
+        self.packets_dropped = 0
+        self.options_stripped = 0
+        self.options_corrupted = 0
+        self.packets_delayed = 0
+        self.requests_dropped = 0
 
     # -- link layer -----------------------------------------------------------
 
@@ -119,13 +118,13 @@ class FaultInjector:
             extra_delay = plan.reorder_window * hash_unit(
                 plan.seed, _SITE_REORDER_DELAY, *key
             )
-            self.packets_delayed.add()
+            self.packets_delayed += 1
         if packet.options:
             if plan.strip_option_prob > 0.0 and (
                 hash_unit(plan.seed, _SITE_STRIP, *key) < plan.strip_option_prob
             ):
                 packet = dataclasses.replace(packet, options=b"")
-                self.options_stripped.add()
+                self.options_stripped += 1
             elif plan.corrupt_prob > 0.0 and (
                 hash_unit(plan.seed, _SITE_CORRUPT, *key) < plan.corrupt_prob
             ):
@@ -135,7 +134,7 @@ class FaultInjector:
                 packet = dataclasses.replace(
                     packet, options=bytes([garbled]) + packet.options[1:]
                 )
-                self.options_corrupted.add()
+                self.options_corrupted += 1
         return packet, extra_delay
 
     # -- servers --------------------------------------------------------------
@@ -152,6 +151,10 @@ class FaultInjector:
             if start <= now < end:
                 return True
         return False
+
+    def count_request_dropped(self, _: object) -> None:
+        """Count one request lost to a failure window (a ``call_at`` callback)."""
+        self.requests_dropped += 1
 
     def max_server_index(self) -> int:
         """Highest server index the plan references (build-time validation)."""

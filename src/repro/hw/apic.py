@@ -15,7 +15,6 @@ import dataclasses
 import typing as t
 
 from ..des import Environment
-from ..des.monitor import Counter
 from ..errors import SimulationError
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,12 +61,11 @@ class InterruptContext:
 
 
 class LocalApic:
-    """Per-core interrupt sink: counts deliveries and invokes the kernel."""
+    """Per-core interrupt sink: hands each delivery to the kernel."""
 
     def __init__(self, env: Environment, core_index: int) -> None:
         self.env = env
         self.core_index = core_index
-        self.interrupts = Counter(f"lapic{core_index}_interrupts")
         self._handler: t.Callable[[InterruptContext], None] | None = None
 
     def install_handler(self, handler: t.Callable[[InterruptContext], None]) -> None:
@@ -80,7 +78,6 @@ class LocalApic:
             raise SimulationError(
                 f"no interrupt handler installed on core {self.core_index}"
             )
-        self.interrupts.add()
         self._handler(ctx)
 
 
@@ -101,8 +98,8 @@ class IoApic:
         self.cores = list(cores)
         self.policy = policy
         self.local_apics = [LocalApic(env, core.index) for core in self.cores]
-        self.interrupts_raised = Counter("ioapic_interrupts")
-        #: Per-destination-core delivery histogram (policy diagnostics).
+        #: Interrupts delivered per destination core: the one per-core
+        #: interrupt count (``interrupts_per_core``).
         self.deliveries: list[int] = [0] * len(self.cores)
         #: Span recorder + this client's APIC lane (repro.obs); None off.
         self.spans = spans
@@ -116,7 +113,6 @@ class IoApic:
             raise SimulationError(
                 f"policy {self.policy.name!r} chose invalid core {core_index}"
             )
-        self.interrupts_raised.add()
         self.deliveries[core_index] += 1
         if self.spans is not None:
             packet = ctx.packet

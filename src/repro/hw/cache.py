@@ -25,7 +25,6 @@ import enum
 import typing as t
 from collections import OrderedDict
 
-from ..des.monitor import Counter
 from ..errors import ConfigError, SimulationError
 
 __all__ = ["Location", "CacheAccessModel", "CacheSystem", "PrivateCache"]
@@ -159,10 +158,10 @@ class CacheSystem:
         self.caches = [PrivateCache(i, capacity) for i in range(n_cores)]
         self._directory: dict[int, int] = {}
         # Metric counters (line granularity).
-        self.accesses = Counter("l2_accesses")
-        self.misses = Counter("l2_misses")
-        self.consume_by_location = {loc: Counter(loc.value) for loc in Location}
-        self.evictions = Counter("evictions")
+        self.accesses = 0
+        self.misses = 0.0
+        self.consume_by_location = {loc: 0 for loc in Location}
+        self.evictions = 0
 
     # -- residency ------------------------------------------------------------
 
@@ -177,14 +176,14 @@ class CacheSystem:
         """
         self._check_core(core_index)
         lines = self.lines_per_strip
-        self.accesses.add(lines)
-        self.misses.add(lines * self.model.dma_touch_miss)
+        self.accesses += lines
+        self.misses += lines * self.model.dma_touch_miss
         previous = self._directory.get(strip_id)
         if previous is not None and previous >= 0 and previous != core_index:
             self.caches[previous].remove(strip_id)
         for victim in self.caches[core_index].insert(strip_id):
             self._directory[victim] = self.IN_MEMORY
-            self.evictions.add()
+            self.evictions += 1
         self._directory[strip_id] = core_index
 
     def consume(self, core_index: int, strip_id: int) -> Location:
@@ -205,9 +204,9 @@ class CacheSystem:
             location = Location.REMOTE
 
         lines = self.lines_per_strip
-        self.accesses.add(lines)
-        self.misses.add(lines * self._consume_miss[location])
-        self.consume_by_location[location].add()
+        self.accesses += lines
+        self.misses += lines * self._consume_miss[location]
+        self.consume_by_location[location] += 1
 
         if location is Location.LOCAL:
             self.caches[core_index].touch(strip_id)
@@ -217,7 +216,7 @@ class CacheSystem:
                 self.caches[where].remove(strip_id)
             for victim in self.caches[core_index].insert(strip_id):
                 self._directory[victim] = self.IN_MEMORY
-                self.evictions.add()
+                self.evictions += 1
             self._directory[strip_id] = core_index
         return location
 
@@ -226,8 +225,8 @@ class CacheSystem:
         self._check_core(core_index)
         lines = max(1, nbytes // self.cache_line)
         accesses = lines * self.model.compute_accesses_per_line
-        self.accesses.add(accesses)
-        self.misses.add(accesses * self.model.compute_miss)
+        self.accesses += accesses
+        self.misses += accesses * self.model.compute_miss
 
     def discard(self, strip_id: int) -> None:
         """Forget a strip entirely (request buffer released)."""
@@ -239,9 +238,9 @@ class CacheSystem:
 
     def miss_rate(self) -> float:
         """L2 miss rate = misses / accesses (the Fig. 6/7 metric)."""
-        if self.accesses.value <= 0:
+        if self.accesses <= 0:
             return 0.0
-        return self.misses.value / self.accesses.value
+        return self.misses / self.accesses
 
     def _check_core(self, core_index: int) -> None:
         if not 0 <= core_index < self.n_cores:

@@ -216,17 +216,10 @@ class Core:
 
     def register_metrics(self, registry: t.Any, prefix: str) -> None:
         """Expose this core's accounting in a :class:`MetricsRegistry`."""
-        labels = {"core": self.index}
-        registry.register_probe(
-            f"{prefix}.busy_time", lambda: self.busy_time, labels=labels
-        )
-        registry.register_probe(
-            f"{prefix}.unhalted_cycles", self.unhalted_cycles, labels=labels
-        )
-        registry.register_probe(
-            f"{prefix}.run_queue",
-            lambda: float(self.run_queue_length),
-            labels=labels,
+        registry.register(f"{prefix}.busy_time", lambda: self.busy_time)
+        registry.register(f"{prefix}.unhalted_cycles", self.unhalted_cycles)
+        registry.register(
+            f"{prefix}.run_queue", lambda: float(self.run_queue_length)
         )
 
     # -- load estimate (policy-visible) --------------------------------------

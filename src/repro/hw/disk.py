@@ -11,7 +11,6 @@ from __future__ import annotations
 import typing as t
 
 from ..des import Environment, FixedServiceFifo
-from ..des.monitor import Counter
 from ..rng import Pcg64Stream
 
 __all__ = ["Disk"]
@@ -38,9 +37,9 @@ class Disk:
         self.seek_jitter = seek_jitter
         self._rng = rng
         self._spindle = FixedServiceFifo(env)
-        self.bytes_read = Counter("disk_bytes")
-        self.bytes_written = Counter("disk_bytes_written")
-        self.requests = Counter("disk_requests")
+        self.bytes_read = 0
+        self.bytes_written = 0
+        self.requests = 0
 
     def _seek_time(self) -> float:
         if self.seek == 0.0:
@@ -66,12 +65,12 @@ class Disk:
         the platter.  ``sequential`` skips the positioning cost (the head
         is already there)."""
         yield self._spindle.serve(self._service_time(nbytes, sequential))
-        self.bytes_read.add(nbytes)
-        self.requests.add()
+        self.bytes_read += nbytes
+        self.requests += 1
 
     def write(self, nbytes: int, sequential: bool = False) -> t.Generator:
         """Write ``nbytes``; mechanically identical to a read at this level
         (positioning + streaming), tracked separately."""
         yield self._spindle.serve(self._service_time(nbytes, sequential))
-        self.bytes_written.add(nbytes)
-        self.requests.add()
+        self.bytes_written += nbytes
+        self.requests += 1

@@ -15,7 +15,6 @@ import typing as t
 
 from ..config import CostModel
 from ..des import Environment, FixedServiceFifo
-from ..des.monitor import Counter
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Core
@@ -31,16 +30,16 @@ class InterconnectBus:
         self.costs = costs
         self._bus = FixedServiceFifo(env)
         #: Number of strip migrations carried.
-        self.migrations = Counter("migrations")
+        self.migrations = 0
         #: Bytes moved cache-to-cache.
-        self.bytes_moved = Counter("migration_bytes")
+        self.bytes_moved = 0
         #: Time transfers spent *waiting* for the bus (queueing) — the
         #: contention signal that grows with server count.
-        self.wait_time = Counter("migration_wait")
+        self.wait_time = 0.0
         #: Small cross-core control messages carried (RPS/RFS softirq
         #: handoffs) — deliberately separate from :attr:`migrations`,
         #: which counts only strip-data transfers.
-        self.signals = Counter("interconnect_signals")
+        self.signals = 0
         self._busy_total = 0.0
 
     def transfer(
@@ -74,14 +73,14 @@ class InterconnectBus:
             duration = self.costs.c2c_latency + nbytes / rate
 
         def granted() -> None:
-            self.wait_time.add(env.now - requested)
+            self.wait_time += env.now - requested
             if core is not None:
                 core.begin_stall()
 
         granted_at = yield self._bus.serve(duration, granted)
         self._busy_total += duration
-        self.migrations.add()
-        self.bytes_moved.add(nbytes)
+        self.migrations += 1
+        self.bytes_moved += nbytes
         if core is not None:
             core.end_stall(category, granted_at)
         return granted_at
@@ -98,7 +97,7 @@ class InterconnectBus:
         duration = self.costs.c2c_latency
         yield self._bus.serve(duration)
         self._busy_total += duration
-        self.signals.add()
+        self.signals += 1
 
     @property
     def total_busy_time(self) -> float:
@@ -107,11 +106,9 @@ class InterconnectBus:
 
     def register_metrics(self, registry: t.Any, prefix: str) -> None:
         """Expose the bus instruments in a :class:`MetricsRegistry`."""
-        registry.register_counter(f"{prefix}.migrations", self.migrations)
-        registry.register_counter(f"{prefix}.signals", self.signals)
-        registry.register_counter(f"{prefix}.bytes_moved", self.bytes_moved)
-        registry.register_counter(f"{prefix}.wait_time", self.wait_time)
-        registry.register_probe(
-            f"{prefix}.busy_time", lambda: self.total_busy_time
-        )
+        registry.register(f"{prefix}.migrations", lambda: self.migrations)
+        registry.register(f"{prefix}.signals", lambda: self.signals)
+        registry.register(f"{prefix}.bytes_moved", lambda: self.bytes_moved)
+        registry.register(f"{prefix}.wait_time", lambda: self.wait_time)
+        registry.register(f"{prefix}.busy_time", lambda: self.total_busy_time)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import typing as t
 
 from ..des import Environment, FixedServiceFifo
-from ..des.monitor import Counter
 
 __all__ = ["MemoryBus"]
 
@@ -31,14 +30,14 @@ class MemoryBus:
         self.env = env
         self.bandwidth = bandwidth
         self._bus = FixedServiceFifo(env)
-        self.bytes_moved = Counter("memory_bytes")
+        self.bytes_moved = 0
 
     def transfer(self, nbytes: int) -> t.Generator:
         """Stream ``nbytes`` through the bus; the caller blocks."""
         yield self._bus.serve(nbytes / self.bandwidth)
-        self.bytes_moved.add(nbytes)
+        self.bytes_moved += nbytes
 
     @property
     def total_busy_time(self) -> float:
         """Seconds the bus has been streaming data."""
-        return self.bytes_moved.value / self.bandwidth
+        return self.bytes_moved / self.bandwidth

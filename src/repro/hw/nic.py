@@ -27,7 +27,6 @@ import typing as t
 from collections import deque
 
 from ..des import Environment, Resource
-from ..des.monitor import Counter
 from .apic import InterruptContext, IoApic
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,9 +95,9 @@ class Nic:
         #: Analytic next-free time of the bonded wire (fast path only; see
         #: :mod:`repro.net.fastpath`).
         self._wire_free = 0.0
-        self.bytes_received = Counter("nic_rx_bytes")
-        self.packets_received = Counter("nic_rx_packets")
-        self.interrupts_raised = Counter("nic_interrupts")
+        self.bytes_received = 0
+        self.packets_received = 0
+        self.interrupts_raised = 0
 
     def wire_time(self, nbytes: int) -> float:
         """Serialization time of ``nbytes`` of payload on the bonded link."""
@@ -144,8 +143,8 @@ class Nic:
         :meth:`receive` directly, or via a fast-path callback scheduled at
         the :meth:`admit` completion time.
         """
-        self.bytes_received.add(packet.size)
-        self.packets_received.add()
+        self.bytes_received += packet.size
+        self.packets_received += 1
         if self.spans is not None:
             # The span is reconstructed from the (deterministic) wire
             # time, so the fast path's admit/call_at delivery and the
@@ -222,14 +221,14 @@ class Nic:
                 ctx.obs_flow = self.spans.flow_begin(
                     "irq-placement", "irq", wire_sid
                 )
-        self.interrupts_raised.add()
+        self.interrupts_raised += 1
         self.ioapic.raise_interrupt(ctx)
 
     @property
     def utilization_time(self) -> float:
         """Total wire-busy seconds so far."""
         return (
-            self.bytes_received.value
+            self.bytes_received
             * (1.0 + self.framing_overhead)
             / self.bandwidth
         )

@@ -22,7 +22,6 @@ from collections import deque
 
 from ..config import CostModel
 from ..des import Environment, Event
-from ..des.monitor import Counter
 from ..hw.apic import InterruptContext
 from ..hw.cache import CacheSystem
 from ..hw.core import SOFTIRQ_PRIORITY, Core
@@ -64,17 +63,22 @@ class SoftirqDaemon:
         self.backlog: deque[InterruptContext] = deque()
         #: The event the idle daemon waits on; None while it is working.
         self._wake: Event | None = None
-        self.handled = Counter(f"softirq{core.index}_handled")
-        self.bytes_handled = Counter(f"softirq{core.index}_bytes")
+        self.handled = 0
+        self.bytes_handled = 0
         #: Contexts this core re-steered to another core's softirq
         #: (RPS/RFS); the receiving daemon counts them in ``handled``.
-        self.steered = Counter(f"softirq{core.index}_steered")
+        self.steered = 0
         #: Data packets that should have carried a SAIs hint but arrived
         #: option-less (a middlebox stripped it): the traffic the
         #: degraded fallback steers.  Always zero on a stock stack.
-        self.unhinted = Counter(f"softirq{core.index}_unhinted")
+        self.unhinted = 0
         self._expect_hints = pfs.hint_messager is not None
         self._process = env.process(self._run())
+
+    def register_metrics(self, registry: t.Any, prefix: str) -> None:
+        """Expose this daemon's counts in a :class:`MetricsRegistry`."""
+        registry.register(f"{prefix}.handled", lambda: self.handled)
+        registry.register(f"{prefix}.steered", lambda: self.steered)
 
     def enqueue(self, ctx: InterruptContext) -> None:
         """IRQ entry: hand the context to this core's daemon.
@@ -153,7 +157,7 @@ class SoftirqDaemon:
         )
         if self.interconnect is not None:
             yield from self.interconnect.signal()
-        self.steered.add()
+        self.steered += 1
         assert self.peers is not None
         self.peers[target].enqueue(ctx)
 
@@ -181,7 +185,7 @@ class SoftirqDaemon:
         processing = self.costs.strip_processing_time(packet.size)
         yield from self.core.run_locked(processing, "softirq")
         if self._expect_hints and packet.carries_data and not packet.options:
-            self.unhinted.add()
+            self.unhinted += 1
         # Completes the strip when it is whole (single train, or last
         # segment of a segmented flow); the PFS client stamps that instant
         # on the strip span as "handled", before any wake-up IPI below.
@@ -197,8 +201,8 @@ class SoftirqDaemon:
                 yield from self.core.run_locked(
                     self.costs.wakeup_cost, "wakeup"
                 )
-        self.handled.add()
-        self.bytes_handled.add(packet.size)
+        self.handled += 1
+        self.bytes_handled += packet.size
         if sid is not None:
             self.spans.end(sid)
             if outstanding is not None and packet.carries_data:

@@ -79,10 +79,6 @@ class MemsimConfig:
         if self.transfer_size % self.strip_size:
             raise ConfigError("transfer_size must be a multiple of strip_size")
 
-    @property
-    def strips_per_transfer(self) -> int:
-        return self.transfer_size // self.strip_size
-
     def cache_hot_fraction(self, n_apps: int, threads_per_app: int) -> float:
         """Probability a produced strip is still cache-resident at combine.
 

@@ -6,7 +6,6 @@ import dataclasses
 import typing as t
 
 from ..des import AllOf, Environment
-from ..des.monitor import Counter
 from ..errors import ConfigError
 from ..hw.core import Core
 from ..hw.memory import MemoryBus
@@ -51,8 +50,7 @@ def run_memsim_point(
     env = Environment()
     cores = [Core(env, i, cfg.clock_hz) for i in range(cfg.n_cores)]
     membus = MemoryBus(env, cfg.memory_bandwidth)
-    accesses = Counter("memsim_accesses")
-    misses = Counter("memsim_misses")
+    line_counts = [0.0, 0.0]  # accesses, misses; shared by every pair
 
     # Both schemes run a two-thread pipeline over two cores; what differs
     # is whether the pair shares an address space (Si-SAIs threads) or
@@ -71,8 +69,7 @@ def run_memsim_point(
                 combiner_core=combiner_core,
                 membus=membus,
                 cache_hot_fraction=hot_fraction,
-                accesses=accesses,
-                misses=misses,
+                line_counts=line_counts,
                 shared_address_space=(scheme == "si_sais"),
             )
         )
@@ -81,6 +78,7 @@ def run_memsim_point(
     env.run(until=AllOf(env, processes))
     elapsed = env.now
     total = sum(pair.bytes_combined for pair in pairs)
+    accesses, misses = line_counts
 
     return MemsimMetrics(
         scheme=scheme,
@@ -93,7 +91,7 @@ def run_memsim_point(
             if elapsed > 0
             else 0.0
         ),
-        l2_miss_rate=misses.value / accesses.value if accesses.value else 0.0,
+        l2_miss_rate=misses / accesses if accesses else 0.0,
         membus_busy_fraction=(
             membus.total_busy_time / elapsed if elapsed > 0 else 0.0
         ),

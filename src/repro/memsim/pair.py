@@ -17,7 +17,6 @@ from __future__ import annotations
 import typing as t
 
 from ..des import Environment, Store
-from ..des.monitor import Counter
 from ..hw.core import APP_PRIORITY, Core
 from ..hw.memory import MemoryBus
 from .config import MemsimConfig
@@ -36,8 +35,7 @@ class AppPair:
         combiner_core: Core,
         membus: MemoryBus,
         cache_hot_fraction: float,
-        accesses: Counter,
-        misses: Counter,
+        line_counts: list[float],
         shared_address_space: bool = True,
     ) -> None:
         self.env = env
@@ -46,8 +44,9 @@ class AppPair:
         self.combiner_core = combiner_core
         self.membus = membus
         self.cache_hot_fraction = cache_hot_fraction
-        self.accesses = accesses
-        self.misses = misses
+        #: ``[accesses, misses]`` in cache lines: one list shared by every
+        #: pair of a run, which all add into it in event order.
+        self.line_counts = line_counts
         #: Si-SAIs pairs are *threads*: same address space, so a produced
         #: strip is combined straight out of the shared cache hierarchy.
         #: Si-Irqbalance pairs are *processes*: each strip crosses address
@@ -132,5 +131,6 @@ class AppPair:
 
     def _account(self, accesses_per_line: float, miss_fraction: float) -> None:
         lines = self.config.strip_size // 64
-        self.accesses.add(lines * accesses_per_line)
-        self.misses.add(lines * accesses_per_line * miss_fraction)
+        counts = self.line_counts
+        counts[0] += lines * accesses_per_line
+        counts[1] += lines * accesses_per_line * miss_fraction

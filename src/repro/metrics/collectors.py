@@ -199,24 +199,23 @@ def collect_client_metrics(
         l2_miss_rate=node.cache.miss_rate(),
         cpu_utilization=utilization,
         unhalted_cycles=sum(core.unhalted_cycles() for core in node.cores),
-        migrations=int(node.interconnect.migrations.value),
-        migration_wait=node.interconnect.wait_time.value,
-        memory_refetches=int(
-            node.cache.consume_by_location[Location.MEMORY].value
-            + node.cache.consume_by_location[Location.ABSENT].value
+        migrations=node.interconnect.migrations,
+        migration_wait=node.interconnect.wait_time,
+        memory_refetches=(
+            node.cache.consume_by_location[Location.MEMORY]
+            + node.cache.consume_by_location[Location.ABSENT]
         ),
         consume_locations={
-            loc.value: int(counter.value)
-            for loc, counter in node.cache.consume_by_location.items()
+            loc.value: n for loc, n in node.cache.consume_by_location.items()
         },
         interrupts_per_core=tuple(node.ioapic.deliveries),
         busy_by_category=busy_by,
-        evictions=int(node.cache.evictions.value),
+        evictions=node.cache.evictions,
         out_of_order_segments=node.pfs.out_of_order_segments,
         dup_acks=node.pfs.dup_acks,
         fast_retransmits=node.pfs.fast_retransmits,
         steering_migrations=int(getattr(node.policy, "flow_migrations", 0)),
-        rps_handoffs=sum(int(d.steered.value) for d in node.daemons),
+        rps_handoffs=sum(d.steered for d in node.daemons),
     )
 
 
@@ -231,8 +230,8 @@ def collect_resilience_metrics(
         )
     links = [server.uplink for server in cluster.servers]
     links.extend(cluster.client_uplinks)
-    retransmits = sum(int(link.retransmits.value) for link in links)
-    raw_wire_bytes = sum(int(link.bytes_sent.value) for link in links)
+    retransmits = sum(link.retransmits for link in links)
+    raw_wire_bytes = sum(int(link.bytes_sent) for link in links)
     fallback = 0
     unhinted = 0
     parse_errors = 0
@@ -243,23 +242,23 @@ def collect_resilience_metrics(
     duplicate_segments = 0
     for node in cluster.clients:
         fallback += int(getattr(node.policy, "fallback_events", 0))
-        unhinted += sum(int(d.unhinted.value) for d in node.daemons)
+        unhinted += sum(d.unhinted for d in node.daemons)
         if node.src_parser is not None:
-            parse_errors += int(node.src_parser.parse_errors.value)
-            out_of_range += int(node.src_parser.hints_out_of_range.value)
-        strip_retries += int(node.pfs.strip_retries.value)
-        duplicate_strips += int(node.pfs.duplicate_strips.value)
+            parse_errors += node.src_parser.parse_errors
+            out_of_range += node.src_parser.hints_out_of_range
+        strip_retries += node.pfs.strip_retries
+        duplicate_strips += node.pfs.duplicate_strips
         reorder_events += node.pfs.reorder_events
         duplicate_segments += node.pfs.duplicate_segments
     goodput = bytes_read / elapsed if elapsed > 0 else 0.0
     raw_bandwidth = raw_wire_bytes / elapsed if elapsed > 0 else 0.0
     return ResilienceMetrics(
-        packets_dropped=int(injector.packets_dropped.value),
+        packets_dropped=injector.packets_dropped,
         retransmits=retransmits,
-        options_stripped=int(injector.options_stripped.value),
-        options_corrupted=int(injector.options_corrupted.value),
-        packets_delayed=int(injector.packets_delayed.value),
-        requests_dropped=int(injector.requests_dropped.value),
+        options_stripped=injector.options_stripped,
+        options_corrupted=injector.options_corrupted,
+        packets_delayed=injector.packets_delayed,
+        requests_dropped=injector.requests_dropped,
         strip_retries=strip_retries,
         duplicate_strips=duplicate_strips,
         reorder_events=reorder_events,

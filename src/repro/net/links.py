@@ -11,7 +11,6 @@ from __future__ import annotations
 import typing as t
 
 from ..des import Environment, FixedServiceFifo
-from ..des.monitor import Counter
 from .packet import Packet
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,10 +43,10 @@ class Link:
         #: Loss injection + backoff schedule; None on a fault-free link.
         self.faults = faults
         self._wire = FixedServiceFifo(env)
-        self.bytes_sent = Counter(f"{name}_bytes")
-        self.packets_sent = Counter(f"{name}_packets")
+        self.bytes_sent = 0
+        self.packets_sent = 0
         #: Transmission attempts repeated after an injected loss.
-        self.retransmits = Counter(f"{name}_retransmits")
+        self.retransmits = 0
 
     def serialization_time(self, nbytes: int) -> float:
         """Wire time for ``nbytes`` of payload including framing."""
@@ -68,14 +67,14 @@ class Link:
         attempt = 0
         while True:
             yield self._wire.serve(self.serialization_time(packet.size))
-            self.bytes_sent.add(packet.size)
-            self.packets_sent.add()
+            self.bytes_sent += packet.size
+            self.packets_sent += 1
             if self.faults is None or not self.faults.should_drop(
                 packet, attempt
             ):
                 return
             attempt += 1
-            self.retransmits.add()
+            self.retransmits += 1
             yield self.env.timeout(self.faults.retransmit_delay(attempt))
 
     def transmit(
@@ -104,6 +103,4 @@ class Link:
     @property
     def busy_time(self) -> float:
         """Total serialization seconds carried so far."""
-        return (
-            self.bytes_sent.value * (1.0 + self.framing_overhead) / self.bandwidth
-        )
+        return self.bytes_sent * (1.0 + self.framing_overhead) / self.bandwidth

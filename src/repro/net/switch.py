@@ -11,7 +11,6 @@ from __future__ import annotations
 import typing as t
 
 from ..des import Environment, Resource
-from ..des.monitor import Counter
 from .packet import Packet
 
 __all__ = ["Switch"]
@@ -51,8 +50,8 @@ class Switch:
         #: (:meth:`relay` has no packet identity).
         self.spans = spans
         self.obs_track = obs_track
-        self.bytes_switched = Counter("switch_bytes")
-        self.packets_switched = Counter("switch_packets")
+        self.bytes_switched = 0
+        self.packets_switched = 0
 
     def relay(self, nbytes: int) -> float:
         """Carry ``nbytes`` across the backplane analytically.
@@ -70,8 +69,8 @@ class Switch:
             start = now
         departure = start + nbytes / self.backplane_bandwidth
         self._fabric_free = departure
-        self.bytes_switched.add(nbytes)
-        self.packets_switched.add()
+        self.bytes_switched += nbytes
+        self.packets_switched += 1
         return departure
 
     def forward(
@@ -88,8 +87,8 @@ class Switch:
             yield req
             granted = self.env.now
             yield self.env.timeout(packet.size / self.backplane_bandwidth)
-        self.bytes_switched.add(packet.size)
-        self.packets_switched.add()
+        self.bytes_switched += packet.size
+        self.packets_switched += 1
         if self.spans is not None:
             # (grant, departure) equals the analytic path's
             # (max(free, arrival), + service) by the fastpath-equivalence

@@ -12,10 +12,10 @@ Two complementary layers, both **zero-cost when disabled**:
   ``if spans is not None`` guard, no span is allocated, and no calendar
   event is added or reordered — goldens and pinned event counts stay
   byte-identical (``tests/obs/test_zero_cost.py``).
-* :mod:`repro.obs.registry` — a :class:`MetricsRegistry` unifying the DES
-  monitor ``Counter`` instruments, busy-time probes and the fault/recovery
-  counters behind one labeled snapshot, so perfbench and tests read every
-  component's counts from a single source.
+* :mod:`repro.obs.registry` — a :class:`MetricsRegistry` mapping dotted
+  names to readers of the components' numeric attributes, busy-time
+  totals and the fault/recovery record, so perfbench and tests read every
+  component's counts from a single namespace.
 
 Exports (:mod:`repro.obs.export`) target Chrome trace-event JSON —
 loadable in ui.perfetto.dev or chrome://tracing — plus an ASCII tree/
@@ -37,7 +37,7 @@ Determinism: span/flow ids are small integers advanced in calendar
 never enter a trace, so traces are byte-reproducible run-to-run.
 """
 
-from .registry import MetricSample, MetricsRegistry
+from .registry import MetricsRegistry
 from .spans import FlowEvent, Span, SpanRecorder, Track
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "FlowEvent",
     "SpanRecorder",
     "Track",
-    "MetricSample",
     "MetricsRegistry",
 ]

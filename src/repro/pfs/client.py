@@ -21,7 +21,6 @@ from itertools import count
 
 from ..core.sais import HintMessager
 from ..des import Environment, Store
-from ..des.monitor import Counter
 from ..errors import SimulationError, StripRetryExhaustedError
 from ..net.tcp import TcpStream
 from .layout import StripeLayout
@@ -102,13 +101,13 @@ class PfsClient:
         #: Strips already handed to their consumer — dedups re-served
         #: strips when a retry raced the original (tolerant mode only).
         self._arrived_strips: set[int] = set()
-        self.requests_issued = Counter("pfs_requests")
-        self.strips_requested = Counter("pfs_strips")
-        self.bytes_requested = Counter("pfs_bytes")
+        self.requests_issued = 0
+        self.strips_requested = 0
+        self.bytes_requested = 0
         #: Strip requests re-submitted by the retry watchdog.
-        self.strip_retries = Counter("pfs_strip_retries")
+        self.strip_retries = 0
         #: Completed strips discarded as duplicates of an earlier arrival.
-        self.duplicate_strips = Counter("pfs_duplicate_strips")
+        self.duplicate_strips = 0
 
     # -- issue path -------------------------------------------------------------
 
@@ -139,8 +138,8 @@ class PfsClient:
             issued_at=self.env.now,
         )
         self._outstanding[request.request_id] = outstanding
-        self.requests_issued.add()
-        self.bytes_requested.add(size)
+        self.requests_issued += 1
+        self.bytes_requested += size
         spans = self.spans
         if spans is not None:
             request_sid = spans.begin(
@@ -187,7 +186,7 @@ class PfsClient:
                 spans.strip_begin(
                     self.client_index, strip_request.strip_id, strip_sid
                 )
-            self.strips_requested.add()
+            self.strips_requested += 1
             self._submit(strip_request)
             if self._fault_tolerant:
                 self.env.process(self._strip_watchdog(strip_request))
@@ -207,7 +206,7 @@ class PfsClient:
             yield self.env.timeout(delay)
             if request.strip_id in self._arrived_strips:
                 return
-            self.strip_retries.add()
+            self.strip_retries += 1
             if self.spans is not None:
                 self.spans.instant(
                     "retry",
@@ -283,7 +282,7 @@ class PfsClient:
         """
         if self._fault_tolerant:
             if packet.strip_id in self._arrived_strips:
-                self.duplicate_strips.add()
+                self.duplicate_strips += 1
                 return None
             self._arrived_strips.add(packet.strip_id)
         outstanding = self._outstanding.get(packet.request_id)

@@ -14,7 +14,6 @@ import typing as t
 from ..config import ServerConfig
 from ..core.sais import HintCapsuler
 from ..des import Environment
-from ..des.monitor import Counter
 from ..hw.disk import Disk
 from ..net.links import Link
 from ..net.packet import Packet
@@ -68,9 +67,18 @@ class IoServer:
         self.disk = Disk(
             env, rate=config.disk_rate, seek=config.disk_seek, rng=rng
         )
-        self.strips_served = Counter(f"server{index}_strips")
-        self.bytes_served = Counter(f"server{index}_bytes")
-        self.cache_hits = Counter(f"server{index}_cache_hits")
+        self.strips_served = 0
+        self.bytes_served = 0
+        self.cache_hits = 0
+
+    def register_metrics(self, registry: t.Any) -> None:
+        """Expose this server's counts under ``server<i>.*``."""
+        prefix = f"server{self.index}"
+        registry.register(
+            f"{prefix}.strips_served", lambda: self.strips_served
+        )
+        registry.register(f"{prefix}.bytes_served", lambda: self.bytes_served)
+        registry.register(f"{prefix}.cache_hits", lambda: self.cache_hits)
 
     def accept(self, request: StripRequest, arrival: float) -> None:
         """Take one strip request that reaches this server at ``arrival``.
@@ -97,7 +105,7 @@ class IoServer:
             # client-side retry watchdog is what recovers it, exactly the
             # failure mode a crashed-and-restarting server presents.  The
             # drop is counted at the arrival instant.
-            env.call_at(arrival, faults.requests_dropped.add, 1.0)
+            env.call_at(arrival, faults.count_request_dropped)
             return
         fetch_at = arrival + config.service_overhead
         if request.is_write:
@@ -119,7 +127,7 @@ class IoServer:
             if faults is not None:
                 # A re-submitted strip may still be in flight when the
                 # run ends, so the hit is counted at its fetch instant.
-                env.call_at(fetch_at, self.cache_hits.add, 1.0)
+                env.call_at(fetch_at, self._count_cache_hit)
             env.process(
                 self._reply(request, arrival, fetch_at, faults is None),
                 quiet=True,
@@ -145,6 +153,10 @@ class IoServer:
             return 1.0
         return self.faults.server_slowdown(self.index)
 
+    def _count_cache_hit(self, _: object) -> None:
+        """Count one page-cache hit (a ``call_at`` callback)."""
+        self.cache_hits += 1
+
     def _read_miss(self, request: StripRequest, arrival: float) -> t.Generator:
         """A page-cache miss, started at its disk request."""
         fetch_at = self.env.now
@@ -167,7 +179,7 @@ class IoServer:
             # Every strip of a fault-free run is awaited by its IOR
             # process, so this start lies inside the run and the hit
             # counts the same here as at its fetch instant.
-            self.cache_hits.add()
+            self.cache_hits += 1
         sid = self._begin_span("serve", request, arrival)
         if sid is not None:
             self.spans.add(
@@ -189,8 +201,8 @@ class IoServer:
         )
         if self.capsuler is not None:
             self.capsuler.encapsulate(packet, request.hint_aff_core_id)
-        self.strips_served.add()
-        self.bytes_served.add(request.size)
+        self.strips_served += 1
+        self.bytes_served += request.size
         fastpath = self.fastpath
         for segment in segments_for_strip(packet, self.mss):
             # The IP option's copied flag (Fig. 4) replicates the hint
@@ -226,8 +238,8 @@ class IoServer:
         )
         if self.capsuler is not None:
             self.capsuler.encapsulate(ack, request.hint_aff_core_id)
-        self.strips_served.add()
-        self.bytes_served.add(request.size)
+        self.strips_served += 1
+        self.bytes_served += request.size
         if self.fastpath is not None:
             yield from self.fastpath.transmit_to_client(self.uplink, ack)
         else:

@@ -134,11 +134,8 @@ class TestInvariants:
         sim = Simulation(config)
         sim.run()
         client = sim.cluster.clients[0]
-        handled = sum(d.handled.value for d in client.daemons)
-        consumed = sum(
-            counter.value
-            for counter in client.cache.consume_by_location.values()
-        )
+        handled = sum(d.handled for d in client.daemons)
+        consumed = sum(client.cache.consume_by_location.values())
         assert handled == consumed
         strips_expected = (
             config.workload.n_processes
@@ -152,7 +149,7 @@ class TestInvariants:
         sim = Simulation(config)
         metrics = sim.run()
         client = sim.cluster.clients[0]
-        assert client.nic.bytes_received.value == metrics.bytes_read
+        assert client.nic.bytes_received == metrics.bytes_read
 
     def test_no_requests_left_in_flight(self):
         sim = Simulation(small_config())

@@ -38,8 +38,8 @@ class TestManyCoreClient:
         sim.run()
         client = sim.cluster.clients[0]
         # 8 of 40 processes sit on cores 32..39: 2 requests x 8 strips each.
-        assert client.hint_messager.hints_unencodable.value > 0
-        assert client.hint_messager.hints_attached.value > 0
+        assert client.hint_messager.hints_unencodable > 0
+        assert client.hint_messager.hints_attached > 0
 
     def test_encodable_cores_keep_locality(self):
         sim = Simulation(many_core_config())
@@ -48,7 +48,7 @@ class TestManyCoreClient:
         consumed = client.cache.consume_by_location
         # Strips for cores < 32 stay local; only the unhinted tail of
         # processes pays remote consumes.
-        assert consumed[Location.LOCAL].value > consumed[Location.REMOTE].value
+        assert consumed[Location.LOCAL] > consumed[Location.REMOTE]
 
     def test_exactly_32_cores_fully_hinted(self):
         config = many_core_config(
@@ -57,7 +57,7 @@ class TestManyCoreClient:
         sim = Simulation(config)
         metrics = sim.run()
         client = sim.cluster.clients[0]
-        assert client.hint_messager.hints_unencodable.value == 0
+        assert client.hint_messager.hints_unencodable == 0
         assert metrics.migrations == 0
 
     def test_33rd_core_is_the_first_unhinted(self):
@@ -68,6 +68,6 @@ class TestManyCoreClient:
         # Exactly one process (core 32) is unhinted: 2 requests x strips.
         strips_per_request = 256 * KiB // config.strip_size
         requests = 512 * KiB // (256 * KiB)
-        assert client.hint_messager.hints_unencodable.value == (
+        assert client.hint_messager.hints_unencodable == (
             strips_per_request * requests
         )

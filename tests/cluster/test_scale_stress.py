@@ -27,10 +27,8 @@ def test_large_cluster_completes_with_invariants():
 
     for client in sim.cluster.clients:
         # Conservation per client.
-        handled = sum(d.handled.value for d in client.daemons)
-        consumed = sum(
-            c.value for c in client.cache.consume_by_location.values()
-        )
+        handled = sum(d.handled for d in client.daemons)
+        consumed = sum(client.cache.consume_by_location.values())
         assert handled == consumed
         assert client.pfs.in_flight == 0
         # No core is busy for a negative time or longer than the run.

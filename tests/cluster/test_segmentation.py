@@ -40,8 +40,8 @@ class TestSegmentedFlows:
         unsegmented.run()
         segmented = Simulation(config(mss=8960))
         segmented.run()
-        irqs_plain = unsegmented.cluster.clients[0].nic.interrupts_raised.value
-        irqs_seg = segmented.cluster.clients[0].nic.interrupts_raised.value
+        irqs_plain = unsegmented.cluster.clients[0].nic.interrupts_raised
+        irqs_seg = segmented.cluster.clients[0].nic.interrupts_raised
         # 64 KiB strip over 8960-byte segments -> 8 interrupts per strip.
         assert irqs_plain == STRIPS
         assert irqs_seg == 8 * STRIPS
@@ -50,17 +50,14 @@ class TestSegmentedFlows:
         sim = Simulation(config(mss=8960))
         sim.run()
         client = sim.cluster.clients[0]
-        consumed = sum(
-            counter.value
-            for counter in client.cache.consume_by_location.values()
-        )
+        consumed = sum(client.cache.consume_by_location.values())
         assert consumed == STRIPS
 
     def test_hint_parsed_on_every_segment(self):
         sim = Simulation(config(mss=8960, policy="source_aware"))
         sim.run()
         parser = sim.cluster.clients[0].src_parser
-        assert parser.hints_found.value == 8 * STRIPS
+        assert parser.hints_found == 8 * STRIPS
 
     def test_sais_stays_local_under_segmentation(self):
         sim = Simulation(config(mss=8960, policy="source_aware"))

@@ -94,9 +94,9 @@ class TestRdmaZeroInterrupt:
     def test_no_interrupts_anywhere(self, sims):
         sim, metrics = sims["rdma_zerointr"]
         node = sim.cluster.clients[0]
-        assert int(node.nic.interrupts_raised.value) == 0
+        assert int(node.nic.interrupts_raised) == 0
         assert sum(node.ioapic.deliveries) == 0
-        assert all(int(d.handled.value) == 0 for d in node.daemons)
+        assert all(int(d.handled) == 0 for d in node.daemons)
         assert sum(metrics.clients[0].interrupts_per_core) == 0
 
     def test_reads_complete_with_zero_migrations(self, sims):
@@ -125,12 +125,12 @@ class TestRpsRfsHandoffs:
         assert deliveries[0] == sum(deliveries)
         # ...and the flow-table handoffs move the protocol work away.
         assert metrics.rps_handoffs > 0
-        assert int(node.daemons[0].steered.value) == metrics.rps_handoffs
+        assert int(node.daemons[0].steered) == metrics.rps_handoffs
         assert metrics.migrations == 0
         # Handoffs ride the interconnect as signals, never as strip
         # migrations.
-        assert int(node.interconnect.signals.value) == metrics.rps_handoffs
-        assert int(node.interconnect.migrations.value) == 0
+        assert int(node.interconnect.signals) == metrics.rps_handoffs
+        assert int(node.interconnect.migrations) == 0
 
 
 class TestUnknownPolicyErrors:

@@ -38,7 +38,7 @@ class TestHintMessager:
         request = make_request()
         assert messager.attach(request, core_index=5) is True
         assert request.hint_aff_core_id == 5
-        assert messager.hints_attached.value == 1
+        assert messager.hints_attached == 1
 
     def test_unencodable_core_degrades_gracefully(self):
         """Cores beyond the 5-bit field travel unhinted (paper: SAIs can
@@ -47,8 +47,8 @@ class TestHintMessager:
         request = make_request()
         assert messager.attach(request, core_index=32) is False
         assert request.hint_aff_core_id is None
-        assert messager.hints_unencodable.value == 1
-        assert messager.hints_attached.value == 0
+        assert messager.hints_unencodable == 1
+        assert messager.hints_attached == 0
 
     def test_boundary_core_31_still_encodable(self):
         messager = HintMessager()
@@ -63,14 +63,14 @@ class TestHintCapsuler:
         packet = make_packet()
         capsuler.encapsulate(packet, 7)
         assert decode_aff_core_id(packet.options) == 7
-        assert capsuler.packets_stamped.value == 1
+        assert capsuler.packets_stamped == 1
 
     def test_no_hint_leaves_packet_untouched(self):
         capsuler = HintCapsuler()
         packet = make_packet()
         capsuler.encapsulate(packet, None)
         assert packet.options == b""
-        assert capsuler.packets_stamped.value == 0
+        assert capsuler.packets_stamped == 0
 
 
 class TestSrcParser:
@@ -79,13 +79,13 @@ class TestSrcParser:
         packet = make_packet()
         capsuler.encapsulate(packet, 3)
         assert parser.parse(packet) == 3
-        assert parser.hints_found.value == 1
+        assert parser.hints_found == 1
 
     def test_plain_packet_yields_none(self):
         parser = SrcParser()
         assert parser.parse(make_packet()) is None
-        assert parser.packets_parsed.value == 1
-        assert parser.hints_found.value == 0
+        assert parser.packets_parsed == 1
+        assert parser.hints_found == 0
 
     def test_out_of_range_hint_counted_not_steered(self):
         # A corrupted option can decode to a well-formed hint naming a
@@ -95,16 +95,16 @@ class TestSrcParser:
         packet = make_packet()
         capsuler.encapsulate(packet, 20)  # encodable, but host has 8 cores
         assert parser.parse(packet) is None
-        assert parser.hints_out_of_range.value == 1
-        assert parser.parse_errors.value == 1
-        assert parser.hints_found.value == 0
+        assert parser.hints_out_of_range == 1
+        assert parser.parse_errors == 1
+        assert parser.hints_found == 0
 
     def test_in_range_hint_unaffected_by_core_count(self):
         capsuler, parser = HintCapsuler(), SrcParser(n_cores=8)
         packet = make_packet()
         capsuler.encapsulate(packet, 3)
         assert parser.parse(packet) == 3
-        assert parser.hints_out_of_range.value == 0
+        assert parser.hints_out_of_range == 0
 
 
 class TestIMComposer:
@@ -113,7 +113,7 @@ class TestIMComposer:
         ctx = composer.compose(make_packet(), 4)
         assert ctx.aff_core_id == 4
         assert ctx.request_core == 2
-        assert composer.messages_composed.value == 1
+        assert composer.messages_composed == 1
 
 
 class TestEndToEndHintPath:

@@ -91,7 +91,7 @@ class TestNic:
         env.run()
         assert env.now == pytest.approx(0.5)
         assert len(log) == 1
-        assert nic.bytes_received.value == 512 * KiB
+        assert nic.bytes_received == 512 * KiB
 
     def test_packets_queue_on_the_wire(self, env, cores):
         ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
@@ -102,7 +102,7 @@ class TestNic:
         env.process(nic.receive(make_packet(size=1 * MiB)))
         env.run()
         assert env.now == pytest.approx(2.0)
-        assert nic.interrupts_raised.value == 2
+        assert nic.interrupts_raised == 2
 
     def test_driver_hook_feeds_aff_core_id(self, env, cores):
         ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
@@ -179,8 +179,8 @@ class TestDisk:
         disk = Disk(env, rate=1 * MiB, seek=0.0)
         env.process(disk.read(256 * KiB))
         env.run()
-        assert disk.bytes_read.value == 256 * KiB
-        assert disk.requests.value == 1
+        assert disk.bytes_read == 256 * KiB
+        assert disk.requests == 1
 
     def test_invalid_params(self, env):
         with pytest.raises(ValueError):

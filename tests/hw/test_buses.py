@@ -20,8 +20,8 @@ class TestInterconnectBus:
         env.process(bus.transfer(64 * KiB))
         env.run()
         assert env.now == pytest.approx(costs.strip_migration_time(64 * KiB))
-        assert bus.migrations.value == 1
-        assert bus.bytes_moved.value == 64 * KiB
+        assert bus.migrations == 1
+        assert bus.bytes_moved == 64 * KiB
 
     def test_transfers_serialize(self, env):
         """The paper: only one strip migration can happen at any time."""
@@ -40,7 +40,7 @@ class TestInterconnectBus:
         env.run()
         single = CostModel().strip_migration_time(64 * KiB)
         # Second waits 1x, third waits 2x.
-        assert bus.wait_time.value == pytest.approx(3 * single)
+        assert bus.wait_time == pytest.approx(3 * single)
 
     def test_total_busy_time(self, env):
         costs = CostModel()
@@ -73,7 +73,7 @@ class TestInterconnectBus:
         assert first.busy_time == pytest.approx(m)
         assert second.busy_time == pytest.approx(m)  # not 2m: queue is idle
         assert second.busy_by_category["migration"] == pytest.approx(m)
-        assert bus.wait_time.value == pytest.approx(m)
+        assert bus.wait_time == pytest.approx(m)
         assert not first.is_busy and not second.is_busy
 
     def test_refetch_category_and_rate(self, env):
@@ -89,7 +89,7 @@ class TestInterconnectBus:
         expected = costs.c2c_latency + 64 * KiB / costs.mem_fetch_rate
         assert env.now == pytest.approx(expected)
         assert core.busy_by_category["memory_fetch"] == pytest.approx(expected)
-        assert bus.migrations.value == 1
+        assert bus.migrations == 1
 
     def test_signals_share_the_bus_but_not_the_counters(self, env):
         costs = CostModel()
@@ -99,9 +99,9 @@ class TestInterconnectBus:
         env.run()
         m = costs.strip_migration_time(64 * KiB)
         assert env.now == pytest.approx(m + costs.c2c_latency)
-        assert bus.signals.value == 1
-        assert bus.migrations.value == 1
-        assert bus.wait_time.value == 0.0
+        assert bus.signals == 1
+        assert bus.migrations == 1
+        assert bus.wait_time == 0.0
         assert bus.total_busy_time == pytest.approx(m + costs.c2c_latency)
 
 
@@ -128,4 +128,4 @@ class TestMemoryBus:
         env.process(bus.transfer(1 * MiB))
         env.run()
         assert bus.total_busy_time == pytest.approx(0.5)
-        assert bus.bytes_moved.value == MiB
+        assert bus.bytes_moved == MiB

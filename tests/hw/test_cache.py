@@ -114,17 +114,17 @@ class TestCacheSystem:
             (lambda: sys.consume(1, 2), Location.ABSENT, 0.75),
         ]
         for consume, location, fraction in steps:
-            before = sys.misses.value
+            before = sys.misses
             assert consume() is location
-            assert sys.misses.value - before == lines * fraction
+            assert sys.misses - before == lines * fraction
 
     def test_consume_location_counters(self):
         sys = make_system()
         sys.install(0, 1)
         sys.consume(1, 1)
         sys.consume(1, 1)
-        assert sys.consume_by_location[Location.REMOTE].value == 1
-        assert sys.consume_by_location[Location.LOCAL].value == 1
+        assert sys.consume_by_location[Location.REMOTE] == 1
+        assert sys.consume_by_location[Location.LOCAL] == 1
 
     def test_discard_forgets_strip(self):
         sys = make_system()
@@ -151,7 +151,7 @@ class TestCacheSystem:
         sys = make_system(l2=64 * KiB, strip=64 * KiB)  # 1 strip/cache
         sys.install(0, 1)
         sys.install(0, 2)
-        assert sys.evictions.value == 1
+        assert sys.evictions == 1
 
 
 class TestCacheAccessModel:

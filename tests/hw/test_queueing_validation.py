@@ -38,7 +38,7 @@ def mean_wait_at(utilization, arrivals=3000, seed=7):
         )
     )
     env.run()
-    return bus.wait_time.value / arrivals, service
+    return bus.wait_time / arrivals, service
 
 
 class TestQueueingCurve:

@@ -44,7 +44,7 @@ class TestSoftirqDaemon:
         )
         ioapic.raise_interrupt(InterruptContext(packet=packet))
         env.run(until=0.01)
-        assert daemons[0].handled.value == 1
+        assert daemons[0].handled == 1
         assert cache.owner(0) == 0
         assert outstanding.arrived == 1
 
@@ -109,8 +109,8 @@ class TestSoftirqDaemon:
             )
             ioapic.raise_interrupt(InterruptContext(packet=packet))
         env.run(until=0.01)
-        assert daemons[0].handled.value == 3
-        assert daemons[0].bytes_handled.value == 192 * KiB
+        assert daemons[0].handled == 3
+        assert daemons[0].bytes_handled == 192 * KiB
 
 
     def test_enqueue_resumes_an_idle_daemon_in_place(self, env):
@@ -132,7 +132,7 @@ class TestSoftirqDaemon:
         assert not daemons[0].backlog
         assert env.events_processed == baseline
         env.run()
-        assert daemons[0].handled.value == 1
+        assert daemons[0].handled == 1
         # the softirq's processing timeout and nothing else
         assert env.events_processed == baseline + 1
 

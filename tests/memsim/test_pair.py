@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import Environment
-from repro.des.monitor import Counter
 from repro.hw.core import Core
 from repro.hw.memory import MemoryBus
 from repro.memsim import AppPair, MemsimConfig
@@ -14,7 +13,7 @@ def build_pair(env, colocated_address_space=True, hot=1.0, cfg=None):
     cfg = cfg or MemsimConfig(per_app_bytes=1 * MiB)
     cores = [Core(env, i, cfg.clock_hz) for i in range(2)]
     membus = MemoryBus(env, cfg.memory_bandwidth)
-    accesses, misses = Counter("a"), Counter("m")
+    line_counts = [0.0, 0.0]
     pair = AppPair(
         env,
         cfg,
@@ -22,11 +21,10 @@ def build_pair(env, colocated_address_space=True, hot=1.0, cfg=None):
         combiner_core=cores[1],
         membus=membus,
         cache_hot_fraction=hot,
-        accesses=accesses,
-        misses=misses,
+        line_counts=line_counts,
         shared_address_space=colocated_address_space,
     )
-    return pair, cores, membus, accesses, misses
+    return pair, cores, membus, line_counts
 
 
 class TestAppPair:
@@ -75,14 +73,15 @@ class TestAppPair:
 
     def test_miss_accounting(self):
         env = Environment()
-        pair, _, _, accesses, misses = build_pair(env)
+        pair, _, _, line_counts = build_pair(env)
         proc = env.process(pair.run())
         env.run(until=proc)
+        accesses, misses = line_counts
         strips = 1 * MiB // (64 * KiB)
         lines = 64 * KiB // 64
         # One read access-set + one combine access-set per strip.
-        assert accesses.value == 2 * strips * lines
-        assert 0 < misses.value < accesses.value
+        assert accesses == 2 * strips * lines
+        assert 0 < misses < accesses
 
     def test_pipe_depth_bounds_reader_lead(self):
         """With a slow combiner, the bounded pipe throttles the reader."""

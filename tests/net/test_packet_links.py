@@ -97,8 +97,8 @@ class TestLink:
         link = Link(env, bandwidth=1 * MiB)
         env.process(link.transmit(make_packet(size=64 * KiB), lambda p: None))
         env.run()
-        assert link.bytes_sent.value == 64 * KiB
-        assert link.packets_sent.value == 1
+        assert link.bytes_sent == 64 * KiB
+        assert link.packets_sent == 1
 
     def test_send_returns_after_the_attempt_that_gets_through(self, env):
         class DropFirstAttempt:
@@ -119,8 +119,8 @@ class TestLink:
         env.run()
         # Lost attempt (1 s on the wire) + back-off (0.5 s) + resend (1 s).
         assert departed == [pytest.approx(2.5)]
-        assert link.packets_sent.value == 2
-        assert link.retransmits.value == 1
+        assert link.packets_sent == 2
+        assert link.retransmits == 1
 
     def test_invalid_bandwidth(self, env):
         with pytest.raises(ValueError):

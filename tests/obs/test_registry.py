@@ -1,65 +1,47 @@
 """Unit tests for the unified metrics registry (repro.obs.registry)."""
 
 import dataclasses
+import hashlib
+import types
 
 import pytest
 
-from repro.des.monitor import Counter
 from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
 
 
 class TestRegistration:
     def test_counter_reads_live_value(self):
+        component = types.SimpleNamespace(hits=0)
         registry = MetricsRegistry()
-        counter = Counter("hits")
-        registry.register_counter("hits", counter)
-        assert registry.read("hits") == 0.0
-        counter.add(3)
-        assert registry.read("hits") == 3.0
+        registry.register("hits", lambda: component.hits)
+        assert registry.read("hits") == 0
+        component.hits += 3
+        assert registry.read("hits") == 3
 
     def test_probe(self):
         registry = MetricsRegistry()
         state = {"value": 1.0}
-        registry.register_probe("gauge", lambda: state["value"])
+        registry.register("gauge", lambda: state["value"])
         state["value"] = 7.5
         assert registry.read("gauge") == 7.5
 
     def test_duplicate_name_rejected(self):
         registry = MetricsRegistry()
-        registry.register_probe("x", lambda: 0.0)
+        registry.register("x", lambda: 0.0)
         with pytest.raises(SimulationError):
-            registry.register_probe("x", lambda: 1.0)
+            registry.register("x", lambda: 1.0)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SimulationError):
             MetricsRegistry().read("nope")
 
-
-class TestSnapshot:
-    def test_snapshot_is_sorted_and_filterable(self):
+    def test_names_are_sorted(self):
         registry = MetricsRegistry()
-        registry.register_probe("b.two", lambda: 2.0)
-        registry.register_probe("a.one", lambda: 1.0)
-        registry.register_probe("b.one", lambda: 3.0)
-        names = [s.name for s in registry.snapshot()]
-        assert names == ["a.one", "b.one", "b.two"]
-        assert [s.name for s in registry.snapshot(prefix="b.")] == [
-            "b.one",
-            "b.two",
-        ]
-
-    def test_as_dict(self):
-        registry = MetricsRegistry()
-        registry.register_probe("x", lambda: 4.0)
-        assert registry.as_dict() == {"x": 4.0}
-
-    def test_labels_round_trip(self):
-        registry = MetricsRegistry()
-        registry.register_probe("x", lambda: 0.0, labels={"core": 3})
-        sample = registry.snapshot()[0]
-        assert sample.label("core") == 3
-        assert sample.label("missing") is None
+        registry.register("b.two", lambda: 2.0)
+        registry.register("a.one", lambda: 1.0)
+        registry.register("b.one", lambda: 3.0)
+        assert registry.names() == ("a.one", "b.one", "b.two")
 
 
 class TestIngestDataclass:
@@ -84,16 +66,25 @@ class TestIngestDataclass:
         record.count = 99
         assert registry.read("rec.count") == 5.0
 
-    def test_kind_inference(self):
-        @dataclasses.dataclass
-        class Record:
-            total: int
-            mean: float
 
-        registry = MetricsRegistry()
-        registry.ingest_dataclass("r", Record(total=1, mean=2.0))
-        kinds = {s.name: s.kind for s in registry.snapshot()}
-        assert kinds == {"r.total": "counter", "r.mean": "gauge"}
+#: Registry known answers per regime, on the default wire path: (number
+#: of names, sha256 of the sorted ``name=float(value).hex()`` lines).
+#: Each regime runs 2 clients and 8 servers at MSS 1460: irqbalance on a
+#: healthy fabric, source_aware under every fault hazard, rps_rfs with NAPI.
+REGISTRY_KNOWN = {
+    "healthy": (
+        145,
+        "aedab3fff5cb8951a8d57ac18b76d280157a56ecdf546170420c32900f772979",
+    ),
+    "faults": (
+        168,
+        "34f92dfcbddff001a20ca4e769bc3835fb37069f0fa522aff70b117b57ec60e4",
+    ),
+    "napi": (
+        145,
+        "28951c58746f6f398419b3da2fd7f622184dc9976bf22480280b2f316d52415e",
+    ),
+}
 
 
 class TestClusterIntegration:
@@ -121,7 +112,7 @@ class TestClusterIntegration:
         )
         assert served > 0
         # Every component family shows up in one flat namespace.
-        names = [s.name for s in metrics.snapshot()]
+        names = metrics.names()
         assert any(n.startswith("client0.core0.") for n in names)
         assert any(n.startswith("client0.pfs.") for n in names)
         assert any(n.startswith("client0.interconnect.") for n in names)
@@ -143,6 +134,64 @@ class TestClusterIntegration:
         sim.run()
         metrics = sim.cluster.metrics
         assert metrics.read("faults.packets_dropped") > 0
-        assert [
-            s for s in metrics.snapshot(prefix="resilience.")
-        ], "resilience record was not ingested"
+        assert any(
+            name.startswith("resilience.") for name in metrics.names()
+        ), "resilience record was not ingested"
+
+    @pytest.mark.parametrize("regime", sorted(REGISTRY_KNOWN))
+    def test_every_reading_matches_known_answer(self, regime, monkeypatch):
+        # Every registered instrument, read after the run, against its
+        # recorded value: a moved count, or a reader registered in a loop
+        # that reads another component, fails here.
+        monkeypatch.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
+        from repro import (
+            ClientConfig,
+            ClusterConfig,
+            NetworkConfig,
+            WorkloadConfig,
+        )
+        from repro.cluster.simulation import Simulation
+        from repro.faults import FaultPlan
+        from repro.units import KiB, MiB
+
+        policy, napi, faults = {
+            "healthy": ("irqbalance", False, None),
+            "faults": (
+                "source_aware",
+                False,
+                FaultPlan(
+                    loss_prob=0.05,
+                    corrupt_prob=0.1,
+                    strip_option_prob=0.1,
+                    reorder_prob=0.2,
+                    straggler_servers=(1,),
+                    straggler_slowdown=8.0,
+                    server_failure_windows=((2, 0.0, 2e-3),),
+                    strip_retry_timeout=5e-3,
+                    max_strip_retries=5,
+                    seed=7,
+                ),
+            ),
+            "napi": ("rps_rfs", True, None),
+        }[regime]
+        sim = Simulation(
+            ClusterConfig(
+                n_servers=8,
+                n_clients=2,
+                policy=policy,
+                client=ClientConfig(napi=napi),
+                network=NetworkConfig(mss=1460),
+                workload=WorkloadConfig(
+                    n_processes=2, transfer_size=256 * KiB, file_size=1 * MiB
+                ),
+                faults=faults,
+            )
+        )
+        sim.run()
+        metrics = sim.cluster.metrics
+        lines = "\n".join(
+            f"{name}={float(metrics.read(name)).hex()}"
+            for name in sorted(metrics.names())
+        )
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert (len(metrics.names()), digest) == REGISTRY_KNOWN[regime]

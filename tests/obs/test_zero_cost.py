@@ -229,10 +229,10 @@ class TestCommittedBenchCounts:
             resilience.strip_retries,
             resilience.duplicate_strips,
         ) == (2, 5, 20, 17)
-        assert [s.cache_hits.value for s in servers] == [
+        assert [s.cache_hits for s in servers] == [
             10, 9, 8, 13, 13, 10, 10, 8
         ]
-        assert [s.disk.requests.value for s in servers] == [
+        assert [s.disk.requests for s in servers] == [
             6, 15, 8, 3, 3, 9, 7, 14
         ]
 

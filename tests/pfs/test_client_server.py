@@ -166,7 +166,7 @@ class TestIoServer:
         assert packet.size == 64 * KiB
         assert packet.strip_id == 7
         assert packet.request_core == 2
-        assert server.strips_served.value == 1
+        assert server.strips_served == 1
 
     def test_wrong_server_rejected(self, env):
         server, _ = self.make_server(env)
@@ -187,11 +187,11 @@ class TestIoServer:
 
     def test_page_cache_hit_is_deterministic_per_offset(self, env):
         server, _ = self.make_server(env, cache_hit_ratio=0.5)
-        before = server.cache_hits.value
+        before = server.cache_hits
         server.accept(self.request(offset=0), env.now)
         server.accept(self.request(offset=0), env.now)
         env.run()
-        hits = server.cache_hits.value - before
+        hits = server.cache_hits - before
         assert hits in (0, 2)  # same offset -> same outcome both times
 
     def test_all_hits_when_ratio_one(self, env):
@@ -199,15 +199,15 @@ class TestIoServer:
         for offset in range(0, 10 * 64 * KiB, 64 * KiB):
             server.accept(self.request(offset=offset), env.now)
         env.run()
-        assert server.cache_hits.value == 10
-        assert server.disk.requests.value == 0
+        assert server.cache_hits == 10
+        assert server.disk.requests == 0
 
     def test_all_misses_when_ratio_zero(self, env):
         server, _ = self.make_server(env, cache_hit_ratio=0.0)
         server.accept(self.request(), env.now)
         env.run()
-        assert server.cache_hits.value == 0
-        assert server.disk.requests.value == 1
+        assert server.cache_hits == 0
+        assert server.disk.requests == 1
 
     def test_hit_departs_after_the_folded_private_delays(self, env):
         """A hit's one process starts at its uplink request: arrival +
@@ -229,9 +229,9 @@ class TestIoServer:
         server, delivered = self.make_server(env, cache_hit_ratio=0.0)
         server.accept(self.request(), 2e-6)
         env.run(until=2e-6 + server.config.service_overhead)
-        assert server.disk.requests.value == 0
+        assert server.disk.requests == 0
         env.run()
-        assert server.disk.requests.value == 1
+        assert server.disk.requests == 1
         assert len(delivered) == 1
 
     def test_write_is_acked_after_the_buffered_copy(self, env):
@@ -255,7 +255,7 @@ class TestIoServer:
         (ack,) = delivered
         assert not ack.carries_data
         assert ack.size == server.ACK_SIZE
-        assert server.bytes_served.value == 64 * KiB
+        assert server.bytes_served == 64 * KiB
         # The asynchronous flush reached the disk after the ack left.
-        assert server.disk.bytes_written.value == 64 * KiB
+        assert server.disk.bytes_written == 64 * KiB
         assert env.now >= ack_at + server.uplink.serialization_time(ack.size)

@@ -57,7 +57,7 @@ class TestWritePath:
         # Flushes are asynchronous; drain any remaining disk activity.
         sim.cluster.env.run()
         flushed = sum(
-            server.disk.bytes_written.value for server in sim.cluster.servers
+            server.disk.bytes_written for server in sim.cluster.servers
         )
         expected = (
             sim.config.workload.n_processes * sim.config.workload.file_size
@@ -78,7 +78,7 @@ class TestWritePath:
         metrics = sim.run()
         client = sim.cluster.clients[0]
         # Client rx only saw tiny acks, far less than the data volume.
-        assert client.nic.bytes_received.value < 0.05 * metrics.bytes_read
+        assert client.nic.bytes_received < 0.05 * metrics.bytes_read
 
 
 class TestMigrationAblation:

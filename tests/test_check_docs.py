@@ -89,3 +89,40 @@ def test_dotted_name_check_detects_stale_names(check_docs, tmp_path, monkeypatch
         "DOC.md:2: names repro.pfs.IoServer, which does not exist",
         "DOC.md:2: names repro.nosuchmodule.thing, which does not exist",
     ]
+
+
+def test_class_attribute_check_detects_stale_names(
+    check_docs, tmp_path, monkeypatch
+):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "model.py").write_text(
+        "import dataclasses\n"
+        "class Base:\n"
+        "    def inherited(self): ...\n"
+        "@dataclasses.dataclass\n"
+        "class Thing(Base):\n"
+        "    field: int = 0\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "    @property\n"
+        "    def busy(self): ...\n",
+        encoding="utf-8",
+    )
+    # `Other` is no repro class, so it is not checked; ROADMAP.md may
+    # name deleted code.
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "`Thing.field`, `Thing.count`, `Thing.busy`, `Thing.inherited(x)`\n"
+        "`Thing.gone`, `Other.gone`, `Thing.busy` `Base.missing`\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "ROADMAP.md").write_text("`Thing.deleted`\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ["DOC.md", "ROADMAP.md"])
+    problems: list[str] = []
+    check_docs.check_class_attributes(problems)
+    assert problems == [
+        "DOC.md:2: names Thing.gone, which Thing does not have",
+        "DOC.md:2: names Base.missing, which Base does not have",
+    ]

@@ -93,7 +93,7 @@ class TestIorProcess:
         # Drive to completion and check bytes.
         procs = []  # already spawned inside; re-run via env
         cluster.env.run()
-        assert node.pfs.bytes_requested.value == (
+        assert node.pfs.bytes_requested == (
             workload.n_processes * workload.file_size
         )
 
@@ -139,8 +139,8 @@ class TestRandomAccess:
         rand = self.make("random")
         assert self.drive(seq) == self.drive(rand)
         assert (
-            seq.clients[0].pfs.strips_requested.value
-            == rand.clients[0].pfs.strips_requested.value
+            seq.clients[0].pfs.strips_requested
+            == rand.clients[0].pfs.strips_requested
         )
 
     def test_random_without_rng_rejected(self):
