@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Docs hygiene checker: broken links, stale CLI flags, API coverage,
-stale dotted names, stale class attributes.
+"""Docs hygiene checker: broken links, stale CLI flags and environment
+variables, API coverage, stale dotted names, stale class attributes.
 
 Five fast, dependency-free checks over the user-facing markdown
 (README.md, DESIGN.md, EXPERIMENTS.md, CONTRIBUTING.md, ROADMAP.md,
@@ -11,7 +11,11 @@ docs/*.md):
 2. **Flags** — every ``--flag`` token the docs mention must be defined
    by the ``sais-repro`` argument parser (or be a known external tool's
    flag, e.g. pytest's ``--update-goldens``), so renamed or removed
-   options can't linger in prose.
+   options can't linger in prose.  Likewise every ``REPRO_*``
+   environment variable must be read by the code: some module under
+   ``src/repro`` must hold its name as a whole string literal (a
+   docstring that mentions it does not count).  ROADMAP.md is exempt
+   from the variable check, as from check 5.
 3. **API coverage** — ``docs/API.md`` must mention every ``src/repro``
    subsystem as ``repro.<name>``.
 4. **Dotted names** — every backticked dotted name that starts with
@@ -60,11 +64,13 @@ EXTERNAL_FLAGS = {
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w/-])--[a-z][a-z0-9-]+")
+ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+")
 DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 CLASS_ATTR_RE = re.compile(r"([A-Z]\w*)\.([A-Za-z_]\w*)")
 
-#: Docs allowed to name class attributes that no longer exist.
+#: Docs allowed to name class attributes and environment variables that
+#: no longer exist.
 HISTORY_FILES = {"ROADMAP.md"}
 
 
@@ -104,8 +110,24 @@ def check_links(problems: list[str]) -> None:
                 problems.append(f"{rel}: broken link -> {target}")
 
 
+def env_vars_read() -> set[str]:
+    """Every ``REPRO_*`` name some module under ``src/repro`` holds as a
+    whole string literal: the environment variables the code can read."""
+    names: set[str] = set()
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ENV_VAR_RE.fullmatch(node.value)
+            ):
+                names.add(node.value)
+    return names
+
+
 def check_flags(problems: list[str]) -> None:
     known = parser_flags() | EXTERNAL_FLAGS
+    read = env_vars_read()
     for rel in DOC_FILES:
         path = ROOT / rel
         if not path.exists():
@@ -117,6 +139,14 @@ def check_flags(problems: list[str]) -> None:
                 if flag not in known:
                     problems.append(
                         f"{rel}:{line_no}: documents unknown flag {flag}"
+                    )
+            if rel in HISTORY_FILES:
+                continue
+            for name in ENV_VAR_RE.findall(line):
+                if name not in read:
+                    problems.append(
+                        f"{rel}:{line_no}: documents environment variable "
+                        f"{name}, which nothing under src/repro reads"
                     )
 
 

@@ -11,7 +11,7 @@ from ..core.sais import HintCapsuler
 from ..des import Environment
 from ..errors import ConfigError
 from ..faults.injector import FaultInjector
-from ..net.fastpath import WireFastPath, fast_wire_enabled
+from ..net.fastpath import WireFastPath
 from ..net.links import Link
 from ..net.packet import Packet
 from ..net.switch import Switch
@@ -58,9 +58,9 @@ def build_cluster(
 ) -> Cluster:
     """Build every component of one experiment point and wire the paths.
 
-    Data path: ``IoServer`` reply -> server uplink ``Link`` -> switch ->
-    destination client's NIC -> I/O APIC (policy) -> softirq -> PFS
-    client.
+    Data path: ``IoServer`` reply -> ``WireFastPath`` (server uplink
+    ``Link`` -> switch -> destination client's NIC) -> I/O APIC (policy)
+    -> softirq -> PFS client.
 
     Request path: client ``PfsClient.issue`` -> ``IoServer.accept`` with
     the arrival instant one fabric latency later (request messages are a
@@ -96,7 +96,6 @@ def build_cluster(
         backplane_bandwidth=net.switch_bandwidth,
         latency=net.latency,
         middlebox=injector.middlebox if injector is not None else None,
-        spans=spans,
         obs_track=fabric_track,
     )
 
@@ -124,20 +123,10 @@ def build_cluster(
 
     sais_enabled = clients[0].policy.requires_hints
 
-    # Coalesced wire fast path: exact analytic pipeline under every fault
-    # plan (loss rides Link.send, the middlebox runs at relay time, and
-    # reordered packets wait in a per-client heap; see repro.net.fastpath).
-    # REPRO_NO_WIRE_FASTPATH=1 selects the resource-based reference path,
-    # kept as the oracle of the A/B equivalence tests.
-    fastpath: WireFastPath | None = None
-    if fast_wire_enabled():
-        fastpath = WireFastPath(env, switch, clients, spans=spans)
-
-    def deliver_to_client(packet: Packet) -> t.Any:
-        return clients[packet.dst_client].nic.receive(packet)
-
-    def into_switch(packet: Packet) -> t.Any:
-        return switch.forward(packet, deliver_to_client)
+    # The wire: an exact analytic pipeline under every fault plan (loss
+    # rides Link.send, the middlebox runs at relay time, and reordered
+    # packets wait in a per-client heap; see repro.net.fastpath).
+    fastpath = WireFastPath(env, switch, clients, spans=spans)
 
     servers: list[IoServer] = []
     for server_index in range(config.n_servers):
@@ -149,9 +138,7 @@ def build_cluster(
         uplink = Link(
             env,
             bandwidth=config.server.nic_bandwidth,
-            latency=0.0,  # the switch hop carries the fabric latency
             framing_overhead=net.framing_overhead,
-            name=uplink_name,
             faults=(
                 injector.link_faults(uplink_name)
                 if injector is not None
@@ -164,12 +151,11 @@ def build_cluster(
                 index=server_index,
                 config=config.server,
                 uplink=uplink,
-                deliver=into_switch,
+                fastpath=fastpath,
                 rng=rngs.stream(f"server{server_index}"),
                 capsuler=HintCapsuler() if sais_enabled else None,
                 mss=net.mss,
                 faults=injector,
-                fastpath=fastpath,
                 spans=spans,
                 obs_track=server_track,
             )
@@ -181,9 +167,7 @@ def build_cluster(
         Link(
             env,
             bandwidth=config.client.nic_bandwidth,
-            latency=0.0,
             framing_overhead=net.framing_overhead,
-            name=f"client{idx}_uplink",
             faults=(
                 injector.link_faults(f"client{idx}_uplink")
                 if injector is not None
@@ -216,24 +200,12 @@ def build_cluster(
                 request_id=request.request_id,
                 strip_id=request.strip_id,
             )
-            if fastpath is not None:
-                env.process(
-                    fastpath.transmit_to_server(
-                        uplink, data, lambda at: server.accept(request, at)
-                    ),
-                    quiet=True,
-                )
-                return
-
-            def _route_write() -> t.Generator:
-                yield from uplink.transmit(
-                    data,
-                    lambda packet: switch.forward(
-                        packet, lambda _p: server.accept(request, env.now)
-                    ),
-                )
-
-            env.process(_route_write(), quiet=True)
+            env.process(
+                fastpath.transmit_to_server(
+                    uplink, data, lambda at: server.accept(request, at)
+                ),
+                quiet=True,
+            )
 
         return submit
 

@@ -12,8 +12,9 @@ down to what the model uses:
 * :class:`~repro.des.process.Process` wraps a Python generator; the
   generator ``yield``\\ s events to wait on them;
 * :mod:`~repro.des.resources` provides the fixed-service FIFO queue used
-  for links, disks and buses, the FIFO resource of the reference wire
-  path, object stores and the barrier of MPI-IO collectives.  CPU cores
+  for links, disks and buses, object stores, the barrier of MPI-IO
+  collectives, and a general FIFO resource, kept as the oracle the
+  fixed-service FIFO is tested against.  CPU cores
   and softirq backlogs own their queues in the model
   (:class:`repro.hw.core.Core`, :class:`repro.kernel.softirq.SoftirqDaemon`).
 

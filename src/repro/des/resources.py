@@ -2,11 +2,13 @@
 
 These model the contended hardware in the simulator: the server and
 client uplinks, the disk, the memory bus and the inter-core interconnect
-are :class:`FixedServiceFifo`\\ s; the per-segment reference wire path
-queues on :class:`Resource`\\ s; a :class:`Store` carries each request's
-arrived strips and memsim's reader-to-combiner pipe, and a
-:class:`Barrier` synchronizes the processes of an MPI-IO collective.  CPU
-cores and softirq backlogs are not here: :class:`repro.hw.core.Core` and
+are :class:`FixedServiceFifo`\\ s; a :class:`Store` carries each
+request's arrived strips and memsim's reader-to-combiner pipe, and a
+:class:`Barrier` synchronizes the processes of an MPI-IO collective.  No
+model code queues on a :class:`Resource`: it is the general FIFO resource
+that ``tests/des/test_fixed_service_fifo.py`` checks
+:class:`FixedServiceFifo` against.  CPU cores and softirq backlogs are
+not here: :class:`repro.hw.core.Core` and
 :class:`repro.kernel.softirq.SoftirqDaemon` own their queues.
 """
 

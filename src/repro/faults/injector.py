@@ -5,11 +5,11 @@ a non-null plan) and consulted from three places:
 
 * each :class:`~repro.net.links.Link` asks its :class:`LinkFaults` adapter
   whether a transmission attempt is lost and how long to back off;
-* the switch hop runs :meth:`FaultInjector.middlebox` on every forwarded
-  packet (:meth:`~repro.net.switch.Switch.forward` at fabric departure,
-  the wire fast path right after :meth:`~repro.net.switch.Switch.relay`)
-  — option stripping, option corruption, and reordering delay all happen
-  "in the middle of the network";
+* the switch hop runs :meth:`FaultInjector.middlebox` on every relayed
+  packet (the wire runs it right after
+  :meth:`~repro.net.switch.Switch.relay`) — option stripping, option
+  corruption, and reordering delay all happen "in the middle of the
+  network";
 * each :class:`~repro.pfs.server.IoServer` asks for its straggler slowdown
   factor and whether it is inside a transient-failure window.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import typing as t
 from collections import deque
 
-from ..des import Environment, Resource
+from ..des import Environment
 from .apic import InterruptContext, IoApic
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,9 +91,7 @@ class Nic:
         #: Wire span ids keyed (strip, segment), consumed when the
         #: packet's interrupt is raised (the IRQ-placement flow source).
         self._rx_spans: dict[tuple[int, int], int] = {}
-        self._wire = Resource(env, capacity=1)
-        #: Analytic next-free time of the bonded wire (fast path only; see
-        #: :mod:`repro.net.fastpath`).
+        #: Next-free time of the bonded wire's FIFO (see :meth:`admit`).
         self._wire_free = 0.0
         self.bytes_received = 0
         self.packets_received = 0
@@ -103,31 +101,19 @@ class Nic:
         """Serialization time of ``nbytes`` of payload on the bonded link."""
         return nbytes * (1.0 + self.framing_overhead) / self.bandwidth
 
-    def receive(self, packet: "Packet") -> t.Generator:
-        """Receive one packet off the wire, then raise its interrupt.
-
-        The caller (the network fabric) drives this as a process; it blocks
-        for queueing + serialization, mirroring store-and-forward delivery.
-        """
-        with self._wire.request() as req:
-            yield req
-            yield self.env.timeout(self.wire_time(packet.size))
-        self.complete_rx(packet)
-
     def admit(self, nbytes: int, arrival: float) -> float:
         """Reserve the wire analytically for a packet landing at ``arrival``.
 
-        Closed form of :meth:`receive`'s wire resource: the packet queues
-        behind the wire's drain time, serializes, and is fully received at
-        the returned instant.  ``arrival`` may be in the future (the fast
-        path reserves at upstream-departure time).  Invariant: calls come
-        in nondecreasing ``arrival`` order, with equal arrivals in the
-        order the reference path's wire requests would be made.  Upstream
-        departures are monotone, so admitting at relay time keeps that
-        order; a reorder-delayed packet breaks it, so the fast path holds
-        such packets back and admits them by arrival time.  The caller
-        schedules :meth:`complete_rx` at the returned time.  Fast-path use
-        only — never mix with :meth:`receive` on the same instance.
+        The wire is a FIFO server in closed form: the packet queues behind
+        the wire's drain time, serializes, and is fully received at the
+        returned instant.  ``arrival`` may be in the future (the wire
+        reserves at upstream-departure time).  Invariant: calls come in
+        nondecreasing ``arrival`` order, equal arrivals in the order they
+        reach the port.  Upstream departures are monotone, so admitting at
+        relay time keeps that order; a reorder-delayed packet breaks it,
+        so :class:`~repro.net.fastpath.WireFastPath` holds such packets
+        back and admits them by arrival time.  The caller schedules
+        :meth:`complete_rx` at the returned time.
         """
         start = self._wire_free
         if start < arrival:
@@ -139,16 +125,14 @@ class Nic:
     def complete_rx(self, packet: "Packet") -> None:
         """Post-wire receive half: counters, wire span, tripwire, interrupt.
 
-        Runs at the instant the packet is fully off the wire — from
-        :meth:`receive` directly, or via a fast-path callback scheduled at
-        the :meth:`admit` completion time.
+        Runs at the instant the packet is fully off the wire: a callback
+        the wire schedules at the :meth:`admit` completion time.
         """
         self.bytes_received += packet.size
         self.packets_received += 1
         if self.spans is not None:
             # The span is reconstructed from the (deterministic) wire
-            # time, so the fast path's admit/call_at delivery and the
-            # slow path's resource grant record identical bounds.
+            # time: the packet held the wire for the last wire_time.
             now = self.env.now
             self._rx_spans[(packet.strip_id, packet.segment)] = self.spans.add(
                 "wire",

@@ -2,7 +2,7 @@
 
 The interrupt delivery chain on the client is::
 
-    Nic.receive --> IoApic.raise_interrupt --(policy)--> LocalApic.deliver
+    Nic.complete_rx --> IoApic.raise_interrupt --(policy)--> LocalApic.deliver
         --> kernel IRQ entry (enqueue, ~free)
         --> SoftirqDaemon on the chosen core (the actual protocol work)
         --> PfsClient.strip_arrived (wake the consumer)

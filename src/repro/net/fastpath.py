@@ -1,47 +1,44 @@
-"""Coalesced wire fast path: analytic FIFO pipelines for the shared fabric.
+"""The cluster's wire: analytic FIFO pipelines for the shared fabric.
 
-The per-segment reference path charges every segment one full event
-round-trip per shared hop: a wire-``Resource`` grant, a serialization
-``Timeout`` and a spawned ``_arrive`` process at the switch backplane and
-the client NIC, on top of the uplink's departure and delivery, before the
-interrupt is even raised.  Every one of those hops is a deterministic
-FIFO server, so its behaviour has a closed form: if ``free`` is the time
-the hop last drains, a packet arriving at ``a`` with service time ``s``
-departs at::
+A reply's segments cross three hops on their way to a client: the
+server's uplink, the switch backplane and the client's (bonded) NIC wire.
+Each hop is a deterministic FIFO server, so its behaviour has a closed
+form: if ``free`` is the time the hop last drains, a packet arriving at
+``a`` with service time ``s`` departs at::
 
     depart = max(free, a) + s;  free = depart
 
 This module replays that recurrence in plain arithmetic for the *shared*
 hops (switch backplane, client NIC wire).  The sender-side uplink stays a
 queue, :meth:`Link.send <repro.net.links.Link.send>` on a
-:class:`~repro.des.FixedServiceFifo`, the same serialize/drop/back-off
-loop the reference path runs: simultaneous departures on *different*
-uplinks are ordered by event-insertion order, and a departure event
-created at the grant decision keeps the reference order, where one created
-at the request by a recurrence would not (ties across uplinks would then
-break differently, reordering the shared fabric's FIFO).  Per segment the
+:class:`~repro.des.FixedServiceFifo`, the one serialize/drop/back-off
+loop: simultaneous departures on *different* uplinks are ordered by
+event-insertion order, and a departure event created at the grant
+decision keeps the order a queue per hop gives, where one created at the
+request by a recurrence would not (ties across uplinks would then break
+differently, reordering the shared fabric's FIFO).  Per segment the
 transport is **two** calendar events:
 
 1. the uplink departure, put on the calendar at the wire's grant decision
-   (so per-uplink queueing and cross-uplink ties are bit-for-bit the
-   reference path's), inside which the switch and NIC recurrences
-   advance; and
+   (so per-uplink queueing and cross-uplink ties are those of a queue per
+   hop), inside which the switch and NIC recurrences advance; and
 2. one pooled :meth:`~repro.des.environment.Environment.call_at` callback
    at the NIC wire-completion instant, which runs the NIC's post-wire
    receive half (counters, wire span, ordering tripwire, NAPI, interrupt
-   raise) at exactly the time the reference path would have.
+   raise).
 
 A lost attempt adds one back-off ``Timeout`` plus another uplink
-departure, exactly as on the reference path, and a reorder-delayed packet
-adds one callback (below).
+departure, and a reorder-delayed packet adds one callback (below).
 
-Why this is exact (see DESIGN.md §8 for the full argument):
+Why this equals a queue per hop (DESIGN.md §8 has the derivation; the
+known answers of ``tests/net/test_wire_fastpath.py``, recorded from a
+model that queued every hop on its own resource, are its evidence):
 
-* every user of a fast-path hop goes through the recurrence, and updates
+* every user of a shared hop goes through the recurrence, and updates
   happen in global uplink-departure order — departures are calendar
-  events processed in time order (ties in reference-path insertion order,
-  by point 1), and the switch/NIC updates ride inside them, so the shared
-  FIFOs serve in exactly the reference path's order;
+  events processed in time order (ties in insertion order, by point 1),
+  and the switch/NIC updates ride inside them, so the shared FIFOs serve
+  in arrival order;
 * the NIC recurrence may be advanced early, at uplink-departure time,
   because switch departures are monotone in update order and the port
   latency is a constant — so NIC *arrival* order equals update order;
@@ -49,8 +46,8 @@ Why this is exact (see DESIGN.md §8 for the full argument):
   instead of at fabric departure.  Each of its decisions is
   ``hash_unit(plan seed, site, packet identity)``, which does not depend
   on time, and the fault counters are read only after the run.  The NIC
-  arrival is ``fabric_departure + (latency + extra)``, the same float
-  expression the reference path's delivery timeout evaluates;
+  arrival is ``fabric_departure + (latency + extra)``, the float
+  expression of a delivery delayed by the port latency plus the extra;
 * a reorder delay breaks "arrival order equals update order", so a
   delayed packet waits in a per-client heap keyed by arrival time.  One
   callback at its arrival admits every held packet due by then, and an
@@ -58,23 +55,22 @@ Why this is exact (see DESIGN.md §8 for the full argument):
   own arrival, earliest first.  Nothing relayed later can arrive earlier
   than an undelayed packet (fabric departures only increase, the latency
   is constant), so the NIC still admits in arrival order; on equal
-  arrivals the delayed packet goes first, as in the reference path's
-  insertion order;
-* all counters/observers fire at the same simulated instants as before.
+  arrivals the delayed packet goes first, as the delivery scheduled
+  first would;
+* the NIC's counters, span and observers fire at the instant the packet
+  is fully off the wire; the switch and middlebox counters are charged
+  at relay, which only a run ending inside the fabric's service window
+  could see (DESIGN.md §8).
 
 Straggler slowdowns and server-failure windows are folded into the start
-instant of each reply inside :class:`~repro.pfs.server.IoServer`, the same
-on both paths.
+instant of each reply inside :class:`~repro.pfs.server.IoServer`.
 
-The cluster builder installs the fast path under every fault plan.
-``REPRO_NO_WIRE_FASTPATH=1`` selects the per-segment reference path
-instead; it is kept as the oracle of the A/B equivalence tests
-(``tests/net/test_wire_fastpath.py``).
+The cluster builder installs one :class:`WireFastPath` per cluster, under
+every fault plan.
 """
 
 from __future__ import annotations
 
-import os
 import typing as t
 from heapq import heappop, heappush
 from itertools import count
@@ -88,12 +84,7 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.switch import Switch
     from .links import Link
 
-__all__ = ["WireFastPath", "fast_wire_enabled"]
-
-
-def fast_wire_enabled() -> bool:
-    """False when ``REPRO_NO_WIRE_FASTPATH`` is set (A/B testing knob)."""
-    return not os.environ.get("REPRO_NO_WIRE_FASTPATH")
+__all__ = ["WireFastPath"]
 
 
 class WireFastPath:
@@ -117,9 +108,9 @@ class WireFastPath:
         ]
         self._relayed = count()
         #: Span recorder (repro.obs); None when tracing is off.  The NIC
-        #: wire span is recorded by ``complete_rx`` (identically on both
-        #: paths); only the fabric hop needs recording here, because the
-        #: analytic :meth:`Switch.relay` never sees packet identity.
+        #: wire span is recorded by ``complete_rx``; only the fabric hop
+        #: needs recording here, because the analytic
+        #: :meth:`Switch.relay` never sees packet identity.
         self.spans = spans
 
     def _record_fabric_span(self, packet: "Packet", departure: float) -> None:
@@ -138,12 +129,11 @@ class WireFastPath:
         self, link: "Link", packet: "Packet"
     ) -> t.Generator:
         """Send one data/ack packet server->client; blocks the caller for
-        uplink queueing + serialization (+ loss back-offs), exactly like
-        ``Link.transmit``."""
-        # After the shared uplink half, now == uplink departure of the
-        # attempt that got through: the link counters were charged at the
-        # same instants the reference path charges them.  (Few locals: a
-        # suspended generator's frame lives while the packet queues.)
+        uplink queueing + serialization (+ loss back-offs), like
+        :meth:`Link.send <repro.net.links.Link.send>`."""
+        # After the uplink half, now == uplink departure of the attempt
+        # that got through.  (Few locals: a suspended generator's frame
+        # lives while the packet queues.)
         yield from link.send(packet)
         switch = self.switch
         fabric_departure = switch.relay(packet.size)

@@ -1,9 +1,9 @@
-"""Point-to-point links with serialization and pipelined propagation.
+"""Point-to-point links: the sender's half of the wire.
 
 A :class:`Link` charges the sender for queueing + serialization time (the
-wire is a :class:`~repro.des.FixedServiceFifo`) and then delivers
-asynchronously after the propagation latency — so back-to-back packets
-pipeline, as on real Ethernet.
+wire is a :class:`~repro.des.FixedServiceFifo`).  What happens after the
+last bit leaves (the switch, the port latency, the receiving NIC) is
+carried by :class:`~repro.net.fastpath.WireFastPath`.
 """
 
 from __future__ import annotations
@@ -20,26 +20,21 @@ __all__ = ["Link"]
 
 
 class Link:
-    """One direction of a network link."""
+    """One direction of a network link: a serialization FIFO that may
+    lose attempts."""
 
     def __init__(
         self,
         env: Environment,
         bandwidth: float,
-        latency: float = 0.0,
         framing_overhead: float = 0.0,
-        name: str = "link",
         faults: "LinkFaults | None" = None,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
         self.env = env
         self.bandwidth = bandwidth
-        self.latency = latency
         self.framing_overhead = framing_overhead
-        self.name = name
         #: Loss injection + backoff schedule; None on a fault-free link.
         self.faults = faults
         self._wire = FixedServiceFifo(env)
@@ -76,29 +71,6 @@ class Link:
             attempt += 1
             self.retransmits += 1
             yield self.env.timeout(self.faults.retransmit_delay(attempt))
-
-    def transmit(
-        self,
-        packet: Packet,
-        deliver: t.Callable[[Packet], t.Any],
-    ) -> t.Generator:
-        """:meth:`send` ``packet``, then deliver it after the propagation
-        latency.
-
-        ``deliver`` is invoked (not awaited) once the packet lands; if it
-        returns a generator it is spawned as a new process, so delivery
-        chains (e.g. into the next hop) compose.
-        """
-        yield from self.send(packet)
-
-        def _arrive() -> t.Generator:
-            if self.latency > 0:
-                yield self.env.timeout(self.latency)
-            result = deliver(packet)
-            if result is not None and hasattr(result, "send"):
-                yield from result
-
-        self.env.process(_arrive(), quiet=True)
 
     @property
     def busy_time(self) -> float:

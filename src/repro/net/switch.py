@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing as t
 
-from ..des import Environment, Resource
+from ..des import Environment
 from .packet import Packet
 
 __all__ = ["Switch"]
@@ -25,7 +25,6 @@ class Switch:
         backplane_bandwidth: float,
         latency: float = 0.0,
         middlebox: t.Callable[[Packet], tuple[Packet, float]] | None = None,
-        spans: t.Any | None = None,
         obs_track: t.Any | None = None,
     ) -> None:
         if backplane_bandwidth <= 0:
@@ -38,17 +37,14 @@ class Switch:
         #: In-network hazard hook (``FaultInjector.middlebox``): may
         #: replace the packet (options stripped/corrupted) and return an
         #: extra delivery delay (reordering).  None on a healthy fabric.
-        #: :meth:`forward` runs it at fabric departure; the wire fast path
-        #: runs it right after :meth:`relay`.
+        #: The wire (:mod:`repro.net.fastpath`) runs it right after
+        #: :meth:`relay`.
         self.middlebox = middlebox
-        self._fabric = Resource(env, capacity=1)
-        #: Analytic next-free time of the backplane (fast path only; see
-        #: :mod:`repro.net.fastpath`).
+        #: Next-free time of the backplane FIFO (see :meth:`relay`).
         self._fabric_free = 0.0
-        #: Span recorder + the fabric's backplane lane (repro.obs); None
-        #: when tracing is off.  The fast path records its own spans
-        #: (:meth:`relay` has no packet identity).
-        self.spans = spans
+        #: The fabric's backplane lane (repro.obs); None when tracing is
+        #: off.  The wire records the fabric spans on it, because
+        #: :meth:`relay` has no packet identity.
         self.obs_track = obs_track
         self.bytes_switched = 0
         self.packets_switched = 0
@@ -56,12 +52,11 @@ class Switch:
     def relay(self, nbytes: int) -> float:
         """Carry ``nbytes`` across the backplane analytically.
 
-        Closed form of :meth:`forward`'s resource + timeout: arriving now,
-        the packet queues behind the backplane's drain time, serializes,
-        and departs at the returned instant.  Counters are charged here —
-        the per-packet totals match :meth:`forward` at end of run (only
-        the charge *instant* differs; nothing samples them mid-run).
-        Fast-path use only; the caller applies :attr:`middlebox`.
+        The backplane is a FIFO server in closed form: arriving now, the
+        packet queues behind the backplane's drain time, serializes, and
+        departs at the returned instant.  Counters are charged here, at
+        the relay instant rather than at departure; nothing samples them
+        mid-run.  The caller applies :attr:`middlebox`.
         """
         start = self._fabric_free
         now = self.env.now
@@ -72,48 +67,3 @@ class Switch:
         self.bytes_switched += nbytes
         self.packets_switched += 1
         return departure
-
-    def forward(
-        self,
-        packet: Packet,
-        deliver: t.Callable[[Packet], t.Any],
-    ) -> t.Generator:
-        """Carry ``packet`` across the backplane, then hand it to ``deliver``.
-
-        The caller blocks for backplane occupancy; delivery (plus the port
-        latency) is spawned asynchronously so flows pipeline through.
-        """
-        with self._fabric.request() as req:
-            yield req
-            granted = self.env.now
-            yield self.env.timeout(packet.size / self.backplane_bandwidth)
-        self.bytes_switched += packet.size
-        self.packets_switched += 1
-        if self.spans is not None:
-            # (grant, departure) equals the analytic path's
-            # (max(free, arrival), + service) by the fastpath-equivalence
-            # argument, so both wire paths export the same fabric span.
-            self.spans.add(
-                "switch",
-                "net",
-                self.obs_track,
-                start=granted,
-                end=self.env.now,
-                parent=self.spans.strip_span(
-                    packet.dst_client, packet.strip_id
-                ),
-                args={"strip": packet.strip_id, "segment": packet.segment},
-            )
-        extra_delay = 0.0
-        if self.middlebox is not None:
-            packet, extra_delay = self.middlebox(packet)
-
-        def _arrive() -> t.Generator:
-            delay = self.latency + extra_delay
-            if delay > 0:
-                yield self.env.timeout(delay)
-            result = deliver(packet)
-            if result is not None and hasattr(result, "send"):
-                yield from result
-
-        self.env.process(_arrive(), quiet=True)

@@ -15,6 +15,7 @@ from ..config import ServerConfig
 from ..core.sais import HintCapsuler
 from ..des import Environment
 from ..hw.disk import Disk
+from ..net.fastpath import WireFastPath
 from ..net.links import Link
 from ..net.packet import Packet
 from ..net.tcp import segments_for_strip
@@ -33,12 +34,11 @@ class IoServer:
         index: int,
         config: ServerConfig,
         uplink: Link,
-        deliver: t.Callable[[Packet], t.Any],
+        fastpath: WireFastPath,
         rng: Pcg64Stream,
         capsuler: HintCapsuler | None = None,
         mss: int | None = None,
         faults: t.Any | None = None,
-        fastpath: t.Any | None = None,
         spans: t.Any | None = None,
         obs_track: t.Any | None = None,
     ) -> None:
@@ -46,7 +46,11 @@ class IoServer:
         self.index = index
         self.config = config
         self.uplink = uplink
-        self._deliver = deliver
+        #: The cluster's wire (:class:`~repro.net.fastpath.WireFastPath`):
+        #: every reply leaves through it, from this server's uplink across
+        #: the switch to its client's NIC, in two calendar events per
+        #: segment.
+        self.fastpath = fastpath
         self._rng = rng
         #: Server-side SAIs component (None on a stock PVFS server).
         self.capsuler = capsuler
@@ -55,12 +59,6 @@ class IoServer:
         #: Fault injector (straggler slowdown, transient-failure windows);
         #: None on a healthy cluster.
         self.faults = faults
-        #: Coalesced wire fast path (:class:`~repro.net.fastpath.WireFastPath`);
-        #: installed by the builder under every fault plan, None only when
-        #: ``REPRO_NO_WIRE_FASTPATH`` selects the reference path.  When set,
-        #: segment trains bypass ``uplink.transmit``/``deliver`` for the
-        #: analytic pipeline — byte-identical timing, ~5x fewer events.
-        self.fastpath = fastpath
         #: Span recorder + this server's serve lane (repro.obs); None off.
         self.spans = spans
         self.obs_track = obs_track
@@ -207,10 +205,7 @@ class IoServer:
         for segment in segments_for_strip(packet, self.mss):
             # The IP option's copied flag (Fig. 4) replicates the hint
             # onto every segment, so SrcParser works on any of them.
-            if fastpath is not None:
-                yield from fastpath.transmit_to_client(self.uplink, segment)
-            else:
-                yield from self.uplink.transmit(segment, self._deliver)
+            yield from fastpath.transmit_to_client(self.uplink, segment)
         if sid is not None:
             self.spans.end(sid)
 
@@ -240,10 +235,7 @@ class IoServer:
             self.capsuler.encapsulate(ack, request.hint_aff_core_id)
         self.strips_served += 1
         self.bytes_served += request.size
-        if self.fastpath is not None:
-            yield from self.fastpath.transmit_to_client(self.uplink, ack)
-        else:
-            yield from self.uplink.transmit(ack, self._deliver)
+        yield from self.fastpath.transmit_to_client(self.uplink, ack)
         if sid is not None:
             self.spans.end(sid)
 

@@ -1,6 +1,8 @@
 """The resilience sweeps: registration, recovery counters, determinism,
-zero-fault golden identity, and the CLI's --fault-plan hardening."""
+zero-fault golden identity, the CLI's --fault-plan hardening, and the
+known answer of a reordering --fault-plan."""
 
+import hashlib
 import json
 
 import pytest
@@ -213,3 +215,32 @@ class TestCliHardening:
         assert code == 0
         out = capsys.readouterr().out
         assert "retention" in out
+
+
+class TestReorderingPlanKnownAnswer:
+    def test_output_matches_known_answer(self, tmp_path, capsys):
+        """Every hazard of a plan on a paper experiment, reordering
+        included, pinned to the sha256 of its 1,088-byte ``--json``
+        output.  The per-segment reference wire path printed the same
+        bytes before it was deleted."""
+        path = tmp_path / "reorder-plan.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "loss_prob": 0.02,
+                    "strip_option_prob": 0.02,
+                    "corrupt_prob": 0.02,
+                    "reorder_prob": 0.2,
+                }
+            )
+        )
+        code = main(
+            ["run", "fig5_bandwidth_3g", "--scale", "quick", "--no-cache",
+             "--json", "--fault-plan", str(path), "--fault-seed", "7"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 1088
+        assert hashlib.sha256(out).hexdigest() == (
+            "f9d65ffdb9e440a48d70663e56bb4cc79205bf84d8ddb2f83f802be12b93ff01"
+        )

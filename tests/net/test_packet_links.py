@@ -1,5 +1,7 @@
 """Tests for packets, links, the switch and the TCP stream model."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.des import Environment
@@ -12,6 +14,7 @@ from repro.net import (
     segment_sizes,
     segments_for_strip,
 )
+from repro.net.fastpath import WireFastPath
 from repro.units import KiB, MiB
 
 
@@ -60,42 +63,9 @@ class TestLink:
             1.06 * plain.serialization_time(MiB)
         )
 
-    def test_transmit_delivers_after_latency(self, env):
-        link = Link(env, bandwidth=1 * MiB, latency=0.25)
-        arrivals = []
-
-        def deliver(packet):
-            arrivals.append((env.now, packet))
-
-        env.process(link.transmit(make_packet(size=1 * MiB), deliver))
-        env.run()
-        assert len(arrivals) == 1
-        assert arrivals[0][0] == pytest.approx(1.25)
-
-    def test_back_to_back_packets_pipeline(self, env):
-        # Serialization serializes but propagation overlaps.
-        link = Link(env, bandwidth=1 * MiB, latency=1.0)
-        arrivals = []
-        env.process(link.transmit(make_packet(size=1 * MiB), lambda p: arrivals.append(env.now)))
-        env.process(link.transmit(make_packet(size=1 * MiB), lambda p: arrivals.append(env.now)))
-        env.run()
-        assert arrivals == [pytest.approx(2.0), pytest.approx(3.0)]
-
-    def test_generator_delivery_is_driven(self, env):
-        link = Link(env, bandwidth=1 * MiB)
-        done = []
-
-        def deliver(packet):
-            yield env.timeout(1.0)
-            done.append(env.now)
-
-        env.process(link.transmit(make_packet(size=1 * MiB), deliver))
-        env.run()
-        assert done == [pytest.approx(2.0)]
-
     def test_counters(self, env):
         link = Link(env, bandwidth=1 * MiB)
-        env.process(link.transmit(make_packet(size=64 * KiB), lambda p: None))
+        env.process(link.send(make_packet(size=64 * KiB)))
         env.run()
         assert link.bytes_sent == 64 * KiB
         assert link.packets_sent == 1
@@ -127,24 +97,38 @@ class TestLink:
             Link(env, bandwidth=0)
 
 
+class RecordingNic:
+    """Stand-in client NIC: no wire time, records each delivery instant."""
+
+    def __init__(self, env):
+        self.env = env
+        self.arrivals = []
+
+    def admit(self, nbytes, arrival):
+        return arrival
+
+    def complete_rx(self, packet):
+        self.arrivals.append(self.env.now)
+
+
 class TestSwitch:
     def test_forward_charges_backplane(self, env):
         switch = Switch(env, backplane_bandwidth=1 * MiB)
-        arrivals = []
-        env.process(
-            switch.forward(make_packet(size=1 * MiB), lambda p: arrivals.append(env.now))
-        )
-        env.run()
-        assert arrivals == [pytest.approx(1.0)]
+        assert switch.relay(1 * MiB) == pytest.approx(1.0)
+        # Relayed at the same instant, the second packet queues behind
+        # the first.
+        assert switch.relay(1 * MiB) == pytest.approx(2.0)
+        assert switch.bytes_switched == 2 * MiB
+        assert switch.packets_switched == 2
 
     def test_latency(self, env):
         switch = Switch(env, backplane_bandwidth=1 * MiB, latency=0.5)
-        arrivals = []
-        env.process(
-            switch.forward(make_packet(size=1 * MiB), lambda p: arrivals.append(env.now))
-        )
+        nic = RecordingNic(env)
+        wire = WireFastPath(env, switch, [SimpleNamespace(nic=nic)])
+        uplink = Link(env, bandwidth=float("inf"))
+        env.process(wire.transmit_to_client(uplink, make_packet(size=1 * MiB)))
         env.run()
-        assert arrivals == [pytest.approx(1.5)]
+        assert nic.arrivals == [pytest.approx(1.5)]
 
 
 class TestSegmentSizes:

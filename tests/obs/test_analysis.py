@@ -2,9 +2,9 @@
 
 The two headline guarantees:
 
-* span-derived lifecycle breakdowns equal pinned known answers on both
-  wire paths — **exact** equality, not approximate — and every complete
-  strip record keeps stage order, retried strips included;
+* span-derived lifecycle breakdowns equal pinned known answers —
+  **exact** equality, not approximate — and every complete strip record
+  keeps stage order, retried strips included;
 * the A/B diff on the Fig. 5 quick point attributes the irqbalance ->
   source_aware gap to the migration/softirq stages, reports zero
   migration edges for source_aware, and is byte-identical across runs.
@@ -36,15 +36,6 @@ from repro.obs.analysis import (
 from repro.obs.export import write_trace
 from repro.obs.trace_cli import run_trace, trace_point_config
 from repro.units import KiB, MiB
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_module():
-    from _pytest.monkeypatch import MonkeyPatch
-
-    patcher = MonkeyPatch()
-    yield patcher
-    patcher.undo()
 
 
 def small_config(**overrides):
@@ -83,11 +74,12 @@ FAULTY = dict(
     ),
 )
 
-#: Known answers per ``(policy, faulty)``, identical on both wire paths:
-#: strip records, complete records, strips in the breakdown, and per
-#: stage pair (count, mean, p95, maximum, stdev) as ``float.hex``.  They
-#: were recorded from the per-strip lifecycle tracer that stamped the
-#: model directly, before the span tree became the only lifecycle record.
+#: Known answers per ``(policy, faulty)``: strip records, complete
+#: records, strips in the breakdown, and per stage pair (count, mean,
+#: p95, maximum, stdev) as ``float.hex``.  They were recorded from the
+#: per-strip lifecycle tracer that stamped the model directly, before the
+#: span tree became the only lifecycle record, and the per-segment
+#: reference wire path gave them too, until it was deleted.
 KNOWN = {
     ("irqbalance", False): (
         32,
@@ -152,25 +144,18 @@ KNOWN = {
 @pytest.fixture(
     scope="module",
     params=[
-        ("fast_path", "irqbalance", False),
-        ("slow_path", "irqbalance", False),
-        ("fast_path", "irqbalance", True),
-        ("slow_path", "irqbalance", True),
-        ("fast_path", "source_aware", True),
-        ("slow_path", "source_aware", True),
+        ("irqbalance", False),
+        ("irqbalance", True),
+        ("source_aware", True),
     ],
     ids=lambda param: "-".join(
-        [param[0]] + ([param[1], "faults"] if param[2] else [])
+        ["fast_path"] + ([param[0], "faults"] if param[1] else [])
     ),
 )
-def reconciled(request, monkeypatch_module):
-    """(model, known answer) for one run on each wire path, healthy and
-    under a fault plan."""
-    wire_path, policy, faulty = request.param
-    if wire_path == "slow_path":
-        monkeypatch_module.setenv("REPRO_NO_WIRE_FASTPATH", "1")
-    else:
-        monkeypatch_module.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
+def reconciled(request):
+    """(model, known answer) for one run, healthy and under a fault
+    plan."""
+    policy, faulty = request.param
     overrides = FAULTY if faulty else {}
     recorder, _sim = traced_run(small_config(policy=policy, **overrides))
     return model_from_recorder(recorder), KNOWN[(policy, faulty)]
@@ -232,10 +217,9 @@ class TestLifecycleStamps:
     @pytest.mark.parametrize(
         "policy", ["irqbalance", "source_aware", "rdma_zerointr"]
     )
-    def test_retried_strips_keep_stage_order(self, policy, monkeypatch):
+    def test_retried_strips_keep_stage_order(self, policy):
         # A failure window on server 0 forces strip retries; the late
         # duplicates' serves and arrivals must not leak into the records.
-        monkeypatch.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
         config = small_config(
             n_servers=4,
             policy=policy,

@@ -139,11 +139,10 @@ class TestClusterIntegration:
         ), "resilience record was not ingested"
 
     @pytest.mark.parametrize("regime", sorted(REGISTRY_KNOWN))
-    def test_every_reading_matches_known_answer(self, regime, monkeypatch):
+    def test_every_reading_matches_known_answer(self, regime):
         # Every registered instrument, read after the run, against its
         # recorded value: a moved count, or a reader registered in a loop
         # that reads another component, fails here.
-        monkeypatch.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
         from repro import (
             ClientConfig,
             ClusterConfig,

@@ -3,8 +3,8 @@
 The acceptance bar for the tracing tentpole: a traced run reconstructs
 each strip's full lifecycle — issue -> serve -> switch -> NIC wire -> IRQ
 -> softirq (-> migration) -> merge — as a rooted tree with IRQ-placement
-and migration flow edges, under the analytic wire fast path AND the
-resource-based slow path AND an active fault plan.
+and migration flow edges, on a healthy fabric AND under an active fault
+plan.
 """
 
 import pytest
@@ -40,16 +40,11 @@ def base_config(**overrides):
 
 @pytest.fixture(
     scope="module",
-    params=["fast_path", "slow_path", "faulty"],
+    params=["fast_path", "faulty"],
 )
-def traced(request, monkeypatch_module):
-    if request.param == "slow_path":
-        monkeypatch_module.setenv("REPRO_NO_WIRE_FASTPATH", "1")
-    else:
-        monkeypatch_module.delenv("REPRO_NO_WIRE_FASTPATH", raising=False)
+def traced(request):
     if request.param == "faulty":
-        # Loss and a failure window on the fast path add retransmits and
-        # strip retries.
+        # Loss and a failure window add retransmits and strip retries.
         config = base_config(
             n_servers=4,
             faults=FaultPlan(
@@ -62,15 +57,6 @@ def traced(request, monkeypatch_module):
     else:
         config = base_config()
     return traced_run(config)
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_module():
-    from _pytest.monkeypatch import MonkeyPatch
-
-    patcher = MonkeyPatch()
-    yield patcher
-    patcher.undo()
 
 
 class TestTreeShape:

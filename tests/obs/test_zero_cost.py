@@ -32,7 +32,7 @@ def _configs():
         "irqbalance": ClusterConfig(
             n_servers=8, policy="irqbalance", workload=base
         ),
-        "faulty_slow_path": ClusterConfig(
+        "faulty": ClusterConfig(
             n_servers=4,
             faults=FaultPlan(loss_prob=0.05),
             workload=base,

@@ -1,12 +1,15 @@
 """Tests for the PFS client fan-out and I/O server."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import ServerConfig
 from repro.core.sais import HintCapsuler, HintMessager
 from repro.des import Environment
 from repro.errors import SimulationError
-from repro.net import Link, Packet, decode_aff_core_id
+from repro.net import Link, Packet, Switch, decode_aff_core_id
+from repro.net.fastpath import WireFastPath
 from repro.pfs import PfsClient, StripeLayout
 from repro.pfs.server import IoServer
 from repro.rng import RngFactory
@@ -128,20 +131,39 @@ class TestPfsClient:
         assert client.locate_request(12345) is None
 
 
+class RecordingNic:
+    """Stand-in client NIC: no wire time; records each packet it gets."""
+
+    def __init__(self):
+        self.delivered = []
+
+    def admit(self, nbytes, arrival):
+        return arrival
+
+    def complete_rx(self, packet):
+        self.delivered.append(packet)
+
+
 class TestIoServer:
     def make_server(self, env, capsuler=None, **config_kwargs):
-        delivered = []
-        uplink = Link(env, bandwidth=125 * MiB, name="uplink")
+        # The real wire over a switch that costs no time, so a reply
+        # lands as its last uplink bit leaves.
+        nic = RecordingNic()
+        wire = WireFastPath(
+            env,
+            Switch(env, backplane_bandwidth=float("inf")),
+            [SimpleNamespace(nic=nic)],
+        )
         server = IoServer(
             env,
             index=0,
             config=ServerConfig(**config_kwargs),
-            uplink=uplink,
-            deliver=delivered.append,
+            uplink=Link(env, bandwidth=125 * MiB),
+            fastpath=wire,
             rng=RngFactory(1).stream("server0"),
             capsuler=capsuler,
         )
-        return server, delivered
+        return server, nic.delivered
 
     def request(self, server=0, size=64 * KiB, offset=0, hint=None):
         from repro.pfs.request import StripRequest
@@ -221,8 +243,8 @@ class TestIoServer:
         ready = (arrival + config.service_overhead) + 64 * KiB / config.cache_rate
         assert env.now == ready + server.uplink.serialization_time(64 * KiB)
         assert len(delivered) == 1
-        # Process start, uplink completion and the link's delivery
-        # process: no overhead or page-cache timeout left.
+        # Process start, uplink completion and the wire's delivery
+        # callback: no overhead or page-cache timeout left.
         assert env.events_processed == 3
 
     def test_miss_starts_at_its_disk_request(self, env):

@@ -44,6 +44,35 @@ def test_every_doc_flag_check_detects_unknowns(check_docs, tmp_path, monkeypatch
     assert problems and "--definitely-not-a-flag" in problems[0]
 
 
+def test_flag_check_detects_environment_variables_nothing_reads(
+    check_docs, tmp_path, monkeypatch
+):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "cache.py").write_text(
+        '"""Mentions REPRO_MENTIONED, which is not read."""\n'
+        'CACHE_DIR_ENV = "REPRO_CACHE_DIR"\n',
+        encoding="utf-8",
+    )
+    rogue = tmp_path / "ROGUE.md"
+    rogue.write_text(
+        "set `$REPRO_CACHE_DIR`\n`REPRO_GONE=1` and REPRO_MENTIONED\n",
+        encoding="utf-8",
+    )
+    # ROADMAP.md may name variables that deleted code read.
+    (tmp_path / "ROADMAP.md").write_text("`REPRO_GONE=1`\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ["ROGUE.md", "ROADMAP.md"])
+    problems: list[str] = []
+    check_docs.check_flags(problems)
+    assert problems == [
+        "ROGUE.md:2: documents environment variable REPRO_GONE, which "
+        "nothing under src/repro reads",
+        "ROGUE.md:2: documents environment variable REPRO_MENTIONED, which "
+        "nothing under src/repro reads",
+    ]
+
+
 def test_link_check_detects_missing_targets(check_docs, tmp_path, monkeypatch):
     doc = tmp_path / "DOC.md"
     doc.write_text(
