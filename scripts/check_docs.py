@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Docs hygiene checker: broken links, stale CLI flags and environment
-variables, API coverage, stale dotted names, stale class attributes.
+variables, API coverage, stale dotted names, stale class attributes,
+calls of functions that do not exist.
 
-Five fast, dependency-free checks over the user-facing markdown
+Six fast, dependency-free checks over the user-facing markdown
 (README.md, DESIGN.md, EXPERIMENTS.md, CONTRIBUTING.md, ROADMAP.md,
 docs/*.md):
 
@@ -28,6 +29,10 @@ docs/*.md):
    ``self.attr`` assignment in its source, or the same in a base class.
    ROADMAP.md is exempt: its "Recent" section names deleted code on
    purpose.
+6. **Calls** — a backticked call ``name(...)`` must name a builtin, or
+   a function, class, module-level name or annotated class field (such
+   as ``GridExperiment.run_point``) defined under ``src/repro``.
+   ROADMAP.md is exempt, as from check 5.
 
 Run from the repository root::
 
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import builtins
 import importlib
 import pathlib
 import re
@@ -68,9 +74,10 @@ ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z_]+")
 DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 CLASS_ATTR_RE = re.compile(r"([A-Z]\w*)\.([A-Za-z_]\w*)")
+CALL_RE = re.compile(r"([A-Za-z_]\w*)\(")
 
-#: Docs allowed to name class attributes and environment variables that
-#: no longer exist.
+#: Docs allowed to name class attributes, calls and environment variables
+#: that no longer exist.
 HISTORY_FILES = {"ROADMAP.md"}
 
 
@@ -296,6 +303,51 @@ def check_class_attributes(problems: list[str]) -> None:
                     )
 
 
+def callable_names() -> set[str]:
+    """Builtins, plus every function, class, module-level name and
+    annotated class field defined under ``src/repro``."""
+    names = set(dir(builtins))
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            # Aliases, such as list_policies = available_policies.
+            if isinstance(node, ast.Assign):
+                names.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                )
+    return names
+
+
+def check_calls(problems: list[str]) -> None:
+    known = callable_names()
+    for rel in DOC_FILES:
+        path = ROOT / rel
+        if rel in HISTORY_FILES or not path.exists():
+            continue
+        for line_no, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for span in CODE_SPAN_RE.findall(line):
+                match = CALL_RE.match(span)
+                if match is not None and match.group(1) not in known:
+                    problems.append(
+                        f"{rel}:{line_no}: calls {match.group(1)}, which is "
+                        "no builtin and is not defined under src/repro"
+                    )
+
+
 def main() -> int:
     problems: list[str] = []
     check_links(problems)
@@ -303,6 +355,7 @@ def main() -> int:
     check_api_coverage(problems)
     check_dotted_names(problems)
     check_class_attributes(problems)
+    check_calls(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

@@ -32,7 +32,7 @@ import typing as t
 
 from .errors import ConfigError
 from .faults.plan import FaultPlan
-from .units import GHz, Gbit, KiB, MiB, USEC, parse_size
+from .units import GHz, Gbit, KiB, MiB, USEC
 
 __all__ = [
     "CostModel",
@@ -313,22 +313,6 @@ class WorkloadConfig:
         """Number of read calls each process issues."""
         return self.file_size // self.transfer_size
 
-    @classmethod
-    def from_labels(
-        cls,
-        transfer_size: str | int,
-        file_size: str | int,
-        n_processes: int = 8,
-        compute: bool = True,
-    ) -> "WorkloadConfig":
-        """Build from paper-style size labels, e.g. ``("128K", "10G")``."""
-        return cls(
-            n_processes=n_processes,
-            transfer_size=parse_size(transfer_size),
-            file_size=parse_size(file_size),
-            compute=compute,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
@@ -372,18 +356,6 @@ class ClusterConfig:
     def with_policy(self, policy: str) -> "ClusterConfig":
         """A copy of this config under a different interrupt policy."""
         return dataclasses.replace(self, policy=policy)
-
-    def with_seed(self, seed: int) -> "ClusterConfig":
-        """A copy of this config under a different simulation seed.
-
-        The scenario generator (:mod:`repro.scenarios`) derives each
-        generated config's seed from its own ``(spec, seed, index)``
-        hash; this helper re-seeds one config for ad-hoc replication
-        runs without touching any topology field.
-        """
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an int, got {seed!r}")
-        return dataclasses.replace(self, seed=seed)
 
     def replace(self, **changes: t.Any) -> "ClusterConfig":
         """`dataclasses.replace` convenience passthrough."""

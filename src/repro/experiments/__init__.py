@@ -3,8 +3,7 @@
 Every data-bearing table/figure in the paper has a module here that
 regenerates it (same rows/series, scaled-down run lengths).  Experiments
 register themselves in a name-keyed registry; the CLI
-(``python -m repro``) runs them through :mod:`repro.runner`, and
-:func:`run_experiment_by_id` runs one serially, in-process.
+(``python -m repro``) runs them through :mod:`repro.runner`.
 
 Figures 1-4 and 13 are architecture diagrams with no data series; the
 remaining artifacts map to:
@@ -57,12 +56,7 @@ and the ``sais-repro sweep`` subcommand):
 ==============================  ==========================================
 """
 
-from .base import (
-    ExperimentResult,
-    all_experiment_ids,
-    get_experiment,
-    run_experiment_by_id,
-)
+from .base import ExperimentResult, all_experiment_ids
 
 # Importing the modules registers their experiments.
 from . import (  # noqa: E402,F401  (registration side effects)
@@ -81,9 +75,4 @@ from . import (  # noqa: E402,F401  (registration side effects)
     sweep,
 )
 
-__all__ = [
-    "ExperimentResult",
-    "get_experiment",
-    "run_experiment_by_id",
-    "all_experiment_ids",
-]
+__all__ = ["ExperimentResult", "all_experiment_ids"]

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..cluster.simulation import compare_policies, run_experiment
 from ..config import ClusterConfig, CostModel, WorkloadConfig
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 from .grids import (
     comparison_point_key,
     nic_config,
-    run_comparison_point,
-    run_single_point,
     single_point_key,
 )
 
@@ -114,7 +113,7 @@ def _assemble_policies(scale, specs, metrics_list) -> ExperimentResult:
 register_grid_experiment(
     "ablation_policies",
     grid=_grid_policies,
-    run_point=run_single_point,
+    run_point=run_experiment,
     assemble=_assemble_policies,
     point_key=single_point_key,
 )
@@ -192,7 +191,7 @@ def _assemble_migration(scale, specs, metrics_list) -> ExperimentResult:
 register_grid_experiment(
     "ablation_migration",
     grid=_grid_migration,
-    run_point=run_single_point,
+    run_point=run_experiment,
     assemble=_assemble_migration,
     point_key=single_point_key,
 )
@@ -257,7 +256,7 @@ def _assemble_write(scale, specs, metrics_list) -> ExperimentResult:
 register_grid_experiment(
     "ablation_write_path",
     grid=_grid_write,
-    run_point=run_single_point,
+    run_point=run_experiment,
     assemble=_assemble_write,
     point_key=single_point_key,
 )
@@ -339,7 +338,7 @@ def _assemble_stripsize(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "ablation_stripsize",
     grid=_grid_stripsize,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_stripsize,
     point_key=comparison_point_key,
 )
@@ -419,7 +418,7 @@ def _assemble_costmodel(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "ablation_costmodel",
     grid=_grid_costmodel,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_costmodel,
     point_key=comparison_point_key,
 )

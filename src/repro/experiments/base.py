@@ -7,8 +7,9 @@ does the heavy simulation for one grid cell, and an
 ``assemble(scale, specs, rows)`` that folds the rows back into an
 :class:`ExperimentResult`.
 
-:mod:`repro.runner` fans the points out over a process pool;
-:func:`run_experiment_by_id` runs them serially, in-process.
+:class:`repro.runner.ExperimentRunner` is the one way an experiment
+runs: it plans the points, runs them in-process or over its worker pool,
+and assembles the result.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ __all__ = [
     "ExperimentResult",
     "GridExperiment",
     "register_grid_experiment",
-    "get_experiment",
     "get_grid_experiment",
     "has_grid_experiment",
-    "run_experiment_by_id",
     "all_experiment_ids",
     "resolve_scale",
     "SCALES",
@@ -36,8 +35,6 @@ __all__ = [
 #: scaling the file sizes down changes noise, not shape (verified by
 #: tests/cluster/test_run_length_invariance.py).
 SCALES = ("quick", "default", "full")
-
-ExperimentFn = t.Callable[[str], "ExperimentResult"]
 
 _REGISTRY: dict[str, "GridExperiment"] = {}
 
@@ -134,12 +131,6 @@ class GridExperiment:
     assemble: t.Callable[[str, t.Sequence[t.Any], t.Sequence[t.Any]], ExperimentResult]
     point_key: t.Callable[[t.Any], str] | None = None
 
-    def run_serial(self, scale: str = "default") -> ExperimentResult:
-        """Run every point in-process, in grid order."""
-        specs = tuple(self.grid(resolve_scale(scale)))
-        rows = [self.run_point(spec) for spec in specs]
-        return self.assemble(scale, specs, rows)
-
     def keys(self, specs: t.Sequence[t.Any]) -> list[str]:
         """Deduplication keys for ``specs`` (stable within one run)."""
         if self.point_key is None:
@@ -157,11 +148,7 @@ def register_grid_experiment(
     ],
     point_key: t.Callable[[t.Any], str] | None = None,
 ) -> None:
-    """Register an experiment under ``exp_id``.
-
-    :func:`get_experiment` returns its serial ``fn(scale) ->
-    ExperimentResult`` runner.
-    """
+    """Register an experiment under ``exp_id``."""
     if exp_id in _REGISTRY:
         raise ConfigError(f"experiment {exp_id!r} already registered")
     experiment = GridExperiment(
@@ -192,16 +179,6 @@ def has_grid_experiment(exp_id: str) -> bool:
 def unregister_experiment(exp_id: str) -> None:
     """Remove an experiment from the registry (test isolation hook)."""
     _REGISTRY.pop(exp_id, None)
-
-
-def get_experiment(exp_id: str) -> ExperimentFn:
-    """The serial ``fn(scale) -> ExperimentResult`` runner of an experiment."""
-    return get_grid_experiment(exp_id).run_serial
-
-
-def run_experiment_by_id(exp_id: str, scale: str = "default") -> ExperimentResult:
-    """Run one experiment at the given scale."""
-    return get_grid_experiment(exp_id).run_serial(scale)
 
 
 def all_experiment_ids() -> list[str]:

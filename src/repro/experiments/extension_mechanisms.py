@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..cluster.simulation import compare_policies
 from ..config import ClientConfig, ClusterConfig, WorkloadConfig
 from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, run_comparison_point
+from .grids import comparison_point_key
 
 __all__: list[str] = []
 
@@ -87,7 +88,7 @@ def _assemble_napi(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "extension_napi",
     grid=_grid_napi,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_napi,
     point_key=comparison_point_key,
 )
@@ -154,7 +155,7 @@ def _assemble_collective(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "extension_collective",
     grid=_grid_collective,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_collective,
     point_key=comparison_point_key,
 )

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import typing as t
 
+from ..cluster.simulation import compare_policies
 from ..config import ClusterConfig
 from ..presets import generation_configs
 from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, run_comparison_point
+from .grids import comparison_point_key
 
 __all__: list[str] = []
 
@@ -48,7 +49,7 @@ def _grid(scale: str) -> tuple[GenerationSpec, ...]:
 
 
 def _run_point(spec: GenerationSpec):
-    return run_comparison_point(spec[1])
+    return compare_policies(spec[1])
 
 
 def _point_key(spec: GenerationSpec) -> str:

@@ -11,10 +11,10 @@ Paper claims:
 
 from __future__ import annotations
 
+from ..cluster.simulation import compare_policies
 from .base import ExperimentResult, register_grid_experiment
 from .grids import (
     comparison_point_key,
-    run_comparison_point,
     sweep_fig5_specs,
     sweep_points,
 )
@@ -76,7 +76,7 @@ def _assemble(
 register_grid_experiment(
     "fig10_unhalted_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=lambda scale, specs, comparisons: _assemble(
         specs, comparisons, 1, "fig10_unhalted_1g", "Fig. 10", paper_max=27.14
     ),
@@ -87,7 +87,7 @@ register_grid_experiment(
 register_grid_experiment(
     "fig11_unhalted_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=lambda scale, specs, comparisons: _assemble(
         specs, comparisons, 3, "fig11_unhalted_3g", "Fig. 11", paper_max=48.57
     ),

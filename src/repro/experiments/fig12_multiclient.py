@@ -8,10 +8,11 @@ never hurts, even in the overloaded cases.
 
 from __future__ import annotations
 
+from ..cluster.simulation import compare_policies
 from ..config import ClusterConfig, ServerConfig, WorkloadConfig
 from ..units import Gbit, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, nic_config, run_comparison_point
+from .grids import comparison_point_key, nic_config
 
 __all__ = ["CLIENT_COUNTS"]
 
@@ -90,7 +91,7 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "fig12_multiclient",
     grid=_grid,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble,
     point_key=comparison_point_key,
 )

@@ -11,11 +11,11 @@ Paper claims:
 
 from __future__ import annotations
 
+from ..cluster.simulation import compare_policies
 from ..units import MiB, bits_per_sec
 from .base import ExperimentResult, register_grid_experiment
 from .grids import (
     comparison_point_key,
-    run_comparison_point,
     sweep_fig5_specs,
     sweep_points,
 )
@@ -104,7 +104,7 @@ def _assemble_sec5c(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "fig5_bandwidth_3g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_fig5,
     point_key=comparison_point_key,
 )
@@ -113,7 +113,7 @@ register_grid_experiment(
 register_grid_experiment(
     "sec5c_bandwidth_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_sec5c,
     point_key=comparison_point_key,
 )

@@ -10,10 +10,10 @@ Paper claims:
 
 from __future__ import annotations
 
+from ..cluster.simulation import compare_policies
 from .base import ExperimentResult, register_grid_experiment
 from .grids import (
     comparison_point_key,
-    run_comparison_point,
     sweep_fig5_specs,
     sweep_points,
 )
@@ -108,7 +108,7 @@ def _assemble_fig9(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "fig8_cpuutil_1g",
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1, n_processes=1),
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_fig8,
     point_key=comparison_point_key,
 )
@@ -117,7 +117,7 @@ register_grid_experiment(
 register_grid_experiment(
     "fig9_cpuutil_3g",
     grid=_grid_fig9,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_fig9,
     point_key=comparison_point_key,
 )

@@ -6,22 +6,23 @@ transfer-size x server-count grid run under both policies.
 :class:`~repro.config.ClusterConfig` cells (pure, cheap, pickleable) and
 :func:`sweep_points` labels each cell's result for the figure tables.
 
-Each point runner here is the heavy, deterministic simulation of one
-cell, memoized in-process; its ``*_key`` twin names the computation
-content-addressably, which lets the pool runner run a cell once however
-many experiments consume it.  Every irqbalance-vs-SAIs A/B shares the
-``cmp:`` namespace of :func:`run_comparison_point`: Fig. 5, 6/7, 9 and
-10/11 all reuse the 3-Gigabit sweep, and the Sec. III model and the
-cost-model ablation reuse its cells too.
+A cell runs as :func:`~repro.cluster.simulation.compare_policies` (an
+irqbalance-vs-SAIs A/B) or :func:`~repro.cluster.simulation.run_experiment`
+(one policy), the heavy, deterministic simulation of one cell.  The
+``*_point_key`` functions here name that computation content-addressably,
+which lets the runner run a cell once however many experiments consume
+it.  Every irqbalance-vs-SAIs A/B shares the ``cmp:`` namespace of
+:func:`comparison_point_key`: Fig. 5, 6/7, 9 and 10/11 all reuse the
+3-Gigabit sweep, and the Sec. III model and the cost-model ablation reuse
+its cells too.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing as t
 
-from ..cluster.simulation import PolicyComparison, compare_policies
+from ..cluster.simulation import PolicyComparison
 from ..config import ClientConfig, ClusterConfig, WorkloadConfig
 from ..faults.ambient import apply_ambient_faults
 from ..units import KiB, MiB, format_size
@@ -34,9 +35,7 @@ __all__ = [
     "nic_config",
     "sweep_fig5_specs",
     "sweep_points",
-    "run_comparison_point",
     "comparison_point_key",
-    "run_single_point",
     "single_point_key",
     "file_size_for_scale",
 ]
@@ -122,29 +121,15 @@ def sweep_points(
     ]
 
 
-@functools.lru_cache(maxsize=512)
-def run_comparison_point(config: ClusterConfig) -> PolicyComparison:
-    """One irqbalance-vs-SAIs A/B at an arbitrary config (deterministic)."""
-    return compare_policies(config)
-
-
 def comparison_point_key(config: ClusterConfig) -> str:
-    """Dedup key for :func:`run_comparison_point` cells."""
+    """Dedup key of an irqbalance-vs-SAIs ``compare_policies`` cell."""
     from ..runner.cache import config_digest
 
     return f"cmp:{config_digest(config)}"
 
 
-@functools.lru_cache(maxsize=512)
-def run_single_point(config: ClusterConfig):
-    """One single-policy run (the config's own ``policy`` field)."""
-    from ..cluster.simulation import run_experiment
-
-    return run_experiment(config)
-
-
 def single_point_key(config: ClusterConfig) -> str:
-    """Dedup key for :func:`run_single_point` cells."""
+    """Dedup key of a ``run_experiment`` cell (the config's own policy)."""
     from ..runner.cache import config_digest
 
     return f"run:{config_digest(config)}"

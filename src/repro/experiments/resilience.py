@@ -23,11 +23,12 @@ healthy-fabric advantage.
 
 from __future__ import annotations
 
+from ..cluster.simulation import compare_policies
 from ..config import ClusterConfig, NetworkConfig, WorkloadConfig
 from ..faults.plan import FaultPlan
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, nic_config, run_comparison_point
+from .grids import comparison_point_key, nic_config
 
 __all__: list[str] = []
 
@@ -293,7 +294,7 @@ def _assemble_straggler(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "resilience_loss_sweep",
     grid=_loss_grid,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_loss,
     point_key=comparison_point_key,
 )
@@ -302,7 +303,7 @@ register_grid_experiment(
 register_grid_experiment(
     "resilience_straggler_sweep",
     grid=_straggler_grid,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble_straggler,
     point_key=comparison_point_key,
 )

@@ -9,11 +9,12 @@ simulator runs.
 
 from __future__ import annotations
 
+from ..cluster.simulation import compare_policies
 from ..config import ClusterConfig, CostModel, WorkloadConfig
 from ..core.analysis import AnalysisParams
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, nic_config, run_comparison_point
+from .grids import comparison_point_key, nic_config
 
 __all__: list[str] = []
 
@@ -107,7 +108,7 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "sec3_model",
     grid=_grid,
-    run_point=run_comparison_point,
+    run_point=compare_policies,
     assemble=_assemble,
     point_key=comparison_point_key,
 )

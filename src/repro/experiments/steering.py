@@ -21,11 +21,12 @@ different layers.  Two experiments put them all on the paper's workload:
 
 from __future__ import annotations
 
+from ..cluster.simulation import run_experiment
 from ..config import ClusterConfig, NetworkConfig, WorkloadConfig
 from ..core.policy import available_policies
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import nic_config, run_single_point, single_point_key
+from .grids import nic_config, single_point_key
 
 __all__: list[str] = []
 
@@ -136,7 +137,7 @@ def _assemble_comparison(scale, specs, metrics_list) -> ExperimentResult:
 register_grid_experiment(
     "steering_comparison",
     grid=_grid_comparison,
-    run_point=run_single_point,
+    run_point=run_experiment,
     assemble=_assemble_comparison,
     point_key=single_point_key,
 )
@@ -236,7 +237,7 @@ def _assemble_pathology(scale, specs, metrics_list) -> ExperimentResult:
 register_grid_experiment(
     "steering_reorder_pathology",
     grid=_grid_pathology,
-    run_point=run_single_point,
+    run_point=run_experiment,
     assemble=_assemble_pathology,
     point_key=single_point_key,
 )

@@ -96,16 +96,13 @@ def _custom_grid(scale: str) -> tuple[Scenario, ...]:
     )
 
 
-@functools.lru_cache(maxsize=1024)
-def _run_pair(
-    config: t.Any, baseline: str, treatment: str
-) -> PolicyComparison:
-    return compare_policies(config, baseline=baseline, treatment=treatment)
-
-
 def run_scenario_point(scenario: Scenario) -> PolicyComparison:
-    """One scenario's A/B comparison (deterministic, memoized in-process)."""
-    return _run_pair(scenario.config, scenario.baseline, scenario.treatment)
+    """One scenario's A/B comparison (deterministic)."""
+    return compare_policies(
+        scenario.config,
+        baseline=scenario.baseline,
+        treatment=scenario.treatment,
+    )
 
 
 def scenario_point_key(scenario: Scenario) -> str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import typing as t
 from collections import OrderedDict
 
 from ..errors import ConfigError, SimulationError
@@ -227,12 +226,6 @@ class CacheSystem:
         accesses = lines * self.model.compute_accesses_per_line
         self.accesses += accesses
         self.misses += accesses * self.model.compute_miss
-
-    def discard(self, strip_id: int) -> None:
-        """Forget a strip entirely (request buffer released)."""
-        where = self._directory.pop(strip_id, None)
-        if where is not None and where >= 0:
-            self.caches[where].remove(strip_id)
 
     # -- metrics ---------------------------------------------------------------
 

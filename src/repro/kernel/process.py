@@ -55,10 +55,6 @@ class ProcessTable:
             entry.core = core
             entry.migrations += 1
 
-    def unpin(self, pid: int) -> None:
-        """Allow ``pid`` to migrate."""
-        self._entry(pid).pinned = False
-
     def migrations_of(self, pid: int) -> int:
         """How many times ``pid`` has moved."""
         return self._entry(pid).migrations

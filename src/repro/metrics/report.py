@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as t
 
-__all__ = ["speedup", "render_table", "format_percent"]
+__all__ = ["speedup", "render_table"]
 
 
 def speedup(baseline: float, improved: float) -> float:
@@ -17,11 +17,6 @@ def speedup(baseline: float, improved: float) -> float:
     if baseline <= 0:
         raise ValueError(f"baseline must be positive, got {baseline}")
     return improved / baseline - 1.0
-
-
-def format_percent(fraction: float, digits: int = 2) -> str:
-    """0.2357 -> '23.57%'."""
-    return f"{fraction * 100:.{digits}f}%"
 
 
 def render_table(

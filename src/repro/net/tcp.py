@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import typing as t
-from collections import deque
 
 from ..errors import ProtocolError
 from .packet import Packet
@@ -90,9 +89,7 @@ class TcpStream:
         #: Reordering/duplication tolerated (an active fault plan) rather
         #: than treated as a fabric wiring bug.
         self.fault_tolerant = fault_tolerant
-        self._next_seq = 0
         self._in_flight: dict[int, _StripAssembly] = {}
-        self._completed: deque[int] = deque()
         self._completed_sizes: dict[int, int] = {}
         #: Next wire-arrival segment ordinal expected per in-flight strip.
         self._wire_cursor: dict[int, int] = {}
@@ -119,12 +116,6 @@ class TcpStream:
         #: from the original segments, so goodput accounting is
         #: unchanged (the counters are pure observability).
         self.fast_retransmits = 0
-
-    def next_sequence(self) -> int:
-        """Allocate the next segment sequence number for the sender."""
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
 
     def observe_wire(self, packet: Packet) -> bool:
         """Record a segment's *wire arrival* order; True if it was in order.
@@ -188,7 +179,6 @@ class TcpStream:
             self._wire_cursor.pop(packet.strip_id, None)
             self._delivery_cursor.pop(packet.strip_id, None)
             self._hole_dupacks.pop(packet.strip_id, None)
-            self._completed.append(packet.strip_id)
             self._completed_sizes[packet.strip_id] = assembly.nbytes
             return True
         return False
@@ -230,11 +220,6 @@ class TcpStream:
             raise ProtocolError(
                 f"strip {strip_id} has no completed assembly to claim"
             ) from None
-
-    @property
-    def strips_completed(self) -> int:
-        """Number of fully-reassembled strips so far."""
-        return len(self._completed)
 
     def in_flight_strips(self) -> t.Iterable[int]:
         """Strip ids with at least one but not all segments received."""

@@ -24,8 +24,7 @@ timeline fallback.  ``python -m repro trace <experiment>`` drives it.
 On top of the recorder sits :mod:`repro.obs.analysis`: per-strip stage
 durations folded from span trees, the per-strip lifecycle breakdown (the
 span tree is the only record of a strip's issued/served/received/handled/
-merged stamps), critical-path extraction over parents + flow edges, and
-the ``sais-repro trace diff`` A/B attribution engine.
+merged stamps), and the ``sais-repro trace diff`` A/B attribution engine.
 
 This package exports only the recorder and the registry, which every
 simulation imports.  Import the trace-only names from their submodules

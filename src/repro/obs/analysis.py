@@ -1,10 +1,10 @@
-"""Trace analysis: stage durations, critical paths, and A/B span diffs.
+"""Trace analysis: stage durations, lifecycle breakdowns, and A/B span diffs.
 
 The span recorder (:mod:`repro.obs.spans`) captures *what happened*; this
 module answers *where the time went*.  It operates on a normalized
 :class:`TraceModel` built either from a live :class:`SpanRecorder`
 (float-exact) or from an exported Chrome trace-event JSON file
-(microsecond-rounded, but deterministic), and provides four analyses:
+(microsecond-rounded, but deterministic), and provides three analyses:
 
 * **Stage durations** — :func:`stage_durations` folds every per-strip
   span tree into named stage durations (server service, storage, switch,
@@ -16,11 +16,6 @@ module answers *where the time went*.  It operates on a normalized
   aggregates their stage-to-stage deltas.  The span tree is the only
   record of a strip's lifecycle; ``tests/obs/test_analysis.py`` pins the
   breakdowns exactly to known answers.
-* **Critical-path extraction** — :func:`strip_critical_path` walks span
-  parents and FlowEvent edges backward from a strip's last-finishing
-  span to produce the longest dependency chain (with per-step wait
-  time); :func:`run_critical_path` does the same for whatever strip
-  bounds the whole run.
 * **A/B trace diff** — :func:`diff_traces` aligns two runs of the same
   point by stable ``(client, strip, stage)`` keys and reports per-stage
   deltas, added/removed migration edges, and the top-N regressed spans.
@@ -54,10 +49,6 @@ __all__ = [
     "strip_stage_times",
     "breakdown_from_records",
     "breakdown_from_spans",
-    "PathStep",
-    "CriticalPath",
-    "strip_critical_path",
-    "run_critical_path",
     "StageDiff",
     "SpanRegression",
     "TraceDiff",
@@ -169,9 +160,6 @@ class TraceModel:
                 key = self._resolve_strip(parent)
         self._strip_of[span.sid] = key
         return key
-
-    def span(self, sid: int) -> TraceSpan | None:
-        return self._by_sid.get(sid)
 
     def strip_of(self, sid: int) -> tuple[int, int] | None:
         """The ``(client, strip)`` a span belongs to, or None."""
@@ -541,155 +529,6 @@ def breakdown_from_records(
 def breakdown_from_spans(model: TraceModel) -> LatencyBreakdown:
     """Stage-to-stage latencies of every fully-stamped strip in a run."""
     return breakdown_from_records(strip_stage_times(model).values())
-
-
-# -- critical-path extraction ------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class PathStep:
-    """One span on a critical path, plus the wait behind its predecessor."""
-
-    name: str
-    sid: int
-    start: float
-    end: float
-    wait: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclasses.dataclass(frozen=True)
-class CriticalPath:
-    """The longest dependency chain bounding one strip (or the run)."""
-
-    client: int
-    strip: int
-    steps: tuple[PathStep, ...]
-
-    @property
-    def elapsed(self) -> float:
-        """First start to last end — what the chain pins end-to-end."""
-        if not self.steps:
-            return 0.0
-        return self.steps[-1].end - self.steps[0].start
-
-    @property
-    def busy(self) -> float:
-        return sum(step.duration for step in self.steps)
-
-    @property
-    def wait(self) -> float:
-        return sum(step.wait for step in self.steps)
-
-    def to_dict(self) -> dict[str, t.Any]:
-        return {
-            "client": self.client,
-            "strip": self.strip,
-            "elapsed_s": self.elapsed,
-            "busy_s": self.busy,
-            "wait_s": self.wait,
-            "steps": [dataclasses.asdict(step) for step in self.steps],
-        }
-
-
-def strip_critical_path(
-    model: TraceModel, client: int, strip: int
-) -> CriticalPath:
-    """Walk parents + flow edges backward from the strip's last span.
-
-    At each step the predecessor is the flow edge landing in the current
-    span when one exists (IRQ placement, migration — true causal links),
-    otherwise the latest-ending sibling that finished before the current
-    span started (pipeline order).  Ties break on span id, so the walk
-    is deterministic.
-    """
-    key = (client, strip)
-    spans = model.strips.get(key)
-    if not spans:
-        raise ConfigError(
-            f"no spans recorded for client {client} strip {strip}"
-        )
-    candidates = [s for s in spans if s.name != "strip"]
-    if not candidates:
-        raise ConfigError(
-            f"strip {strip} of client {client} has no lifecycle spans"
-        )
-    flows_into: dict[int, list[TraceFlow]] = {}
-    for flow in model.flows:
-        if flow.closed and flow.dst_span is not None:
-            flows_into.setdefault(flow.dst_span, []).append(flow)
-    in_strip = {s.sid for s in candidates}
-
-    current = max(candidates, key=lambda s: (s.end, s.sid))
-    chain = [current]
-    seen = {current.sid}
-    while True:
-        pred: TraceSpan | None = None
-        for flow in flows_into.get(current.sid, ()):
-            src = model.span(flow.src_span) if flow.src_span else None
-            if src is not None and src.sid not in seen:
-                if pred is None or (src.end, src.sid) > (pred.end, pred.sid):
-                    pred = src
-        if pred is None:
-            eps = 1e-12
-            for span in candidates:
-                if span.sid in seen or span.sid not in in_strip:
-                    continue
-                if span.end <= current.start + eps:
-                    if pred is None or (span.end, span.sid) > (
-                        pred.end,
-                        pred.sid,
-                    ):
-                        pred = span
-        if pred is None:
-            break
-        chain.append(pred)
-        seen.add(pred.sid)
-        current = pred
-
-    chain.reverse()
-    steps: list[PathStep] = []
-    previous_end: float | None = None
-    root = model.strip_roots.get(key)
-    if root is not None:
-        previous_end = root.start
-    for span in chain:
-        wait = (
-            max(0.0, span.start - previous_end)
-            if previous_end is not None
-            else 0.0
-        )
-        steps.append(
-            PathStep(
-                name=span.name,
-                sid=span.sid,
-                start=span.start,
-                end=span.end,
-                wait=wait,
-            )
-        )
-        previous_end = max(
-            span.end, previous_end if previous_end is not None else span.end
-        )
-    return CriticalPath(client=client, strip=strip, steps=tuple(steps))
-
-
-def run_critical_path(model: TraceModel) -> CriticalPath:
-    """The chain of whatever strip finishes last — what bounds the run."""
-    if not model.strips:
-        raise ConfigError("trace contains no strip spans to analyze")
-    last_key = max(
-        model.strips,
-        key=lambda key: (
-            max(s.end for s in model.strips[key]),
-            -key[0],
-            -key[1],
-        ),
-    )
-    return strip_critical_path(model, *last_key)
 
 
 # -- A/B trace diff ----------------------------------------------------------

@@ -10,7 +10,6 @@ interrupt-raising packet train at the client.
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from ..errors import LayoutError
 
@@ -48,12 +47,6 @@ class StripeLayout:
             raise LayoutError(f"strip_id must be non-negative, got {strip_id}")
         return strip_id % self.n_servers
 
-    def strip_of_offset(self, offset: int) -> int:
-        """The strip containing byte ``offset``."""
-        if offset < 0:
-            raise LayoutError(f"offset must be non-negative, got {offset}")
-        return offset // self.strip_size
-
     def extents(self, offset: int, size: int) -> list[StripExtent]:
         """Decompose ``(offset, size)`` into per-strip extents, in file order.
 
@@ -83,20 +76,3 @@ class StripeLayout:
             position += chunk
             remaining -= chunk
         return extents
-
-    def servers_touched(self, offset: int, size: int) -> set[int]:
-        """Distinct servers involved in a read (parallelism of the request)."""
-        return {extent.server for extent in self.extents(offset, size)}
-
-    def strips_in(self, offset: int, size: int) -> int:
-        """Number of strip extents a read decomposes into."""
-        return len(self.extents(offset, size))
-
-    def iter_request_offsets(
-        self, file_size: int, transfer_size: int
-    ) -> t.Iterator[int]:
-        """Offsets of the sequential IOR request stream over a file."""
-        if file_size < transfer_size:
-            raise LayoutError("file_size must be >= transfer_size")
-        for offset in range(0, file_size - transfer_size + 1, transfer_size):
-            yield offset

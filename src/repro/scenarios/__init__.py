@@ -44,7 +44,6 @@ from .spec import (
     ScenarioSpec,
     load_spec,
     spec_from_mapping,
-    spec_to_mapping,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "scenario_file_size",
     "set_ambient_sweep",
     "spec_from_mapping",
-    "spec_to_mapping",
 ]

@@ -39,7 +39,6 @@ __all__ = [
     "UniformInt",
     "LogUniform",
     "parse_dist",
-    "dist_to_jsonable",
 ]
 
 #: JSON scalar → spec value converter (e.g. ``parse_size`` for sizes).
@@ -255,25 +254,3 @@ def parse_dist(field: str, raw: t.Any, atom: Atom = lambda v: v) -> Distribution
         except ConfigError as exc:
             raise ConfigError(f"{field}: {exc}") from exc
     return Const(value=_atomize(field, raw, atom))
-
-
-def dist_to_jsonable(dist: Distribution) -> t.Any:
-    """The inverse of :func:`parse_dist`: a JSON-ready value.
-
-    ``spec_to_mapping(spec_from_mapping(m))`` round-trips through this;
-    note size atoms serialize as plain byte counts, not suffix labels.
-    """
-    if isinstance(dist, Const):
-        return dist.value
-    if isinstance(dist, Choice):
-        payload: dict[str, t.Any] = {"choice": list(dist.values)}
-        if len(set(dist.weights)) > 1:
-            payload["weights"] = list(dist.weights)
-        return payload
-    if isinstance(dist, Uniform):
-        return {"uniform": [dist.lo, dist.hi]}
-    if isinstance(dist, UniformInt):
-        return {"uniform_int": [dist.lo, dist.hi]}
-    if isinstance(dist, LogUniform):
-        return {"loguniform": [dist.lo, dist.hi]}
-    raise ConfigError(f"cannot serialize distribution {dist!r}")

@@ -24,14 +24,13 @@ import typing as t
 from ..errors import ConfigError
 from ..net.ip_options import MAX_ENCODABLE_CORES
 from ..units import KiB, parse_size
-from .dist import Choice, Const, Distribution, Uniform, UniformInt, dist_to_jsonable, parse_dist
+from .dist import Choice, Const, Distribution, Uniform, UniformInt, parse_dist
 
 __all__ = [
     "ClientClassSpec",
     "ScenarioSpec",
     "BUILTIN_SPECS",
     "spec_from_mapping",
-    "spec_to_mapping",
     "load_spec",
 ]
 
@@ -407,54 +406,6 @@ def spec_from_mapping(payload: t.Mapping[str, t.Any]) -> ScenarioSpec:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario spec: {exc}") from exc
-
-
-def spec_to_mapping(spec: ScenarioSpec) -> dict[str, t.Any]:
-    """The JSON-ready inverse of :func:`spec_from_mapping`.
-
-    ``spec_from_mapping(spec_to_mapping(spec)) == spec`` (the round-trip
-    the spec tests pin), which is also how the committed example specs
-    under ``examples/specs/`` were produced from the built-ins.
-    """
-    return {
-        "name": spec.name,
-        "clients": {
-            "count": dist_to_jsonable(spec.n_clients),
-            "classes": [
-                {
-                    "name": klass.name,
-                    "weight": klass.weight,
-                    "cores": dist_to_jsonable(klass.cores),
-                    "sockets": klass.sockets,
-                    "nic_gigabits": dist_to_jsonable(klass.nic_gigabits),
-                    "napi": klass.napi,
-                }
-                for klass in spec.classes
-            ],
-        },
-        "servers": {
-            "count": dist_to_jsonable(spec.n_servers),
-            "nic_gigabits": dist_to_jsonable(spec.server_gigabits),
-            "disk_mib": dist_to_jsonable(spec.disk_mib),
-            "cache_hit": dist_to_jsonable(spec.cache_hit),
-        },
-        "network": {
-            "tiers": dist_to_jsonable(spec.tiers),
-            "oversubscription": dist_to_jsonable(spec.oversubscription),
-            "latency_us": dist_to_jsonable(spec.latency_us),
-            "mss": dist_to_jsonable(spec.mss),
-        },
-        "workload": {
-            "processes": dist_to_jsonable(spec.n_processes),
-            "transfer_size": dist_to_jsonable(spec.transfer_size),
-            "write_fraction": spec.write_fraction,
-            "random_fraction": spec.random_fraction,
-        },
-        "policies": {
-            "baseline": spec.baseline,
-            "treatment": spec.treatment,
-        },
-    }
 
 
 def load_spec(path: str) -> ScenarioSpec:

@@ -38,7 +38,6 @@ __all__ = [
     "MHz",
     "parse_size",
     "format_size",
-    "format_bandwidth",
     "format_time",
     "bits_per_sec",
 ]
@@ -117,11 +116,6 @@ def format_size(nbytes: int) -> str:
     if nbytes >= KiB:
         return f"{nbytes / MiB:.2f}M"
     return f"{nbytes}B"
-
-
-def format_bandwidth(bytes_per_sec: float) -> str:
-    """Render a bandwidth in MB/s, matching the paper's figures."""
-    return f"{bytes_per_sec / MiB:.2f} MB/s"
 
 
 def format_time(seconds: float) -> str:

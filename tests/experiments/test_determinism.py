@@ -1,4 +1,4 @@
-"""Determinism proofs for the parallel runner.
+"""Determinism proofs for the experiment runner.
 
 The pool runner is only safe because every ``run_point`` is a pure
 function of its spec: same spec, same bits, in any process.  These tests
@@ -6,9 +6,13 @@ pin that property for representative experiments spanning the
 point-runner families (policy comparisons such as the Fig. 5 grid, the
 memsim sweep, single-policy runs and generated scenarios):
 
-(a) twice in the same process,
-(b) in a fresh subprocess (fresh interpreter, fresh caches),
-(c) via the pool runner with ``jobs=4`` vs ``jobs=1``.
+(a) twice in the same process, each call a new simulation;
+(b) in a fresh subprocess (fresh interpreter, nothing shared);
+(c) via the pool runner with ``jobs=4`` against ``jobs=1`` and against
+    the committed quick goldens.
+
+The ``jobs=1`` side is the session's ``quick_run``: every experiment
+run once, in this process, by the same runner the CLI uses.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import sys
 
 import pytest
 
-from repro.experiments import run_experiment_by_id
 from repro.experiments.base import get_grid_experiment
-from repro.runner import ExperimentRunner
+from repro.runner import ExperimentRunner, plan_experiment
+
+from .conftest import golden_path
 
 REPRESENTATIVE = (
     "fig5_bandwidth_3g",
@@ -37,10 +42,8 @@ REPRESENTATIVE = (
 )
 
 
-def _result_json(exp_id: str, scale: str = "quick") -> str:
-    return json.dumps(
-        run_experiment_by_id(exp_id, scale=scale).to_dict(), sort_keys=True
-    )
+def _result_json(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 class TestInProcessDeterminism:
@@ -52,21 +55,27 @@ class TestInProcessDeterminism:
         first = [experiment.run_point(spec) for spec in specs]
         second = [experiment.run_point(spec) for spec in specs]
         assert first == second
+        # A memo would hand the first call's row back: equal rows prove
+        # determinism only if the second call simulated again.
+        assert all(b is not a for a, b in zip(first, second))
 
     @pytest.mark.parametrize("exp_id", REPRESENTATIVE)
-    def test_full_result_bit_identical(self, exp_id):
-        assert _result_json(exp_id) == _result_json(exp_id)
+    def test_full_result_bit_identical(self, exp_id, quick_run):
+        fresh = ExperimentRunner(use_cache=False).run(exp_id, scale="quick")
+        assert _result_json(fresh) == _result_json(quick_run.results[exp_id])
 
 
 class TestSubprocessDeterminism:
-    """A fresh interpreter (no warm lru_caches) produces the same bytes."""
+    """A fresh interpreter produces the same bytes."""
 
     @pytest.mark.parametrize("exp_id", REPRESENTATIVE)
-    def test_subprocess_matches_in_process(self, exp_id):
+    def test_subprocess_matches_in_process(self, exp_id, quick_run):
         script = (
             "import json, sys\n"
-            "from repro.experiments import run_experiment_by_id\n"
-            f"result = run_experiment_by_id({exp_id!r}, scale='quick')\n"
+            "from repro.runner import ExperimentRunner\n"
+            "result = ExperimentRunner(use_cache=False).run(\n"
+            f"    {exp_id!r}, scale='quick'\n"
+            ")\n"
             "sys.stdout.write(json.dumps(result.to_dict(), sort_keys=True))\n"
         )
         env = dict(os.environ)
@@ -81,33 +90,35 @@ class TestSubprocessDeterminism:
             env=env,
             check=True,
         )
-        assert proc.stdout == _result_json(exp_id)
+        assert proc.stdout == _result_json(quick_run.results[exp_id])
 
 
 class TestPoolDeterminism:
     """``--jobs 4`` output is byte-identical to ``--jobs 1``."""
 
-    def test_pool_matches_serial(self):
-        serial = ExperimentRunner(jobs=1, use_cache=False).run_many(
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        return ExperimentRunner(jobs=4, use_cache=False).run_many(
             REPRESENTATIVE, scale="quick"
         )
-        pooled = ExperimentRunner(jobs=4, use_cache=False).run_many(
-            REPRESENTATIVE, scale="quick"
-        )
-        assert serial.executed_tasks == pooled.executed_tasks
-        serial_json = json.dumps(
-            [r.to_dict() for r in serial.results], sort_keys=True
-        )
-        pooled_json = json.dumps(
-            [r.to_dict() for r in pooled.results], sort_keys=True
-        )
-        assert serial_json == pooled_json
 
-    def test_pool_matches_registry_path(self):
-        pooled = ExperimentRunner(jobs=4, use_cache=False).run_many(
-            REPRESENTATIVE, scale="quick"
+    def test_pool_matches_serial(self, pooled, quick_run):
+        tasks: dict = {}
+        for exp_id in REPRESENTATIVE:
+            plan_experiment(exp_id, "quick", tasks)
+        assert pooled.executed_tasks == len(tasks)
+        assert [report.exp_id for report in pooled.reports] == list(
+            REPRESENTATIVE
         )
         for report in pooled.reports:
-            assert report.result.to_dict() == run_experiment_by_id(
-                report.exp_id, scale="quick"
-            ).to_dict()
+            assert _result_json(report.result) == _result_json(
+                quick_run.results[report.exp_id]
+            )
+
+    def test_pool_matches_registry_path(self, pooled):
+        """Pooled results equal the committed quick goldens."""
+        for report in pooled.reports:
+            golden = json.loads(
+                golden_path(report.exp_id, "quick").read_text(encoding="utf-8")
+            )
+            assert report.result.to_dict() == golden

@@ -4,17 +4,14 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.experiments import (
-    all_experiment_ids,
-    get_experiment,
-    run_experiment_by_id,
-)
+from repro.experiments import all_experiment_ids
 from repro.experiments.base import (
     ExperimentResult,
     get_grid_experiment,
     register_grid_experiment,
     resolve_scale,
 )
+from repro.runner import ExperimentRunner
 
 
 EXPECTED_IDS = {
@@ -46,11 +43,13 @@ class TestRegistry:
 
     def test_get_unknown_raises(self):
         with pytest.raises(ConfigError):
-            get_experiment("fig99")
+            get_grid_experiment("fig99")
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ConfigError):
-            run_experiment_by_id("fig14_memsim", scale="enormous")
+            ExperimentRunner(use_cache=False).run(
+                "fig14_memsim", scale="enormous"
+            )
 
     @pytest.mark.parametrize("scale", ["quick", "full"])
     def test_resolve_scale_passes_known(self, scale):
@@ -67,7 +66,7 @@ class TestRegistry:
         # Before resolve_scale this surfaced as a bare KeyError deep in
         # the scale-preset lookup.
         with pytest.raises(ConfigError):
-            get_experiment("fig14_memsim")("enormous")
+            get_grid_experiment("fig14_memsim").grid("enormous")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -83,8 +82,8 @@ class TestRegistry:
 
 class TestResultShape:
     @pytest.fixture(scope="class")
-    def memsim_result(self):
-        return run_experiment_by_id("fig14_memsim", scale="quick")
+    def memsim_result(self, quick_run):
+        return quick_run.results["fig14_memsim"]
 
     def test_rows_match_headers(self, memsim_result):
         for row in memsim_result.rows:
@@ -114,8 +113,8 @@ class TestQuickScaleAllExperiments:
     """Every registered experiment completes at quick scale."""
 
     @pytest.mark.parametrize("exp_id", sorted(EXPECTED_IDS))
-    def test_runs(self, exp_id):
-        result = run_experiment_by_id(exp_id, scale="quick")
+    def test_runs(self, exp_id, quick_run):
+        result = quick_run.results[exp_id]
         assert result.exp_id == exp_id
         assert result.rows
         assert result.measured
@@ -171,17 +170,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "█" in out
 
-    def test_summary_grid(self, capsys):
-        assert main(["summary", "--scale", "quick"]) == 0
+    def test_summary_grid(self, capsys, quick_run):
+        # Every result is in the session run's cache: nothing simulates.
+        cache_dir = str(quick_run.cache_dir)
+        assert (
+            main(["summary", "--scale", "quick", "--cache-dir", cache_dir])
+            == 0
+        )
         out = capsys.readouterr().out
         assert "paper" in out and "measured" in out
         assert "fig14_memsim" in out
         assert "peak_speedup_pct" in out
 
-    def test_to_dict_roundtrips_through_json(self):
+    def test_to_dict_roundtrips_through_json(self, quick_run):
         import json
 
-        result = run_experiment_by_id("fig14_memsim", scale="quick")
+        result = quick_run.results["fig14_memsim"]
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["headers"] == list(result.headers)
         assert len(payload["rows"]) == len(result.rows)

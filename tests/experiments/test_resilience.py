@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import all_experiment_ids, run_experiment_by_id
+from repro.experiments import all_experiment_ids
 from repro.experiments.base import get_grid_experiment
 from repro.experiments.grids import sweep_fig5_specs
 from repro.faults import FaultPlan, set_ambient_fault_plan, using_fault_plan
@@ -41,14 +41,12 @@ class TestRegistration:
 
 class TestQuickRuns:
     @pytest.fixture(scope="class")
-    def loss_result(self):
-        return run_experiment_by_id("resilience_loss_sweep", scale="quick")
+    def loss_result(self, quick_run):
+        return quick_run.results["resilience_loss_sweep"]
 
     @pytest.fixture(scope="class")
-    def straggler_result(self):
-        return run_experiment_by_id(
-            "resilience_straggler_sweep", scale="quick"
-        )
+    def straggler_result(self, quick_run):
+        return quick_run.results["resilience_straggler_sweep"]
 
     def test_loss_sweep_reports_recovery_counters(self, loss_result):
         by_header = dict(zip(loss_result.headers, zip(*loss_result.rows)))
@@ -121,7 +119,7 @@ class TestZeroFaultGoldenIdentity:
             (GOLDENS_DIR / "fig5_bandwidth_3g.quick.json").read_text()
         )
         with using_fault_plan(FaultPlan()):
-            payload = run_experiment_by_id(
+            payload = ExperimentRunner(use_cache=False).run(
                 "fig5_bandwidth_3g", scale="quick"
             ).to_dict()
         assert payload == golden

@@ -107,7 +107,8 @@ class TestValidation:
         )
 
     def test_plan_is_hashable(self):
-        # lru_cache'd point runners require hashable configs.
+        # A frozen value type, tuple-valued fields included: a plan, and
+        # the ClusterConfig holding it, can key a dict or a set.
         plan = FaultPlan(
             loss_prob=0.1,
             straggler_servers=(0, 1),

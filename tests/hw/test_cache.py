@@ -126,13 +126,6 @@ class TestCacheSystem:
         assert sys.consume_by_location[Location.REMOTE] == 1
         assert sys.consume_by_location[Location.LOCAL] == 1
 
-    def test_discard_forgets_strip(self):
-        sys = make_system()
-        sys.install(0, 5)
-        sys.discard(5)
-        assert sys.owner(5) is None
-        assert 5 not in sys.caches[0]
-
     def test_install_moves_ownership_between_cores(self):
         sys = make_system()
         sys.install(0, 9)

@@ -201,13 +201,6 @@ class TestProcessTable:
         assert table.core_of(1) == 3
         assert table.migrations_of(1) == 1
 
-    def test_unpin_then_migrate(self):
-        table = ProcessTable(4)
-        table.spawn(1, core=0)
-        table.unpin(1)
-        table.migrate(1, 1)
-        assert table.core_of(1) == 1
-
     def test_exit_removes(self):
         table = ProcessTable(4)
         table.spawn(1, core=0)

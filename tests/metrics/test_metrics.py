@@ -6,7 +6,6 @@ from repro import ClusterConfig, WorkloadConfig
 from repro.cluster.simulation import Simulation
 from repro.metrics import render_table, speedup
 from repro.metrics.collectors import ClientMetrics, RunMetrics
-from repro.metrics.report import format_percent
 from repro.units import KiB, MiB
 
 
@@ -41,9 +40,6 @@ class TestSpeedup:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             speedup(0.0, 10.0)
-
-    def test_format_percent(self):
-        assert format_percent(0.2357) == "23.57%"
 
 
 class TestRenderTable:

@@ -28,9 +28,7 @@ from repro.obs.analysis import (
     load_trace,
     model_from_recorder,
     render_diff,
-    run_critical_path,
     stage_durations,
-    strip_critical_path,
     strip_stage_times,
 )
 from repro.obs.export import write_trace
@@ -270,38 +268,6 @@ class TestStageDurations:
             assert sum(
                 stages.get(stage, 0.0) for stages in folded.values()
             ) > 0.0, stage
-
-
-class TestCriticalPath:
-    def test_run_path_is_deterministic_and_causal(self, reconciled):
-        model, _known = reconciled
-        path = run_critical_path(model)
-        again = run_critical_path(model)
-        assert path == again
-        assert path.steps, "empty critical path"
-        # Steps never start before their predecessor released them.
-        for prev, step in zip(path.steps, path.steps[1:]):
-            assert step.start >= prev.end - 1e-12
-        assert path.elapsed >= path.busy - 1e-12
-        assert path.wait >= 0.0
-        # A read strip's chain ends at the consumer side: the merge, or
-        # the bus transfer that feeds it (same end instant, higher sid).
-        names = [step.name for step in path.steps]
-        assert names[-1] in ("merge", "migration", "memory_fetch")
-        assert "serve" in names or "storage" in names
-
-    def test_strip_path_covers_wire_and_service(self, reconciled):
-        model, _known = reconciled
-        client, strip = sorted(model.strips)[0]
-        path = strip_critical_path(model, client, strip)
-        names = {step.name for step in path.steps}
-        assert "wire" in names
-        assert path.to_dict()["client"] == client
-
-    def test_unknown_strip_is_a_config_error(self, reconciled):
-        model, _known = reconciled
-        with pytest.raises(ConfigError):
-            strip_critical_path(model, 999, 999)
 
 
 class TestModelRoundTrip:

@@ -244,11 +244,12 @@ class TestNothingConstructsARecorderByDefault:
         assert sim.cluster.spans is None
 
     def test_experiment_path_never_traces(self):
-        # The experiment registry's run path has no spans parameter at
-        # all: grep-level guarantee that goldens can't see the recorder.
+        # The runner's one point entry, in-process and in pool workers,
+        # has no spans parameter at all: grep-level guarantee that
+        # goldens can't see the recorder.
         import inspect
 
-        from repro.experiments.base import GridExperiment
+        from repro.runner.pool import run_point_task
 
-        signature = inspect.signature(GridExperiment.run_serial)
+        signature = inspect.signature(run_point_task)
         assert "spans" not in signature.parameters

@@ -7,16 +7,15 @@ from repro.pfs import StripeLayout
 from repro.units import KiB, MiB
 
 
+def servers_of(layout, offset, size):
+    """The distinct servers a read of ``(offset, size)`` involves."""
+    return {extent.server for extent in layout.extents(offset, size)}
+
+
 class TestBasics:
     def test_server_for_round_robin(self):
         layout = StripeLayout(strip_size=64 * KiB, n_servers=4)
         assert [layout.server_for(i) for i in range(6)] == [0, 1, 2, 3, 0, 1]
-
-    def test_strip_of_offset(self):
-        layout = StripeLayout(strip_size=100, n_servers=4)
-        assert layout.strip_of_offset(0) == 0
-        assert layout.strip_of_offset(99) == 0
-        assert layout.strip_of_offset(100) == 1
 
     def test_invalid_construction(self):
         with pytest.raises(LayoutError):
@@ -28,8 +27,6 @@ class TestBasics:
         layout = StripeLayout(strip_size=64, n_servers=4)
         with pytest.raises(LayoutError):
             layout.server_for(-1)
-        with pytest.raises(LayoutError):
-            layout.strip_of_offset(-5)
 
 
 class TestExtents:
@@ -72,26 +69,12 @@ class TestExtents:
     def test_servers_touched(self):
         layout = StripeLayout(strip_size=64 * KiB, n_servers=48)
         # A 1 MiB read touches 16 distinct servers out of 48.
-        assert len(layout.servers_touched(0, 1 * MiB)) == 16
-
-    def test_strips_in(self):
-        layout = StripeLayout(strip_size=64 * KiB, n_servers=8)
-        assert layout.strips_in(0, 128 * KiB) == 2
+        assert len(servers_of(layout, 0, 1 * MiB)) == 16
 
 
 class TestRequestStream:
-    def test_iter_request_offsets(self):
-        layout = StripeLayout(strip_size=64 * KiB, n_servers=4)
-        offsets = list(layout.iter_request_offsets(4 * MiB, 1 * MiB))
-        assert offsets == [0, MiB, 2 * MiB, 3 * MiB]
-
-    def test_file_smaller_than_transfer_rejected(self):
-        layout = StripeLayout(strip_size=64 * KiB, n_servers=4)
-        with pytest.raises(LayoutError):
-            list(layout.iter_request_offsets(1 * KiB, 1 * MiB))
-
     def test_sequential_requests_rotate_servers(self):
         layout = StripeLayout(strip_size=64 * KiB, n_servers=48)
-        first = layout.servers_touched(0, 1 * MiB)
-        second = layout.servers_touched(1 * MiB, 1 * MiB)
+        first = servers_of(layout, 0, 1 * MiB)
+        second = servers_of(layout, 1 * MiB, 1 * MiB)
         assert first != second

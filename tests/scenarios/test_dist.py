@@ -1,10 +1,9 @@
-"""The distribution language: sampling, parsing, serialization."""
+"""The distribution language: sampling and parsing."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.scenarios import Choice, Const, LogUniform, Uniform, UniformInt, parse_dist
-from repro.scenarios.dist import dist_to_jsonable
 from repro.units import parse_size
 
 
@@ -90,18 +89,27 @@ class TestParsing:
         assert parse_dist("f", dist) is dist
 
 
+#: Each distribution next to the JSON a spec file writes for it.
+JSON_FORMS = (
+    (Const(8), 8),
+    (Const(None), None),
+    (Choice(values=(1, 2, 3), weights=(1.0, 1.0, 1.0)), {"choice": [1, 2, 3]}),
+    (
+        Choice(values=(None, 8960), weights=(2.0, 1.0)),
+        {"choice": [None, 8960], "weights": [2.0, 1.0]},
+    ),
+    (Uniform(lo=40.0, hi=80.0), {"uniform": [40.0, 80.0]}),
+    (UniformInt(lo=4, hi=10), {"uniform_int": [4, 10]}),
+    (LogUniform(lo=1.0, hi=64.0), {"loguniform": [1.0, 64.0]}),
+)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
-        "dist",
-        [
-            Const(8),
-            Const(None),
-            Choice(values=(1, 2, 3), weights=(1.0, 1.0, 1.0)),
-            Choice(values=(None, 8960), weights=(2.0, 1.0)),
-            Uniform(lo=40.0, hi=80.0),
-            UniformInt(lo=4, hi=10),
-            LogUniform(lo=1.0, hi=64.0),
-        ],
+        "dist, raw",
+        JSON_FORMS,
+        ids=[f"dist{index}" for index in range(len(JSON_FORMS))],
     )
-    def test_jsonable_round_trips(self, dist):
-        assert parse_dist("f", dist_to_jsonable(dist), lambda v: v) == dist
+    def test_jsonable_round_trips(self, dist, raw):
+        """Every distribution is reachable from its written JSON form."""
+        assert parse_dist("f", raw, lambda v: v) == dist

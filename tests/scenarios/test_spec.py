@@ -1,4 +1,4 @@
-"""Spec schema: validation, mapping round-trip, file loading."""
+"""Spec schema: validation, the committed examples, file loading."""
 
 import json
 import pathlib
@@ -16,7 +16,6 @@ from repro.scenarios import (
     Uniform,
     load_spec,
     spec_from_mapping,
-    spec_to_mapping,
 )
 
 SPEC_DIR = pathlib.Path(__file__).parent.parent.parent / "examples" / "specs"
@@ -99,11 +98,6 @@ class TestValidation:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
-    def test_builtin_specs_round_trip(self, name):
-        spec = BUILTIN_SPECS[name]
-        assert spec_from_mapping(spec_to_mapping(spec)) == spec
-
     @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
     def test_committed_example_matches_builtin(self, name):
         """The files under examples/specs/ are the built-ins, verbatim."""

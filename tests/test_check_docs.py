@@ -155,3 +155,39 @@ def test_class_attribute_check_detects_stale_names(
         "DOC.md:2: names Thing.gone, which Thing does not have",
         "DOC.md:2: names Base.missing, which Base does not have",
     ]
+
+
+def test_call_check_detects_functions_that_do_not_exist(
+    check_docs, tmp_path, monkeypatch
+):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "model.py").write_text(
+        "import dataclasses, typing as t\n"
+        "def run(x): ...\n"
+        "alias = run\n"
+        "@dataclasses.dataclass\n"
+        "class Experiment:\n"
+        "    run_point: t.Callable\n"
+        "    def assemble(self): ...\n",
+        encoding="utf-8",
+    )
+    # ROADMAP.md may name deleted code; `Other.gone(x)` is check 5's.
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "`run(x)`, `alias()`, `Experiment(run_point=f)`, `run_point(spec)`,\n"
+        "`assemble()`, `len(rows)`, `Other.gone(x)`, `0 task(s)`\n"
+        "`gone(x) -> Path` and `missing()`\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "ROADMAP.md").write_text("`deleted(x)`\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ["DOC.md", "ROADMAP.md"])
+    problems: list[str] = []
+    check_docs.check_calls(problems)
+    assert problems == [
+        "DOC.md:3: calls gone, which is no builtin and is not defined "
+        "under src/repro",
+        "DOC.md:3: calls missing, which is no builtin and is not defined "
+        "under src/repro",
+    ]

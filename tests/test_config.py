@@ -85,12 +85,6 @@ class TestWorkloadConfig:
         with pytest.raises(ConfigError):
             WorkloadConfig(transfer_size=2 * MiB, file_size=MiB)
 
-    def test_from_labels(self):
-        wl = WorkloadConfig.from_labels("128K", "16M", n_processes=4)
-        assert wl.transfer_size == 128 * KiB
-        assert wl.file_size == 16 * MiB
-        assert wl.n_processes == 4
-
 
 class TestClusterConfig:
     def test_with_policy_returns_modified_copy(self):

@@ -9,7 +9,6 @@ from repro.units import (
     KiB,
     MiB,
     bits_per_sec,
-    format_bandwidth,
     format_size,
     format_time,
     parse_size,
@@ -61,9 +60,6 @@ class TestFormat:
     def test_format_size_negative_rejected(self):
         with pytest.raises(ConfigError):
             format_size(-5)
-
-    def test_format_bandwidth(self):
-        assert format_bandwidth(250 * MiB) == "250.00 MB/s"
 
     def test_format_time_units(self):
         assert format_time(2.0).endswith(" s")
