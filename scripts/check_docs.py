@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Docs hygiene checker: broken links, stale CLI flags and environment
 variables, API coverage, stale dotted names, stale class attributes,
-calls of functions that do not exist.
+calls of functions that do not exist, names that do not exist.
 
-Six fast, dependency-free checks over the user-facing markdown
+Seven fast, dependency-free checks over the user-facing markdown
 (README.md, DESIGN.md, EXPERIMENTS.md, CONTRIBUTING.md, ROADMAP.md,
 docs/*.md):
 
@@ -33,6 +33,10 @@ docs/*.md):
    a function, class, module-level name or annotated class field (such
    as ``GridExperiment.run_point``) defined under ``src/repro``.
    ROADMAP.md is exempt, as from check 5.
+7. **Names** — a backticked bare CamelCase name (``IoApic``, ``Gbit``)
+   must name a builtin, a class, function or module-level name defined
+   under ``src/repro``, or a class defined under ``tests/`` (DESIGN.md
+   cites test classes).  ROADMAP.md is exempt, as from check 5.
 
 Run from the repository root::
 
@@ -75,6 +79,7 @@ DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 CLASS_ATTR_RE = re.compile(r"([A-Z]\w*)\.([A-Za-z_]\w*)")
 CALL_RE = re.compile(r"([A-Za-z_]\w*)\(")
+CAMEL_RE = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
 
 #: Docs allowed to name class attributes, calls and environment variables
 #: that no longer exist.
@@ -348,6 +353,34 @@ def check_calls(problems: list[str]) -> None:
                     )
 
 
+def classes_under_tests() -> set[str]:
+    """Every class defined under ``tests/``."""
+    names: set[str] = set()
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(
+            node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        )
+    return names
+
+
+def check_names(problems: list[str]) -> None:
+    known = callable_names() | classes_under_tests()
+    for rel in DOC_FILES:
+        path = ROOT / rel
+        if rel in HISTORY_FILES or not path.exists():
+            continue
+        for line_no, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for span in CODE_SPAN_RE.findall(line):
+                if CAMEL_RE.fullmatch(span) and span not in known:
+                    problems.append(
+                        f"{rel}:{line_no}: names {span}, which is no builtin "
+                        "and is not defined under src/repro or tests/"
+                    )
+
+
 def main() -> int:
     problems: list[str] = []
     check_links(problems)
@@ -356,6 +389,7 @@ def main() -> int:
     check_dotted_names(problems)
     check_class_attributes(problems)
     check_calls(problems)
+    check_names(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

@@ -24,7 +24,6 @@ from ..hw.cache import CacheSystem, Location
 from ..hw.core import APP_PRIORITY, Core
 from ..hw.interconnect import InterconnectBus
 from ..hw.nic import Nic
-from ..kernel.irq import wire_interrupts
 from ..kernel.process import ProcessTable
 from ..kernel.softirq import SoftirqDaemon
 from ..pfs.client import ArrivedStrip, PfsClient
@@ -87,6 +86,10 @@ class ClientNode:
         self._core_tracks = core_tracks
         self._bus_track = bus_track
 
+        # Built in dependency order, each part handed everything it calls:
+        # cores, cache, bus, PFS client, the softirq daemons (the only parts
+        # that schedule anything: their own process starts), then the I/O
+        # APIC that delivers into the daemons and the NIC that raises on it.
         self.cores = [
             Core(env, i, client_cfg.clock_hz) for i in range(client_cfg.n_cores)
         ]
@@ -94,7 +97,6 @@ class ClientNode:
             n_cores=client_cfg.n_cores,
             l2_bytes=client_cfg.l2_bytes,
             strip_size=config.strip_size,
-            cache_line=client_cfg.cache_line,
         )
         self.interconnect = InterconnectBus(env, costs)
         self.processes = ProcessTable(client_cfg.n_cores)
@@ -111,8 +113,49 @@ class ClientNode:
         )
         self.im_composer = IMComposer() if sais else None
 
+        # Late-bound by the cluster builder once the servers exist.
+        self._submit: t.Callable[[StripRequest], None] | None = None
+        self.pfs = PfsClient(
+            env,
+            client_index=index,
+            layout=layout,
+            submit=self._dispatch,
+            hint_messager=self.hint_messager,
+            plan=faults.plan if faults else None,
+            spans=spans,
+            obs_track=pfs_track,
+        )
+        # Any policy consulting the kernel's notion of "where does this
+        # request's process run now" (source_aware_process, rps_rfs,
+        # rdma_zerointr) gets the live locator.
+        locator_hook = getattr(policy, "set_process_locator", None)
+        if locator_hook is not None:
+            locator_hook(self.pfs.locate_request)
+
+        # RPS/RFS handoffs address sibling daemons by core index; the list
+        # fills as the daemons are built.
+        self.daemons: list[SoftirqDaemon] = []
+        for core in self.cores:
+            self.daemons.append(
+                SoftirqDaemon(
+                    env,
+                    core,
+                    self.cache,
+                    costs,
+                    self.pfs,
+                    self.interconnect,
+                    self.daemons,
+                    spans=spans,
+                    obs_track=core_tracks[core.index],
+                )
+            )
         self.ioapic = IoApic(
-            env, self.cores, policy, spans=spans, obs_track=apic_track
+            env,
+            self.cores,
+            policy,
+            [daemon.enqueue for daemon in self.daemons],
+            spans=spans,
+            obs_track=apic_track,
         )
         self.nic = Nic(
             env,
@@ -123,50 +166,15 @@ class ClientNode:
             composer=self.im_composer.compose if self.im_composer else None,
             napi=client_cfg.napi,
             napi_budget=client_cfg.napi_budget,
+            rx_observer=self.pfs.observe_wire,
+            # RDMA-style bypass: the NIC places completions directly and
+            # never raises an interrupt — no APIC, no softirq.
+            zero_interrupt_sink=(
+                self._rdma_place if policy.interrupt_free else None
+            ),
             spans=spans,
             obs_track=nic_track,
         )
-
-        # Late-bound by the cluster builder once the servers exist.
-        self._submit: t.Callable[[StripRequest], None] | None = None
-        self.pfs = PfsClient(
-            env,
-            client_index=index,
-            layout=layout,
-            submit=self._dispatch,
-            hint_messager=self.hint_messager,
-            retry=faults.plan.strip_retry_policy() if faults else None,
-            spans=spans,
-            obs_track=pfs_track,
-        )
-        # The NIC exists before the PFS client (the APIC chain builds
-        # first), so the wire-order tripwire is attached here.
-        self.nic.rx_observer = self.pfs.observe_wire
-        # Any policy consulting the kernel's notion of "where does this
-        # request's process run now" (source_aware_process, rps_rfs,
-        # rdma_zerointr) gets the live locator.
-        locator_hook = getattr(policy, "set_process_locator", None)
-        if locator_hook is not None:
-            locator_hook(self.pfs.locate_request)
-        if policy.interrupt_free:
-            # RDMA-style bypass: the NIC places completions directly and
-            # never raises an interrupt — no APIC, no softirq.
-            self.nic.zero_interrupt_sink = self._rdma_place
-
-        self.daemons = [
-            SoftirqDaemon(
-                env,
-                core,
-                self.cache,
-                costs,
-                self.pfs,
-                spans=spans,
-                obs_track=core_tracks[core.index],
-                interconnect=self.interconnect,
-            )
-            for core in self.cores
-        ]
-        wire_interrupts(self.ioapic, self.daemons)
 
     # -- wiring -------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from .faults.plan import FaultPlan
 from .units import GHz, Gbit, KiB, MiB, USEC
 
 __all__ = [
+    "CACHE_LINE",
     "CostModel",
     "ClientConfig",
     "ServerConfig",
@@ -43,6 +44,11 @@ __all__ = [
     "ClusterConfig",
     "DEFAULT_COST_MODEL",
 ]
+
+
+#: Bytes per cache line on the modeled Opteron (the unit of the L2
+#: access and miss counts).
+CACHE_LINE = 64
 
 
 def _positive(name: str, value: float) -> None:
@@ -125,16 +131,11 @@ class CostModel:
         """``P``: softirq handling time for one strip-sized interrupt."""
         return self.irq_overhead + strip_size / self.protocol_rate
 
-    def strip_migration_time(
-        self, strip_size: int, same_socket: bool = False
-    ) -> float:
-        """``M``: cache-to-cache movement time for one strip.
-
-        Defaults to the cross-socket cost (the analysis' worst case);
-        pass ``same_socket=True`` for the shared-L3 fast path.
-        """
-        rate = self.intra_socket_c2c_rate if same_socket else self.c2c_rate
-        return self.c2c_latency + strip_size / rate
+    def strip_migration_time(self, strip_size: int) -> float:
+        """``M``: cross-socket cache-to-cache movement time for one strip
+        (the analysis' worst case; the client's merge picks the shared-L3
+        rate for a same-socket transfer)."""
+        return self.c2c_latency + strip_size / self.c2c_rate
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -151,9 +152,8 @@ class ClientConfig:
     #: HyperTransport hop.
     n_sockets: int = 2
     clock_hz: float = 2.7 * GHz
-    #: Dedicated private L2 per core.
+    #: Dedicated private L2 per core (a whole number of 64-byte lines).
     l2_bytes: int = 512 * KiB
-    cache_line: int = 64
     #: Number of bonded 1-Gigabit ports (1 or 3 in the paper).
     nic_ports: int = 3
     nic_port_bandwidth: float = 1.0 * Gbit
@@ -170,11 +170,12 @@ class ClientConfig:
         _positive("n_sockets", self.n_sockets)
         _positive("clock_hz", self.clock_hz)
         _positive("l2_bytes", self.l2_bytes)
-        _positive("cache_line", self.cache_line)
         _positive("nic_ports", self.nic_ports)
         _positive("nic_port_bandwidth", self.nic_port_bandwidth)
-        if self.l2_bytes % self.cache_line:
-            raise ConfigError("l2_bytes must be a multiple of cache_line")
+        if self.l2_bytes % CACHE_LINE:
+            raise ConfigError(
+                f"l2_bytes must be a multiple of the {CACHE_LINE}-byte cache line"
+            )
         if self.n_cores % self.n_sockets:
             raise ConfigError(
                 f"{self.n_cores} cores do not split evenly over "
@@ -268,9 +269,6 @@ class WorkloadConfig:
     #: default here is scaled down because bandwidth is a steady-state rate
     #: (see tests/cluster/test_run_length_invariance.py).
     file_size: int = 32 * MiB
-    #: Run the per-request "encrypt the data" compute phase the paper adds
-    #: to IOR.
-    compute: bool = True
     #: ``"read"`` (the paper's focus) or ``"write"`` (implemented to verify
     #: the paper's claim that writes have no interrupt-locality issue).
     operation: str = "read"

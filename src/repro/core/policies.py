@@ -82,7 +82,6 @@ class RoundRobinPolicy(InterruptSchedulingPolicy):
     name = "round_robin"
 
     def __init__(self) -> None:
-        super().__init__()
         self._next = 0
 
     def select_core(self, ctx: "InterruptContext", cores: t.Sequence["Core"]) -> int:
@@ -93,27 +92,14 @@ class RoundRobinPolicy(InterruptSchedulingPolicy):
 
 @register_policy
 class DedicatedPolicy(InterruptSchedulingPolicy):
-    """All interrupts to one fixed core (default: the highest-numbered one,
-    matching the paper's observation that the AMD lowest-priority mode lands
-    everything on core 7)."""
+    """All interrupts to the highest-numbered core, matching the paper's
+    observation that the AMD lowest-priority mode lands everything on
+    core 7."""
 
     name = "dedicated"
 
-    def __init__(self, core_index: int | None = None) -> None:
-        super().__init__()
-        if core_index is not None and core_index < 0:
-            raise ConfigError(f"core_index must be >= 0, got {core_index}")
-        self.core_index = core_index
-
     def select_core(self, ctx: "InterruptContext", cores: t.Sequence["Core"]) -> int:
-        if self.core_index is None:
-            return len(cores) - 1
-        if self.core_index >= len(cores):
-            raise ConfigError(
-                f"dedicated core {self.core_index} does not exist "
-                f"({len(cores)} cores)"
-            )
-        return self.core_index
+        return len(cores) - 1
 
 
 @register_policy
@@ -130,41 +116,32 @@ class LeastLoadedPolicy(InterruptSchedulingPolicy):
 class IrqbalancePolicy(InterruptSchedulingPolicy):
     """A model of the irqbalance daemon over multi-queue RSS hashing.
 
-    Flows (per-server TCP connections) hash onto ``n_queues`` rx queues;
-    each queue is pinned to one core; every ``rebalance_interval`` of
-    virtual time the queue→core map is recomputed from core load statistics
-    (least-loaded cores get the queues first).  Between rebalances the
-    mapping is static — exactly the granularity at which the real daemon
-    operates, and the reason strips of one parallel request scatter across
-    cores: the request's strips arrive on many *flows*.
+    Flows (per-server TCP connections) hash onto one rx queue per core;
+    every :attr:`REBALANCE_INTERVAL` of virtual time the queue→core map is
+    recomputed from core load statistics (least-loaded cores get the
+    queues first).  Between rebalances the mapping is static — exactly the
+    granularity at which the real daemon operates, and the reason strips
+    of one parallel request scatter across cores: the request's strips
+    arrive on many *flows*.
     """
 
     name = "irqbalance"
 
-    def __init__(
-        self,
-        n_queues: int | None = None,
-        rebalance_interval: float = 10e-3,
-    ) -> None:
-        super().__init__()
-        if rebalance_interval <= 0:
-            raise ConfigError("rebalance_interval must be positive")
-        self.n_queues = n_queues
-        self.rebalance_interval = rebalance_interval
+    #: Seconds of virtual time between queue→core rebalances.
+    REBALANCE_INTERVAL = 10e-3
+
+    def __init__(self) -> None:
         self._assignment: list[int] = []
         self._last_balance = float("-inf")
 
-    def _queues(self, n_cores: int) -> int:
-        return self.n_queues if self.n_queues is not None else n_cores
-
     def _rebalance(self, cores: t.Sequence["Core"]) -> None:
-        order = sorted(range(len(cores)), key=lambda i: (cores[i].load(), i))
-        n_queues = self._queues(len(cores))
-        self._assignment = [order[q % len(order)] for q in range(n_queues)]
+        self._assignment = sorted(
+            range(len(cores)), key=lambda i: (cores[i].load(), i)
+        )
 
     def select_core(self, ctx: "InterruptContext", cores: t.Sequence["Core"]) -> int:
         now = cores[0].env.now
-        if not self._assignment or now - self._last_balance >= self.rebalance_interval:
+        if not self._assignment or now - self._last_balance >= self.REBALANCE_INTERVAL:
             self._rebalance(cores)
             self._last_balance = now
         flow = getattr(ctx.packet, "src_server", 0)
@@ -186,7 +163,6 @@ class SourceAwarePolicy(InterruptSchedulingPolicy):
     requires_hints = True
 
     def __init__(self) -> None:
-        super().__init__()
         #: Interrupts steered by the no-hint fallback (option-less or
         #: unparseable packets) — the graceful-degradation counter the
         #: resilience metrics report.
@@ -232,20 +208,18 @@ class AdaptiveSourceAwarePolicy(InterruptSchedulingPolicy):
     name = "adaptive_source_aware"
     requires_hints = True
 
-    def __init__(self, load_threshold: float = 2.0) -> None:
-        super().__init__()
-        if load_threshold <= 0:
-            raise ConfigError("load_threshold must be positive")
-        #: Hinted-core load (runnable jobs incl. queue) above which the
-        #: policy abandons locality for balance.
-        self.load_threshold = load_threshold
+    #: Hinted-core load (runnable jobs incl. queue) above which the
+    #: policy abandons locality for balance.
+    LOAD_THRESHOLD = 2.0
+
+    def __init__(self) -> None:
         self.locality_hits = 0
         self.balance_fallbacks = 0
 
     def select_core(self, ctx: "InterruptContext", cores: t.Sequence["Core"]) -> int:
         aff = ctx.aff_core_id
         if aff is not None and 0 <= aff < len(cores):
-            if cores[aff].load() <= self.load_threshold:
+            if cores[aff].load() <= self.LOAD_THRESHOLD:
                 self.locality_hits += 1
                 return aff
         self.balance_fallbacks += 1
@@ -265,7 +239,6 @@ class SourceAwareProcessPolicy(InterruptSchedulingPolicy):
     requires_hints = True
 
     def __init__(self) -> None:
-        super().__init__()
         self._locator: t.Callable[[int], int | None] | None = None
 
     def set_process_locator(self, locator: t.Callable[[int], int | None]) -> None:
@@ -359,7 +332,6 @@ class RssPolicy(InterruptSchedulingPolicy):
     TABLE_SIZE = 128
 
     def __init__(self) -> None:
-        super().__init__()
         self._flow_hash: dict[tuple[int, int], int] = {}
 
     def _hash_for(self, server: int, client: int) -> int:
@@ -398,7 +370,6 @@ class FlowDirectorPolicy(InterruptSchedulingPolicy):
     name = "flow_director"
 
     def __init__(self) -> None:
-        super().__init__()
         self._rss = RssPolicy()
         #: Perfect-match filter table: flow (server id) -> sampled core.
         self._flow_table: dict[int, int] = {}
@@ -406,11 +377,8 @@ class FlowDirectorPolicy(InterruptSchedulingPolicy):
         #: window in which in-flight RX packets of the flow can split
         #: across the old and new core (the reordering hazard).
         self.flow_migrations = 0
-        #: Total ATR samples taken (one per outbound strip request).
-        self.atr_samples = 0
 
     def observe_tx(self, server: int, core: int) -> None:
-        self.atr_samples += 1
         previous = self._flow_table.get(server)
         if previous != core:
             if previous is not None:
@@ -429,7 +397,7 @@ class FlowDirectorPolicy(InterruptSchedulingPolicy):
 class RpsRfsPolicy(InterruptSchedulingPolicy):
     """Linux RPS + RFS: hardware IRQ on one core, software steering after.
 
-    Models a single-queue NIC whose interrupt is pinned to ``hw_core``.
+    Models a single-queue NIC whose interrupt is pinned to :attr:`HW_CORE`.
     The hardirq/early-softirq half runs there; Receive Flow Steering
     then looks up the flow's *consuming* core (the kernel's flow table,
     modeled by the process locator the client installs) and hands the
@@ -442,33 +410,25 @@ class RpsRfsPolicy(InterruptSchedulingPolicy):
 
     name = "rps_rfs"
 
-    def __init__(self, hw_core: int = 0) -> None:
-        super().__init__()
-        if hw_core < 0:
-            raise ConfigError(f"hw_core must be >= 0, got {hw_core}")
-        #: The core the NIC's single MSI-X vector is pinned to.
-        self.hw_core = hw_core
+    #: The core the NIC's single MSI-X vector is pinned to.
+    HW_CORE = 0
+
+    def __init__(self) -> None:
         self._rss = RssPolicy()
         self._locator: t.Callable[[int], int | None] | None = None
-        #: Packets whose flow had an RFS table entry.
-        self.rfs_hits = 0
-        #: Packets steered by the hash fallback (plain RPS).
-        self.rps_fallbacks = 0
 
     def set_process_locator(self, locator: t.Callable[[int], int | None]) -> None:
         """Install the kernel flow table: ``locator(request_id) -> core``."""
         self._locator = locator
 
     def select_core(self, ctx: "InterruptContext", cores: t.Sequence["Core"]) -> int:
-        hw = self.hw_core % len(cores)
+        hw = self.HW_CORE
         target: int | None = None
         if self._locator is not None:
             target = self._locator(ctx.packet.request_id)
-        if target is not None and 0 <= target < len(cores):
-            self.rfs_hits += 1
-        else:
+        if target is None or not 0 <= target < len(cores):
+            # No RFS table entry: plain RPS spreads the flow by hash.
             target = self._rss.select_core(ctx, cores)
-            self.rps_fallbacks += 1
         if target != hw:
             # The handling softirq performs the cross-core handoff.
             ctx.rps_target = target
@@ -492,7 +452,6 @@ class RdmaZeroInterruptPolicy(InterruptSchedulingPolicy):
     interrupt_free = True
 
     def __init__(self) -> None:
-        super().__init__()
         self._locator: t.Callable[[int], int | None] | None = None
 
     def set_process_locator(self, locator: t.Callable[[int], int | None]) -> None:

@@ -19,7 +19,7 @@ import typing as t
 from ..errors import ConfigError
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hw.apic import InterruptContext, IoApic
+    from ..hw.apic import InterruptContext
     from ..hw.core import Core
 
 __all__ = [
@@ -49,13 +49,6 @@ class InterruptSchedulingPolicy(abc.ABC):
     #: zero-interrupt sink instead of the APIC chain; ``select_core`` is
     #: then only reached on stacks wired without the bypass.
     interrupt_free: t.ClassVar[bool] = False
-
-    def __init__(self) -> None:
-        self.ioapic: "IoApic | None" = None
-
-    def bind(self, ioapic: "IoApic") -> None:
-        """Called once when the policy is programmed into an I/O APIC."""
-        self.ioapic = ioapic
 
     @abc.abstractmethod
     def select_core(
@@ -119,13 +112,13 @@ def unknown_policy_error(name: str) -> ConfigError:
     )
 
 
-def create_policy(name: str, **kwargs: t.Any) -> InterruptSchedulingPolicy:
+def create_policy(name: str) -> InterruptSchedulingPolicy:
     """Instantiate a registered policy by name."""
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise unknown_policy_error(name) from None
-    return cls(**kwargs)
+    return cls()
 
 
 def available_policies() -> list[str]:

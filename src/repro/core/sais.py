@@ -132,8 +132,4 @@ class IMComposer:
     def compose(self, packet: "Packet", aff_core_id: int | None) -> InterruptContext:
         """Create the interrupt context delivered to the I/O APIC."""
         self.messages_composed += 1
-        return InterruptContext(
-            packet=packet,
-            aff_core_id=aff_core_id,
-            request_core=getattr(packet, "request_core", None),
-        )
+        return InterruptContext(packet=packet, aff_core_id=aff_core_id)

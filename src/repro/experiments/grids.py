@@ -81,7 +81,6 @@ def sweep_fig5_specs(
     scale: str,
     nic_gigabits: int,
     n_processes: int = 8,
-    seed: int = 1,
 ) -> tuple[ClusterConfig, ...]:
     """The grid's cells as configs — pure construction, no simulation."""
     transfer_sizes: t.Sequence[int] = TRANSFER_SIZES
@@ -99,7 +98,6 @@ def sweep_fig5_specs(
                     transfer_size=transfer,
                     file_size=file_size_for_scale(scale, transfer),
                 ),
-                seed=seed,
             )
         )
         for transfer in transfer_sizes

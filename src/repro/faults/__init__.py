@@ -27,16 +27,10 @@ from .ambient import (
     using_fault_plan,
 )
 from .injector import FaultInjector, LinkFaults
-from .plan import (
-    FaultPlan,
-    StripRetryPolicy,
-    fault_plan_from_mapping,
-    load_fault_plan,
-)
+from .plan import FaultPlan, fault_plan_from_mapping, load_fault_plan
 
 __all__ = [
     "FaultPlan",
-    "StripRetryPolicy",
     "FaultInjector",
     "LinkFaults",
     "fault_plan_from_mapping",

@@ -24,7 +24,6 @@ from ..errors import ConfigError
 
 __all__ = [
     "FaultPlan",
-    "StripRetryPolicy",
     "fault_plan_from_mapping",
     "load_fault_plan",
 ]
@@ -34,18 +33,6 @@ def _is_int(value: t.Any) -> bool:
     """True for a genuine int: JSON ``true`` parses to a bool, which
     Python counts as an int but no plan field means."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclasses.dataclass(frozen=True)
-class StripRetryPolicy:
-    """Client-side per-strip retry knobs handed to ``PfsClient``."""
-
-    #: Seconds to wait for a strip before the first re-submission.
-    timeout: float
-    #: Multiplier applied to the timeout after every retry.
-    backoff: float
-    #: Re-submissions before :class:`~repro.errors.StripRetryExhaustedError`.
-    max_retries: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,14 +169,6 @@ class FaultPlan:
     def with_seed(self, seed: int) -> "FaultPlan":
         """A copy of this plan under a different fault seed."""
         return dataclasses.replace(self, seed=int(seed))
-
-    def strip_retry_policy(self) -> StripRetryPolicy:
-        """The client-side retry knobs as their own little bundle."""
-        return StripRetryPolicy(
-            timeout=self.strip_retry_timeout,
-            backoff=self.strip_retry_backoff,
-            max_retries=self.max_strip_retries,
-        )
 
 
 def fault_plan_from_mapping(payload: t.Mapping[str, t.Any]) -> FaultPlan:

@@ -14,12 +14,12 @@ need (busy cycles, cache accesses/misses, bus occupancy):
   memory simulation (:mod:`repro.memsim`);
 * :class:`~repro.hw.nic.Nic` — receive-side serialization, coalescing and
   the driver hook where ``SrcParser`` runs;
-* :class:`~repro.hw.apic.IoApic` / :class:`~repro.hw.apic.LocalApic` — the
-  interrupt routing fabric a scheduling policy programs;
+* :class:`~repro.hw.apic.IoApic` — the interrupt routing fabric a
+  scheduling policy programs;
 * :class:`~repro.hw.disk.Disk` — seek + streaming storage model.
 """
 
-from .apic import InterruptContext, IoApic, LocalApic
+from .apic import InterruptContext, IoApic
 from .cache import CacheAccessModel, CacheSystem, Location
 from .core import APP_PRIORITY, SOFTIRQ_PRIORITY, Core
 from .disk import Disk
@@ -38,7 +38,6 @@ __all__ = [
     "MemoryBus",
     "Nic",
     "IoApic",
-    "LocalApic",
     "InterruptContext",
     "Disk",
 ]

@@ -1,12 +1,12 @@
-"""The interrupt routing fabric: I/O APIC and per-core local APICs.
+"""The interrupt routing fabric: the I/O APIC.
 
 On the paper's x86 testbed the I/O APIC receives device interrupts and
 routes them to local APICs according to its redirection table; interrupt
 scheduling schemes (irqbalance, SAIs' ``IMComposer``) differ only in *which
 destination core* ends up in the interrupt message.  We model exactly that
 seam: the :class:`IoApic` consults a pluggable policy object for every
-interrupt and delivers an :class:`InterruptContext` to the chosen core's
-:class:`LocalApic`, which hands it to the kernel's softirq layer.
+interrupt and hands an :class:`InterruptContext` to the chosen core's
+delivery callable, the kernel's softirq entry on that core.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.policy import InterruptSchedulingPolicy
     from .core import Core
 
-__all__ = ["InterruptContext", "LocalApic", "IoApic"]
+__all__ = ["InterruptContext", "IoApic"]
 
 
 @dataclasses.dataclass(slots=True)
@@ -38,10 +38,6 @@ class InterruptContext:
     packet: t.Any
     #: Parsed affinitive core id, if the driver found one.
     aff_core_id: int | None = None
-    #: Core the requesting process was running on when the request was
-    #: issued (used by oracle/ablation policies, not available to real
-    #: hardware without SAIs' hint).
-    request_core: int | None = None
     #: Set by RPS/RFS-style policies: the core the handling softirq
     #: should *re-steer* the protocol work to after the hardirq half
     #: (the hardware delivered to one fixed core; software moves the
@@ -60,51 +56,39 @@ class InterruptContext:
     obs_flow: int | None = None
 
 
-class LocalApic:
-    """Per-core interrupt sink: hands each delivery to the kernel."""
-
-    def __init__(self, env: Environment, core_index: int) -> None:
-        self.env = env
-        self.core_index = core_index
-        self._handler: t.Callable[[InterruptContext], None] | None = None
-
-    def install_handler(self, handler: t.Callable[[InterruptContext], None]) -> None:
-        """The kernel installs its IRQ entry point here."""
-        self._handler = handler
-
-    def deliver(self, ctx: InterruptContext) -> None:
-        """Accept an interrupt message from the I/O APIC."""
-        if self._handler is None:
-            raise SimulationError(
-                f"no interrupt handler installed on core {self.core_index}"
-            )
-        self._handler(ctx)
-
-
 class IoApic:
-    """Routes device interrupts to local APICs via a scheduling policy."""
+    """Routes device interrupts to cores via a scheduling policy.
+
+    ``deliver[i]`` is core ``i``'s interrupt entry (its softirq daemon's
+    ``enqueue``): the hardirq top half is modeled as free, so the chosen
+    core's entry is called directly.
+    """
 
     def __init__(
         self,
         env: Environment,
         cores: t.Sequence["Core"],
         policy: "InterruptSchedulingPolicy",
+        deliver: t.Sequence[t.Callable[[InterruptContext], None]],
         spans: t.Any | None = None,
         obs_track: t.Any | None = None,
     ) -> None:
         if not cores:
             raise SimulationError("IoApic needs at least one core")
+        if len(deliver) != len(cores):
+            raise SimulationError(
+                f"{len(deliver)} interrupt entries for {len(cores)} cores"
+            )
         self.env = env
         self.cores = list(cores)
         self.policy = policy
-        self.local_apics = [LocalApic(env, core.index) for core in self.cores]
+        self.deliver = list(deliver)
         #: Interrupts delivered per destination core: the one per-core
         #: interrupt count (``interrupts_per_core``).
         self.deliveries: list[int] = [0] * len(self.cores)
         #: Span recorder + this client's APIC lane (repro.obs); None off.
         self.spans = spans
         self.obs_track = obs_track
-        policy.bind(self)
 
     def raise_interrupt(self, ctx: InterruptContext) -> None:
         """Route one device interrupt according to the installed policy."""
@@ -130,4 +114,4 @@ class IoApic:
                     "strip": packet.strip_id,
                 },
             )
-        self.local_apics[core_index].deliver(ctx)
+        self.deliver[core_index](ctx)

@@ -24,6 +24,7 @@ import dataclasses
 import enum
 from collections import OrderedDict
 
+from ..config import CACHE_LINE
 from ..errors import ConfigError, SimulationError
 
 __all__ = ["Location", "CacheAccessModel", "CacheSystem", "PrivateCache"]
@@ -136,16 +137,14 @@ class CacheSystem:
         n_cores: int,
         l2_bytes: int,
         strip_size: int,
-        cache_line: int = 64,
         model: CacheAccessModel | None = None,
     ) -> None:
-        if strip_size <= 0 or cache_line <= 0:
-            raise ConfigError("strip_size and cache_line must be positive")
+        if strip_size <= 0:
+            raise ConfigError("strip_size must be positive")
         capacity = max(1, l2_bytes // strip_size)
         self.n_cores = n_cores
         self.strip_size = strip_size
-        self.cache_line = cache_line
-        self.lines_per_strip = max(1, strip_size // cache_line)
+        self.lines_per_strip = max(1, strip_size // CACHE_LINE)
         self.model = model = model or CacheAccessModel()
         #: Per-line miss fraction of a consume, by where the strip was.
         self._consume_miss = {
@@ -222,7 +221,7 @@ class CacheSystem:
     def compute_pass(self, core_index: int, nbytes: int) -> None:
         """Account the encrypt phase touching ``nbytes`` of resident data."""
         self._check_core(core_index)
-        lines = max(1, nbytes // self.cache_line)
+        lines = max(1, nbytes // CACHE_LINE)
         accesses = lines * self.model.compute_accesses_per_line
         self.accesses += accesses
         self.misses += accesses * self.model.compute_miss

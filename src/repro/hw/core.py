@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import typing as t
 from collections import defaultdict
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 
 from ..des import Environment, Event
@@ -96,13 +96,6 @@ class Core:
         grant = Event(self.env)
         heappush(self._waiters, (priority, next(self._arrivals), grant))
         return grant
-
-    def cancel(self, grant: Event) -> None:
-        """Withdraw a waiter whose grant has not fired yet."""
-        if grant.triggered:
-            raise SimulationError("cannot cancel a granted hold; release it")
-        self._waiters = [w for w in self._waiters if w[2] is not grant]
-        heapify(self._waiters)
 
     def release(self) -> None:
         """Hand the core to the most urgent waiter, or leave it idle."""

@@ -19,13 +19,15 @@ __all__ = ["Disk"]
 class Disk:
     """FIFO spindle with seek + streaming-rate service."""
 
+    #: Half-width of the multiplicative jitter around the nominal seek.
+    SEEK_JITTER = 0.25
+
     def __init__(
         self,
         env: Environment,
         rate: float,
         seek: float,
         rng: Pcg64Stream | None = None,
-        seek_jitter: float = 0.25,
     ) -> None:
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -34,7 +36,6 @@ class Disk:
         self.env = env
         self.rate = rate
         self.seek = seek
-        self.seek_jitter = seek_jitter
         self._rng = rng
         self._spindle = FixedServiceFifo(env)
         self.bytes_read = 0
@@ -44,33 +45,31 @@ class Disk:
     def _seek_time(self) -> float:
         if self.seek == 0.0:
             return 0.0
-        if self._rng is None or self.seek_jitter == 0.0:
+        if self._rng is None:
             return self.seek
         # Mild multiplicative jitter around the nominal positioning cost;
         # keeps repeated A/B runs paired (same rng stream -> same draws).
-        factor = 1.0 + self.seek_jitter * (2.0 * self._rng.random() - 1.0)
+        factor = 1.0 + self.SEEK_JITTER * (2.0 * self._rng.random() - 1.0)
         return self.seek * factor
 
-    def _service_time(self, nbytes: int, sequential: bool) -> float:
+    def _service_time(self, nbytes: int) -> float:
         """Positioning plus streaming time of one request.
 
         Drawn when the request is queued.  The spindle is FIFO and owns
         its RNG stream, so the draws come in grant order all the same.
         """
-        seek = 0.0 if sequential else self._seek_time()
-        return seek + nbytes / self.rate
+        return self._seek_time() + nbytes / self.rate
 
-    def read(self, nbytes: int, sequential: bool = False) -> t.Generator:
+    def read(self, nbytes: int) -> t.Generator:
         """Read ``nbytes``; blocks the calling process until data is off
-        the platter.  ``sequential`` skips the positioning cost (the head
-        is already there)."""
-        yield self._spindle.serve(self._service_time(nbytes, sequential))
+        the platter."""
+        yield self._spindle.serve(self._service_time(nbytes))
         self.bytes_read += nbytes
         self.requests += 1
 
-    def write(self, nbytes: int, sequential: bool = False) -> t.Generator:
+    def write(self, nbytes: int) -> t.Generator:
         """Write ``nbytes``; mechanically identical to a read at this level
         (positioning + streaming), tracked separately."""
-        yield self._spindle.serve(self._service_time(nbytes, sequential))
+        yield self._spindle.serve(self._service_time(nbytes))
         self.bytes_written += nbytes
         self.requests += 1

@@ -45,20 +45,20 @@ class InterconnectBus:
     def transfer(
         self,
         nbytes: int,
-        rate: float | None = None,
+        rate: float,
         core: "Core | None" = None,
         category: str = "migration",
     ) -> t.Generator:
         """Queue for the bus and carry one strip; the caller blocks for
         both phases.  Returns the grant instant.
 
-        With the default ``rate`` the duration is the paper's
-        ``M = c2c_latency + nbytes / c2c_rate`` (a dirty cache-to-cache
-        strip).  A caller may pass a different per-line demand-miss rate —
-        e.g. refetching an evicted strip from DRAM — but the transfer
-        still serializes on this bus: it is the same per-socket coherence/
-        fill path, which is exactly the paper's "only one strip migration
-        can happen at any time".
+        The duration is ``c2c_latency + nbytes / rate``: at ``c2c_rate``
+        the paper's ``M`` (a dirty cache-to-cache strip), at the shared-L3
+        rate a same-socket migration, at ``mem_fetch_rate`` the refetch
+        of an evicted strip from DRAM.  Every one of them serializes on
+        this bus: it is the same per-socket coherence/fill path, which is
+        exactly the paper's "only one strip migration can happen at any
+        time".
 
         ``core`` is the consumer core stalled on the transfer.  While
         *queued* its stall overlaps other transfers (idle, de-scheduled);
@@ -67,10 +67,7 @@ class InterconnectBus:
         """
         env = self.env
         requested = env.now
-        if rate is None:
-            duration = self.costs.strip_migration_time(nbytes)
-        else:
-            duration = self.costs.c2c_latency + nbytes / rate
+        duration = self.costs.c2c_latency + nbytes / rate
 
         def granted() -> None:
             self.wait_time += env.now - requested

@@ -49,6 +49,7 @@ class Nic:
         napi: bool = False,
         napi_budget: int = 64,
         rx_observer: t.Callable[["Packet"], None] | None = None,
+        zero_interrupt_sink: t.Callable[["Packet"], None] | None = None,
         spans: t.Any | None = None,
         obs_track: t.Any | None = None,
     ) -> None:
@@ -74,7 +75,7 @@ class Nic:
         #: *instead of* raising any interrupt — no vector dispatch, no
         #: softirq.  Wired by the client when the policy declares
         #: ``interrupt_free``; None on every interrupting stack.
-        self.zero_interrupt_sink: t.Callable[["Packet"], None] | None = None
+        self.zero_interrupt_sink = zero_interrupt_sink
         #: NAPI mode: interrupts are disabled while a poll is in progress;
         #: packets accumulate in :attr:`pending` and the polling core
         #: drains up to ``napi_budget`` of them per interrupt.
@@ -188,11 +189,7 @@ class Nic:
         if self.composer is not None:
             ctx = self.composer(packet, aff_core_id)
         else:
-            ctx = InterruptContext(
-                packet=packet,
-                aff_core_id=aff_core_id,
-                request_core=getattr(packet, "request_core", None),
-            )
+            ctx = InterruptContext(packet=packet, aff_core_id=aff_core_id)
         if napi:
             ctx.napi_source = self
         if self.spans is not None:

@@ -25,6 +25,7 @@ from ..des import Environment, Event
 from ..hw.apic import InterruptContext
 from ..hw.cache import CacheSystem
 from ..hw.core import SOFTIRQ_PRIORITY, Core
+from ..hw.interconnect import InterconnectBus
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pfs.client import PfsClient
@@ -42,9 +43,10 @@ class SoftirqDaemon:
         cache: CacheSystem,
         costs: CostModel,
         pfs: "PfsClient",
+        interconnect: InterconnectBus,
+        peers: t.Sequence["SoftirqDaemon"],
         spans: t.Any | None = None,
         obs_track: t.Any | None = None,
-        interconnect: t.Any | None = None,
     ) -> None:
         self.env = env
         self.core = core
@@ -56,9 +58,9 @@ class SoftirqDaemon:
         self.obs_track = obs_track
         #: The client's InterconnectBus, for RPS/RFS cross-core signals.
         self.interconnect = interconnect
-        #: All sibling daemons indexed by core (set by ``wire_interrupts``);
-        #: the RPS handoff enqueues into the target core's daemon.
-        self.peers: t.Sequence["SoftirqDaemon"] | None = None
+        #: All sibling daemons indexed by core; the RPS handoff enqueues
+        #: into the target core's daemon.
+        self.peers = peers
         #: Pending contexts, oldest first.
         self.backlog: deque[InterruptContext] = deque()
         #: The event the idle daemon waits on; None while it is working.
@@ -73,7 +75,7 @@ class SoftirqDaemon:
         #: degraded fallback steers.  Always zero on a stock stack.
         self.unhinted = 0
         self._expect_hints = pfs.hint_messager is not None
-        self._process = env.process(self._run())
+        env.process(self._run())
 
     def register_metrics(self, registry: t.Any, prefix: str) -> None:
         """Expose this daemon's counts in a :class:`MetricsRegistry`."""
@@ -113,7 +115,7 @@ class SoftirqDaemon:
         if ctx.rps_target is not None:
             target = ctx.rps_target
             ctx.rps_target = None
-            if target != self.core.index and self.peers is not None:
+            if target != self.core.index:
                 yield from self._steer(ctx, target)
                 return
         core = self.core
@@ -155,10 +157,8 @@ class SoftirqDaemon:
         yield from self.core.run(
             self.costs.rps_dispatch_cost, "rps_dispatch", SOFTIRQ_PRIORITY
         )
-        if self.interconnect is not None:
-            yield from self.interconnect.signal()
+        yield from self.interconnect.signal()
         self.steered += 1
-        assert self.peers is not None
         self.peers[target].enqueue(ctx)
 
     def _process_packet(self, packet, flow: int | None = None) -> t.Generator:

@@ -27,7 +27,7 @@ from .layout import StripeLayout
 from .request import IoRequest, StripRequest
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.plan import StripRetryPolicy
+    from ..faults.plan import FaultPlan
     from ..net.packet import Packet
 
 __all__ = ["PfsClient", "OutstandingRequest", "ArrivedStrip"]
@@ -54,7 +54,6 @@ class OutstandingRequest:
     expected: int
     #: Arrival queue the consumer blocks on.
     arrivals: Store
-    issued_at: float
     arrived: int = 0
 
     @property
@@ -73,7 +72,7 @@ class PfsClient:
         layout: StripeLayout,
         submit: t.Callable[[StripRequest], None],
         hint_messager: HintMessager | None = None,
-        retry: "StripRetryPolicy | None" = None,
+        plan: "FaultPlan | None" = None,
         spans: t.Any | None = None,
         obs_track: t.Any | None = None,
     ) -> None:
@@ -86,13 +85,14 @@ class PfsClient:
         self._submit = submit
         #: Client-side SAIs component (None on a stock PVFS client).
         self.hint_messager = hint_messager
-        #: Retry knobs when a fault plan is active; None on a healthy
-        #: fabric, where the client keeps its strict wiring tripwires.
-        self.retry = retry
+        #: The active fault plan, whose strip-retry fields drive the
+        #: watchdog; None on a healthy fabric, where the client keeps its
+        #: strict wiring tripwires.
+        self.plan = plan
         #: Span recorder + this client's PFS lane (repro.obs); None off.
         self.spans = spans
         self.obs_track = obs_track
-        self._fault_tolerant = retry is not None
+        self._fault_tolerant = plan is not None
         self._request_ids = count()
         self._strip_tokens = count()
         self._outstanding: dict[int, OutstandingRequest] = {}
@@ -135,7 +135,6 @@ class PfsClient:
             consumer_core=consumer_core,
             expected=len(extents),
             arrivals=Store(self.env),
-            issued_at=self.env.now,
         )
         self._outstanding[request.request_id] = outstanding
         self.requests_issued += 1
@@ -200,9 +199,10 @@ class PfsClient:
         ``env.run`` (the DES stops the world on an unwaited process
         failure), surfacing as a typed error rather than a hang.
         """
-        assert self.retry is not None
-        delay = self.retry.timeout
-        for _attempt in range(self.retry.max_retries):
+        plan = self.plan
+        assert plan is not None
+        delay = plan.strip_retry_timeout
+        for _attempt in range(plan.max_strip_retries):
             yield self.env.timeout(delay)
             if request.strip_id in self._arrived_strips:
                 return
@@ -218,14 +218,14 @@ class PfsClient:
                     args={"strip": request.strip_id, "attempt": _attempt + 1},
                 )
             self._submit(request)
-            delay *= self.retry.backoff
+            delay *= plan.strip_retry_backoff
         yield self.env.timeout(delay)
         if request.strip_id in self._arrived_strips:
             return
         raise StripRetryExhaustedError(
             f"strip {request.strip_id} (request {request.request_id}, "
             f"server {request.server}) still missing after "
-            f"{self.retry.max_retries} retries"
+            f"{plan.max_strip_retries} retries"
         )
 
     # -- completion path ---------------------------------------------------------

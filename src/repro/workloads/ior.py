@@ -72,7 +72,7 @@ def ior_process(
                 # iteration k until everyone finished iteration k-1.
                 yield barrier.wait()
             offset = segment_offset + k * transfer
-            if is_write and workload.compute:
+            if is_write:
                 # Prepare (encrypt) the buffer before sending it out.
                 yield from node.compute(current_core, transfer)
             outstanding = yield from node.issue_request(
@@ -91,7 +91,7 @@ def ior_process(
                 strip = yield outstanding.arrivals.get()
                 if not is_write:
                     yield from node.merge_strip(current_core, strip)
-            if not is_write and workload.compute:
+            if not is_write:
                 yield from node.compute(current_core, transfer)
             node.pfs.retire(outstanding.request.request_id)
             bytes_done += transfer

@@ -7,6 +7,8 @@ from repro.cluster.simulation import Simulation, run_experiment
 from repro.errors import ConfigError
 from repro.units import KiB, MiB
 
+from ..fixed_core import FixedCorePolicy
+
 
 class TestTopologyConfig:
     def test_default_two_quad_core_sockets(self):
@@ -31,21 +33,26 @@ class TestTopologyConfig:
         assert all(client.socket_of(i) == 0 for i in range(8))
 
 
+def intra_socket_migration_time(costs, strip):
+    """A same-socket strip migration: the shared-L3 rate the merge picks."""
+    return costs.c2c_latency + strip / costs.intra_socket_c2c_rate
+
+
 class TestMigrationCosts:
     def test_intra_socket_cheaper_than_cross(self):
         costs = CostModel()
         strip = 64 * KiB
-        assert costs.strip_migration_time(strip, same_socket=True) < (
-            0.6 * costs.strip_migration_time(strip, same_socket=False)
+        assert intra_socket_migration_time(costs, strip) < (
+            0.6 * costs.strip_migration_time(strip)
         )
 
     def test_calibrated_mean_preserved(self):
         """(3/7) intra + (4/7) cross ~ the DESIGN.md 250 us mean M."""
         costs = CostModel()
         strip = 64 * KiB
-        mean = (3 / 7) * costs.strip_migration_time(strip, True) + (
+        mean = (3 / 7) * intra_socket_migration_time(costs, strip) + (
             4 / 7
-        ) * costs.strip_migration_time(strip, False)
+        ) * costs.strip_migration_time(strip)
         assert mean == pytest.approx(250e-6, rel=0.08)
 
 
@@ -66,9 +73,9 @@ class TestNumaInSimulation:
                 ),
             )
             cluster = build_cluster(config)
-            # Repin the dedicated policy to the requested handler core.
+            # Pin every interrupt to the requested handler core.
             for client in cluster.clients:
-                client.policy.core_index = core_index
+                client.ioapic.policy = FixedCorePolicy(core_index)
             procs = spawn_ior_processes(
                 cluster.clients[0], config.workload
             )

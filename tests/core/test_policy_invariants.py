@@ -44,9 +44,7 @@ def make_ctx(server=0, client=0, request_id=1, request_core=None, aff=None):
         strip_id=request_id * 16 + server,
         request_core=request_core,
     )
-    return InterruptContext(
-        packet=packet, aff_core_id=aff, request_core=request_core
-    )
+    return InterruptContext(packet=packet, aff_core_id=aff)
 
 
 def ctx_stream():

@@ -110,9 +110,10 @@ class TestSrcParser:
 class TestIMComposer:
     def test_composes_context_with_aff(self):
         composer = IMComposer()
-        ctx = composer.compose(make_packet(), 4)
+        packet = make_packet()
+        ctx = composer.compose(packet, 4)
         assert ctx.aff_core_id == 4
-        assert ctx.request_core == 2
+        assert ctx.packet is packet
         assert composer.messages_composed == 1
 
 

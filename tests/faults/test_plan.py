@@ -8,7 +8,6 @@ from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.faults import (
     FaultPlan,
-    StripRetryPolicy,
     ambient_fault_plan,
     apply_ambient_faults,
     fault_plan_from_mapping,
@@ -96,15 +95,6 @@ class TestValidation:
         assert plan.with_seed(7).seed == 7
         assert plan.with_seed(7).loss_prob == 0.1
         assert plan.seed == 0  # original untouched
-
-    def test_strip_retry_policy_bundle(self):
-        plan = FaultPlan(
-            strip_retry_timeout=0.25, strip_retry_backoff=3.0,
-            max_strip_retries=5,
-        )
-        assert plan.strip_retry_policy() == StripRetryPolicy(
-            timeout=0.25, backoff=3.0, max_retries=5
-        )
 
     def test_plan_is_hashable(self):
         # A frozen value type, tuple-valued fields included: a plan, and

@@ -1,14 +1,16 @@
-"""Tests for the interrupt fabric (IoApic/LocalApic), NIC and Disk models."""
+"""Tests for the interrupt fabric (IoApic), NIC and Disk models."""
 
 import pytest
 
-from repro.core.policies import DedicatedPolicy, RoundRobinPolicy
+from repro.core.policies import RoundRobinPolicy
 from repro.des import Environment
 from repro.errors import SimulationError
 from repro.hw import Core, Disk, InterruptContext, IoApic, Nic
 from repro.net import Packet
 from repro.rng import RngFactory
 from repro.units import GHz, KiB, MiB
+
+from ..fixed_core import FixedCorePolicy
 
 
 def make_packet(size=64 * KiB, server=0, strip=0, options=b""):
@@ -38,60 +40,53 @@ def receive(env, nic, packet):
     env.call_at(nic.admit(packet.size, env.now), nic.complete_rx, packet)
 
 
-def wire_sink(ioapic, log):
-    """Install trivial handlers that record (core, ctx)."""
-    for lapic in ioapic.local_apics:
-        lapic.install_handler(
-            lambda ctx, idx=lapic.core_index: log.append((idx, ctx))
-        )
+def recording_apic(env, cores, policy, log):
+    """An I/O APIC whose per-core entries record (core, ctx) in ``log``."""
+    deliver = [
+        lambda ctx, idx=core.index: log.append((idx, ctx)) for core in cores
+    ]
+    return IoApic(env, cores, policy, deliver)
 
 
 class TestIoApic:
     def test_routes_via_policy(self, env, cores):
-        ioapic = IoApic(env, cores, DedicatedPolicy(core_index=2))
         log = []
-        wire_sink(ioapic, log)
+        ioapic = recording_apic(env, cores, FixedCorePolicy(2), log)
         ioapic.raise_interrupt(InterruptContext(packet=make_packet()))
         assert log[0][0] == 2
         assert ioapic.deliveries == [0, 0, 1, 0]
 
     def test_round_robin_rotation(self, env, cores):
-        ioapic = IoApic(env, cores, RoundRobinPolicy())
         log = []
-        wire_sink(ioapic, log)
+        ioapic = recording_apic(env, cores, RoundRobinPolicy(), log)
         for _ in range(6):
             ioapic.raise_interrupt(InterruptContext(packet=make_packet()))
         assert [entry[0] for entry in log] == [0, 1, 2, 3, 0, 1]
 
     def test_missing_handler_raises(self, env, cores):
-        ioapic = IoApic(env, cores, RoundRobinPolicy())
+        # One interrupt entry per core, or the APIC refuses to build.
+        too_few = [lambda ctx: None] * (len(cores) - 1)
         with pytest.raises(SimulationError):
-            ioapic.raise_interrupt(InterruptContext(packet=make_packet()))
+            IoApic(env, cores, RoundRobinPolicy(), too_few)
 
     def test_needs_cores(self, env):
         with pytest.raises(SimulationError):
-            IoApic(env, [], RoundRobinPolicy())
-
-    def test_policy_bound_on_construction(self, env, cores):
-        policy = RoundRobinPolicy()
-        ioapic = IoApic(env, cores, policy)
-        assert policy.ioapic is ioapic
+            IoApic(env, [], RoundRobinPolicy(), [])
 
     def test_invalid_policy_choice_detected(self, env, cores):
         class Broken(RoundRobinPolicy):
             def select_core(self, ctx, cores):
                 return 99
 
-        ioapic = IoApic(env, cores, Broken())
+        ioapic = recording_apic(env, cores, Broken(), [])
         with pytest.raises(SimulationError):
             ioapic.raise_interrupt(InterruptContext(packet=make_packet()))
 
 
 class TestNic:
     def test_receive_serializes_at_bandwidth(self, env, cores):
-        ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
         log = []
-        wire_sink(ioapic, log)
+        ioapic = recording_apic(env, cores, FixedCorePolicy(0), log)
         nic = Nic(env, bandwidth=1 * MiB, ioapic=ioapic)
         receive(env, nic, make_packet(size=512 * KiB))
         env.run()
@@ -100,9 +95,7 @@ class TestNic:
         assert nic.bytes_received == 512 * KiB
 
     def test_packets_queue_on_the_wire(self, env, cores):
-        ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
-        log = []
-        wire_sink(ioapic, log)
+        ioapic = recording_apic(env, cores, FixedCorePolicy(0), [])
         nic = Nic(env, bandwidth=1 * MiB, ioapic=ioapic)
         receive(env, nic, make_packet(size=1 * MiB))
         receive(env, nic, make_packet(size=1 * MiB))
@@ -111,9 +104,8 @@ class TestNic:
         assert nic.interrupts_raised == 2
 
     def test_driver_hook_feeds_aff_core_id(self, env, cores):
-        ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
         log = []
-        wire_sink(ioapic, log)
+        ioapic = recording_apic(env, cores, FixedCorePolicy(0), log)
         nic = Nic(
             env,
             bandwidth=1 * MiB,
@@ -125,16 +117,14 @@ class TestNic:
         assert log[0][1].aff_core_id == 3
 
     def test_framing_overhead(self, env, cores):
-        ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
-        wire_sink(ioapic, [])
+        ioapic = recording_apic(env, cores, FixedCorePolicy(0), [])
         nic = Nic(env, bandwidth=1 * MiB, ioapic=ioapic, framing_overhead=0.5)
         receive(env, nic, make_packet(size=1 * MiB))
         env.run()
         assert env.now == pytest.approx(1.5)
 
     def test_utilization_time(self, env, cores):
-        ioapic = IoApic(env, cores, DedicatedPolicy(core_index=0))
-        wire_sink(ioapic, [])
+        ioapic = recording_apic(env, cores, FixedCorePolicy(0), [])
         nic = Nic(env, bandwidth=1 * MiB, ioapic=ioapic)
         receive(env, nic, make_packet(size=512 * KiB))
         env.run()
@@ -148,12 +138,6 @@ class TestDisk:
         env.run()
         assert env.now == pytest.approx(1.5)
 
-    def test_sequential_skips_seek(self, env):
-        disk = Disk(env, rate=1 * MiB, seek=0.5)
-        env.process(disk.read(1 * MiB, sequential=True))
-        env.run()
-        assert env.now == pytest.approx(1.0)
-
     def test_requests_serialize_on_spindle(self, env):
         disk = Disk(env, rate=1 * MiB, seek=0.0)
         env.process(disk.read(1 * MiB))
@@ -163,7 +147,7 @@ class TestDisk:
 
     def test_seek_jitter_is_bounded_and_deterministic(self, env):
         rng = RngFactory(3).stream("disk")
-        disk = Disk(env, rate=100 * MiB, seek=0.01, rng=rng, seek_jitter=0.25)
+        disk = Disk(env, rate=100 * MiB, seek=0.01, rng=rng)
         times = []
 
         def one_read(env):

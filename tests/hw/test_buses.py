@@ -17,7 +17,7 @@ class TestInterconnectBus:
     def test_single_transfer_time_matches_cost_model(self, env):
         costs = CostModel()
         bus = InterconnectBus(env, costs)
-        env.process(bus.transfer(64 * KiB))
+        env.process(bus.transfer(64 * KiB, costs.c2c_rate))
         env.run()
         assert env.now == pytest.approx(costs.strip_migration_time(64 * KiB))
         assert bus.migrations == 1
@@ -29,30 +29,30 @@ class TestInterconnectBus:
         bus = InterconnectBus(env, costs)
         n = 5
         for _ in range(n):
-            env.process(bus.transfer(64 * KiB))
+            env.process(bus.transfer(64 * KiB, costs.c2c_rate))
         env.run()
         assert env.now == pytest.approx(n * costs.strip_migration_time(64 * KiB))
 
     def test_wait_time_accumulates_under_contention(self, env):
-        bus = InterconnectBus(env, CostModel())
+        costs = CostModel()
+        bus = InterconnectBus(env, costs)
         for _ in range(3):
-            env.process(bus.transfer(64 * KiB))
+            env.process(bus.transfer(64 * KiB, costs.c2c_rate))
         env.run()
-        single = CostModel().strip_migration_time(64 * KiB)
+        single = costs.strip_migration_time(64 * KiB)
         # Second waits 1x, third waits 2x.
         assert bus.wait_time == pytest.approx(3 * single)
 
     def test_total_busy_time(self, env):
         costs = CostModel()
         bus = InterconnectBus(env, costs)
-        env.process(bus.transfer(64 * KiB))
-        env.process(bus.transfer(128 * KiB))
+        env.process(bus.transfer(64 * KiB, costs.c2c_rate))
+        env.process(bus.transfer(128 * KiB, costs.c2c_rate))
         env.run()
         expected = costs.strip_migration_time(64 * KiB) + costs.strip_migration_time(
             128 * KiB
         )
         assert bus.total_busy_time == pytest.approx(expected)
-
 
     def test_stalled_core_is_busy_from_grant_to_completion(self, env):
         """A queued consumer is idle; the granted transfer stalls it."""
@@ -62,7 +62,9 @@ class TestInterconnectBus:
         grants = []
 
         def merge(core):
-            granted_at = yield from bus.transfer(64 * KiB, core=core)
+            granted_at = yield from bus.transfer(
+                64 * KiB, costs.c2c_rate, core=core
+            )
             grants.append(granted_at)
 
         env.process(merge(first))
@@ -94,7 +96,7 @@ class TestInterconnectBus:
     def test_signals_share_the_bus_but_not_the_counters(self, env):
         costs = CostModel()
         bus = InterconnectBus(env, costs)
-        env.process(bus.transfer(64 * KiB))
+        env.process(bus.transfer(64 * KiB, costs.c2c_rate))
         env.process(bus.signal())
         env.run()
         m = costs.strip_migration_time(64 * KiB)

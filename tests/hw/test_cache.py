@@ -10,7 +10,7 @@ from repro.units import KiB
 
 def make_system(n_cores=4, l2=512 * KiB, strip=64 * KiB, **model_kwargs):
     model = CacheAccessModel(**model_kwargs) if model_kwargs else None
-    return CacheSystem(n_cores, l2, strip, cache_line=64, model=model)
+    return CacheSystem(n_cores, l2, strip, model=model)
 
 
 class TestPrivateCache:

@@ -26,7 +26,7 @@ def mean_wait_at(utilization, arrivals=3000, seed=7):
     rate = utilization / service
 
     def handler(i):
-        yield from bus.transfer(64 * KiB)
+        yield from bus.transfer(64 * KiB, costs.c2c_rate)
 
     env.process(
         poisson_strip_arrivals(

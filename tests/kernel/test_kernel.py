@@ -1,16 +1,17 @@
-"""Tests for softirq daemons, IRQ wiring and the process table."""
+"""Tests for softirq daemons and the process table."""
 
 import pytest
 
 from repro.config import CostModel
-from repro.core.policies import DedicatedPolicy
 from repro.des import Environment
 from repro.errors import SimulationError
-from repro.hw import CacheSystem, Core, InterruptContext, IoApic
-from repro.kernel import ProcessTable, SoftirqDaemon, wire_interrupts
+from repro.hw import CacheSystem, Core, InterconnectBus, InterruptContext, IoApic
+from repro.kernel import ProcessTable, SoftirqDaemon
 from repro.net import Packet
 from repro.pfs import PfsClient, StripeLayout
 from repro.units import GHz, KiB
+
+from ..fixed_core import FixedCorePolicy
 
 
 @pytest.fixture
@@ -25,9 +26,16 @@ def build_stack(env, n_cores=2, policy=None):
     layout = StripeLayout(64 * KiB, 4)
     pfs = PfsClient(env, 0, layout, submit=lambda req: None)
     costs = CostModel()
-    daemons = [SoftirqDaemon(env, core, cache, costs, pfs) for core in cores]
-    ioapic = IoApic(env, cores, policy or DedicatedPolicy(core_index=0))
-    wire_interrupts(ioapic, daemons)
+    bus = InterconnectBus(env, costs)
+    daemons = []
+    for core in cores:
+        daemons.append(SoftirqDaemon(env, core, cache, costs, pfs, bus, daemons))
+    ioapic = IoApic(
+        env,
+        cores,
+        policy or FixedCorePolicy(0),
+        [daemon.enqueue for daemon in daemons],
+    )
     return cores, cache, pfs, daemons, ioapic
 
 
@@ -65,7 +73,7 @@ class TestSoftirqDaemon:
 
     def test_cross_core_wakeup_cost_charged(self, env):
         cores, cache, pfs, daemons, ioapic = build_stack(
-            env, policy=DedicatedPolicy(core_index=1)
+            env, policy=FixedCorePolicy(1)
         )
         outstanding = pfs.issue(0, 64 * KiB, consumer_core=0)
         packet = Packet(
@@ -170,9 +178,15 @@ class TestSoftirqDaemon:
 
 class TestWireInterrupts:
     def test_mismatched_counts_rejected(self, env):
+        # The APIC takes one softirq entry per core; a daemon short refuses.
         cores, cache, pfs, daemons, ioapic = build_stack(env)
         with pytest.raises(SimulationError):
-            wire_interrupts(ioapic, daemons[:1])
+            IoApic(
+                env,
+                cores,
+                FixedCorePolicy(0),
+                [daemon.enqueue for daemon in daemons[:1]],
+            )
 
 
 class TestProcessTable:

@@ -157,10 +157,3 @@ class TestAdaptivePolicy:
         assert isinstance(policy, AdaptiveSourceAwarePolicy)
         assert policy.locality_hits + policy.balance_fallbacks > 0
         assert policy.locality_hits > policy.balance_fallbacks
-
-    def test_threshold_validated(self):
-        from repro.core import AdaptiveSourceAwarePolicy
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            AdaptiveSourceAwarePolicy(load_threshold=0)

@@ -191,3 +191,39 @@ def test_call_check_detects_functions_that_do_not_exist(
         "DOC.md:3: calls missing, which is no builtin and is not defined "
         "under src/repro",
     ]
+
+
+def test_name_check_detects_names_that_do_not_exist(
+    check_docs, tmp_path, monkeypatch
+):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "model.py").write_text(
+        "Gbit = 1000\n"
+        "class IoApic:\n"
+        "    def raise_interrupt(self): ...\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_model.py").write_text(
+        "class TestMatrix:\n    pass\n", encoding="utf-8"
+    )
+    # Builtins, src/repro names and test classes pass; lower-case names,
+    # all-caps symbols and longer spans are not bare CamelCase names.
+    doc = tmp_path / "DOC.md"
+    doc.write_text(
+        "`IoApic`, `Gbit`, `TestMatrix`, `ValueError`, `TR`, `napi`\n"
+        "`IoApic.raise_interrupt`, `Gb/s`, `CpuScheduler` and `Gb`\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "ROADMAP.md").write_text("`CpuScheduler`\n", encoding="utf-8")
+    monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ["DOC.md", "ROADMAP.md"])
+    problems: list[str] = []
+    check_docs.check_names(problems)
+    assert problems == [
+        "DOC.md:2: names CpuScheduler, which is no builtin and is not defined "
+        "under src/repro or tests/",
+        "DOC.md:2: names Gb, which is no builtin and is not defined under "
+        "src/repro or tests/",
+    ]

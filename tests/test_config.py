@@ -52,7 +52,7 @@ class TestClientConfig:
 
     def test_l2_must_align_to_line(self):
         with pytest.raises(ConfigError):
-            ClientConfig(l2_bytes=1000, cache_line=64)
+            ClientConfig(l2_bytes=1000)
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigError):

@@ -48,29 +48,6 @@ class TestIorProcess:
         with pytest.raises(SimulationError):
             node.processes.core_of(0)
 
-    def test_compute_phase_optional(self):
-        fast = small_cluster(
-            workload=WorkloadConfig(
-                n_processes=1,
-                transfer_size=256 * KiB,
-                file_size=512 * KiB,
-                compute=False,
-            )
-        )
-        slow = small_cluster(
-            workload=WorkloadConfig(
-                n_processes=1,
-                transfer_size=256 * KiB,
-                file_size=512 * KiB,
-                compute=True,
-            )
-        )
-        for cluster in (fast, slow):
-            procs = spawn_ior_processes(cluster.clients[0], cluster.config.workload)
-            cluster.env.run(until=AllOf(cluster.env, procs))
-        assert fast.env.now < slow.env.now
-        assert fast.clients[0].cores[0].busy_by_category.get("compute", 0) == 0
-
     def test_spawn_pins_processes_round_robin(self):
         cluster = small_cluster(
             workload=WorkloadConfig(
