@@ -16,8 +16,8 @@ bypass reads and writes.  ``--jobs N`` is a pure speed knob: grid points
 are deterministic and reassembled in grid order, so the output is
 byte-identical to ``--jobs 1`` (see
 ``tests/experiments/test_determinism.py``).  ``--fault-plan FILE`` degrades
-any experiment's fabric from a JSON fault plan (EXPERIMENTS.md, "Fault
-injection").
+the fabric of the Fig. 5-11 grids and the scenario sweeps from a JSON
+fault plan (EXPERIMENTS.md, "Fault injection").
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from .core.policy import available_policies
 from .errors import ConfigError, ReproError, ensure_parent_dir
 from .experiments import all_experiment_ids
 from .experiments.base import SCALES
+
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from .runner import RunSummary
+    from .scenarios import SweepRequest
 
 __all__ = ["main"]
 
@@ -265,40 +269,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_runner(args: argparse.Namespace) -> "t.Any":
-    """Install ``--fault-plan`` as the ambient plan and build the runner.
+def _reject_unknown(
+    ids: t.Sequence[str], available: t.Sequence[str], kind: str
+) -> None:
+    """Raise one ``ConfigError`` naming any unknown ids and the available
+    ones."""
+    unknown = [i for i in ids if i not in available]
+    if unknown:
+        names = ", ".join(repr(i) for i in unknown)
+        raise ConfigError(
+            f"unknown {kind} {names}; available: {', '.join(available)}"
+        )
 
-    Raises ``ConfigError`` (exit code 2 at the call sites) for a fault
-    seed without a plan, a malformed plan file, or an unusable cache
-    directory — before any experiment is planned.
+
+def _run_grid(
+    args: argparse.Namespace,
+    ids: t.Sequence[str],
+    request: "SweepRequest | None" = None,
+) -> "RunSummary":
+    """Run ``ids`` for ``run``, ``summary`` and ``sweep``; report the losses.
+
+    ``--fault-plan`` and the sweep ``request`` are installed for this call
+    only.  Prints the summary line and one ``FAILED`` line per experiment
+    whose point killed its worker on every attempt.  Raises
+    ``ConfigError`` for a fault seed without a plan, a malformed plan, a
+    plan naming a server some grid cell lacks, or an unusable cache
+    directory, before any point runs.
     """
+    from .faults import load_fault_plan, using_fault_plan
     from .runner import ExperimentRunner
+    from .scenarios import using_sweep
 
+    plan = None
     if args.fault_plan is not None:
-        from .faults import load_fault_plan, set_ambient_fault_plan
-
         plan = load_fault_plan(args.fault_plan)
         if args.fault_seed is not None:
             plan = plan.with_seed(args.fault_seed)
-        set_ambient_fault_plan(plan)
     elif args.fault_seed is not None:
         raise ConfigError("--fault-seed requires --fault-plan")
 
-    progress = None
-    if args.progress:
+    def progress(message: str) -> None:
+        print(f"sais-repro: {message}", file=sys.stderr)
 
-        def progress(message: str) -> None:
-            print(f"sais-repro: {message}", file=sys.stderr)
-
-    return ExperimentRunner(
+    runner = ExperimentRunner(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        progress=progress,
+        progress=progress if args.progress else None,
     )
-
-
-def _report_summary(summary: "t.Any") -> None:
+    with using_fault_plan(plan), using_sweep(request):
+        summary = runner.run_many(ids, scale=args.scale)
     cached = sum(1 for report in summary.reports if report.cached)
     print(
         f"sais-repro: {len(summary.reports)} experiment(s), "
@@ -306,199 +326,83 @@ def _report_summary(summary: "t.Any") -> None:
         f"({summary.jobs} worker{'s' if summary.jobs != 1 else ''})",
         file=sys.stderr,
     )
-
-
-def _reject_unknown(
-    ids: t.Sequence[str], available: t.Sequence[str], kind: str
-) -> bool:
-    """Print one ``sais-repro:`` line naming any unknown ids and the
-    available ones; True if there were any."""
-    unknown = [i for i in ids if i not in available]
-    if unknown:
-        names = ", ".join(repr(i) for i in unknown)
-        print(
-            f"sais-repro: unknown {kind} {names}; "
-            f"available: {', '.join(available)}",
-            file=sys.stderr,
-        )
-    return bool(unknown)
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    """``sais-repro sweep``: run sweep experiments, print the aggregate.
-
-    With ``--spec`` the file is loaded, validated, and installed as the
-    ambient :class:`~repro.scenarios.SweepRequest` backing the
-    ``sweep_custom`` experiment; the pinned family ids need no ambient
-    state.  Everything downstream is the ordinary runner path, so
-    ``--jobs``/``--cache-dir``/``--fault-plan`` compose
-    like they do for ``run``.
-    """
-    from .experiments.sweep import ALL_SWEEP_IDS, CUSTOM_SWEEP_ID, SWEEP_FAMILY
-    from .scenarios import (
-        SweepRequest,
-        build_report,
-        load_spec,
-        set_ambient_sweep,
-    )
-
-    try:
-        if args.report is not None:
-            ensure_parent_dir(args.report, "--report")
-        if args.spec is not None:
-            request = SweepRequest(
-                spec=load_spec(args.spec),
-                samples=args.samples if args.samples is not None else 8,
-                seed=args.seed if args.seed is not None else 1,
-            )
-            set_ambient_sweep(request)
-        elif args.samples is not None or args.seed is not None:
-            raise ConfigError("--samples/--seed require --spec")
-    except ConfigError as exc:
-        print(f"sais-repro: {exc}", file=sys.stderr)
-        return 2
-
-    ids = list(args.experiments)
-    if not ids:
-        ids = (
-            [CUSTOM_SWEEP_ID] if args.spec is not None else list(SWEEP_FAMILY)
-        )
-    if _reject_unknown(ids, ALL_SWEEP_IDS, "sweep experiment"):
-        return 2
-
-    try:
-        runner = _make_runner(args)
-    except ConfigError as exc:
-        print(f"sais-repro: {exc}", file=sys.stderr)
-        return 2
-    summary = runner.run_many(ids, scale=args.scale)
-    _report_summary(summary)
     for report in summary.failed:
-        first_line = (report.error or "unknown failure").splitlines()[0]
+        first_line = report.error.splitlines()[0]
         print(
             f"sais-repro: {report.exp_id} FAILED: {first_line}",
             file=sys.stderr,
         )
-    if summary.failed:
-        return 1
-    aggregate = build_report(summary.results)
-    if args.report is not None:
-        try:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(aggregate.to_json())
-        except OSError as exc:
-            print(
-                f"sais-repro: cannot write {args.report}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"sais-repro: wrote {args.report}", file=sys.stderr)
-    if args.json:
-        print(aggregate.to_json(), end="")
-    else:
-        print(aggregate.render())
+    return summary
+
+
+def _list(args: argparse.Namespace) -> int:
+    for exp_id in all_experiment_ids():
+        print(exp_id)
     return 0
 
 
-def main(argv: t.Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+def _trace(args: argparse.Namespace) -> int:
+    from .obs.trace_cli import run_trace, run_trace_diff
 
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    if args.command == "list":
-        for exp_id in all_experiment_ids():
-            print(exp_id)
-        return 0
-
-    if args.command == "trace":
-        from .obs.trace_cli import run_trace, run_trace_diff
-
-        try:
-            if args.experiment == "diff":
-                if len(args.inputs) != 2:
-                    raise ConfigError(
-                        "trace diff needs exactly two trace files: "
-                        "sais-repro trace diff A.json B.json"
-                    )
-                return run_trace_diff(
-                    args.inputs[0],
-                    args.inputs[1],
-                    out=args.out,
-                    top=args.top,
-                )
-            if args.inputs:
-                raise ConfigError(
-                    "positional trace files are only valid with "
-                    "'sais-repro trace diff'"
-                )
-            return run_trace(
-                args.experiment,
-                scale=args.scale,
-                out=args.out,
-                point=args.point,
-                policy=args.policy,
-                timeline=args.timeline,
+    if args.experiment == "diff":
+        if len(args.inputs) != 2:
+            raise ConfigError(
+                "trace diff needs exactly two trace files: "
+                "sais-repro trace diff A.json B.json"
             )
-        except ConfigError as exc:
-            print(f"sais-repro: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "summary":
-        from .metrics.report import render_table
-
-        try:
-            runner = _make_runner(args)
-        except ConfigError as exc:
-            print(f"sais-repro: {exc}", file=sys.stderr)
-            return 2
-        summary = runner.run_many(all_experiment_ids(), scale=args.scale)
-        rows = []
-        for result in summary.results:
-            for key, paper_value in result.paper.items():
-                measured = result.measured.get(key, float("nan"))
-                rows.append(
-                    (result.exp_id, key, f"{paper_value:g}", f"{measured:g}")
-                )
-        print(
-            render_table(
-                ("experiment", "headline", "paper", "measured"),
-                rows,
-                title=f"SAIs reproduction summary (scale={args.scale})",
-            )
+        return run_trace_diff(
+            args.inputs[0], args.inputs[1], out=args.out, top=args.top
         )
-        _report_summary(summary)
-        return 0
+    if args.inputs:
+        raise ConfigError(
+            "positional trace files are only valid with "
+            "'sais-repro trace diff'"
+        )
+    return run_trace(
+        args.experiment,
+        scale=args.scale,
+        out=args.out,
+        point=args.point,
+        policy=args.policy,
+        timeline=args.timeline,
+    )
 
+
+def _summary(args: argparse.Namespace) -> int:
+    from .metrics.report import render_table
+
+    summary = _run_grid(args, all_experiment_ids())
+    rows = []
+    for result in summary.results:
+        for key, paper_value in result.paper.items():
+            measured = result.measured.get(key, float("nan"))
+            rows.append(
+                (result.exp_id, key, f"{paper_value:g}", f"{measured:g}")
+            )
+    print(
+        render_table(
+            ("experiment", "headline", "paper", "measured"),
+            rows,
+            title=f"SAIs reproduction summary (scale={args.scale})",
+        )
+    )
+    return 1 if summary.failed else 0
+
+
+def _run(args: argparse.Namespace) -> int:
     ids = list(args.experiments)
     if ids == ["all"]:
         ids = all_experiment_ids()
-    if _reject_unknown(ids, all_experiment_ids(), "experiment"):
-        return 2
-
-    try:
-        runner = _make_runner(args)
-    except ConfigError as exc:
-        print(f"sais-repro: {exc}", file=sys.stderr)
-        return 2
-    run_summary = runner.run_many(ids, scale=args.scale)
-    _report_summary(run_summary)
-    for report in run_summary.failed:
-        first_line = (report.error or "unknown failure").splitlines()[0]
-        print(
-            f"sais-repro: {report.exp_id} FAILED: {first_line}",
-            file=sys.stderr,
-        )
+    _reject_unknown(ids, all_experiment_ids(), "experiment")
+    summary = _run_grid(args, ids)
 
     if args.json:
         import json
 
-        payload = [result.to_dict() for result in run_summary.results]
+        payload = [result.to_dict() for result in summary.results]
         print(json.dumps(payload, indent=2))
-        return 1 if run_summary.failed else 0
-
-    for index, result in enumerate(run_summary.results):
+        return 1 if summary.failed else 0
+    for index, result in enumerate(summary.results):
         if index:
             print()
         print(result.render())
@@ -510,7 +414,78 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                 print(plot_result(result))
             except ReproError as exc:
                 print(f"(no chart: {exc})")
-    return 1 if run_summary.failed else 0
+    return 1 if summary.failed else 0
+
+
+def _sweep(args: argparse.Namespace) -> int:
+    """``sais-repro sweep``: run sweep experiments, print the aggregate.
+
+    With ``--spec`` the file is loaded, validated, and installed for this
+    command as the :class:`~repro.scenarios.SweepRequest` backing the
+    ``sweep_custom`` experiment; the pinned family ids need no request.
+    Everything downstream is the ordinary runner path, so
+    ``--jobs``/``--cache-dir``/``--fault-plan`` compose like they do for
+    ``run``.
+    """
+    from .experiments.sweep import ALL_SWEEP_IDS, CUSTOM_SWEEP_ID, SWEEP_FAMILY
+    from .scenarios import SweepRequest, build_report, load_spec
+
+    if args.report is not None:
+        ensure_parent_dir(args.report, "--report")
+    request = None
+    if args.spec is not None:
+        request = SweepRequest(
+            spec=load_spec(args.spec),
+            samples=args.samples if args.samples is not None else 8,
+            seed=args.seed if args.seed is not None else 1,
+        )
+    elif args.samples is not None or args.seed is not None:
+        raise ConfigError("--samples/--seed require --spec")
+
+    ids = list(args.experiments)
+    if not ids:
+        ids = [CUSTOM_SWEEP_ID] if request is not None else list(SWEEP_FAMILY)
+    _reject_unknown(ids, ALL_SWEEP_IDS, "sweep experiment")
+    summary = _run_grid(args, ids, request)
+    if summary.failed:
+        return 1
+    aggregate = build_report(summary.results)
+    if args.report is not None:
+        try:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(aggregate.to_json())
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.report}: {exc}") from exc
+        print(f"sais-repro: wrote {args.report}", file=sys.stderr)
+    if args.json:
+        print(aggregate.to_json(), end="")
+    else:
+        print(aggregate.render())
+    return 0
+
+
+_COMMANDS: dict[str, t.Callable[[argparse.Namespace], int]] = {
+    "list": _list,
+    "run": _run,
+    "summary": _summary,
+    "sweep": _sweep,
+    "trace": _trace,
+}
+
+
+def main(argv: t.Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code.
+
+    Malformed input to any command ends here: one ``sais-repro:`` line on
+    stderr and exit code 2.  Only ``ConfigError`` is caught; any other
+    error is a model bug and keeps its traceback.
+    """
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"sais-repro: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

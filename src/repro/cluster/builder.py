@@ -9,7 +9,6 @@ from ..config import ClusterConfig
 from ..core.policy import create_policy
 from ..core.sais import HintCapsuler
 from ..des import Environment
-from ..errors import ConfigError
 from ..faults.injector import FaultInjector
 from ..net.fastpath import WireFastPath
 from ..net.links import Link
@@ -84,12 +83,6 @@ def build_cluster(
     injector: FaultInjector | None = None
     if config.faults is not None and not config.faults.is_null:
         injector = FaultInjector(config.faults)
-        worst = injector.max_server_index()
-        if worst is not None and worst >= config.n_servers:
-            raise ConfigError(
-                f"fault plan targets server {worst} but the cluster has "
-                f"only {config.n_servers} servers"
-            )
 
     switch = Switch(
         env,
@@ -98,6 +91,41 @@ def build_cluster(
         middlebox=injector.middlebox if injector is not None else None,
         obs_track=fabric_track,
     )
+
+    # Every client's route toward the I/O servers.  It reads ``servers``,
+    # ``client_uplinks`` and ``fastpath``, which are built below, before
+    # the environment runs.
+    servers: list[IoServer] = []
+    client_uplinks: list[Link] = []
+
+    def submit(request: StripRequest) -> None:
+        server = servers[request.server]
+
+        if not request.is_write:
+            # Request message: one fabric traversal of latency; its few
+            # hundred bytes of serialization are negligible next to the
+            # data path and are folded into the latency.
+            server.accept(request, env.now + net.latency)
+            return
+
+        # The data strip serializes out the client NIC, crosses the
+        # switch, and is absorbed by the server, which acks back over the
+        # normal return path.
+        data = Packet(
+            size=request.size,
+            src_server=request.server,
+            dst_client=request.client,
+            request_id=request.request_id,
+            strip_id=request.strip_id,
+        )
+        env.process(
+            fastpath.transmit_to_server(
+                client_uplinks[request.client],
+                data,
+                lambda at: server.accept(request, at),
+            ),
+            quiet=True,
+        )
 
     clients: list[ClientNode] = []
     for client_index in range(config.n_clients):
@@ -116,6 +144,7 @@ def build_cluster(
                 config,
                 policy,
                 layout,
+                submit,
                 faults=injector,
                 spans=spans,
             )
@@ -128,7 +157,6 @@ def build_cluster(
     # packets wait in a per-client heap; see repro.net.fastpath).
     fastpath = WireFastPath(env, switch, clients, spans=spans)
 
-    servers: list[IoServer] = []
     for server_index in range(config.n_servers):
         server_track = None
         if spans is not None:
@@ -163,7 +191,7 @@ def build_cluster(
 
     # Client transmit side, used by the write path (write strips carry the
     # data *out* through the client's bonded ports).
-    client_uplinks = [
+    client_uplinks.extend(
         Link(
             env,
             bandwidth=config.client.nic_bandwidth,
@@ -175,42 +203,7 @@ def build_cluster(
             ),
         )
         for idx in range(config.n_clients)
-    ]
-
-    def make_submit(client_index: int) -> t.Callable[[StripRequest], None]:
-        uplink = client_uplinks[client_index]
-
-        def submit(request: StripRequest) -> None:
-            server = servers[request.server]
-
-            if not request.is_write:
-                # Request message: one fabric traversal of latency; its
-                # few hundred bytes of serialization are negligible next
-                # to the data path and are folded into the latency.
-                server.accept(request, env.now + net.latency)
-                return
-
-            # The data strip serializes out the client NIC, crosses the
-            # switch, and is absorbed by the server, which acks back over
-            # the normal return path.
-            data = Packet(
-                size=request.size,
-                src_server=request.server,
-                dst_client=request.client,
-                request_id=request.request_id,
-                strip_id=request.strip_id,
-            )
-            env.process(
-                fastpath.transmit_to_server(
-                    uplink, data, lambda at: server.accept(request, at)
-                ),
-                quiet=True,
-            )
-
-        return submit
-
-    for client in clients:
-        client.connect(make_submit(client.index))
+    )
 
     metrics = MetricsRegistry()
     metrics.register(

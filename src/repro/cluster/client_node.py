@@ -46,6 +46,7 @@ class ClientNode:
         config: ClusterConfig,
         policy: InterruptSchedulingPolicy,
         layout: StripeLayout,
+        submit: t.Callable[[StripRequest], None],
         faults: "FaultInjector | None" = None,
         spans: t.Any | None = None,
     ) -> None:
@@ -113,8 +114,8 @@ class ClientNode:
         )
         self.im_composer = IMComposer() if sais else None
 
-        # Late-bound by the cluster builder once the servers exist.
-        self._submit: t.Callable[[StripRequest], None] | None = None
+        # The route toward the I/O servers.
+        self._submit = submit
         self.pfs = PfsClient(
             env,
             client_index=index,
@@ -178,15 +179,7 @@ class ClientNode:
 
     # -- wiring -------------------------------------------------------------
 
-    def connect(self, submit: t.Callable[[StripRequest], None]) -> None:
-        """Install the route toward the I/O servers (builder-time wiring)."""
-        self._submit = submit
-
     def _dispatch(self, request: StripRequest) -> None:
-        if self._submit is None:
-            raise RuntimeError(
-                f"client {self.index} is not connected to any servers"
-            )
         if request.issuing_core is not None:
             # ATR-style TX sampling: steering hardware that watches
             # outbound traffic (flow_director) learns flow -> core here.

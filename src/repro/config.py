@@ -350,6 +350,17 @@ class ClusterConfig:
 
         if self.policy not in available_policies():
             raise unknown_policy_error(self.policy)
+        # A plan naming a server this cluster lacks fails here, while a
+        # grid is planned, not when one of its points is built.
+        plan = self.faults
+        if plan is not None and not plan.is_null:
+            failing = [server for server, _, _ in plan.server_failure_windows]
+            worst = max((*plan.straggler_servers, *failing), default=-1)
+            if worst >= self.n_servers:
+                raise ConfigError(
+                    f"fault plan targets server {worst} but the cluster has "
+                    f"only {self.n_servers} servers"
+                )
 
     def with_policy(self, policy: str) -> "ClusterConfig":
         """A copy of this config under a different interrupt policy."""

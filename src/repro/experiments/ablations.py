@@ -22,11 +22,12 @@ from __future__ import annotations
 import dataclasses
 
 from ..cluster.simulation import compare_policies, run_experiment
-from ..config import ClusterConfig, CostModel, WorkloadConfig
+from ..config import ClusterConfig, CostModel
 from ..units import KiB, MiB
-from .base import ExperimentResult, register_grid_experiment, resolve_scale
+from .base import ExperimentResult, register_grid_experiment
 from .grids import (
     comparison_point_key,
+    fig5_cell_workload,
     nic_config,
     single_point_key,
 )
@@ -43,21 +44,12 @@ _POLICIES = (
 )
 
 
-def _workload(scale: str) -> WorkloadConfig:
-    file_size = {"quick": 4 * MiB, "default": 8 * MiB, "full": 32 * MiB}[
-        resolve_scale(scale)
-    ]
-    return WorkloadConfig(
-        n_processes=8, transfer_size=1 * MiB, file_size=file_size
-    )
-
-
 # -- ablation_policies -------------------------------------------------
 
 
 def _grid_policies(scale: str) -> tuple[ClusterConfig, ...]:
     config = ClusterConfig(
-        n_servers=48, client=nic_config(3), workload=_workload(scale)
+        n_servers=48, client=nic_config(3), workload=fig5_cell_workload(scale)
     )
     return tuple(config.with_policy(policy) for policy in _POLICIES)
 
@@ -128,7 +120,7 @@ def _grid_migration(scale: str) -> tuple[ClusterConfig, ...]:
     specs = []
     for probability in _MIGRATION_PROBABILITIES:
         workload = dataclasses.replace(
-            _workload(scale), migrate_during_io=probability
+            fig5_cell_workload(scale), migrate_during_io=probability
         )
         config = ClusterConfig(
             n_servers=16, client=nic_config(3), workload=workload
@@ -203,7 +195,9 @@ _WRITE_SERVER_COUNTS = (16, 48)
 
 
 def _grid_write(scale: str) -> tuple[ClusterConfig, ...]:
-    workload = dataclasses.replace(_workload(scale), operation="write")
+    workload = dataclasses.replace(
+        fig5_cell_workload(scale), operation="write"
+    )
     specs = []
     for n_servers in _WRITE_SERVER_COUNTS:
         config = ClusterConfig(
@@ -272,7 +266,7 @@ def _grid_stripsize(scale: str) -> tuple[ClusterConfig, ...]:
         ClusterConfig(
             n_servers=32,
             client=nic_config(3),
-            workload=_workload(scale),
+            workload=fig5_cell_workload(scale),
             strip_size=strip_size,
         )
         for strip_size in _STRIP_SIZES
@@ -352,7 +346,7 @@ _COSTMODEL_GIGABITS = (1, 3)
 
 
 def _grid_costmodel(scale: str) -> tuple[ClusterConfig, ...]:
-    workload = _workload(scale)
+    workload = fig5_cell_workload(scale)
     base = CostModel()
     specs = []
     for c2c_scale, _ in _COSTMODEL_SCALES:

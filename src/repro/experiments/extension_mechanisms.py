@@ -16,21 +16,12 @@ from __future__ import annotations
 import dataclasses
 
 from ..cluster.simulation import compare_policies
-from ..config import ClientConfig, ClusterConfig, WorkloadConfig
+from ..config import ClientConfig, ClusterConfig
 from ..units import MiB
-from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key
+from .base import ExperimentResult, register_grid_experiment
+from .grids import comparison_point_key, fig5_cell_workload
 
 __all__: list[str] = []
-
-
-def _workload(scale: str) -> WorkloadConfig:
-    file_size = {"quick": 4 * MiB, "default": 8 * MiB, "full": 32 * MiB}[
-        resolve_scale(scale)
-    ]
-    return WorkloadConfig(
-        n_processes=8, transfer_size=1 * MiB, file_size=file_size
-    )
 
 
 # -- extension_napi ----------------------------------------------------
@@ -41,7 +32,7 @@ def _grid_napi(scale: str) -> tuple[ClusterConfig, ...]:
         ClusterConfig(
             n_servers=32,
             client=ClientConfig(nic_ports=3, napi=napi),
-            workload=_workload(scale),
+            workload=fig5_cell_workload(scale),
         )
         for napi in (False, True)
     )
@@ -103,7 +94,7 @@ def _grid_collective(scale: str) -> tuple[ClusterConfig, ...]:
             n_servers=32,
             client=ClientConfig(nic_ports=3),
             workload=dataclasses.replace(
-                _workload(scale), collective=collective
+                fig5_cell_workload(scale), collective=collective
             ),
         )
         for collective in (False, True)

@@ -16,6 +16,7 @@ option.
 
 from __future__ import annotations
 
+import dataclasses
 import typing as t
 
 from ..cluster.simulation import compare_policies
@@ -36,12 +37,9 @@ def _grid(scale: str) -> tuple[GenerationSpec, ...]:
     for label, config in generation_configs().items():
         if resolve_scale(scale) == "quick":
             config = config.replace(
-                workload=config.workload.__class__(
-                    n_processes=config.workload.n_processes,
-                    transfer_size=config.workload.transfer_size,
-                    file_size=max(
-                        4 * MiB, config.workload.file_size // 4
-                    ),
+                workload=dataclasses.replace(
+                    config.workload,
+                    file_size=max(4 * MiB, config.workload.file_size // 4),
                 )
             )
         specs.append((label, config))

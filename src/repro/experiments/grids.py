@@ -33,6 +33,7 @@ __all__ = [
     "SERVER_COUNTS",
     "SweepPoint",
     "nic_config",
+    "fig5_cell_workload",
     "sweep_fig5_specs",
     "sweep_points",
     "comparison_point_key",
@@ -62,6 +63,20 @@ def file_size_for_scale(scale: str, transfer_size: int) -> int:
 def nic_config(gigabits: int) -> ClientConfig:
     """Client config with an N x 1-Gigabit bonded NIC."""
     return ClientConfig(nic_ports=gigabits)
+
+
+def fig5_cell_workload(scale: str) -> WorkloadConfig:
+    """The 1 MiB workload of the experiments built on one Fig. 5 cell.
+
+    8 processes read 1 MiB transfers, 4/8/32 MiB each at quick/default/
+    full scale (the Fig. 5 grid's 1 MiB cells read 64 MiB at full scale).
+    """
+    file_size = {"quick": 4 * MiB, "default": 8 * MiB, "full": 32 * MiB}[
+        resolve_scale(scale)
+    ]
+    return WorkloadConfig(
+        n_processes=8, transfer_size=1 * MiB, file_size=file_size
+    )
 
 
 @dataclasses.dataclass(frozen=True)

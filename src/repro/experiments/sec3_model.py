@@ -10,11 +10,11 @@ simulator runs.
 from __future__ import annotations
 
 from ..cluster.simulation import compare_policies
-from ..config import ClusterConfig, CostModel, WorkloadConfig
+from ..config import ClusterConfig, CostModel
 from ..core.analysis import AnalysisParams
-from ..units import KiB, MiB
-from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, nic_config
+from ..units import KiB
+from .base import ExperimentResult, register_grid_experiment
+from .grids import comparison_point_key, fig5_cell_workload, nic_config
 
 __all__: list[str] = []
 
@@ -24,16 +24,11 @@ _CHECK_SERVERS = (16, 48)
 
 
 def _grid(scale: str) -> tuple[ClusterConfig, ...]:
-    file_size = {"quick": 4 * MiB, "default": 8 * MiB, "full": 32 * MiB}[
-        resolve_scale(scale)
-    ]
     return tuple(
         ClusterConfig(
             n_servers=n_servers,
             client=nic_config(3),
-            workload=WorkloadConfig(
-                n_processes=8, transfer_size=1 * MiB, file_size=file_size
-            ),
+            workload=fig5_cell_workload(scale),
         )
         for n_servers in _CHECK_SERVERS
     )

@@ -26,21 +26,12 @@ from ..config import ClusterConfig, NetworkConfig, WorkloadConfig
 from ..core.policy import available_policies
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import nic_config, single_point_key
+from .grids import fig5_cell_workload, nic_config, single_point_key
 
 __all__: list[str] = []
 
 #: Policies that bypass the interrupt path entirely (no APIC deliveries).
 _INTERRUPT_FREE = ("rdma_zerointr",)
-
-
-def _workload(scale: str) -> WorkloadConfig:
-    file_size = {"quick": 4 * MiB, "default": 8 * MiB, "full": 32 * MiB}[
-        resolve_scale(scale)
-    ]
-    return WorkloadConfig(
-        n_processes=8, transfer_size=1 * MiB, file_size=file_size
-    )
 
 
 # -- steering_comparison -----------------------------------------------
@@ -55,7 +46,7 @@ def _grid_comparison(scale: str) -> tuple[ClusterConfig, ...]:
     fail until the new policy's rows are generated and reviewed.
     """
     config = ClusterConfig(
-        n_servers=48, client=nic_config(3), workload=_workload(scale)
+        n_servers=48, client=nic_config(3), workload=fig5_cell_workload(scale)
     )
     return tuple(
         config.with_policy(policy) for policy in available_policies()

@@ -23,7 +23,6 @@ golden-snapshot tests pin byte-for-byte.
 from .ambient import (
     ambient_fault_plan,
     apply_ambient_faults,
-    set_ambient_fault_plan,
     using_fault_plan,
 )
 from .injector import FaultInjector, LinkFaults
@@ -37,6 +36,5 @@ __all__ = [
     "load_fault_plan",
     "ambient_fault_plan",
     "apply_ambient_faults",
-    "set_ambient_fault_plan",
     "using_fault_plan",
 ]

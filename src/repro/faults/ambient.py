@@ -2,8 +2,9 @@
 
 ``--fault-plan``/``--fault-seed`` should degrade *existing* experiments
 without every grid builder growing a plan parameter: the CLI installs the
-loaded plan here, and the cluster-simulation grid builders route their
-configs through :func:`apply_ambient_faults`.
+loaded plan here for one command (:func:`using_fault_plan`), and the
+cluster-simulation grid builders route their configs through
+:func:`apply_ambient_faults`.
 
 The ambient plan only influences *grid construction* (which happens in
 the parent process) — the plan then travels inside the pickled config
@@ -25,17 +26,10 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ambient_fault_plan",
     "apply_ambient_faults",
-    "set_ambient_fault_plan",
     "using_fault_plan",
 ]
 
 _AMBIENT: "FaultPlan | None" = None
-
-
-def set_ambient_fault_plan(plan: "FaultPlan | None") -> None:
-    """Install (or clear, with None) the process-wide fault plan."""
-    global _AMBIENT
-    _AMBIENT = plan
 
 
 def ambient_fault_plan() -> "FaultPlan | None":
@@ -57,10 +51,11 @@ def apply_ambient_faults(config: "ClusterConfig") -> "ClusterConfig":
 
 @contextlib.contextmanager
 def using_fault_plan(plan: "FaultPlan | None") -> t.Iterator[None]:
-    """Scoped ambient-plan installation (tests, embedding callers)."""
+    """Install ``plan`` (or none) for a ``with`` block, then restore."""
+    global _AMBIENT
     previous = _AMBIENT
-    set_ambient_fault_plan(plan)
+    _AMBIENT = plan
     try:
         yield
     finally:
-        set_ambient_fault_plan(previous)
+        _AMBIENT = previous

@@ -155,10 +155,3 @@ class FaultInjector:
     def count_request_dropped(self, _: object) -> None:
         """Count one request lost to a failure window (a ``call_at`` callback)."""
         self.requests_dropped += 1
-
-    def max_server_index(self) -> int:
-        """Highest server index the plan references (build-time validation)."""
-        indices = [-1]
-        indices.extend(self._stragglers)
-        indices.extend(self._windows)
-        return max(indices)

@@ -20,7 +20,7 @@ from .ambient import (
     DEFAULT_CUSTOM_REQUEST,
     SweepRequest,
     ambient_sweep,
-    set_ambient_sweep,
+    using_sweep,
 )
 from .dist import (
     Choice,
@@ -68,6 +68,6 @@ __all__ = [
     "load_spec",
     "parse_dist",
     "scenario_file_size",
-    "set_ambient_sweep",
     "spec_from_mapping",
+    "using_sweep",
 ]

@@ -2,8 +2,9 @@
 
 ``sais-repro sweep --spec FILE --samples N --seed S`` runs the
 registered ``sweep_custom`` experiment, whose grid consults the ambient
-:class:`SweepRequest` installed here — the same pattern ``--fault-plan``
-uses (:mod:`repro.faults.ambient`).  The request only needs to exist in
+:class:`SweepRequest` the CLI installs here for one command
+(:func:`using_sweep`) — the same pattern ``--fault-plan`` uses
+(:mod:`repro.faults.ambient`).  The request only needs to exist in
 the process that *plans* the grid: ``--jobs`` workers receive fully
 resolved :class:`~repro.scenarios.generate.Scenario` point specs and
 never re-evaluate the grid, and the content-addressed cache keys hash
@@ -18,7 +19,9 @@ exercise.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import typing as t
 
 from ..errors import ConfigError
 from .spec import BUILTIN_SPECS, ScenarioSpec
@@ -26,8 +29,8 @@ from .spec import BUILTIN_SPECS, ScenarioSpec
 __all__ = [
     "SweepRequest",
     "DEFAULT_CUSTOM_REQUEST",
-    "set_ambient_sweep",
     "ambient_sweep",
+    "using_sweep",
 ]
 
 
@@ -59,12 +62,18 @@ DEFAULT_CUSTOM_REQUEST = SweepRequest(
 _ambient: SweepRequest | None = None
 
 
-def set_ambient_sweep(request: SweepRequest | None) -> None:
-    """Install (or with ``None`` clear) the process-wide sweep request."""
-    global _ambient
-    _ambient = request
-
-
 def ambient_sweep() -> SweepRequest:
     """The installed request, or :data:`DEFAULT_CUSTOM_REQUEST`."""
     return _ambient if _ambient is not None else DEFAULT_CUSTOM_REQUEST
+
+
+@contextlib.contextmanager
+def using_sweep(request: SweepRequest | None) -> t.Iterator[None]:
+    """Install ``request`` (or none) for a ``with`` block, then restore."""
+    global _ambient
+    previous = _ambient
+    _ambient = request
+    try:
+        yield
+    finally:
+        _ambient = previous

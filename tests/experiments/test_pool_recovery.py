@@ -5,7 +5,8 @@ segfaults; one that SIGSTOPs its own process stands in for a wedged
 interpreter.  These tests pin the contract of the supervised pool: the
 worker is replaced and the point reruns, innocent points complete, only
 a point that kills its worker on every attempt becomes a per-point
-error report, and a point that raises re-raises as under ``--jobs 1``.
+error report, and a point that raises re-raises as under ``--jobs 1``;
+``summary`` reports such a lost experiment like ``run`` and ``sweep``.
 ``TestSupervisedWorkerPool`` drives the pool behind the runner directly,
 through ``submit`` and ``drain``.
 """
@@ -18,6 +19,7 @@ import signal
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
 from repro.experiments.base import (
     ExperimentResult,
@@ -86,6 +88,16 @@ def poison_experiment():
         return f"ok-{spec}"
 
     exp_id = _register("recovery_poison", run_point)
+    yield exp_id
+    unregister_experiment(exp_id)
+
+
+@pytest.fixture
+def dying_experiment():
+    def run_point(spec):
+        os._exit(21)
+
+    exp_id = _register("recovery_always_dies", run_point)
     yield exp_id
     unregister_experiment(exp_id)
 
@@ -180,6 +192,26 @@ class TestPoolRecovery:
             jobs=1, cache_dir=tmp_path / "cache"
         ).run_many([healthy_experiment], scale="quick")
         assert rerun.reports[0].cached
+
+    def test_summary_reports_a_lost_experiment_and_exits_1(
+        self, dying_experiment, quick_run, capsys
+    ):
+        # Every other experiment comes from the session run's cache.
+        code = main(
+            ["summary", "--jobs", "2", "--cache-dir", str(quick_run.cache_dir)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        failed = [
+            line for line in captured.err.splitlines() if "FAILED" in line
+        ]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            f"sais-repro: {dying_experiment} FAILED: 3 of 3 point(s) failed: "
+        )
+        assert "0 task(s) executed" in captured.err
+        assert "fig5_bandwidth_3g" in captured.out
+        assert dying_experiment not in captured.out
 
     def test_stopped_worker_is_replaced_and_its_point_reruns(
         self, stop_once_experiment, alarm, monkeypatch, tmp_path

@@ -1,6 +1,6 @@
 """The resilience sweeps: registration, recovery counters, determinism,
-zero-fault golden identity, the CLI's --fault-plan hardening, and the
-known answer of a reordering --fault-plan."""
+zero-fault golden identity, the CLI's --fault-plan hardening and scope,
+and the known answer of a reordering --fault-plan."""
 
 import hashlib
 import json
@@ -11,17 +11,12 @@ from repro.cli import main
 from repro.experiments import all_experiment_ids
 from repro.experiments.base import get_grid_experiment
 from repro.experiments.grids import sweep_fig5_specs
-from repro.faults import FaultPlan, set_ambient_fault_plan, using_fault_plan
+from repro.faults import FaultPlan, using_fault_plan
 from repro.runner import ExperimentRunner
 
+from .conftest import golden_path
+
 RESILIENCE_IDS = ("resilience_loss_sweep", "resilience_straggler_sweep")
-
-
-@pytest.fixture(autouse=True)
-def clear_ambient_plan():
-    """CLI runs below install a process-wide plan; never leak it."""
-    yield
-    set_ambient_fault_plan(None)
 
 
 class TestRegistration:
@@ -205,6 +200,32 @@ class TestCliHardening:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_plan_naming_a_missing_server_exits_2_before_any_task(
+        self, tmp_path, capsys, monkeypatch, jobs
+    ):
+        # The plan is refused while the grid is planned, so no point may
+        # reach execution under any worker count.
+        def refuse(runner, tasks):
+            pytest.fail(f"{len(tasks)} task(s) reached execution")
+
+        monkeypatch.setattr(ExperimentRunner, "_execute", refuse)
+        path = tmp_path / "plan.json"
+        path.write_text(
+            json.dumps({"straggler_servers": [60], "straggler_slowdown": 2.0})
+        )
+        code = main(
+            ["run", "all", "--scale", "quick", "--no-cache", "--jobs", jobs,
+             "--fault-plan", str(path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "sais-repro: fault plan targets server 60 but the cluster has "
+            "only 8 servers\n"
+        )
+        assert captured.out == ""
+
     def test_resilience_sweeps_run_from_cli(self, capsys):
         code = main(
             ["run", "resilience_loss_sweep", "--scale", "quick",
@@ -213,6 +234,22 @@ class TestCliHardening:
         assert code == 0
         out = capsys.readouterr().out
         assert "retention" in out
+
+
+class TestPlanScope:
+    def test_plan_does_not_outlive_its_command(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"loss_prob": 0.02, "seed": 7}))
+        command = ["run", "fig5_bandwidth_3g", "--scale", "quick", "--json"]
+        assert main([*command, "--fault-plan", str(path)]) == 0
+        faulted = json.loads(capsys.readouterr().out)
+        assert main(command) == 0
+        (plain,) = json.loads(capsys.readouterr().out)
+        golden = json.loads(
+            golden_path("fig5_bandwidth_3g", "quick").read_text()
+        )
+        assert faulted != [golden]
+        assert plain == golden
 
 
 class TestReorderingPlanKnownAnswer:

@@ -2,7 +2,7 @@
 
 The generator-level byte-reproducibility contract lives in
 ``tests/scenarios/test_generate.py``; here we pin what the CLI adds on
-top — ambient ``--spec`` installation, the uniform exit-2 error
+top — ``--spec`` installed for one command, the uniform exit-2 error
 contract, cache replay, and byte-identical ``--report`` artifacts
 across invocations and ``--jobs`` fan-outs.
 """
@@ -10,22 +10,14 @@ across invocations and ``--jobs`` fan-outs.
 import json
 import pathlib
 
-import pytest
-
 from repro.cli import main
-from repro.scenarios import set_ambient_sweep
+
+from .conftest import golden_path
 
 SPEC_DIR = (
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "specs"
 )
 HETERO_SPEC = str(SPEC_DIR / "heterogeneous.json")
-
-
-@pytest.fixture(autouse=True)
-def reset_ambient_sweep():
-    """Never leak one test's --spec request into the next."""
-    yield
-    set_ambient_sweep(None)
 
 
 class TestSweepRuns:
@@ -60,6 +52,16 @@ class TestSweepRuns:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_scenarios"] == 3
         assert "buckets" in payload
+
+    def test_spec_does_not_outlive_its_command(self, capsys):
+        assert main(["sweep", "--spec", HETERO_SPEC, "--samples", "3"]) == 0
+        capsys.readouterr()
+        assert (
+            main(["run", "sweep_custom", "--scale", "quick", "--json"]) == 0
+        )
+        (payload,) = json.loads(capsys.readouterr().out)
+        golden = golden_path("sweep_custom", "quick").read_text()
+        assert payload == json.loads(golden)
 
     def test_second_invocation_is_all_cache_hits(self, capsys):
         assert main(["sweep", "sweep_leafspine"]) == 0
@@ -147,6 +149,16 @@ class TestReportDeterminism:
             == 0
         )
         assert capsys.readouterr().out.encode() == path.read_bytes()
+
+    def test_report_write_error_is_exit_2(self, tmp_path, capsys):
+        # The sweep runs; writing its report over a directory fails and
+        # ends as one line, not a traceback.
+        code = main(["sweep", "sweep_homogeneous", "--report", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"sais-repro: cannot write {tmp_path}: ")
 
     def test_unwritable_report_is_exit_2(
         self, tmp_path, capsys, isolated_cache_dir

@@ -154,10 +154,18 @@ class TestZeroCostWhenDisabled:
         assert null.resilience is None
 
     def test_plan_beyond_cluster_size_rejected(self):
+        # Checked when the config is built, so a grid fails while it is
+        # planned; a null plan is never checked, as it injects nothing.
         plan = FaultPlan(straggler_servers=(99,), straggler_slowdown=2.0)
         with pytest.raises(ConfigError) as excinfo:
-            build_cluster(small_config(plan, n_servers=4))
-        assert "server 99" in str(excinfo.value)
+            small_config(plan, n_servers=4)
+        assert str(excinfo.value) == (
+            "fault plan targets server 99 but the cluster has only 4 servers"
+        )
+        window = FaultPlan(server_failure_windows=((4, 0.0, 1e-3),))
+        with pytest.raises(ConfigError, match="targets server 4 "):
+            small_config(window, n_servers=4)
+        small_config(FaultPlan(straggler_servers=(99,)), n_servers=4)
 
 
 class TestDeterminism:
