@@ -315,7 +315,7 @@ def callable_names() -> set[str]:
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            # Aliases, such as list_policies = available_policies.
+            # Module-level assignments, such as an alias of a function.
             if isinstance(node, ast.Assign):
                 names.update(
                     t.id for t in node.targets if isinstance(t, ast.Name)

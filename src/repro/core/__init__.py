@@ -29,7 +29,6 @@ from .policy import (
     InterruptSchedulingPolicy,
     available_policies,
     create_policy,
-    list_policies,
     register_policy,
     unregister_policy,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "unregister_policy",
     "create_policy",
     "available_policies",
-    "list_policies",
     "RoundRobinPolicy",
     "AdaptiveSourceAwarePolicy",
     "DedicatedPolicy",

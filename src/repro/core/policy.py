@@ -28,7 +28,6 @@ __all__ = [
     "unregister_policy",
     "create_policy",
     "available_policies",
-    "list_policies",
     "unknown_policy_error",
 ]
 
@@ -124,7 +123,3 @@ def create_policy(name: str) -> InterruptSchedulingPolicy:
 def available_policies() -> list[str]:
     """Sorted names of all registered policies."""
     return sorted(_REGISTRY)
-
-
-#: Alias used by parameterized test suites and CLI help text.
-list_policies = available_policies

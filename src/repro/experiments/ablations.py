@@ -25,12 +25,7 @@ from ..cluster.simulation import compare_policies, run_experiment
 from ..config import ClusterConfig, CostModel
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment
-from .grids import (
-    comparison_point_key,
-    fig5_cell_workload,
-    nic_config,
-    single_point_key,
-)
+from .grids import fig5_cell_workload, nic_config
 
 __all__: list[str] = []
 
@@ -107,7 +102,6 @@ register_grid_experiment(
     grid=_grid_policies,
     run_point=run_experiment,
     assemble=_assemble_policies,
-    point_key=single_point_key,
 )
 
 
@@ -185,7 +179,6 @@ register_grid_experiment(
     grid=_grid_migration,
     run_point=run_experiment,
     assemble=_assemble_migration,
-    point_key=single_point_key,
 )
 
 
@@ -198,30 +191,27 @@ def _grid_write(scale: str) -> tuple[ClusterConfig, ...]:
     workload = dataclasses.replace(
         fig5_cell_workload(scale), operation="write"
     )
-    specs = []
-    for n_servers in _WRITE_SERVER_COUNTS:
-        config = ClusterConfig(
+    return tuple(
+        ClusterConfig(
             n_servers=n_servers, client=nic_config(3), workload=workload
         )
-        specs.append(config.with_policy("irqbalance"))
-        specs.append(config.with_policy("source_aware"))
-    return tuple(specs)
+        for n_servers in _WRITE_SERVER_COUNTS
+    )
 
 
-def _assemble_write(scale, specs, metrics_list) -> ExperimentResult:
+def _assemble_write(scale, specs, comparisons) -> ExperimentResult:
     rows = []
     speedups = {}
-    pairs = list(zip(metrics_list[0::2], metrics_list[1::2]))
-    for n_servers, (baseline, treatment) in zip(_WRITE_SERVER_COUNTS, pairs):
-        speedup = treatment.bandwidth / baseline.bandwidth - 1
+    for n_servers, comparison in zip(_WRITE_SERVER_COUNTS, comparisons):
+        speedup = comparison.bandwidth_speedup
         speedups[n_servers] = speedup
         rows.append(
             (
                 n_servers,
-                f"{baseline.bandwidth / MiB:.1f}",
-                f"{treatment.bandwidth / MiB:.1f}",
+                f"{comparison.baseline.bandwidth / MiB:.1f}",
+                f"{comparison.treatment.bandwidth / MiB:.1f}",
                 f"{speedup:+.2%}",
-                baseline.migrations,
+                comparison.baseline.migrations,
             )
         )
     return ExperimentResult(
@@ -250,9 +240,8 @@ def _assemble_write(scale, specs, metrics_list) -> ExperimentResult:
 register_grid_experiment(
     "ablation_write_path",
     grid=_grid_write,
-    run_point=run_experiment,
+    run_point=compare_policies,
     assemble=_assemble_write,
-    point_key=single_point_key,
 )
 
 
@@ -334,7 +323,6 @@ register_grid_experiment(
     grid=_grid_stripsize,
     run_point=compare_policies,
     assemble=_assemble_stripsize,
-    point_key=comparison_point_key,
 )
 
 
@@ -414,5 +402,4 @@ register_grid_experiment(
     grid=_grid_costmodel,
     run_point=compare_policies,
     assemble=_assemble_costmodel,
-    point_key=comparison_point_key,
 )

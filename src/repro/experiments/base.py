@@ -119,23 +119,37 @@ class GridExperiment:
     specs (typically frozen config dataclasses), never runs simulations.
     ``run_point`` carries the whole cost of one grid cell and must be
     deterministic — same spec, same bits, in any process (the property
-    ``tests/experiments/test_determinism.py`` asserts).  ``point_key``
-    optionally names a point's computation so identical points shared by
-    several experiments (the Fig. 5–11 sweep family) execute once per
-    runner invocation.
+    ``tests/experiments/test_determinism.py`` asserts).
     """
 
     exp_id: str
     grid: t.Callable[[str], t.Sequence[t.Any]]
     run_point: t.Callable[[t.Any], t.Any]
     assemble: t.Callable[[str, t.Sequence[t.Any], t.Sequence[t.Any]], ExperimentResult]
-    point_key: t.Callable[[t.Any], str] | None = None
 
     def keys(self, specs: t.Sequence[t.Any]) -> list[str]:
-        """Deduplication keys for ``specs`` (stable within one run)."""
-        if self.point_key is None:
-            return [f"{self.exp_id}#{index}" for index in range(len(specs))]
-        return [self.point_key(spec) for spec in specs]
+        """The one name of each point: its spec's digest and its run function.
+
+        A point is ``run_point(spec)``, so experiments that run the same
+        spec through the same module-level function share the point, and
+        the runner executes it once per invocation (the Fig. 5–11 family
+        and the experiments built on one Fig. 5 cell).  The function is
+        named by module and qualified name, never by identity, so a
+        ``functools.wraps`` wrapper keeps its points shared.  A local
+        function or lambda (``<`` in its qualified name) may close over
+        state its name does not show, so its points stay this
+        experiment's own.  The digest comes first: progress and
+        ``FAILED`` lines print a key's first 24 characters.
+        """
+        from ..runner.cache import config_digest
+
+        run = self.run_point
+        scope = (
+            self.exp_id
+            if "<" in run.__qualname__
+            else f"{run.__module__}.{run.__qualname__}"
+        )
+        return [f"{config_digest(spec)}:{scope}" for spec in specs]
 
 
 def register_grid_experiment(
@@ -146,19 +160,13 @@ def register_grid_experiment(
     assemble: t.Callable[
         [str, t.Sequence[t.Any], t.Sequence[t.Any]], ExperimentResult
     ],
-    point_key: t.Callable[[t.Any], str] | None = None,
 ) -> None:
     """Register an experiment under ``exp_id``."""
     if exp_id in _REGISTRY:
         raise ConfigError(f"experiment {exp_id!r} already registered")
-    experiment = GridExperiment(
-        exp_id=exp_id,
-        grid=grid,
-        run_point=run_point,
-        assemble=assemble,
-        point_key=point_key,
+    _REGISTRY[exp_id] = GridExperiment(
+        exp_id=exp_id, grid=grid, run_point=run_point, assemble=assemble
     )
-    _REGISTRY[exp_id] = experiment
 
 
 def get_grid_experiment(exp_id: str) -> GridExperiment:

@@ -19,7 +19,7 @@ from ..cluster.simulation import compare_policies
 from ..config import ClientConfig, ClusterConfig
 from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment
-from .grids import comparison_point_key, fig5_cell_workload
+from .grids import fig5_cell_workload
 
 __all__: list[str] = []
 
@@ -81,7 +81,6 @@ register_grid_experiment(
     grid=_grid_napi,
     run_point=compare_policies,
     assemble=_assemble_napi,
-    point_key=comparison_point_key,
 )
 
 
@@ -148,5 +147,4 @@ register_grid_experiment(
     grid=_grid_collective,
     run_point=compare_policies,
     assemble=_assemble_collective,
-    point_key=comparison_point_key,
 )

@@ -17,24 +17,20 @@ option.
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from ..cluster.simulation import compare_policies
 from ..config import ClusterConfig
-from ..presets import generation_configs
+from ..presets import GENERATIONS, generation_configs
 from ..units import MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key
 
 __all__: list[str] = []
 
-#: One grid cell: (generation label, config).
-GenerationSpec = t.Tuple[str, ClusterConfig]
 
-
-def _grid(scale: str) -> tuple[GenerationSpec, ...]:
+def _grid(scale: str) -> tuple[ClusterConfig, ...]:
+    """One config per hardware generation, in ``GENERATIONS`` order."""
     specs = []
-    for label, config in generation_configs().items():
+    for config in generation_configs().values():
         if resolve_scale(scale) == "quick":
             config = config.replace(
                 workload=dataclasses.replace(
@@ -42,22 +38,14 @@ def _grid(scale: str) -> tuple[GenerationSpec, ...]:
                     file_size=max(4 * MiB, config.workload.file_size // 4),
                 )
             )
-        specs.append((label, config))
+        specs.append(config)
     return tuple(specs)
-
-
-def _run_point(spec: GenerationSpec):
-    return compare_policies(spec[1])
-
-
-def _point_key(spec: GenerationSpec) -> str:
-    return comparison_point_key(spec[1])
 
 
 def _assemble(scale, specs, comparisons) -> ExperimentResult:
     rows = []
     speedups: dict[str, float] = {}
-    for (label, config), comparison in zip(specs, comparisons):
+    for label, config, comparison in zip(GENERATIONS, specs, comparisons):
         speedups[label] = comparison.bandwidth_speedup
         rows.append(
             (
@@ -100,7 +88,6 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
 register_grid_experiment(
     "extension_modern_hw",
     grid=_grid,
-    run_point=_run_point,
+    run_point=compare_policies,
     assemble=_assemble,
-    point_key=_point_key,
 )

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from ..cluster.simulation import compare_policies
 from .base import ExperimentResult, register_grid_experiment
-from .grids import (
-    comparison_point_key,
-    sweep_fig5_specs,
-    sweep_points,
-)
+from .grids import sweep_fig5_specs, sweep_points
 
 __all__: list[str] = []
 
@@ -80,7 +76,6 @@ register_grid_experiment(
     assemble=lambda scale, specs, comparisons: _assemble(
         specs, comparisons, 1, "fig10_unhalted_1g", "Fig. 10", paper_max=27.14
     ),
-    point_key=comparison_point_key,
 )
 
 # Regenerate Fig. 11 (3-Gigabit NIC).
@@ -91,5 +86,4 @@ register_grid_experiment(
     assemble=lambda scale, specs, comparisons: _assemble(
         specs, comparisons, 3, "fig11_unhalted_3g", "Fig. 11", paper_max=48.57
     ),
-    point_key=comparison_point_key,
 )

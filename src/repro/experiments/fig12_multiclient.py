@@ -12,7 +12,7 @@ from ..cluster.simulation import compare_policies
 from ..config import ClusterConfig, ServerConfig, WorkloadConfig
 from ..units import Gbit, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, nic_config
+from .grids import nic_config
 
 __all__ = ["CLIENT_COUNTS"]
 
@@ -93,5 +93,4 @@ register_grid_experiment(
     grid=_grid,
     run_point=compare_policies,
     assemble=_assemble,
-    point_key=comparison_point_key,
 )

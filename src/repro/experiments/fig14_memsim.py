@@ -49,13 +49,6 @@ def _run_point(spec: MemsimSpec):
     return run_memsim_point(scheme, n_apps, config)
 
 
-def _point_key(spec: MemsimSpec) -> str:
-    from ..runner.cache import config_digest
-
-    scheme, n_apps, config = spec
-    return f"memsim:{scheme}:{n_apps}:{config_digest(config)}"
-
-
 def _assemble(scale, specs, metrics) -> ExperimentResult:
     config = _config(scale)
     by_scheme: dict[str, list] = {scheme: [] for scheme in SCHEMES}
@@ -125,5 +118,4 @@ register_grid_experiment(
     grid=_grid,
     run_point=_run_point,
     assemble=_assemble,
-    point_key=_point_key,
 )

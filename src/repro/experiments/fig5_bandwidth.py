@@ -14,11 +14,7 @@ from __future__ import annotations
 from ..cluster.simulation import compare_policies
 from ..units import MiB, bits_per_sec
 from .base import ExperimentResult, register_grid_experiment
-from .grids import (
-    comparison_point_key,
-    sweep_fig5_specs,
-    sweep_points,
-)
+from .grids import sweep_fig5_specs, sweep_points
 
 __all__: list[str] = []
 
@@ -106,7 +102,6 @@ register_grid_experiment(
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=3),
     run_point=compare_policies,
     assemble=_assemble_fig5,
-    point_key=comparison_point_key,
 )
 
 # Regenerate the Sec. V-C 1-Gigabit observation: NIC-bound, small gain.
@@ -115,5 +110,4 @@ register_grid_experiment(
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1),
     run_point=compare_policies,
     assemble=_assemble_sec5c,
-    point_key=comparison_point_key,
 )

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from ..cluster.simulation import compare_policies
 from .base import ExperimentResult, register_grid_experiment
-from .grids import (
-    comparison_point_key,
-    sweep_fig5_specs,
-    sweep_points,
-)
+from .grids import sweep_fig5_specs, sweep_points
 
 __all__: list[str] = []
 
@@ -79,7 +75,6 @@ register_grid_experiment(
     assemble=lambda scale, specs, comparisons: _assemble(
         specs, comparisons, 1, "fig6_missrate_1g", "Fig. 6", paper_reduction=40.0
     ),
-    point_key=comparison_point_key,
 )
 
 # Regenerate Fig. 7 (3-Gigabit NIC): ~40% miss-rate reduction.
@@ -90,5 +85,4 @@ register_grid_experiment(
     assemble=lambda scale, specs, comparisons: _assemble(
         specs, comparisons, 3, "fig7_missrate_3g", "Fig. 7", paper_reduction=40.0
     ),
-    point_key=comparison_point_key,
 )

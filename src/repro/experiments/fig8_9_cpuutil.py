@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from ..cluster.simulation import compare_policies
 from .base import ExperimentResult, register_grid_experiment
-from .grids import (
-    comparison_point_key,
-    sweep_fig5_specs,
-    sweep_points,
-)
+from .grids import sweep_fig5_specs, sweep_points
 
 __all__: list[str] = []
 
@@ -110,7 +106,6 @@ register_grid_experiment(
     grid=lambda scale: sweep_fig5_specs(scale, nic_gigabits=1, n_processes=1),
     run_point=compare_policies,
     assemble=_assemble_fig8,
-    point_key=comparison_point_key,
 )
 
 # Regenerate Fig. 9: 3-Gigabit NIC, irqbalance burns more CPU.
@@ -119,5 +114,4 @@ register_grid_experiment(
     grid=_grid_fig9,
     run_point=compare_policies,
     assemble=_assemble_fig9,
-    point_key=comparison_point_key,
 )

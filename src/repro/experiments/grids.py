@@ -8,13 +8,13 @@ transfer-size x server-count grid run under both policies.
 
 A cell runs as :func:`~repro.cluster.simulation.compare_policies` (an
 irqbalance-vs-SAIs A/B) or :func:`~repro.cluster.simulation.run_experiment`
-(one policy), the heavy, deterministic simulation of one cell.  The
-``*_point_key`` functions here name that computation content-addressably,
-which lets the runner run a cell once however many experiments consume
-it.  Every irqbalance-vs-SAIs A/B shares the ``cmp:`` namespace of
-:func:`comparison_point_key`: Fig. 5, 6/7, 9 and 10/11 all reuse the
+(one policy), the heavy, deterministic simulation of one cell.
+:meth:`~repro.experiments.base.GridExperiment.keys` names a cell by its
+config and that function, which lets the runner run a cell once however
+many experiments consume it: Fig. 5, 6/7, 9 and 10/11 all reuse the
 3-Gigabit sweep, and the Sec. III model and the cost-model ablation reuse
-its cells too.
+its cells too (:func:`fig5_cell_workload` keeps their run length the
+grid's).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "fig5_cell_workload",
     "sweep_fig5_specs",
     "sweep_points",
-    "comparison_point_key",
-    "single_point_key",
     "file_size_for_scale",
 ]
 
@@ -68,14 +66,13 @@ def nic_config(gigabits: int) -> ClientConfig:
 def fig5_cell_workload(scale: str) -> WorkloadConfig:
     """The 1 MiB workload of the experiments built on one Fig. 5 cell.
 
-    8 processes read 1 MiB transfers, 4/8/32 MiB each at quick/default/
-    full scale (the Fig. 5 grid's 1 MiB cells read 64 MiB at full scale).
+    8 processes read 1 MiB transfers, as much as the Fig. 5 grid's 1 MiB
+    cells read at ``scale``.
     """
-    file_size = {"quick": 4 * MiB, "default": 8 * MiB, "full": 32 * MiB}[
-        resolve_scale(scale)
-    ]
     return WorkloadConfig(
-        n_processes=8, transfer_size=1 * MiB, file_size=file_size
+        n_processes=8,
+        transfer_size=1 * MiB,
+        file_size=file_size_for_scale(scale, 1 * MiB),
     )
 
 
@@ -132,18 +129,4 @@ def sweep_points(
         )
         for spec, comparison in zip(specs, comparisons)
     ]
-
-
-def comparison_point_key(config: ClusterConfig) -> str:
-    """Dedup key of an irqbalance-vs-SAIs ``compare_policies`` cell."""
-    from ..runner.cache import config_digest
-
-    return f"cmp:{config_digest(config)}"
-
-
-def single_point_key(config: ClusterConfig) -> str:
-    """Dedup key of a ``run_experiment`` cell (the config's own policy)."""
-    from ..runner.cache import config_digest
-
-    return f"run:{config_digest(config)}"
 

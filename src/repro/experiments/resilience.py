@@ -28,7 +28,7 @@ from ..config import ClusterConfig, NetworkConfig, WorkloadConfig
 from ..faults.plan import FaultPlan
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key, nic_config
+from .grids import nic_config
 
 __all__: list[str] = []
 
@@ -296,7 +296,6 @@ register_grid_experiment(
     grid=_loss_grid,
     run_point=compare_policies,
     assemble=_assemble_loss,
-    point_key=comparison_point_key,
 )
 
 # Bandwidth retention with one slow (and briefly dead) I/O server.
@@ -305,5 +304,4 @@ register_grid_experiment(
     grid=_straggler_grid,
     run_point=compare_policies,
     assemble=_assemble_straggler,
-    point_key=comparison_point_key,
 )

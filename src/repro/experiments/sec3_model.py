@@ -14,7 +14,7 @@ from ..config import ClusterConfig, CostModel
 from ..core.analysis import AnalysisParams
 from ..units import KiB
 from .base import ExperimentResult, register_grid_experiment
-from .grids import comparison_point_key, fig5_cell_workload, nic_config
+from .grids import fig5_cell_workload, nic_config
 
 __all__: list[str] = []
 
@@ -105,5 +105,4 @@ register_grid_experiment(
     grid=_grid,
     run_point=compare_policies,
     assemble=_assemble,
-    point_key=comparison_point_key,
 )

@@ -26,7 +26,7 @@ from ..config import ClusterConfig, NetworkConfig, WorkloadConfig
 from ..core.policy import available_policies
 from ..units import KiB, MiB
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import fig5_cell_workload, nic_config, single_point_key
+from .grids import fig5_cell_workload, nic_config
 
 __all__: list[str] = []
 
@@ -130,7 +130,6 @@ register_grid_experiment(
     grid=_grid_comparison,
     run_point=run_experiment,
     assemble=_assemble_comparison,
-    point_key=single_point_key,
 )
 
 
@@ -230,5 +229,4 @@ register_grid_experiment(
     grid=_grid_pathology,
     run_point=run_experiment,
     assemble=_assemble_pathology,
-    point_key=single_point_key,
 )

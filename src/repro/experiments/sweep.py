@@ -12,10 +12,9 @@ into a per-scenario table with the topology features the aggregate
 report buckets on (:mod:`repro.scenarios.report`).
 
 Because generation is byte-reproducible from ``(spec, seed)`` and every
-point key is content-addressed over the resolved config, sweeps ride
-the runner's cache and cross-experiment dedup exactly like the figure
-experiments — growing ``--samples`` re-runs only the new scenarios
-(DESIGN.md §11).
+point is named by its scenario's digest, sweeps ride the runner's
+result cache and its within-invocation dedup exactly like the figure
+experiments (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from ..scenarios.report import SWEEP_HEADERS
 from ..scenarios.spec import BUILTIN_SPECS
 from ..units import MiB, format_size
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
-from .grids import comparison_point_key
 
 __all__ = [
     "SWEEP_FAMILY",
@@ -41,7 +39,6 @@ __all__ = [
     "SWEEP_SEED",
     "SWEEP_SAMPLES",
     "run_scenario_point",
-    "scenario_point_key",
     "sweep_grid",
 ]
 
@@ -102,23 +99,6 @@ def run_scenario_point(scenario: Scenario) -> PolicyComparison:
         scenario.config,
         baseline=scenario.baseline,
         treatment=scenario.treatment,
-    )
-
-
-def scenario_point_key(scenario: Scenario) -> str:
-    """Content-addressed cell name; reuses the figure families' ``cmp:``
-    namespace for the default policy pair so identical cells dedup
-    across experiments within one runner invocation."""
-    if (scenario.baseline, scenario.treatment) == (
-        "irqbalance",
-        "source_aware",
-    ):
-        return comparison_point_key(scenario.config)
-    from ..runner.cache import config_digest
-
-    return (
-        f"cmp:{scenario.baseline}->{scenario.treatment}:"
-        f"{config_digest(scenario.config)}"
     )
 
 
@@ -188,7 +168,6 @@ def _register(exp_id: str, spec_name: str, title: str) -> None:
         grid=functools.partial(sweep_grid, spec_name),
         run_point=run_scenario_point,
         assemble=_assemble(exp_id, title),
-        point_key=scenario_point_key,
     )
 
 
@@ -215,5 +194,4 @@ register_grid_experiment(
     assemble=_assemble(
         CUSTOM_SWEEP_ID, "scenario sweep: ambient --spec request"
     ),
-    point_key=scenario_point_key,
 )

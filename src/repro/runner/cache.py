@@ -4,9 +4,10 @@ A cache entry is one :class:`~repro.experiments.base.ExperimentResult`,
 keyed by the SHA-256 of everything that determines it:
 
 * the experiment id and scale preset,
-* the *resolved* grid of config dataclasses the experiment would run
-  (so editing any ``CostModel``/``WorkloadConfig``/... field, or the
-  grid itself, invalidates the entry),
+* the keys of the *resolved* grid points the experiment would run
+  (:meth:`~repro.experiments.base.GridExperiment.keys`: each holds its
+  spec's digest, so editing any ``CostModel``/``WorkloadConfig``/...
+  field, or the grid itself, invalidates the entry),
 * the package version (``repro.__version__``), so releases never serve
   stale shapes.
 
@@ -94,18 +95,18 @@ def config_digest(obj: t.Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def result_key(exp_id: str, scale: str, grid_specs: t.Any) -> str:
+def result_key(exp_id: str, scale: str, keys: t.Sequence[str]) -> str:
     """The cache key for one (experiment, scale) at the current version.
 
-    ``grid_specs`` is the experiment's resolved point-spec sequence (or
-    ``None`` for experiments without a grid decomposition).
+    ``keys`` are the :meth:`~repro.experiments.base.GridExperiment.keys`
+    of the experiment's resolved grid, in grid order.
     """
     return config_digest(
         {
             "exp_id": exp_id,
             "scale": scale,
             "version": repro.__version__,
-            "grid": grid_specs,
+            "grid": keys,
         }
     )
 

@@ -24,7 +24,7 @@ from ..experiments.base import (
     get_grid_experiment,
     resolve_scale,
 )
-from .cache import ResultCache, canonical_payload, result_key
+from .cache import ResultCache, result_key
 from .pool import run_point_task
 
 __all__ = [
@@ -88,7 +88,7 @@ class ExperimentPlan:
     exp_id: str
     key: str
     specs: tuple[t.Any, ...]
-    point_keys: tuple[str, ...]
+    task_keys: tuple[str, ...]
     n_scheduled: int
 
 
@@ -106,18 +106,18 @@ def plan_experiment(
     """
     experiment = get_grid_experiment(exp_id)
     specs = tuple(experiment.grid(scale))
-    point_keys = tuple(experiment.keys(specs))
-    key = result_key(exp_id, scale, canonical_payload(list(specs)))
+    task_keys = tuple(experiment.keys(specs))
+    key = result_key(exp_id, scale, task_keys)
     scheduled = 0
-    for point_key, spec in zip(point_keys, specs):
-        if point_key not in tasks:
-            tasks[point_key] = (exp_id, spec)
+    for task_key, spec in zip(task_keys, specs):
+        if task_key not in tasks:
+            tasks[task_key] = (exp_id, spec)
             scheduled += 1
     return ExperimentPlan(
         exp_id=exp_id,
         key=key,
         specs=specs,
-        point_keys=point_keys,
+        task_keys=task_keys,
         n_scheduled=scheduled,
     )
 
@@ -127,7 +127,7 @@ def assemble_plan(
 ) -> ExperimentResult:
     """Fold executed task rows back into one ``ExperimentResult``."""
     experiment = get_grid_experiment(plan.exp_id)
-    rows = [rows_by_key[key] for key in plan.point_keys]
+    rows = [rows_by_key[key] for key in plan.task_keys]
     return experiment.assemble(scale, plan.specs, rows)
 
 
@@ -185,7 +185,7 @@ class ExperimentRunner:
                 + (
                     "cached"
                     if exp_id in cached_results
-                    else f"{len(plan.point_keys)} task(s), "
+                    else f"{len(plan.task_keys)} task(s), "
                     f"{plan.n_scheduled} newly scheduled"
                 )
             )
@@ -205,12 +205,12 @@ class ExperimentRunner:
                         exp_id=plan.exp_id,
                         result=cached_results[plan.exp_id],
                         cached=True,
-                        n_points=len(plan.point_keys),
+                        n_points=len(plan.task_keys),
                         n_scheduled=0,
                     )
                 )
                 continue
-            failed = [key for key in plan.point_keys if key in point_errors]
+            failed = [key for key in plan.task_keys if key in point_errors]
             if failed:
                 detail = "; ".join(
                     f"{key[:24]}: {point_errors[key]}" for key in failed
@@ -221,10 +221,10 @@ class ExperimentRunner:
                         exp_id=plan.exp_id,
                         result=None,
                         cached=False,
-                        n_points=len(plan.point_keys),
+                        n_points=len(plan.task_keys),
                         n_scheduled=plan.n_scheduled,
                         error=(
-                            f"{len(failed)} of {len(plan.point_keys)} "
+                            f"{len(failed)} of {len(plan.task_keys)} "
                             f"point(s) failed: {detail}"
                         ),
                     )
@@ -238,7 +238,7 @@ class ExperimentRunner:
                     exp_id=plan.exp_id,
                     result=result,
                     cached=False,
-                    n_points=len(plan.point_keys),
+                    n_points=len(plan.task_keys),
                     n_scheduled=plan.n_scheduled,
                 )
             )
@@ -259,7 +259,7 @@ class ExperimentRunner:
         cached_results: dict[str, ExperimentResult],
     ) -> bool:
         return any(
-            key in plan.point_keys
+            key in plan.task_keys
             for plan in plans
             if plan.exp_id not in cached_results
         )
@@ -271,7 +271,7 @@ class ExperimentRunner:
         cached_results: dict[str, ExperimentResult],
         tasks: dict[str, tuple[str, t.Any]],
     ) -> None:
-        for key in plan.point_keys:
+        for key in plan.task_keys:
             if not self._key_needed(key, plans, cached_results):
                 tasks.pop(key, None)
 

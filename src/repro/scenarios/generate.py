@@ -238,8 +238,9 @@ def generate_scenarios(
     Byte-reproducible from ``(spec, seed)``; ``scale`` only dials run
     length (:func:`scenario_file_size`).  Scenario ``i`` is independent
     of ``samples``, so growing a sweep extends it without re-drawing
-    what was already generated (and the content-addressed result cache
-    keeps the old points' results warm — DESIGN.md §11).
+    what was already generated: scenario ``i`` and its result row stay
+    identical.  The result cache holds one entry per grid, so the grown
+    sweep still simulates every scenario (DESIGN.md §11).
     """
     from ..experiments.base import resolve_scale
 

@@ -1,6 +1,6 @@
 """Policy-invariant harness: properties every registered policy must hold.
 
-Parameterized over the *live* registry (``list_policies()``), so a newly
+Parameterized over the *live* registry (``available_policies()``), so a newly
 registered policy is pulled into every invariant automatically — and the
 golden-coverage test fails loudly until the steering experiment's golden
 snapshot is regenerated to include it.
@@ -15,7 +15,6 @@ from repro.core.policy import (
     InterruptSchedulingPolicy,
     available_policies,
     create_policy,
-    list_policies,
     register_policy,
     unregister_policy,
 )
@@ -61,7 +60,7 @@ def ctx_stream():
         )
 
 
-@pytest.mark.parametrize("name", list_policies())
+@pytest.mark.parametrize("name", available_policies())
 class TestEveryRegisteredPolicy:
     def test_routes_in_range(self, name):
         env = Environment()
@@ -124,10 +123,9 @@ class TestEveryRegisteredPolicy:
 
 
 def test_list_policies_sorted_and_nonempty():
-    names = list_policies()
+    names = available_policies()
     assert names == sorted(names)
     assert "irqbalance" in names
-    assert list_policies() == available_policies()
 
 
 def test_new_policy_without_golden_fails_coverage():
@@ -142,7 +140,7 @@ def test_new_policy_without_golden_fails_coverage():
 
     register_policy(Probe)
     try:
-        assert "test_probe_policy" in list_policies()
+        assert "test_probe_policy" in available_policies()
         payload = json.loads(
             (GOLDENS_DIR / "steering_comparison.quick.json").read_text(
                 encoding="utf-8"
@@ -150,7 +148,7 @@ def test_new_policy_without_golden_fails_coverage():
         )
         covered = {row[0] for row in payload["rows"]}
         assert "test_probe_policy" not in covered
-        assert not set(list_policies()) <= covered
+        assert not set(available_policies()) <= covered
     finally:
         unregister_policy("test_probe_policy")
-    assert "test_probe_policy" not in list_policies()
+    assert "test_probe_policy" not in available_policies()

@@ -16,37 +16,41 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.cluster.simulation import compare_policies
 from repro.config import ClusterConfig, WorkloadConfig
 from repro.errors import ConfigError
 from repro.experiments.base import (
     ExperimentResult,
+    GridExperiment,
     register_grid_experiment,
     unregister_experiment,
 )
 from repro.runner import ExperimentRunner, ResultCache, result_key
-from repro.runner.cache import (
-    CACHE_DIR_ENV,
-    canonical_json,
-    canonical_payload,
-    config_digest,
-)
+from repro.runner.cache import CACHE_DIR_ENV, canonical_json, config_digest
 from repro.units import MiB
 
 
 # -- key construction --------------------------------------------------
 
 
+def _point_keys(specs):
+    """The point keys a runner builds the result key of ``specs`` from."""
+    return GridExperiment(
+        "exp", grid=None, run_point=compare_policies, assemble=None
+    ).keys(specs)
+
+
 class TestCacheKey:
     def test_stable_for_identical_inputs(self):
         specs = [ClusterConfig(n_servers=8), ClusterConfig(n_servers=16)]
-        assert result_key("exp", "quick", canonical_payload(specs)) == result_key(
-            "exp", "quick", canonical_payload(specs)
+        assert result_key("exp", "quick", _point_keys(specs)) == result_key(
+            "exp", "quick", _point_keys(specs)
         )
 
     def test_changes_with_exp_id_and_scale(self):
-        key = result_key("exp", "quick", None)
-        assert key != result_key("other", "quick", None)
-        assert key != result_key("exp", "full", None)
+        key = result_key("exp", "quick", [])
+        assert key != result_key("other", "quick", [])
+        assert key != result_key("exp", "full", [])
 
     @pytest.mark.parametrize(
         "change",
@@ -61,15 +65,15 @@ class TestCacheKey:
         base = ClusterConfig()
         varied = dataclasses.replace(base, **change)
         assert config_digest(base) != config_digest(varied)
-        assert result_key("exp", "quick", canonical_payload([base])) != result_key(
-            "exp", "quick", canonical_payload([varied])
+        assert result_key("exp", "quick", _point_keys([base])) != result_key(
+            "exp", "quick", _point_keys([varied])
         )
 
     def test_changes_when_version_changes(self, monkeypatch):
-        specs = canonical_payload([ClusterConfig()])
-        before = result_key("exp", "quick", specs)
+        keys = _point_keys([ClusterConfig()])
+        before = result_key("exp", "quick", keys)
         monkeypatch.setattr(repro, "__version__", "999.0.0-test")
-        assert result_key("exp", "quick", specs) != before
+        assert result_key("exp", "quick", keys) != before
 
     def test_dataclass_type_disambiguates_equal_fields(self):
         @dataclasses.dataclass(frozen=True)
@@ -130,6 +134,26 @@ def instrumented_experiment():
     yield exp_id
     unregister_experiment(exp_id)
     _CALLS.clear()
+
+
+def test_closures_of_one_factory_share_no_point():
+    """Equal specs, equal run-function names, different closed-over state."""
+    exp_ids = ("test_cache_closure_a", "test_cache_closure_b")
+    try:
+        for exp_id in exp_ids:
+            _make_experiment(exp_id)
+        _CALLS.clear()
+        summary = ExperimentRunner(jobs=1, use_cache=False).run_many(
+            exp_ids, scale="quick"
+        )
+        assert summary.executed_tasks == 6
+        assert sorted(_CALLS) == [
+            f"{exp_id}:{spec}" for exp_id in exp_ids for spec in (1, 2, 3)
+        ]
+    finally:
+        for exp_id in exp_ids:
+            unregister_experiment(exp_id)
+        _CALLS.clear()
 
 
 # -- hit / miss / bypass behaviour -------------------------------------
