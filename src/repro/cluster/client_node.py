@@ -29,6 +29,7 @@ from ..kernel.softirq import SoftirqDaemon
 from ..pfs.client import ArrivedStrip, PfsClient
 from ..pfs.layout import StripeLayout
 from ..pfs.request import StripRequest
+from ..units import sum_left
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
@@ -250,7 +251,7 @@ class ClientNode:
                 )
             location = self.cache.consume(core_index, strip.token)
             if location is Location.LOCAL:
-                yield from core.run_locked(
+                yield core.run_locked(
                     strip.size / self.costs.local_copy_rate, "copy"
                 )
             else:
@@ -323,27 +324,32 @@ class ClientNode:
     def compute(self, core_index: int, nbytes: int) -> t.Generator:
         """The IOR added compute phase: encrypt the merged request buffer.
 
-        Runs in strip-sized chunks, releasing the core between chunks, so
-        that softirq work (priority 0) is delayed by at most one chunk —
-        approximating Linux, where softirqs preempt user code at interrupt
-        return rather than waiting out a multi-millisecond compute burst.
+        Runs in strip-sized chunks, handing the core on at the first chunk
+        end after another claim, so that softirq work (priority 0) is
+        delayed by at most one chunk — approximating Linux, where softirqs
+        preempt user code at interrupt return rather than waiting out a
+        multi-millisecond compute burst.  Uncontended chunks run as one
+        train (:meth:`~repro.hw.core.Core.run_chunks`).
         """
         core = self.cores[core_index]
         chunk = self.config.strip_size
-        remaining = nbytes
-        while remaining > 0:
-            piece = min(chunk, remaining)
-            yield from core.run(
-                piece / self.costs.encrypt_rate, "compute", APP_PRIORITY
-            )
-            remaining -= piece
+        rate = self.costs.encrypt_rate
+        left = nbytes
+        while left > 0:
+            grant = core.acquire(APP_PRIORITY)
+            if grant is not None:
+                yield grant
+            try:
+                left = yield core.run_chunks(left, chunk, rate, "compute")
+            finally:
+                core.release()
         self.cache.compute_pass(core_index, nbytes)
 
     # -- accounting -----------------------------------------------------------
 
     def total_busy_time(self) -> float:
         """Busy seconds summed over all cores."""
-        return sum(core.busy_time for core in self.cores)
+        return sum_left(core.busy_time for core in self.cores)
 
     def register_metrics(self, registry: t.Any) -> None:
         """Expose this node's instruments under ``client<i>.*``."""

@@ -8,9 +8,7 @@ from itertools import count
 
 from ..errors import SimulationError
 from .events import NORMAL, Callback, Event, Timeout, _invoke_callback
-
-if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .process import Process
+from .process import Process
 
 __all__ = ["Environment"]
 
@@ -74,7 +72,7 @@ class Environment:
         *,
         quiet: bool = False,
         start_at: float | None = None,
-    ) -> "Process":
+    ) -> Process:
         """Start ``generator`` as a new simulation process.
 
         ``quiet`` marks an internal process nobody awaits: if it finishes
@@ -89,8 +87,6 @@ class Environment:
         chain of private delays into one start this way, computing the
         instant with the float expression the chain would evaluate.
         """
-        from .process import Process
-
         return Process(self, generator, quiet=quiet, start_at=start_at)
 
     # -- scheduling ---------------------------------------------------------
@@ -102,6 +98,14 @@ class Environment:
                 f"cannot schedule {event!r}: it has already been processed"
             )
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Put a triggered event on the calendar at the absolute instant
+        ``when``, ordered like a timeout created now that fires then
+        (NORMAL priority, this insertion id).  For a model whose instant
+        is a float chain of its own, which ``now + delay`` would round
+        differently."""
+        heappush(self._queue, (when, NORMAL, next(self._eid), event))
 
     def call_at(self, when: float, fn: t.Callable[[t.Any], None], arg: t.Any = None) -> None:
         """Run ``fn(arg)`` at absolute virtual time ``when``.

@@ -12,6 +12,7 @@ Paper claims:
 from __future__ import annotations
 
 from ..cluster.simulation import compare_policies
+from ..units import sum_left
 from .base import ExperimentResult, register_grid_experiment
 from .grids import sweep_fig5_specs, sweep_points
 
@@ -56,7 +57,7 @@ def _assemble(
         paper={"max_reduction_pct": paper_max},
         measured={
             "max_reduction_pct": max(reductions) * 100,
-            "mean_reduction_pct": sum(reductions) / len(reductions) * 100,
+            "mean_reduction_pct": sum_left(reductions) / len(reductions) * 100,
         },
         notes=(
             "Per-strip stall costs are rate-independent in the model, so "

@@ -12,7 +12,7 @@ import typing as t
 
 from ..memsim import MemsimConfig, run_memsim_point
 from ..memsim.experiment import SCHEMES
-from ..units import MiB
+from ..units import MiB, sum_left
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 
 __all__ = ["APP_COUNTS"]
@@ -81,7 +81,7 @@ def _assemble(scale, specs, metrics) -> ExperimentResult:
         for sais, irq in zip(results["si_sais"], results["si_irqbalance"])
         if sais.n_apps >= config.n_cores
     ]
-    converged = sum(
+    converged = sum_left(
         s.bandwidth + i.bandwidth for s, i in saturated
     ) / (2 * len(saturated))
 

@@ -11,6 +11,7 @@ Paper claims:
 from __future__ import annotations
 
 from ..cluster.simulation import compare_policies
+from ..units import sum_left
 from .base import ExperimentResult, register_grid_experiment
 from .grids import sweep_fig5_specs, sweep_points
 
@@ -74,10 +75,10 @@ def _assemble_fig9(scale, specs, comparisons) -> ExperimentResult:
         > p.comparison.treatment.cpu_utilization
         for p in points
     )
-    mean_util_3g = sum(
+    mean_util_3g = sum_left(
         p.comparison.baseline.cpu_utilization for p in points
     ) / len(points)
-    mean_util_1g = sum(
+    mean_util_1g = sum_left(
         p.comparison.baseline.cpu_utilization for p in one_g
     ) / len(one_g)
     return ExperimentResult(

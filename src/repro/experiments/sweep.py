@@ -29,7 +29,7 @@ from ..scenarios.ambient import ambient_sweep
 from ..scenarios.generate import Scenario, generate_scenarios
 from ..scenarios.report import SWEEP_HEADERS
 from ..scenarios.spec import BUILTIN_SPECS
-from ..units import MiB, format_size
+from ..units import MiB, format_size, sum_left
 from .base import ExperimentResult, register_grid_experiment, resolve_scale
 
 __all__ = [
@@ -139,7 +139,7 @@ def _assemble(
             "n_scenarios": float(len(deltas)),
             "win_rate": round(wins / len(deltas), 4) if deltas else 0.0,
             "mean_delta_pct": (
-                round(sum(deltas) / len(deltas), 2) if deltas else 0.0
+                round(sum_left(deltas) / len(deltas), 2) if deltas else 0.0
             ),
             "min_delta_pct": min(deltas) if deltas else 0.0,
             "max_delta_pct": max(deltas) if deltas else 0.0,

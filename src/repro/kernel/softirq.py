@@ -183,7 +183,7 @@ class SoftirqDaemon:
             if flow is not None:
                 self.spans.flow_end(flow, sid)
         processing = self.costs.strip_processing_time(packet.size)
-        yield from self.core.run_locked(processing, "softirq")
+        yield self.core.run_locked(processing, "softirq")
         if self._expect_hints and packet.carries_data and not packet.options:
             self.unhinted += 1
         # Completes the strip when it is whole (single train, or last
@@ -198,9 +198,7 @@ class SoftirqDaemon:
             if outstanding.consumer_core != self.core.index:
                 # Cross-core wake-up IPI (paper: "inter-core signals
                 # are sent to wake the application process").
-                yield from self.core.run_locked(
-                    self.costs.wakeup_cost, "wakeup"
-                )
+                yield self.core.run_locked(self.costs.wakeup_cost, "wakeup")
         self.handled += 1
         self.bytes_handled += packet.size
         if sid is not None:

@@ -9,6 +9,7 @@ from ..des import AllOf, Environment
 from ..errors import ConfigError
 from ..hw.core import Core
 from ..hw.memory import MemoryBus
+from ..units import sum_left
 from .config import MemsimConfig
 from .pair import AppPair
 
@@ -87,7 +88,8 @@ def run_memsim_point(
         bytes_combined=total,
         bandwidth=total / elapsed if elapsed > 0 else 0.0,
         cpu_utilization=(
-            sum(core.busy_time for core in cores) / (cfg.n_cores * elapsed)
+            sum_left(core.busy_time for core in cores)
+            / (cfg.n_cores * elapsed)
             if elapsed > 0
             else 0.0
         ),

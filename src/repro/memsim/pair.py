@@ -83,7 +83,7 @@ class AppPair:
                     self.membus.transfer(int(strip * cfg.read_traffic)),
                     "ramdisk_read",
                 )
-                yield from core.run_locked(strip / cfg.read_rate, "read")
+                yield core.run_locked(strip / cfg.read_rate, "read")
             finally:
                 core.release()
             self._account(1.0, cfg.read_miss)
@@ -111,7 +111,7 @@ class AppPair:
                         self.membus.transfer(traffic), "combine_traffic"
                     )
                 rate = cfg.combine_hot_rate if hot else cfg.combine_cold_rate
-                yield from core.run_locked(strip / rate, "combine")
+                yield core.run_locked(strip / rate, "combine")
             finally:
                 core.release()
             self._account(

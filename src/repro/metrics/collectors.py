@@ -6,6 +6,7 @@ import dataclasses
 import typing as t
 
 from ..hw.cache import Location
+from ..units import sum_left
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.builder import Cluster
@@ -134,7 +135,7 @@ class RunMetrics:
     @property
     def bandwidth(self) -> float:
         """Aggregate bandwidth over all clients (paper Fig. 12 sums them)."""
-        return sum(c.bandwidth for c in self.clients)
+        return sum_left(c.bandwidth for c in self.clients)
 
     @property
     def l2_miss_rate(self) -> float:
@@ -142,17 +143,21 @@ class RunMetrics:
         homogeneous so the plain mean is the right summary."""
         if not self.clients:
             return 0.0
-        return sum(c.l2_miss_rate for c in self.clients) / len(self.clients)
+        return sum_left(c.l2_miss_rate for c in self.clients) / len(
+            self.clients
+        )
 
     @property
     def cpu_utilization(self) -> float:
         if not self.clients:
             return 0.0
-        return sum(c.cpu_utilization for c in self.clients) / len(self.clients)
+        return sum_left(c.cpu_utilization for c in self.clients) / len(
+            self.clients
+        )
 
     @property
     def unhalted_cycles(self) -> float:
-        return sum(c.unhalted_cycles for c in self.clients)
+        return sum_left(c.unhalted_cycles for c in self.clients)
 
     @property
     def migrations(self) -> int:
@@ -187,7 +192,7 @@ def collect_client_metrics(
     for core in node.cores:
         for category, seconds in core.busy_by_category.items():
             busy_by[category] = busy_by.get(category, 0.0) + seconds
-    total_busy = sum(core.busy_time for core in node.cores)
+    total_busy = sum_left(core.busy_time for core in node.cores)
     utilization = (
         total_busy / (len(node.cores) * elapsed) if elapsed > 0 else 0.0
     )
@@ -198,7 +203,9 @@ def collect_client_metrics(
         bandwidth=bytes_read / elapsed if elapsed > 0 else 0.0,
         l2_miss_rate=node.cache.miss_rate(),
         cpu_utilization=utilization,
-        unhalted_cycles=sum(core.unhalted_cycles() for core in node.cores),
+        unhalted_cycles=sum_left(
+            core.unhalted_cycles() for core in node.cores
+        ),
         migrations=node.interconnect.migrations,
         migration_wait=node.interconnect.wait_time,
         memory_refetches=(

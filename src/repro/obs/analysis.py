@@ -32,6 +32,7 @@ import statistics
 import typing as t
 
 from ..errors import ConfigError, SimulationError
+from ..units import sum_left
 from .spans import SpanRecorder
 
 __all__ = [
@@ -421,7 +422,7 @@ class LatencyBreakdown:
     @property
     def mean_total(self) -> float:
         """Mean issued-to-merged latency."""
-        return sum(delta.mean for delta in self.deltas)
+        return sum_left(delta.mean for delta in self.deltas)
 
 
 def strip_stage_times(
@@ -711,8 +712,12 @@ def diff_traces(
         added_edges=tuple(sorted(set(counts_b) - set(counts_a))),
         removed_edges=tuple(sorted(set(counts_a) - set(counts_b))),
         regressed=tuple(regressions[: max(0, top)]),
-        mean_total_a=sum(totals_a) / len(totals_a) if totals_a else 0.0,
-        mean_total_b=sum(totals_b) / len(totals_b) if totals_b else 0.0,
+        mean_total_a=(
+            sum_left(totals_a) / len(totals_a) if totals_a else 0.0
+        ),
+        mean_total_b=(
+            sum_left(totals_b) / len(totals_b) if totals_b else 0.0
+        ),
     )
 
 

@@ -30,6 +30,7 @@ import math
 import typing as t
 
 from ..errors import ConfigError
+from ..units import sum_left
 
 __all__ = [
     "Distribution",
@@ -104,7 +105,7 @@ class Choice(Distribution):
                 )
 
     def sample(self, u: float) -> t.Any:
-        total = sum(self.weights)
+        total = sum_left(self.weights)
         acc = 0.0
         for value, weight in zip(self.values, self.weights):
             acc += weight / total

@@ -30,7 +30,7 @@ from ..config import (
 )
 from ..errors import ConfigError
 from ..rng import hash_unit, stable_hash
-from ..units import Gbit, MiB, USEC
+from ..units import Gbit, MiB, USEC, sum_left
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -101,7 +101,7 @@ def _u(seed: int, index: int, knob: str) -> float:
 
 
 def _pick_class(spec: ScenarioSpec, u: float):
-    total = sum(klass.weight for klass in spec.classes)
+    total = sum_left(klass.weight for klass in spec.classes)
     acc = 0.0
     for klass in spec.classes:
         acc += klass.weight / total

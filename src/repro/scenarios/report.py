@@ -23,6 +23,7 @@ import typing as t
 
 from ..errors import ConfigError
 from ..metrics.report import render_table
+from ..units import sum_left
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..experiments.base import ExperimentResult
@@ -187,7 +188,7 @@ _FEATURES: tuple[tuple[str, str, t.Callable[[t.Any], str]], ...] = (
 
 
 def _mean(values: t.Sequence[float]) -> float:
-    return round(sum(values) / len(values), 2) if values else 0.0
+    return round(sum_left(values) / len(values), 2) if values else 0.0
 
 
 def build_report(results: t.Sequence["ExperimentResult"]) -> SweepReport:

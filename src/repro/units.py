@@ -19,6 +19,7 @@ binary (KiB/MiB/GiB) while network bandwidths are decimal (1 Gigabit =
 from __future__ import annotations
 
 import re
+import typing as t
 
 from .errors import ConfigError
 
@@ -40,6 +41,7 @@ __all__ = [
     "format_size",
     "format_time",
     "bits_per_sec",
+    "sum_left",
 ]
 
 # Binary size units (storage sizes, strip/transfer sizes).
@@ -130,3 +132,19 @@ def format_time(seconds: float) -> str:
 def bits_per_sec(bytes_per_sec: float) -> float:
     """Convert a bytes/second bandwidth to bits/second."""
     return bytes_per_sec * 8.0
+
+
+def sum_left(values: t.Iterable[float]) -> float:
+    """Sum left to right, rounding after each addition.
+
+    This is what ``sum()`` computes on Python 3.11 and earlier.  From 3.12
+    on, ``sum()`` compensates float rounding, so a result that sums floats
+    would read differently per Python version; result paths sum with this.
+
+    >>> sum_left([1e16, 1.0, -1e16])
+    0.0
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.des import Environment
+from repro.des import Environment, Timeout
 from repro.errors import SimulationError
 from repro.hw import APP_PRIORITY, SOFTIRQ_PRIORITY, Core
-from repro.units import GHz
+from repro.units import GHz, KiB
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def hold(env, core, duration, log, tag, priority=APP_PRIORITY):
         yield grant
     try:
         log.append((tag, env.now))
-        yield from core.run_locked(duration, tag)
+        yield core.run_locked(duration, tag)
     finally:
         core.release()
 
@@ -265,8 +265,8 @@ def test_multiphase_run_locked(env, core):
         if grant is not None:
             yield grant
         try:
-            yield from core.run_locked(1.0, "phase1")
-            yield from core.run_locked(2.0, "phase2")
+            yield core.run_locked(1.0, "phase1")
+            yield core.run_locked(2.0, "phase2")
         finally:
             core.release()
 
@@ -346,7 +346,7 @@ class TestKnownAnswers:
                 yield grant
             try:
                 done.append(("staller", env.now))
-                yield from core.run_locked(0.2, "phase")
+                yield core.run_locked(0.2, "phase")
                 yield from core.run_while(inner(), "stall")
             finally:
                 core.release()
@@ -399,3 +399,275 @@ class TestKnownAnswers:
         assert done == self.DONE
         assert env.events_processed == 29
         assert env.now == 8.0
+
+
+def test_run_locked_returns_its_timeout_and_closes_before_the_holder(
+    env, core
+):
+    seen = []
+
+    def job():
+        core.acquire()
+        phase = core.run_locked(1.5, "copy")
+        seen.append(isinstance(phase, Timeout))
+        yield phase
+        seen.append((core.is_busy, core.busy_by_category["copy"]))
+        core.release()
+
+    env.process(job())
+    env.run()
+    assert seen == [True, (False, 1.5)]
+    assert core.busy_time == 1.5
+
+
+#: A compute phase of the model's shape: 64 KiB chunks at an encryption
+#: rate whose chunk durations do not add up exactly in binary.
+CHUNK = 64 * KiB
+RATE = 300e6
+
+
+def chunk_ends(start, amount):
+    """The loop's chunk ends ``b_k = b_(k-1) + d_k``, in its own floats."""
+    ends = []
+    end = start
+    left = amount
+    while left > 0:
+        piece = min(CHUNK, left)
+        end = end + piece / RATE
+        ends.append(end)
+        left -= piece
+    return ends
+
+
+def chunk_loop(core, amount, log):
+    """The reference: one :meth:`Core.run` per chunk, releasing the core
+    at every chunk end."""
+    left = amount
+    while left > 0:
+        piece = min(CHUNK, left)
+        yield from core.run(piece / RATE, "compute", APP_PRIORITY)
+        left -= piece
+    log.append(("compute done", core.env.now.hex()))
+
+
+def chunk_train(core, amount, log):
+    """The same phase as trains, the way ``ClientNode.compute`` runs it."""
+    left = amount
+    while left > 0:
+        grant = core.acquire(APP_PRIORITY)
+        if grant is not None:
+            yield grant
+        try:
+            left = yield core.run_chunks(left, CHUNK, RATE, "compute")
+        finally:
+            core.release()
+    log.append(("compute done", core.env.now.hex()))
+
+
+def visit(env, core, at, duration, tag, priority, log):
+    """A job that claims the core at ``at`` and logs its grant instant."""
+    yield env.timeout(at)
+    grant = core.acquire(priority)
+    if grant is not None:
+        yield grant
+    log.append((tag, env.now.hex()))
+    try:
+        yield core.run_locked(duration, tag)
+    finally:
+        core.release()
+
+
+def reading(core):
+    return (
+        core.env.now.hex(),
+        core.busy_time.hex(),
+        core.load().hex(),
+        core.run_queue_length,
+        core.is_busy,
+        dict(core.busy_by_category),
+    )
+
+
+def read_at(env, core, instants, log):
+    """Read the core at each instant, through a timeout created now (at
+    0), so a read runs ahead of a chunk end at the same instant."""
+
+    def read(instant):
+        yield env.timeout(instant)
+        log.append(("read",) + reading(core))
+
+    for instant in instants:
+        env.process(read(instant))
+
+
+def no_waiter(env, core, phase, log):
+    env.process(phase(core, 10 * CHUNK + CHUNK // 2, log))
+
+
+def softirq_mid_chunk(env, core, phase, log):
+    ends = chunk_ends(0.0, 10 * CHUNK)
+    env.process(phase(core, 10 * CHUNK, log))
+    for k, tag in ((3, "irq-a"), (7, "irq-b")):
+        middle = (ends[k - 1] + ends[k]) / 2
+        env.process(visit(env, core, middle, 5e-6, tag, SOFTIRQ_PRIORITY, log))
+
+
+def softirq_at_a_chunk_end(env, core, phase, log):
+    # Its timeout is older than the loop's chunk timeout, so it claims the
+    # core first and the loop hands over at this very chunk end.
+    ends = chunk_ends(0.0, 10 * CHUNK)
+    env.process(phase(core, 10 * CHUNK, log))
+    env.process(visit(env, core, ends[3], 5e-6, "irq", SOFTIRQ_PRIORITY, log))
+
+
+def waiters_before_the_train(env, core, phase, log):
+    # The holder releases at 1 ms to the phase; an APP job queued behind
+    # it and a softirq that claims the core before the phase's grant event
+    # runs are both waiting when the first train starts.
+    env.process(visit(env, core, 0.0, 1e-3, "holder", APP_PRIORITY, log))
+    env.process(phase(core, 6 * CHUNK, log))
+    env.process(visit(env, core, 0.5e-3, 2e-5, "app", APP_PRIORITY, log))
+    env.process(visit(env, core, 1e-3, 5e-6, "irq", SOFTIRQ_PRIORITY, log))
+
+
+def reads_during_the_train(env, core, phase, log):
+    ends = chunk_ends(0.0, 8 * CHUNK)
+    instants = [
+        ends[0] / 3,
+        ends[1],
+        (ends[1] + ends[2]) / 2,
+        ends[4],
+        (ends[5] + ends[6]) / 2,
+        ends[-1],
+    ]
+    env.process(phase(core, 8 * CHUNK, log))
+    read_at(env, core, instants, log)
+    middle = (ends[2] + ends[3]) / 2
+    env.process(visit(env, core, middle, 5e-6, "irq", SOFTIRQ_PRIORITY, log))
+
+
+def short_last_chunk(env, core, phase, log):
+    amount = 3 * CHUNK + 1000
+    ends = chunk_ends(0.0, amount)
+    env.process(phase(core, amount, log))
+    middle = (ends[2] + ends[3]) / 2
+    read_at(env, core, [ends[2], middle], log)
+    env.process(visit(env, core, middle, 5e-6, "irq", SOFTIRQ_PRIORITY, log))
+
+
+def more_edges_than_the_fold_bound(env, core, phase, log):
+    def softirqs():
+        for _ in range(30):
+            yield from core.run(7e-6, "softirq", SOFTIRQ_PRIORITY)
+            yield env.timeout(3e-6)
+
+    def delayed_phase():
+        yield env.timeout(1e-3)
+        yield from phase(core, 40 * CHUNK, log)
+
+    env.process(softirqs())
+    env.process(delayed_phase())
+    env.process(visit(env, core, 4e-3, 9e-6, "irq", SOFTIRQ_PRIORITY, log))
+    read_at(env, core, [0.2e-3, 2.5e-3, 6e-3, 9.9e-3], log)
+
+
+SCHEDULES = [
+    no_waiter,
+    softirq_mid_chunk,
+    softirq_at_a_chunk_end,
+    waiters_before_the_train,
+    reads_during_the_train,
+    short_last_chunk,
+    more_edges_than_the_fold_bound,
+]
+
+
+def play(schedule, phase):
+    env = Environment()
+    core = Core(env, index=0, clock_hz=2.7 * GHz)
+    log = []
+    schedule(env, core, phase, log)
+    env.run()
+    return env, log + [("end",) + reading(core)]
+
+
+class TestTrainMatchesChunkLoop:
+    """A train accounts exactly what the loop of one ``run`` per chunk
+    did: the same grant instants, busy seconds, categories, load estimate
+    and queue, read during the phase and after it, to the bit."""
+
+    @pytest.mark.parametrize(
+        "schedule", SCHEDULES, ids=[s.__name__ for s in SCHEDULES]
+    )
+    def test_same_readings_and_grants(self, schedule):
+        loop_env, loop_log = play(schedule, chunk_loop)
+        train_env, train_log = play(schedule, chunk_train)
+        assert train_log == loop_log
+        assert train_env.events_processed < loop_env.events_processed
+
+    def test_an_uncontended_phase_is_one_calendar_entry(self):
+        # An init, the train's one entry and the process end; the loop
+        # spends one timeout per chunk instead.
+        loop_env, _ = play(no_waiter, chunk_loop)
+        train_env, _ = play(no_waiter, chunk_train)
+        assert (loop_env.events_processed, train_env.events_processed) == (
+            13,
+            3,
+        )
+
+    def test_a_split_ends_at_the_first_chunk_end_after_the_claim(self):
+        ends = chunk_ends(0.0, 10 * CHUNK)
+        _, log = play(softirq_mid_chunk, chunk_train)
+        grants = [entry for entry in log if entry[0].startswith("irq")]
+        assert grants[0] == ("irq-a", ends[3].hex())
+        # The phase resumes after the 5 us softirq, on a new chain.
+        resumed = chunk_ends(ends[3] + 5e-6, 6 * CHUNK)
+        claim = (ends[6] + ends[7]) / 2
+        first = next(end for end in resumed if end >= claim)
+        assert grants[1] == ("irq-b", first.hex())
+
+    def test_only_an_exact_tie_with_the_last_chunk_end_differs(self):
+        """The train's entry is created when the train starts, the loop's
+        last timeout one chunk before the end.  So an event created in
+        between that lands on the last chunk end's exact float instant
+        runs after the train's end but before the loop's: a read there
+        sees the phase over.  Busy seconds read the same either way."""
+        ends = chunk_ends(0.0, 4 * CHUNK)
+
+        def schedule(env, core, phase, log):
+            env.process(phase(core, 4 * CHUNK, log))
+            read_at(env, core, [ends[-1]], log)
+
+        _, loop_log = play(schedule, chunk_loop)
+        _, train_log = play(schedule, chunk_train)
+        loop_read = loop_log[0]
+        train_read = train_log[1]
+        assert loop_read[:3] == train_read[:3]  # the instant, busy seconds
+        assert (loop_read[5], train_read[5]) == (True, False)  # is_busy
+        assert float.fromhex(loop_read[3]) == float.fromhex(train_read[3]) + 1
+        assert loop_log[1:] == [train_log[0]] + train_log[2:]
+
+    def test_known_answers_of_the_per_mark_fold(self):
+        """Readings of ``more_edges_than_the_fold_bound`` recorded from the
+        core that folded its load estimate at every mark; both phases,
+        with 60 softirq edges and 80 chunk edges, reproduce them."""
+        want = [
+            ("0x1.a36e2eb1c432dp-13", "0x1.2599ed7c6fbd5p-13",
+             "0x1.005ba847297bap+0", 0),
+            ("0x1.47ae147ae147bp-9", "0x1.c044284dfce32p-10",
+             "0x1.0456218d70ca7p+0", 0),
+            ("0x1.89374bc6a7efap-8", "0x1.55714b9cb6849p-8",
+             "0x1.0cfe0831b99edp+0", 0),
+            ("0x1.4467381d7dbf5p-7", "0x1.2581e15dc51f2p-7",
+             "0x1.5e569ba9d02a4p-4", 0),
+        ]
+        by_category = {
+            "softirq": 0.00021000000000000004,
+            "compute": 0.00873813333333334,
+            "irq": 9e-06,
+        }
+        for phase in (chunk_loop, chunk_train):
+            _, log = play(more_edges_than_the_fold_bound, phase)
+            reads = [entry[1:5] for entry in log if entry[0] == "read"]
+            assert reads == want
+            assert log[-1][-1] == by_category

@@ -74,15 +74,15 @@ class TestIngestDataclass:
 REGISTRY_KNOWN = {
     "healthy": (
         145,
-        "aedab3fff5cb8951a8d57ac18b76d280157a56ecdf546170420c32900f772979",
+        "958f75dcc4c1938d8d2a45022ca35de9cf8a7ead04a75682a41c8fb8d3eb5b12",
     ),
     "faults": (
         168,
-        "34f92dfcbddff001a20ca4e769bc3835fb37069f0fa522aff70b117b57ec60e4",
+        "2748da51c90147ee0185d9650e87d4f8f83bbff33167cd7921d2f280f45d3755",
     ),
     "napi": (
         145,
-        "28951c58746f6f398419b3da2fd7f622184dc9976bf22480280b2f316d52415e",
+        "95e6ac8981a26b36057ddb80d84ca55bc74dc4568b204a3ab72c1f40716447bc",
     ),
 }
 

@@ -149,52 +149,52 @@ def _pinned_points():
     )[0].config
     return (
         # MSS 1500: every 64 KiB strip is a ~44-segment train.
-        ("mtu1500_read", _point(1500), 17_600, "0x1.bbaea50ab6799p-5"),
+        ("mtu1500_read", _point(1500), 17_488, "0x1.bbaea50ab6799p-5"),
         # Jumbo frames: ~8 segments per strip.
-        ("jumbo9k_read", _point(8960), 3_739, "0x1.bc707a54b52adp-5"),
+        ("jumbo9k_read", _point(8960), 3_627, "0x1.bc707a54b52adp-5"),
         # mss=None: one interrupt per strip, as in the Fig. 5-11 sweeps.
-        ("strip_train_read", _point(None), 976, "0x1.ca070286fbd28p-5"),
+        ("strip_train_read", _point(None), 864, "0x1.ca070286fbd28p-5"),
         (
             "micro_read",
             _point(
                 1500, n_processes=2, transfer=128 * KiB, file_size=256 * KiB
             ),
-            1_110,
+            1_106,
             "0x1.bb078349d546fp-7",
         ),
         # A generator-drawn point: drift in the scenario generator's
         # draws changes its config and so its counts.
-        ("scenario_mixed", scenario, 356, "0x1.33ba805be73f9p-7"),
+        ("scenario_mixed", scenario, 342, "0x1.33ba805be73f9p-7"),
         # Four clients fan in from 16 servers: client-side NIC and
         # softirq work dominates.
         (
             "fanin_multiclient",
             _point(1500, n_servers=16, n_clients=4, file_size=4 * MiB),
-            140_575,
+            139_679,
             "0x1.6a9b4e336f474p-3",
         ),
         (
             "irqbalance_jumbo9k",
             _point(8960, policy="irqbalance"),
-            3_932,
+            3_848,
             "0x1.c550df5cbe474p-5",
         ),
         (
             "napi_mtu1500",
             _point(1500, napi=True),
-            17_588,
+            17_476,
             "0x1.bbb7484020d43p-5",
         ),
         (
             "write_path",
             _point(None, operation="write"),
-            1_218,
+            1_106,
             "0x1.a6dedcf3cf2d0p-6",
         ),
         # The server tier under faults: a lost segment is re-sent, server
         # 1 straggles, and server 2 drops what arrives inside its failure
         # window until the client's retry watchdog re-submits it.
-        ("faulty_server_tier", _faulty_server_tier(), 1_574, _FAULTY_END),
+        ("faulty_server_tier", _faulty_server_tier(), 1_466, _FAULTY_END),
     )
 
 

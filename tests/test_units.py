@@ -12,6 +12,7 @@ from repro.units import (
     format_size,
     format_time,
     parse_size,
+    sum_left,
 )
 
 
@@ -76,3 +77,21 @@ class TestBandwidthUnits:
 
     def test_three_gigabit_nic(self):
         assert bits_per_sec(3 * Gbit) == pytest.approx(3e9)
+
+
+class TestSumLeft:
+    def test_rounds_after_each_addition(self):
+        # 1e16 + 1.0 rounds back to 1e16, so a left fold ends at 0.0;
+        # Python 3.12's compensated sum() reads 1.0 on the same input.
+        assert sum_left([1e16, 1.0, -1e16]) == 0.0
+
+    def test_matches_an_explicit_left_fold(self):
+        values = [0.1, 0.2, 0.3, 1e-17, 5.0, -0.6]
+        total = 0
+        for value in values:
+            total = total + value
+        assert sum_left(values).hex() == total.hex()
+
+    def test_empty_and_integer_inputs_keep_sum_types(self):
+        assert sum_left([]) == 0 and isinstance(sum_left([]), int)
+        assert sum_left(iter([1, 2, 3])) == 6
