@@ -12,10 +12,14 @@ Tiers (see CONTRIBUTING.md):
   fast and signal-free can opt back into the default suite with an
   explicit ``@pytest.mark.tier1``.
 
-``--update-goldens`` rewrites the snapshot files consumed by
+``--update-goldens`` (the ``update_goldens`` fixture) rewrites, instead
+of asserting against them, the snapshot files consumed by
 ``tests/experiments/test_golden_snapshots.py`` and
-``tests/experiments/test_claims.py``, and the claims block of
-EXPERIMENTS.md, instead of asserting against them.
+``tests/experiments/test_claims.py``, the claims block of EXPERIMENTS.md,
+and ``tests/obs/registry_known.json``, the registry readings of
+``tests/obs/test_registry.py``::
+
+    pytest tests/experiments tests/obs/test_registry.py --update-goldens
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="rewrite golden snapshot files instead of comparing",
     )
+
+
+@pytest.fixture
+def update_goldens(request) -> bool:
+    return bool(request.config.getoption("--update-goldens"))
 
 
 def pytest_collection_modifyitems(

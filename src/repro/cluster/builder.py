@@ -215,21 +215,9 @@ def build_cluster(
         server.register_metrics(metrics)
     for client in clients:
         client.register_metrics(metrics)
-    if injector is not None:
+    for idx, uplink in enumerate(client_uplinks):
         metrics.register(
-            "faults.packets_dropped", lambda: injector.packets_dropped
-        )
-        metrics.register(
-            "faults.options_stripped", lambda: injector.options_stripped
-        )
-        metrics.register(
-            "faults.options_corrupted", lambda: injector.options_corrupted
-        )
-        metrics.register(
-            "faults.packets_delayed", lambda: injector.packets_delayed
-        )
-        metrics.register(
-            "faults.requests_dropped", lambda: injector.requests_dropped
+            f"client{idx}.uplink.busy_time", lambda u=uplink: u.busy_time
         )
 
     return Cluster(

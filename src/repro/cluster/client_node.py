@@ -29,7 +29,6 @@ from ..kernel.softirq import SoftirqDaemon
 from ..pfs.client import ArrivedStrip, PfsClient
 from ..pfs.layout import StripeLayout
 from ..pfs.request import StripRequest
-from ..units import sum_left
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
@@ -347,10 +346,6 @@ class ClientNode:
 
     # -- accounting -----------------------------------------------------------
 
-    def total_busy_time(self) -> float:
-        """Busy seconds summed over all cores."""
-        return sum_left(core.busy_time for core in self.cores)
-
     def register_metrics(self, registry: t.Any) -> None:
         """Expose this node's instruments under ``client<i>.*``."""
         prefix = f"client{self.index}"
@@ -370,6 +365,7 @@ class ClientNode:
         registry.register(
             f"{prefix}.nic.interrupts_raised", lambda: self.nic.interrupts_raised
         )
+        registry.register(f"{prefix}.nic.busy_time", lambda: self.nic.busy_time)
         registry.register(
             f"{prefix}.ioapic.interrupts",
             lambda: sum(self.ioapic.deliveries),

@@ -2,8 +2,9 @@
 
 These model the contended hardware in the simulator: the server and
 client uplinks, the disk, the memory bus and the inter-core interconnect
-are :class:`FixedServiceFifo`\\ s; a :class:`Store` carries each
-request's arrived strips and memsim's reader-to-combiner pipe, and a
+are :class:`FixedServiceFifo`\\ s, and each reports its queue's
+:attr:`~FixedServiceFifo.busy_time` as its own; a :class:`Store` carries
+each request's arrived strips and memsim's reader-to-combiner pipe, and a
 :class:`Barrier` synchronizes the processes of an MPI-IO collective.  No
 model code queues on a :class:`Resource`: it is the general FIFO resource
 that ``tests/des/test_fixed_service_fifo.py`` checks
@@ -52,11 +53,14 @@ class FixedServiceFifo:
         granted_at = yield link_wire.serve(serialization_time)
     """
 
-    __slots__ = ("env", "_busy", "_waiting")
+    __slots__ = ("env", "busy_time", "_busy", "_serving", "_waiting")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
+        #: Service seconds of the completed jobs (not of one in service).
+        self.busy_time = 0.0
         self._busy = False
+        self._serving = 0.0
         self._waiting: deque[
             tuple[Event, float, t.Callable[[], None] | None]
         ] = deque()
@@ -91,12 +95,14 @@ class FixedServiceFifo:
             on_grant()
         now = env._now
         done._value = now
+        self._serving = service
         # Inline Environment.schedule: the same (time, priority, id) key a
         # Timeout of ``service`` created now would get.
         heappush(env._queue, (now + service, NORMAL, next(env._eid), done))
 
     def _advance(self, _done: Event) -> None:
-        """First callback of every completion: hand the server on."""
+        """First callback of every completion: sum it, hand the server on."""
+        self.busy_time += self._serving
         if self._waiting:
             self._grant(*self._waiting.popleft())
         else:

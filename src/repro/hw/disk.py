@@ -42,6 +42,11 @@ class Disk:
         self.bytes_written = 0
         self.requests = 0
 
+    @property
+    def busy_time(self) -> float:
+        """Seconds of positioning and streaming completed so far."""
+        return self._spindle.busy_time
+
     def _seek_time(self) -> float:
         if self.seek == 0.0:
             return 0.0

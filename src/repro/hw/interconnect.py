@@ -40,7 +40,6 @@ class InterconnectBus:
         #: handoffs) — deliberately separate from :attr:`migrations`,
         #: which counts only strip-data transfers.
         self.signals = 0
-        self._busy_total = 0.0
 
     def transfer(
         self,
@@ -75,7 +74,6 @@ class InterconnectBus:
                 core.begin_stall()
 
         granted_at = yield self._bus.serve(duration, granted)
-        self._busy_total += duration
         self.migrations += 1
         self.bytes_moved += nbytes
         if core is not None:
@@ -91,15 +89,13 @@ class InterconnectBus:
         queue-wait instrumentation so ``migration_wait`` keeps measuring
         strip traffic only.
         """
-        duration = self.costs.c2c_latency
-        yield self._bus.serve(duration)
-        self._busy_total += duration
+        yield self._bus.serve(self.costs.c2c_latency)
         self.signals += 1
 
     @property
-    def total_busy_time(self) -> float:
+    def busy_time(self) -> float:
         """Seconds of pure transfer time carried so far (excludes waits)."""
-        return self._busy_total
+        return self._bus.busy_time
 
     def register_metrics(self, registry: t.Any, prefix: str) -> None:
         """Expose the bus instruments in a :class:`MetricsRegistry`."""
@@ -107,5 +103,5 @@ class InterconnectBus:
         registry.register(f"{prefix}.signals", lambda: self.signals)
         registry.register(f"{prefix}.bytes_moved", lambda: self.bytes_moved)
         registry.register(f"{prefix}.wait_time", lambda: self.wait_time)
-        registry.register(f"{prefix}.busy_time", lambda: self.total_busy_time)
+        registry.register(f"{prefix}.busy_time", lambda: self.busy_time)
 

@@ -38,6 +38,6 @@ class MemoryBus:
         self.bytes_moved += nbytes
 
     @property
-    def total_busy_time(self) -> float:
+    def busy_time(self) -> float:
         """Seconds the bus has been streaming data."""
-        return self.bytes_moved / self.bandwidth
+        return self._bus.busy_time

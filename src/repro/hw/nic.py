@@ -206,10 +206,6 @@ class Nic:
         self.ioapic.raise_interrupt(ctx)
 
     @property
-    def utilization_time(self) -> float:
+    def busy_time(self) -> float:
         """Total wire-busy seconds so far."""
-        return (
-            self.bytes_received
-            * (1.0 + self.framing_overhead)
-            / self.bandwidth
-        )
+        return self.wire_time(self.bytes_received)

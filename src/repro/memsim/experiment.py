@@ -95,7 +95,7 @@ def run_memsim_point(
         ),
         l2_miss_rate=misses / accesses if accesses else 0.0,
         membus_busy_fraction=(
-            membus.total_busy_time / elapsed if elapsed > 0 else 0.0
+            membus.busy_time / elapsed if elapsed > 0 else 0.0
         ),
     )
 

@@ -74,5 +74,5 @@ class Link:
 
     @property
     def busy_time(self) -> float:
-        """Total serialization seconds carried so far."""
-        return self.bytes_sent * (1.0 + self.framing_overhead) / self.bandwidth
+        """Serialization seconds of the attempts sent so far."""
+        return self._wire.busy_time

@@ -1,10 +1,11 @@
 """A metrics registry: one dotted namespace over a cluster's instruments.
 
 Components keep their counts as plain numeric attributes (``link.bytes_sent``,
-``nic.interrupts_raised``) and busy-time totals as properties; post-run
-records are frozen dataclasses
-(:class:`~repro.metrics.collectors.ResilienceMetrics`).  The
-:class:`MetricsRegistry` maps each dotted name (``client0.core2.busy_time``)
+``nic.interrupts_raised``) and one ``busy_time`` per shared resource (a
+link, disk or bus reports its queue's
+:attr:`repro.des.FixedServiceFifo.busy_time`); post-run records are frozen
+dataclasses (:class:`~repro.metrics.collectors.ResilienceMetrics`).  The
+:class:`MetricsRegistry` maps each dotted name (``server3.disk.busy_time``)
 to a zero-argument reader registered at build time — a dict insert, no
 per-event cost — and calls it when the name is read.  perfbench reads its
 exact counts (``des.events_processed`` and the rest) one name at a time.

@@ -77,6 +77,12 @@ class IoServer:
         )
         registry.register(f"{prefix}.bytes_served", lambda: self.bytes_served)
         registry.register(f"{prefix}.cache_hits", lambda: self.cache_hits)
+        registry.register(
+            f"{prefix}.disk.busy_time", lambda: self.disk.busy_time
+        )
+        registry.register(
+            f"{prefix}.uplink.busy_time", lambda: self.uplink.busy_time
+        )
 
     def accept(self, request: StripRequest, arrival: float) -> None:
         """Take one strip request that reaches this server at ``arrival``.

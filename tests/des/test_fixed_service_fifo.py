@@ -6,6 +6,7 @@ import pytest
 
 from repro.des import Environment, FixedServiceFifo, Resource
 from repro.errors import SimulationError
+from repro.units import sum_left
 
 
 @pytest.fixture
@@ -75,7 +76,7 @@ class TestFifoOrderAndServiceTimes:
 
         def run(make_hop):
             env = Environment()
-            hop = make_hop(env)
+            hop, busy_time = make_hop(env)
             done = []
 
             def job(i, at, service):
@@ -86,7 +87,7 @@ class TestFifoOrderAndServiceTimes:
             for i, (at, service) in enumerate(arrivals):
                 env.process(job(i, at, service))
             env.run()
-            return done, env.events_processed
+            return done, env.events_processed, busy_time()
 
         def fifo_hop(env):
             fifo = FixedServiceFifo(env)
@@ -94,22 +95,58 @@ class TestFifoOrderAndServiceTimes:
             def hop(env, service):
                 yield fifo.serve(service)
 
-            return hop
+            return hop, lambda: fifo.busy_time
 
         def resource_hop(env):
             resource = Resource(env)
+            held = []
 
             def hop(env, service):
                 with resource.request() as req:
                     yield req
                     yield env.timeout(service)
+                    held.append(service)
 
-            return hop
+            return hop, lambda: sum_left(held)
 
-        fifo_done, fifo_events = run(fifo_hop)
-        resource_done, resource_events = run(resource_hop)
+        fifo_done, fifo_events, fifo_busy = run(fifo_hop)
+        resource_done, resource_events, resource_busy = run(resource_hop)
         assert fifo_done == resource_done
         assert resource_events - fifo_events == len(arrivals)
+        assert fifo_busy == resource_busy
+
+
+class TestBusyTime:
+    def test_back_to_back_jobs_sum_their_service(self, env):
+        fifo = FixedServiceFifo(env)
+        for service in (1.0, 2.0, 0.5):
+            fifo.serve(service)
+        env.run()
+        assert fifo.busy_time == 3.5
+
+    def test_an_idle_gap_is_not_busy(self, env):
+        fifo = FixedServiceFifo(env)
+
+        def late():
+            yield env.timeout(5.0)
+            yield fifo.serve(1.0)
+
+        fifo.serve(1.0)
+        env.process(late())
+        env.run()
+        assert env.now == 6.0
+        assert fifo.busy_time == 2.0
+
+    def test_a_job_in_service_is_not_counted(self, env):
+        fifo = FixedServiceFifo(env)
+        fifo.serve(1.0)
+        fifo.serve(2.0)
+        env.run(until=0.5)
+        assert fifo.busy_time == 0.0
+        env.run(until=2.0)  # the second job is in service from 1.0 to 3.0
+        assert fifo.busy_time == 1.0
+        env.run()
+        assert fifo.busy_time == 3.0
 
 
 class TestCompletionIsCreatedAtGrant:

@@ -43,11 +43,6 @@ def isolated_cache_dir(tmp_path, monkeypatch):
     return cache_dir
 
 
-@pytest.fixture
-def update_goldens(request) -> bool:
-    return bool(request.config.getoption("--update-goldens"))
-
-
 class QuickRun(t.NamedTuple):
     """Every experiment's quick-scale result, and the cache holding them."""
 

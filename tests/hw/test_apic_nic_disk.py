@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.hw import Core, Disk, InterruptContext, IoApic, Nic
 from repro.net import Packet
 from repro.rng import RngFactory
-from repro.units import GHz, KiB, MiB
+from repro.units import GHz, KiB, MiB, sum_left
 
 from ..fixed_core import FixedCorePolicy
 
@@ -123,12 +123,12 @@ class TestNic:
         env.run()
         assert env.now == pytest.approx(1.5)
 
-    def test_utilization_time(self, env, cores):
+    def test_busy_time(self, env, cores):
         ioapic = recording_apic(env, cores, FixedCorePolicy(0), [])
         nic = Nic(env, bandwidth=1 * MiB, ioapic=ioapic)
         receive(env, nic, make_packet(size=512 * KiB))
         env.run()
-        assert nic.utilization_time == pytest.approx(0.5)
+        assert nic.busy_time == pytest.approx(0.5)
 
 
 class TestDisk:
@@ -164,6 +164,30 @@ class TestDisk:
         for elapsed in times:
             seek_part = elapsed - (64 * KiB) / (100 * MiB)
             assert 0.0075 <= seek_part <= 0.0125
+
+    def test_busy_time_sums_the_drawn_service_times(self, env):
+        rng = RngFactory(3).stream("disk")
+        disk = Disk(env, rate=100 * MiB, seek=0.01, rng=rng)
+        drawn = []
+
+        def recorded(nbytes, draw=disk._service_time):
+            drawn.append(draw(nbytes))
+            return drawn[-1]
+
+        disk._service_time = recorded
+
+        def sequence(env):
+            for _ in range(3):
+                yield from disk.read(64 * KiB)
+
+        for _ in range(3):  # three queued behind each other ...
+            env.process(disk.read(64 * KiB))
+        env.process(sequence(env))  # ... and three one after another
+        env.process(disk.write(64 * KiB))
+        env.run()
+        assert len(drawn) == disk.requests == 7
+        assert len(set(drawn)) == 7  # equal sizes: only the jitter differs
+        assert disk.busy_time == sum_left(drawn)
 
     def test_counters(self, env):
         disk = Disk(env, rate=1 * MiB, seek=0.0)

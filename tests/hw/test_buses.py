@@ -43,7 +43,7 @@ class TestInterconnectBus:
         # Second waits 1x, third waits 2x.
         assert bus.wait_time == pytest.approx(3 * single)
 
-    def test_total_busy_time(self, env):
+    def test_busy_time(self, env):
         costs = CostModel()
         bus = InterconnectBus(env, costs)
         env.process(bus.transfer(64 * KiB, costs.c2c_rate))
@@ -52,7 +52,7 @@ class TestInterconnectBus:
         expected = costs.strip_migration_time(64 * KiB) + costs.strip_migration_time(
             128 * KiB
         )
-        assert bus.total_busy_time == pytest.approx(expected)
+        assert bus.busy_time == pytest.approx(expected)
 
     def test_stalled_core_is_busy_from_grant_to_completion(self, env):
         """A queued consumer is idle; the granted transfer stalls it."""
@@ -104,7 +104,7 @@ class TestInterconnectBus:
         assert bus.signals == 1
         assert bus.migrations == 1
         assert bus.wait_time == 0.0
-        assert bus.total_busy_time == pytest.approx(m + costs.c2c_latency)
+        assert bus.busy_time == pytest.approx(m + costs.c2c_latency)
 
 
 class TestMemoryBus:
@@ -129,5 +129,5 @@ class TestMemoryBus:
         bus = MemoryBus(env, bandwidth=2 * MiB)
         env.process(bus.transfer(1 * MiB))
         env.run()
-        assert bus.total_busy_time == pytest.approx(0.5)
+        assert bus.busy_time == pytest.approx(0.5)
         assert bus.bytes_moved == MiB

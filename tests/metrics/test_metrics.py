@@ -103,7 +103,7 @@ class TestCollectedMetricsConsistency:
         client_metrics = metrics.clients[0]
         node = sim.cluster.clients[0]
         assert sum(client_metrics.busy_by_category.values()) == pytest.approx(
-            node.total_busy_time(), rel=1e-9
+            sum(core.busy_time for core in node.cores), rel=1e-9
         )
 
     def test_utilization_matches_unhalted(self):
