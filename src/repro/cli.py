@@ -291,10 +291,10 @@ def _run_grid(
 
     ``--fault-plan`` and the sweep ``request`` are installed for this call
     only.  Prints the summary line and one ``FAILED`` line per experiment
-    whose point killed its worker on every attempt.  Raises
-    ``ConfigError`` for a fault seed without a plan, a malformed plan, a
-    plan naming a server some grid cell lacks, or an unusable cache
-    directory, before any point runs.
+    with a point that killed its worker on every attempt or gave up on a
+    strip.  Raises ``ConfigError`` for a fault seed without a plan, a
+    malformed plan, a plan naming a server some grid cell lacks, or an
+    unusable cache directory, before any point runs.
     """
     from .faults import load_fault_plan, using_fault_plan
     from .runner import ExperimentRunner

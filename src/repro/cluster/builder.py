@@ -14,7 +14,7 @@ from ..net.fastpath import WireFastPath
 from ..net.links import Link
 from ..net.packet import Packet
 from ..net.switch import Switch
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import MetricsRegistry, register_cluster
 from ..pfs.layout import StripeLayout
 from ..pfs.request import StripRequest
 from ..pfs.server import IoServer
@@ -46,9 +46,9 @@ class Cluster:
     #: Causal span recorder (repro.obs); None unless the caller asked for
     #: tracing — the zero-cost-off guarantee hinges on this being None.
     spans: "SpanRecorder | None" = None
-    #: Metrics registry over every component's instruments.  Always built
-    #: (registration is one dict insert per name at build time; readers
-    #: run only when a name is read).
+    #: Metrics registry over every component's instruments, filled by
+    #: :func:`~repro.obs.registry.register_cluster` (one dict insert per
+    #: name at build time; readers run only when a name is read).
     metrics: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
 
 
@@ -205,22 +205,7 @@ def build_cluster(
         for idx in range(config.n_clients)
     )
 
-    metrics = MetricsRegistry()
-    metrics.register(
-        "des.events_processed", lambda: float(env.events_processed)
-    )
-    metrics.register("switch.bytes", lambda: switch.bytes_switched)
-    metrics.register("switch.packets", lambda: switch.packets_switched)
-    for server in servers:
-        server.register_metrics(metrics)
-    for client in clients:
-        client.register_metrics(metrics)
-    for idx, uplink in enumerate(client_uplinks):
-        metrics.register(
-            f"client{idx}.uplink.busy_time", lambda u=uplink: u.busy_time
-        )
-
-    return Cluster(
+    cluster = Cluster(
         env=env,
         config=config,
         clients=clients,
@@ -231,5 +216,6 @@ def build_cluster(
         injector=injector,
         client_uplinks=client_uplinks,
         spans=spans,
-        metrics=metrics,
     )
+    register_cluster(cluster.metrics, cluster)
+    return cluster

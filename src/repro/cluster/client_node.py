@@ -166,7 +166,6 @@ class ClientNode:
             driver_hook=self.src_parser.parse if self.src_parser else None,
             composer=self.im_composer.compose if self.im_composer else None,
             napi=client_cfg.napi,
-            napi_budget=client_cfg.napi_budget,
             rx_observer=self.pfs.observe_wire,
             # RDMA-style bypass: the NIC places completions directly and
             # never raises an interrupt — no APIC, no softirq.
@@ -343,58 +342,3 @@ class ClientNode:
             finally:
                 core.release()
         self.cache.compute_pass(core_index, nbytes)
-
-    # -- accounting -----------------------------------------------------------
-
-    def register_metrics(self, registry: t.Any) -> None:
-        """Expose this node's instruments under ``client<i>.*``."""
-        prefix = f"client{self.index}"
-        for core in self.cores:
-            core.register_metrics(registry, f"{prefix}.core{core.index}")
-        self.interconnect.register_metrics(registry, f"{prefix}.interconnect")
-        for daemon in self.daemons:
-            daemon.register_metrics(
-                registry, f"{prefix}.softirq{daemon.core.index}"
-            )
-        registry.register(
-            f"{prefix}.nic.bytes_received", lambda: self.nic.bytes_received
-        )
-        registry.register(
-            f"{prefix}.nic.packets_received", lambda: self.nic.packets_received
-        )
-        registry.register(
-            f"{prefix}.nic.interrupts_raised", lambda: self.nic.interrupts_raised
-        )
-        registry.register(f"{prefix}.nic.busy_time", lambda: self.nic.busy_time)
-        registry.register(
-            f"{prefix}.ioapic.interrupts",
-            lambda: sum(self.ioapic.deliveries),
-        )
-        registry.register(
-            f"{prefix}.pfs.requests_issued", lambda: self.pfs.requests_issued
-        )
-        registry.register(
-            f"{prefix}.pfs.strips_requested", lambda: self.pfs.strips_requested
-        )
-        registry.register(
-            f"{prefix}.pfs.bytes_requested", lambda: self.pfs.bytes_requested
-        )
-        registry.register(
-            f"{prefix}.pfs.strip_retries", lambda: self.pfs.strip_retries
-        )
-        registry.register(
-            f"{prefix}.tcp.out_of_order_segments",
-            lambda: self.pfs.out_of_order_segments,
-        )
-        registry.register(f"{prefix}.tcp.dup_acks", lambda: self.pfs.dup_acks)
-        registry.register(
-            f"{prefix}.tcp.fast_retransmits", lambda: self.pfs.fast_retransmits
-        )
-        registry.register(
-            f"{prefix}.steering.flow_migrations",
-            lambda: getattr(self.policy, "flow_migrations", 0),
-        )
-        registry.register(f"{prefix}.cache.miss_rate", self.cache.miss_rate)
-        registry.register(
-            f"{prefix}.cache.evictions", lambda: self.cache.evictions
-        )

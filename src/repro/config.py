@@ -161,12 +161,9 @@ class ClientConfig:
     #: a poll runs and the polling core drains pending packets in batches.
     #: Off by default — the paper-era driver raises one IRQ per strip.
     napi: bool = False
-    #: Packets per NAPI poll before the softirq yields and reschedules.
-    napi_budget: int = 64
 
     def __post_init__(self) -> None:
         _positive("n_cores", self.n_cores)
-        _positive("napi_budget", self.napi_budget)
         _positive("n_sockets", self.n_sockets)
         _positive("clock_hz", self.clock_hz)
         _positive("l2_bytes", self.l2_bytes)

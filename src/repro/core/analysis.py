@@ -9,13 +9,15 @@ processing on the client cores, ``TM = M x #migrations`` is serialized
 strip migration (2), and the overlap ``TO`` is proportional to
 ``min(TP, TM)``.  From this it derives bounds for balanced vs source-aware
 scheduling for single requests (3)-(4), request streams (5)-(6), the
-client-bandwidth feasibility constraint (7), the multi-program bounds (8)
-and the performance gap (9).
+client-bandwidth feasibility constraint (7) and the performance gap (9).
+Eq. (8), the multi-program bounds, is not modelled: Sec. III-D.2's claim
+that the advantage vanishes once programs saturate the cores (NP >= NC) is
+checked on the simulator, by Fig. 14's ``speedup_pct_at_16_apps``.
 
 These formulas are *bounds*, not predictions of absolute bandwidth; the
 test suite and the ``sec3_model`` claims check that the discrete-event
 simulator's ordering and scaling agree with them (gap grows with NS, NR and
-M-P; vanishes when M≈P or when programs saturate the cores).
+M-P; vanishes when M≈P).
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ class AnalysisParams:
         ``TR`` — network + server time, identical under every policy.
     n_requests:
         ``NR`` — number of I/O requests in the stream.
-    n_programs:
-        ``NP`` — concurrently running programs on the client.
     """
 
     n_cores: int
@@ -56,7 +56,6 @@ class AnalysisParams:
     strip_migration: float
     rest_time: float = 0.0
     n_requests: int = 1
-    n_programs: int = 1
 
     def __post_init__(self) -> None:
         if self.n_cores < 1 or self.n_servers < 1:
@@ -65,8 +64,8 @@ class AnalysisParams:
             raise ConfigError("P and M must be positive")
         if self.rest_time < 0:
             raise ConfigError("TR must be non-negative")
-        if self.n_requests < 1 or self.n_programs < 1:
-            raise ConfigError("NR and NP must be >= 1")
+        if self.n_requests < 1:
+            raise ConfigError("NR must be >= 1")
 
     # -- derived symbols -----------------------------------------------------
 
@@ -124,15 +123,7 @@ class AnalysisParams:
             raise ConfigError("invalid eq. (7) inputs")
         return client_bandwidth / (n_servers * request_size)
 
-    # -- multiple programs (Sec. III-D) ----------------------------------------
-
-    def t_source_aware_multiprogram_bounds(self) -> tuple[float, float]:
-        """Eq. (8): with NP <= NC programs, source-aware TP parallelizes
-        over the NP consuming cores; returns (lower, upper) bounds."""
-        base = self.strip_processing * self.n_servers * self.n_requests
-        lower = self.rest_time + base / min(self.n_programs, self.n_cores)
-        upper = self.rest_time + base
-        return lower, upper
+    # -- performance gap (Sec. III-D) -------------------------------------------
 
     def performance_gap(self) -> float:
         """Eq. (9): ``(NC - 1) x NR x alpha x (M - P)`` — the balanced vs
@@ -156,8 +147,3 @@ class AnalysisParams:
         if sa <= 0:
             raise ConfigError("degenerate source-aware time")
         return bal / sa - 1.0
-
-    def cpu_saturated(self) -> bool:
-        """Sec. III-D.2: with NP >= NC every core stays busy and the two
-        schemes share the same TP lower bound — the advantage vanishes."""
-        return self.n_programs >= self.n_cores

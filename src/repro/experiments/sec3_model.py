@@ -1,10 +1,11 @@
-"""Sec. III — the analytic bounds (eqs. 3-9) against the simulator.
+"""Sec. III — the analytic bounds (eqs. 3-7 and 9) against the simulator.
 
 The analysis predicts: (a) T_balanced - TR >> T_source-aware - TR whenever
 M >> P; (b) the gap grows with NS, NR and (M - P); (c) with NP >= NC the
 advantage vanishes.  This experiment evaluates the closed forms on the
-calibrated cost model and cross-checks the *orderings* against measured
-simulator runs.
+calibrated cost model and cross-checks the *orderings* (a) and (b) against
+measured simulator runs.  Prediction (c) is checked by Fig. 14's
+``speedup_pct_at_16_apps`` claim, 16 applications on 8 cores, in (-10, 10).
 """
 
 from __future__ import annotations

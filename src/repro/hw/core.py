@@ -389,14 +389,6 @@ class Core:
         """Oprofile ``CPU_CLK_UNHALTED``: busy seconds x clock."""
         return self.busy_time * self.clock_hz
 
-    def register_metrics(self, registry: t.Any, prefix: str) -> None:
-        """Expose this core's accounting in a :class:`MetricsRegistry`."""
-        registry.register(f"{prefix}.busy_time", lambda: self.busy_time)
-        registry.register(f"{prefix}.unhalted_cycles", self.unhalted_cycles)
-        registry.register(
-            f"{prefix}.run_queue", lambda: float(self.run_queue_length)
-        )
-
     # -- load estimate (policy-visible) --------------------------------------
 
     def _fold_edges(self) -> None:

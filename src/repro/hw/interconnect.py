@@ -96,12 +96,3 @@ class InterconnectBus:
     def busy_time(self) -> float:
         """Seconds of pure transfer time carried so far (excludes waits)."""
         return self._bus.busy_time
-
-    def register_metrics(self, registry: t.Any, prefix: str) -> None:
-        """Expose the bus instruments in a :class:`MetricsRegistry`."""
-        registry.register(f"{prefix}.migrations", lambda: self.migrations)
-        registry.register(f"{prefix}.signals", lambda: self.signals)
-        registry.register(f"{prefix}.bytes_moved", lambda: self.bytes_moved)
-        registry.register(f"{prefix}.wait_time", lambda: self.wait_time)
-        registry.register(f"{prefix}.busy_time", lambda: self.busy_time)
-

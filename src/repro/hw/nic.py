@@ -17,8 +17,9 @@ default the model raises one interrupt per strip train (the paper's
 accounting); with ``NetworkConfig.mss`` set each segment interrupts
 separately; and with ``napi=True`` the NIC runs Linux-NAPI style —
 interrupts are disabled while a poll is in progress and the polling core
-drains up to ``napi_budget`` pending packets per interrupt, which batches
-under load and (deliberately) fights per-packet source-aware steering.
+drains up to :data:`NAPI_BUDGET` pending packets per interrupt, which
+batches under load and (deliberately) fights per-packet source-aware
+steering.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ from .apic import InterruptContext, IoApic
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.packet import Packet
 
-__all__ = ["Nic"]
+__all__ = ["Nic", "NAPI_BUDGET"]
+
+#: Packets one NAPI poll drains before the softirq yields and reschedules
+#: (Linux's default NAPI weight).
+NAPI_BUDGET = 64
 
 
 class Nic:
@@ -47,7 +52,6 @@ class Nic:
         driver_hook: t.Callable[["Packet"], int | None] | None = None,
         composer: t.Callable[["Packet", int | None], InterruptContext] | None = None,
         napi: bool = False,
-        napi_budget: int = 64,
         rx_observer: t.Callable[["Packet"], None] | None = None,
         zero_interrupt_sink: t.Callable[["Packet"], None] | None = None,
         spans: t.Any | None = None,
@@ -78,11 +82,8 @@ class Nic:
         self.zero_interrupt_sink = zero_interrupt_sink
         #: NAPI mode: interrupts are disabled while a poll is in progress;
         #: packets accumulate in :attr:`pending` and the polling core
-        #: drains up to ``napi_budget`` of them per interrupt.
+        #: drains up to :data:`NAPI_BUDGET` of them per interrupt.
         self.napi = napi
-        if napi_budget < 1:
-            raise ValueError(f"napi_budget must be >= 1, got {napi_budget}")
-        self.napi_budget = napi_budget
         self._pending: deque["Packet"] = deque()
         self._irq_armed = True
         #: Span recorder + this client's NIC-wire lane (repro.obs);

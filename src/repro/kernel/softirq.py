@@ -26,6 +26,7 @@ from ..hw.apic import InterruptContext
 from ..hw.cache import CacheSystem
 from ..hw.core import SOFTIRQ_PRIORITY, Core
 from ..hw.interconnect import InterconnectBus
+from ..hw.nic import NAPI_BUDGET
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pfs.client import PfsClient
@@ -77,11 +78,6 @@ class SoftirqDaemon:
         self._expect_hints = pfs.hint_messager is not None
         env.process(self._run())
 
-    def register_metrics(self, registry: t.Any, prefix: str) -> None:
-        """Expose this daemon's counts in a :class:`MetricsRegistry`."""
-        registry.register(f"{prefix}.handled", lambda: self.handled)
-        registry.register(f"{prefix}.steered", lambda: self.steered)
-
     def enqueue(self, ctx: InterruptContext) -> None:
         """IRQ entry: hand the context to this core's daemon.
 
@@ -131,7 +127,7 @@ class SoftirqDaemon:
             # the poll budget, then either re-arm interrupts (drained) or
             # reschedule a fresh poll (budget exhausted under load).
             flow = ctx.obs_flow
-            budget = nic.napi_budget
+            budget = NAPI_BUDGET
             while budget > 0:
                 packet = nic.napi_poll()
                 if packet is None:

@@ -15,16 +15,20 @@ Two complementary layers, both **zero-cost when disabled**:
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` mapping dotted
   names to readers of the components' numeric attributes, busy-time
   totals and the fault/recovery record, so perfbench and tests read every
-  component's counts from a single namespace.
+  component's counts from a single namespace.  Every cluster name is
+  declared there, in the tables of ``register_cluster``; the components
+  only keep their counts.
 
 Exports (:mod:`repro.obs.export`) target Chrome trace-event JSON —
 loadable in ui.perfetto.dev or chrome://tracing — plus an ASCII tree/
 timeline fallback.  ``python -m repro trace <experiment>`` drives it.
 
-On top of the recorder sits :mod:`repro.obs.analysis`: per-strip stage
-durations folded from span trees, the per-strip lifecycle breakdown (the
-span tree is the only record of a strip's issued/served/received/handled/
-merged stamps), and the ``sais-repro trace diff`` A/B attribution engine.
+On top of the recorder sits :mod:`repro.obs.analysis`, which reads the
+recorder's own :class:`Span` and :class:`FlowEvent` records (rebuilt as
+the same types from an exported file): per-strip stage durations folded
+from span trees, the per-strip lifecycle breakdown (the span tree is the
+only record of a strip's issued/served/received/handled/merged stamps),
+and the ``sais-repro trace diff`` A/B attribution engine.
 
 This package exports only the recorder and the registry, which every
 simulation imports.  Import the trace-only names from their submodules

@@ -1,10 +1,12 @@
 """Trace analysis: stage durations, lifecycle breakdowns, and A/B span diffs.
 
 The span recorder (:mod:`repro.obs.spans`) captures *what happened*; this
-module answers *where the time went*.  It operates on a normalized
-:class:`TraceModel` built either from a live :class:`SpanRecorder`
-(float-exact) or from an exported Chrome trace-event JSON file
-(microsecond-rounded, but deterministic), and provides three analyses:
+module answers *where the time went*.  A :class:`TraceModel` indexes the
+recorder's own :class:`~repro.obs.spans.Span` and
+:class:`~repro.obs.spans.FlowEvent` records, those of a live
+:class:`SpanRecorder` (float-exact) or the same two types rebuilt from an
+exported Chrome trace-event JSON file (microsecond-rounded, but
+deterministic), and never mutates them.  It provides three analyses:
 
 * **Stage durations** — :func:`stage_durations` folds every per-strip
   span tree into named stage durations (server service, storage, switch,
@@ -33,12 +35,10 @@ import typing as t
 
 from ..errors import ConfigError, SimulationError
 from ..units import sum_left
-from .spans import SpanRecorder
+from .spans import FlowEvent, Span, SpanRecorder, Track, client_pid
 
 __all__ = [
     "STAGE_NAMES",
-    "TraceSpan",
-    "TraceFlow",
     "TraceModel",
     "model_from_recorder",
     "model_from_events",
@@ -77,67 +77,34 @@ STAGE_NAMES = (
 _US = 1e6
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceSpan:
-    """One normalized span, whichever source it was loaded from."""
-
-    sid: int
-    parent: int | None
-    name: str
-    cat: str
-    pid: int
-    tid: int
-    start: float
-    end: float
-    args: t.Mapping[str, t.Any]
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclasses.dataclass(frozen=True)
-class TraceFlow:
-    """One causal edge; span links survive the JSON round trip."""
-
-    fid: int
-    name: str
-    cat: str
-    src_ts: float
-    dst_ts: float | None
-    src_span: int | None = None
-    dst_span: int | None = None
-
-    @property
-    def closed(self) -> bool:
-        return self.dst_ts is not None
-
-
 class TraceModel:
-    """An indexed, immutable view over one run's spans and flows."""
+    """An indexed view over one run's spans and flows.
+
+    An open span (``end`` None) ends at its start.
+    """
 
     def __init__(
         self,
-        spans: t.Iterable[TraceSpan],
-        flows: t.Iterable[TraceFlow],
+        spans: t.Iterable[Span],
+        flows: t.Iterable[FlowEvent],
         meta: t.Mapping[str, t.Any] | None = None,
     ) -> None:
-        self.spans: tuple[TraceSpan, ...] = tuple(
+        self.spans: tuple[Span, ...] = tuple(
             sorted(spans, key=lambda s: s.sid)
         )
-        self.flows: tuple[TraceFlow, ...] = tuple(
+        self.flows: tuple[FlowEvent, ...] = tuple(
             sorted(flows, key=lambda f: f.fid)
         )
         #: Run-level metadata (policy, experiment, point, scale) when the
         #: producer recorded it; empty for bare recorders.
         self.meta: dict[str, t.Any] = dict(meta or {})
-        self._by_sid: dict[int, TraceSpan] = {s.sid: s for s in self.spans}
+        self._by_sid: dict[int, Span] = {s.sid: s for s in self.spans}
         # Strip attribution: walk parents to the nearest span named
-        # "strip"; its pid encodes the owning client (client_pid = 100+c)
-        # and its args carry the strip id.
+        # "strip"; its pid encodes the owning client (client_pid) and its
+        # args carry the strip id.
         self._strip_of: dict[int, tuple[int, int] | None] = {}
-        self.strips: dict[tuple[int, int], list[TraceSpan]] = {}
-        self.strip_roots: dict[tuple[int, int], TraceSpan] = {}
+        self.strips: dict[tuple[int, int], list[Span]] = {}
+        self.strip_roots: dict[tuple[int, int], Span] = {}
         for span in self.spans:
             key = self._resolve_strip(span)
             if key is None:
@@ -146,15 +113,15 @@ class TraceModel:
             if span.name == "strip":
                 self.strip_roots[key] = span
 
-    def _resolve_strip(self, span: TraceSpan) -> tuple[int, int] | None:
+    def _resolve_strip(self, span: Span) -> tuple[int, int] | None:
         cached = self._strip_of.get(span.sid, _MISSING)
         if cached is not _MISSING:
             return cached  # type: ignore[return-value]
         key: tuple[int, int] | None = None
         if span.name == "strip":
-            strip_id = span.args.get("strip")
+            strip_id = (span.args or {}).get("strip")
             if isinstance(strip_id, int):
-                key = (span.pid - 100, strip_id)
+                key = (span.track.pid - client_pid(0), strip_id)
         elif span.parent is not None:
             parent = self._by_sid.get(span.parent)
             if parent is not None:
@@ -180,7 +147,7 @@ class TraceModel:
         """
         edges: list[tuple[int, int] | None] = []
         for flow in self.flows:
-            if flow.name != "migration" or not flow.closed:
+            if flow.name != "migration" or flow.dst_ts is None:
                 continue
             key = (
                 self.strip_of(flow.src_span)
@@ -198,52 +165,32 @@ class _Missing:
 _MISSING = _Missing()
 
 
+def _end(span: Span) -> float:
+    """A span's end; an open span ends at its start."""
+    return span.start if span.end is None else span.end
+
+
 def model_from_recorder(recorder: SpanRecorder) -> TraceModel:
-    """Normalize a live recorder (virtual-second floats, exact)."""
-    spans = [
-        TraceSpan(
-            sid=s.sid,
-            parent=s.parent,
-            name=s.name,
-            cat=s.cat,
-            pid=s.track.pid,
-            tid=s.track.tid,
-            start=s.start,
-            end=s.start if s.end is None else s.end,
-            args=dict(s.args or {}),
-        )
-        for s in recorder.spans
-    ]
-    flows = [
-        TraceFlow(
-            fid=f.fid,
-            name=f.name,
-            cat=f.cat,
-            src_ts=f.src_ts,
-            dst_ts=f.dst_ts,
-            src_span=f.src_span,
-            dst_span=f.dst_span,
-        )
-        for f in recorder.flows
-    ]
-    return TraceModel(spans, flows)
+    """Index a live recorder's own spans and flows (virtual seconds, exact)."""
+    return TraceModel(recorder.spans, recorder.flows)
 
 
 def model_from_events(
     events: t.Sequence[t.Mapping[str, t.Any]],
     meta: t.Mapping[str, t.Any] | None = None,
 ) -> TraceModel:
-    """Normalize exported trace events (microseconds back to seconds).
+    """Rebuild spans and flows from exported trace events (microseconds
+    back to seconds).
 
     Events without an integer ``sid`` come from other producers and are
     skipped.  An event the model cannot read raises :class:`ConfigError`
     naming its index in ``events``; a ``b``/``e`` or ``s``/``f`` pair is
     read, and named, at its closing event.
     """
-    spans: list[TraceSpan] = []
+    spans: list[Span] = []
     open_async: dict[tuple[t.Any, t.Any], dict[str, t.Any]] = {}
     open_flows: dict[t.Any, dict[str, t.Any]] = {}
-    flows: list[TraceFlow] = []
+    flows: list[FlowEvent] = []
     index = 0
     try:
         for index, event in enumerate(events):
@@ -258,13 +205,12 @@ def model_from_events(
                     continue  # foreign trace; only our own spans are modeled
                 start = float(event["ts"]) / _US
                 spans.append(
-                    TraceSpan(
+                    Span(
                         sid=sid,
                         parent=args.pop("parent", None),
                         name=str(event.get("name")),
                         cat=str(event.get("cat")),
-                        pid=int(event["pid"]),
-                        tid=int(event["tid"]),
+                        track=_track(event),
                         start=start,
                         end=start + float(event.get("dur", 0.0)) / _US,
                         args=args,
@@ -283,16 +229,16 @@ def model_from_events(
                 if not isinstance(sid, int):
                     continue
                 spans.append(
-                    TraceSpan(
+                    Span(
                         sid=sid,
                         parent=args.pop("parent", None),
                         name=str(begun.get("name")),
                         cat=str(begun.get("cat")),
-                        pid=int(begun["pid"]),
-                        tid=int(begun["tid"]),
+                        track=_track(begun),
                         start=float(begun["ts"]) / _US,
                         end=float(event["ts"]) / _US,
                         args=args,
+                        overlapping=True,
                     )
                 )
             elif ph == "s":
@@ -304,14 +250,16 @@ def model_from_events(
                 src_args = begun.get("args") or {}
                 dst_args = event.get("args") or {}
                 flows.append(
-                    TraceFlow(
+                    FlowEvent(
                         fid=int(begun["id"]),
                         name=str(begun.get("name")),
                         cat=str(begun.get("cat")),
-                        src_ts=float(begun["ts"]) / _US,
-                        dst_ts=float(event["ts"]) / _US,
                         src_span=src_args.get("span"),
+                        src_ts=float(begun["ts"]) / _US,
+                        src_track=_track(begun),
                         dst_span=dst_args.get("span"),
+                        dst_ts=float(event["ts"]) / _US,
+                        dst_track=_track(event),
                     )
                 )
     except KeyError as exc:
@@ -319,6 +267,10 @@ def model_from_events(
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"traceEvents[{index}] is malformed: {exc}") from exc
     return TraceModel(spans, flows, meta)
+
+
+def _track(event: t.Mapping[str, t.Any]) -> Track:
+    return Track(int(event["pid"]), int(event["tid"]))
 
 
 def load_trace(path: str) -> TraceModel:
@@ -364,10 +316,12 @@ def stage_durations(
         stages: dict[str, float] = {}
         for span in spans:
             if span.name in STAGE_NAMES:
-                stages[span.name] = stages.get(span.name, 0.0) + span.duration
+                stages[span.name] = stages.get(span.name, 0.0) + (
+                    _end(span) - span.start
+                )
         root = model.strip_roots.get(key)
         if root is not None:
-            stages["total"] = root.duration
+            stages["total"] = _end(root) - root.start
         folded[key] = stages
     return folded
 
@@ -453,7 +407,7 @@ def strip_stage_times(
         root = model.strip_roots.get(key)
         if root is None:
             continue
-        handled = root.args.get("handled_at")
+        handled = (root.args or {}).get("handled_at")
         if not isinstance(handled, (int, float)):
             handled = None
         received = _latest_end(spans, "wire", handled)
@@ -476,10 +430,10 @@ _SLACK = 1e-12
 
 
 def _latest_end(
-    spans: t.Iterable[TraceSpan], name: str, bound: float | None
+    spans: t.Iterable[Span], name: str, bound: float | None
 ) -> float | None:
     """Latest end of the ``name`` spans not after ``bound``, capped at it."""
-    ends = [s.end for s in spans if s.name == name]
+    ends = [_end(s) for s in spans if s.name == name]
     if bound is None:
         return max(ends, default=None)
     latest = max((end for end in ends if end <= bound + _SLACK), default=None)

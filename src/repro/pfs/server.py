@@ -69,21 +69,6 @@ class IoServer:
         self.bytes_served = 0
         self.cache_hits = 0
 
-    def register_metrics(self, registry: t.Any) -> None:
-        """Expose this server's counts under ``server<i>.*``."""
-        prefix = f"server{self.index}"
-        registry.register(
-            f"{prefix}.strips_served", lambda: self.strips_served
-        )
-        registry.register(f"{prefix}.bytes_served", lambda: self.bytes_served)
-        registry.register(f"{prefix}.cache_hits", lambda: self.cache_hits)
-        registry.register(
-            f"{prefix}.disk.busy_time", lambda: self.disk.busy_time
-        )
-        registry.register(
-            f"{prefix}.uplink.busy_time", lambda: self.uplink.busy_time
-        )
-
     def accept(self, request: StripRequest, arrival: float) -> None:
         """Take one strip request that reaches this server at ``arrival``.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
-from ..errors import ConfigError
+from ..errors import ConfigError, StripRetryExhaustedError
 from ..experiments.base import (
     ExperimentResult,
     get_grid_experiment,
@@ -53,7 +53,9 @@ class RunReport:
     #: with earlier experiments in the same invocation).
     n_scheduled: int
     #: Why ``result`` is None: a point whose pool worker died or hung on
-    #: every attempt (the rest of the invocation still completed).
+    #: every attempt, or that gave up on a strip
+    #: (:class:`~repro.errors.StripRetryExhaustedError`); the rest of the
+    #: invocation still completed.
     error: str | None = None
 
 
@@ -282,19 +284,26 @@ class ExperimentRunner:
     ) -> tuple[dict[str, t.Any], dict[str, str]]:
         """Run the task table; returns ``(rows_by_key, errors_by_key)``.
 
-        Errors only ever appear under ``jobs > 1``: a grid point whose
-        worker dies (SIGKILL, OOM, ``os._exit``) or hangs (SIGSTOP) reruns
-        on a replacement worker, and only a point that does so on every
-        attempt is reported as a per-point error — the rest of the grid
-        completes.  A point that raises re-raises here under any ``jobs``.
+        A point that gives up on a strip (its fault plan outlasts the
+        strip-retry budget: :class:`~repro.errors.StripRetryExhaustedError`)
+        is a per-point error under any ``jobs``; it is deterministic, so
+        it is not retried.  Under ``jobs > 1`` a grid point whose worker
+        dies (SIGKILL, OOM, ``os._exit``) or hangs (SIGSTOP) reruns on a
+        replacement worker, and only a point that does so on every
+        attempt is a per-point error.  Either way the rest of the grid
+        completes.  A point that raises anything else re-raises here.
         """
         if not tasks:
             return {}, {}
         if self.jobs == 1:
-            return {
-                key: run_point_task(exp_id, spec)
-                for key, (exp_id, spec) in tasks.items()
-            }, {}
+            rows: dict[str, t.Any] = {}
+            errors: dict[str, str] = {}
+            for key, (exp_id, spec) in tasks.items():
+                try:
+                    rows[key] = run_point_task(exp_id, spec)
+                except StripRetryExhaustedError as exc:
+                    errors[key] = f"{type(exc).__name__}: {exc}"
+            return rows, errors
         # Imported here: loading multiprocessing adds about 1 MiB to the
         # peak RSS of the in-process path above.
         from .supervised import SupervisedWorkerPool

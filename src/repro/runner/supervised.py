@@ -16,8 +16,10 @@ from a busy one, and one dead worker breaks every outstanding future.
   replacement; after :data:`MAX_ATTEMPTS` attempts it becomes an error
   string and the other tasks still complete;
 * **raises** — a task that raises is not retried (the simulation is
-  seeded, so it would raise again): :meth:`SupervisedWorkerPool.drain`
-  re-raises the exception, as ``ProcessPoolExecutor`` did.
+  seeded, so it would raise again).  A strip give-up
+  (:class:`~repro.errors.StripRetryExhaustedError`) becomes an error
+  string like a lost task's; :meth:`SupervisedWorkerPool.drain` re-raises
+  any other exception, as ``ProcessPoolExecutor`` did.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import multiprocessing.connection
 import time
 import typing as t
 
+from ..errors import StripRetryExhaustedError
 from .pool import pool_worker_main
 
 __all__ = ["SupervisedWorkerPool", "HEARTBEAT_S", "LIVENESS_S", "MAX_ATTEMPTS"]
@@ -98,8 +101,10 @@ class SupervisedWorkerPool:
         """Run every queued task; returns ``(rows, errors)`` by key.
 
         ``errors`` holds the tasks whose worker died or hung on each of
-        :data:`MAX_ATTEMPTS` attempts.  A task that raised re-raises
-        here, with the worker's traceback as its ``__cause__``.
+        :data:`MAX_ATTEMPTS` attempts, and those that raised
+        :class:`~repro.errors.StripRetryExhaustedError`.  A task that
+        raised anything else re-raises here, with the worker's traceback
+        as its ``__cause__``.
         """
         rows: dict[str, t.Any] = {}
         errors: dict[str, str] = {}
@@ -111,7 +116,7 @@ class SupervisedWorkerPool:
             )
             for worker in self._workers:
                 if worker.conn in ready:
-                    self._receive(worker, rows, total)
+                    self._receive(worker, rows, errors, total)
             self._reap(errors)
         return rows, errors
 
@@ -138,7 +143,13 @@ class SupervisedWorkerPool:
             worker.key = key
             self._attempts[key] += 1
 
-    def _receive(self, worker: _Worker, rows: dict[str, t.Any], total: int) -> None:
+    def _receive(
+        self,
+        worker: _Worker,
+        rows: dict[str, t.Any],
+        errors: dict[str, str],
+        total: int,
+    ) -> None:
         while True:
             try:
                 if not worker.conn.poll():
@@ -153,9 +164,13 @@ class SupervisedWorkerPool:
             worker.key = None
             del self._tasks[key]
             if message[0] == "raised":
-                raise message[2] from RuntimeError(
-                    f"in worker pid {worker.proc.pid}:\n{message[3]}"
-                )
+                exc = message[2]
+                if not isinstance(exc, StripRetryExhaustedError):
+                    raise exc from RuntimeError(
+                        f"in worker pid {worker.proc.pid}:\n{message[3]}"
+                    )
+                errors[key] = f"{type(exc).__name__}: {exc}"
+                continue
             rows[key] = message[2]
             self._emit(f"point {len(rows)}/{total} [{key[:24]}]")
 

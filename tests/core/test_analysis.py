@@ -17,7 +17,6 @@ def params(**kw):
         strip_migration=M,
         rest_time=1.0,
         n_requests=100,
-        n_programs=1,
     )
     defaults.update(kw)
     return AnalysisParams(**defaults)
@@ -101,19 +100,6 @@ class TestEq7:
 
 
 class TestMultiProgram:
-    def test_eq8_bounds_ordering(self):
-        lower, upper = params(n_programs=4).t_source_aware_multiprogram_bounds()
-        assert lower < upper
-
-    def test_eq8_single_program_degenerates(self):
-        lower, upper = params(n_programs=1).t_source_aware_multiprogram_bounds()
-        assert lower == pytest.approx(upper)
-
-    def test_eq8_parallelism_capped_at_cores(self):
-        lower8, _ = params(n_programs=8).t_source_aware_multiprogram_bounds()
-        lower16, _ = params(n_programs=16).t_source_aware_multiprogram_bounds()
-        assert lower8 == pytest.approx(lower16)
-
     def test_eq9_gap_formula(self):
         p = params()
         expected = 7 * 100 * 6.0 * (M - P)
@@ -121,8 +107,3 @@ class TestMultiProgram:
 
     def test_eq9_gap_vanishes_when_m_equals_p(self):
         assert params(strip_migration=P).performance_gap() == 0.0
-
-    def test_cpu_saturation_flag(self):
-        assert not params(n_programs=4).cpu_saturated()
-        assert params(n_programs=8).cpu_saturated()
-        assert params(n_programs=16).cpu_saturated()

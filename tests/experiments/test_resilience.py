@@ -226,6 +226,38 @@ class TestCliHardening:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_strip_give_up_fails_only_its_experiment(
+        self, tmp_path, capsys, jobs
+    ):
+        # Server 0 stays down longer than the one retry waits, so every
+        # fig5 point gives up on a strip; sec3_model still runs.
+        path = tmp_path / "plan.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "server_failure_windows": [[0, 0.0, 10.0]],
+                    "max_strip_retries": 1,
+                    "strip_retry_timeout": 0.001,
+                }
+            )
+        )
+        code = main(
+            ["run", "fig5_bandwidth_3g", "sec3_model", "--scale", "quick",
+             "--no-cache", "--jobs", jobs, "--fault-plan", str(path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        failed = [
+            line for line in captured.err.splitlines() if "FAILED" in line
+        ]
+        assert len(failed) == 1
+        assert failed[0].startswith(
+            "sais-repro: fig5_bandwidth_3g FAILED: 4 of 4 point(s) failed: "
+        )
+        assert "StripRetryExhaustedError: strip 0 " in failed[0]
+        assert captured.out.startswith("Sec. III — analytic bounds")
+
     def test_resilience_sweeps_run_from_cli(self, capsys):
         code = main(
             ["run", "resilience_loss_sweep", "--scale", "quick",

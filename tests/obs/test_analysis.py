@@ -18,7 +18,7 @@ from repro import ClusterConfig, NetworkConfig, WorkloadConfig
 from repro.cluster.simulation import Simulation
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.obs import SpanRecorder
+from repro.obs import FlowEvent, Span, SpanRecorder
 from repro.obs.analysis import (
     LIFECYCLE_STAGES,
     LatencyBreakdown,
@@ -242,17 +242,25 @@ class TestLifecycleStamps:
         assert disordered == []
 
     def test_exported_zero_interrupt_run_keeps_every_stamp(self, tmp_path):
-        # Under rdma_zerointr a strip is handled the instant its wire
-        # span ends.  Read back from a file, that end can land an ulp
-        # later, and it must still count as the strip's arrival.
+        # The live model indexes the recorder's own spans; the file model
+        # rebuilds the same record type, with the live stamps to within
+        # the microsecond round trip.  Under rdma_zerointr a strip is
+        # handled the instant its wire span ends.  Read back from a file,
+        # that end can land an ulp later, and it must still count as the
+        # strip's arrival.
         recorder, _sim = traced_run(small_config(policy="rdma_zerointr"))
-        live = strip_stage_times(model_from_recorder(recorder))
+        model = model_from_recorder(recorder)
+        assert len(model.spans) == len(recorder.spans)
+        assert all(a is b for a, b in zip(model.spans, recorder.spans))
+        live = strip_stage_times(model)
         out = tmp_path / "rdma.json"
         write_trace(recorder, str(out))
-        filed = strip_stage_times(load_trace(str(out)))
+        loaded = load_trace(str(out))
+        assert {type(span) for span in loaded.spans} == {Span}
+        filed = strip_stage_times(loaded)
         assert filed.keys() == live.keys()
         for key, record in filed.items():
-            assert record.keys() == live[key].keys(), key
+            assert record == pytest.approx(live[key], rel=1e-12), key
             assert record["received"] == record["handled"]
             assert is_ordered(record)
 
@@ -288,6 +296,7 @@ class TestModelRoundTrip:
         # resolves to a strip.
         edges = model.migration_edges()
         assert edges and all(key is not None for key in edges)
+        assert {type(flow) for flow in model.flows} == {FlowEvent}
 
     def test_not_a_trace_file_is_a_config_error(self, tmp_path):
         span = {

@@ -1,9 +1,12 @@
 """Unit tests for the unified metrics registry (repro.obs.registry)."""
 
+import ast
 import dataclasses
+import gc
 import json
 import pathlib
 import types
+import weakref
 
 import pytest
 
@@ -49,6 +52,45 @@ class TestRegistration:
         registry.register("a.one", lambda: 1.0)
         registry.register("b.one", lambda: 3.0)
         assert registry.names() == ("a.one", "b.one", "b.two")
+
+
+class TestDeclaredOnce:
+    def test_every_name_is_registered_in_the_registry_module(self):
+        # The namespace lives in repro.obs.registry's tables: no component
+        # registers its own readings.
+        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+        home = src / "obs" / "registry.py"
+        paths = sorted(src.rglob("*.py"))
+        assert home in paths
+        elsewhere = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                defines = (
+                    isinstance(node, ast.FunctionDef)
+                    and node.name == "register_metrics"
+                )
+                registers = (
+                    path != home
+                    and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "register"
+                )
+                if defines or registers:
+                    elsewhere.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert elsewhere == []
+
+    def test_registry_is_freed_with_its_cluster(self):
+        # Readers bind components, never the cluster: a cluster in a
+        # reference cycle would keep its registry alive until a full
+        # collection.
+        cluster = build_cluster(ClusterConfig(n_servers=1))
+        registry = weakref.ref(cluster.metrics)
+        gc.disable()
+        try:
+            del cluster
+            assert registry() is None
+        finally:
+            gc.enable()
 
 
 class TestIngestDataclass:

@@ -249,7 +249,6 @@ analysis_params = st.builds(
     strip_migration=st.floats(min_value=1e-7, max_value=1e-2),
     rest_time=st.floats(min_value=0.0, max_value=10.0),
     n_requests=st.integers(min_value=1, max_value=1000),
-    n_programs=st.integers(min_value=1, max_value=128),
 )
 
 
@@ -260,13 +259,6 @@ def test_gap_sign_matches_m_vs_p(params):
         assert gap > 0
     elif params.strip_migration < params.strip_processing:
         assert gap < 0
-
-
-@given(analysis_params)
-def test_multiprogram_bounds_ordered(params):
-    lower, upper = params.t_source_aware_multiprogram_bounds()
-    assert lower <= upper + 1e-12
-    assert lower >= params.rest_time
 
 
 @given(analysis_params, st.integers(min_value=2, max_value=8))

@@ -53,14 +53,6 @@ ALLOWED = {
     "CacheAccessModel": _CALIBRATION,
     "CacheSystem.__init__(model)": _CALIBRATION,
     "MemsimConfig": _CALIBRATION,
-    "ClientConfig.napi_budget": (
-        "the only way a test reaches Nic.napi_reschedule; whether that "
-        "branch stays is a model question"
-    ),
-    "AnalysisParams.n_programs": (
-        "the paper's Sec. III symbol NP: eq. (8) and Sec. III-D.2 are "
-        "checked across it"
-    ),
 }
 
 
