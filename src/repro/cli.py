@@ -229,8 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help=(
-            "declarative scenario spec (JSON, or TOML on Python >= 3.11) "
-            "to sample via the sweep_custom experiment"
+            "declarative JSON scenario spec to sample via the "
+            "sweep_custom experiment"
         ),
     )
     sweep.add_argument(

@@ -6,7 +6,9 @@ callers can catch library failures without catching unrelated Python errors.
 
 from __future__ import annotations
 
+import json
 import os
+import typing as t
 
 __all__ = [
     "ReproError",
@@ -17,6 +19,7 @@ __all__ = [
     "LayoutError",
     "StripRetryExhaustedError",
     "ensure_parent_dir",
+    "read_json",
 ]
 
 
@@ -72,3 +75,22 @@ def ensure_parent_dir(path: str, flag: str) -> None:
         raise ConfigError(
             f"{flag} {path!r}: parent directory {parent!r} does not exist"
         )
+
+
+def read_json(path: str, what: str) -> t.Any:
+    """Parse the JSON file at ``path``, the CLI's one reader of input files.
+
+    An unreadable file, bytes that are not UTF-8, or invalid JSON raise
+    the uniform exit-2 ConfigError naming the file; ``what`` says what
+    the file is meant to hold (``fault plan``, ``scenario spec``,
+    ``trace``).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(
+            f"{what} {path!r} is not valid JSON: {exc}"
+        ) from exc

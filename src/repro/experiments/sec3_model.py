@@ -1,4 +1,4 @@
-"""Sec. III — the analytic bounds (eqs. 3-7 and 9) against the simulator.
+"""Sec. III — the analytic bounds (eqs. 5, 6 and 9) against the simulator.
 
 The analysis predicts: (a) T_balanced - TR >> T_source-aware - TR whenever
 M >> P; (b) the gap grows with NS, NR and (M - P); (c) with NP >= NC the
@@ -70,7 +70,7 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
 
     return ExperimentResult(
         exp_id="sec3_model",
-        title="Sec. III — analytic bounds (eqs. 3-9), TR = 0, NR = 16",
+        title="Sec. III — analytic bounds (eqs. 5, 6 and 9), TR = 0, NR = 16",
         headers=(
             "servers",
             "T_balanced (ms)",
@@ -100,7 +100,7 @@ def _assemble(scale, specs, comparisons) -> ExperimentResult:
     )
 
 
-# Evaluate eqs. (3)-(9) and compare trends with the simulator.
+# Evaluate eqs. (5), (6) and (9) and compare trends with the simulator.
 register_grid_experiment(
     "sec3_model",
     grid=_grid,

@@ -17,10 +17,9 @@ a uniform :class:`~repro.errors.ConfigError` on anything malformed (the
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing as t
 
-from ..errors import ConfigError
+from ..errors import ConfigError, read_json
 
 __all__ = [
     "FaultPlan",
@@ -223,15 +222,7 @@ def load_fault_plan(path: str) -> FaultPlan:
     payload, unknown keys, out-of-range values — surfaces as a uniform
     :class:`~repro.errors.ConfigError` naming the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read fault plan {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"fault plan {path!r} is not valid JSON: {exc}"
-        ) from exc
+    payload = read_json(path, "fault plan")
     try:
         return fault_plan_from_mapping(payload)
     except ConfigError as exc:

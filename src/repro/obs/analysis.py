@@ -29,11 +29,10 @@ deterministic), and never mutates them.  It provides three analyses:
 from __future__ import annotations
 
 import dataclasses
-import json
 import statistics
 import typing as t
 
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError, SimulationError, read_json
 from ..units import sum_left
 from .spans import FlowEvent, Span, SpanRecorder, Track, client_pid
 
@@ -275,13 +274,7 @@ def _track(event: t.Mapping[str, t.Any]) -> Track:
 
 def load_trace(path: str) -> TraceModel:
     """Load an exported ``{"traceEvents": [...]}`` file as a model."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from exc
+    payload = read_json(path, "trace")
     if not isinstance(payload, dict) or "traceEvents" not in payload:
         raise ConfigError(
             f"{path!r} is not a trace-event file (no 'traceEvents' array)"

@@ -133,6 +133,21 @@ def assemble_plan(
     return experiment.assemble(scale, plan.specs, rows)
 
 
+def _distinct_errors(keys: t.Sequence[str], errors: dict[str, str]) -> str:
+    """Each distinct point error once: its count and its first point's key.
+
+    Points that give up on the same strip raise the same text; a lost
+    worker's reason names its pid, so those stay one per point.
+    """
+    by_error: dict[str, list[str]] = {}
+    for key in keys:
+        by_error.setdefault(errors[key], []).append(key)
+    return "; ".join(
+        f"{error} [{len(group)} point(s), first {group[0][:24]}]"
+        for error, group in by_error.items()
+    )
+
+
 class ExperimentRunner:
     """Run experiments over ``jobs`` workers with optional result cache.
 
@@ -214,9 +229,7 @@ class ExperimentRunner:
                 continue
             failed = [key for key in plan.task_keys if key in point_errors]
             if failed:
-                detail = "; ".join(
-                    f"{key[:24]}: {point_errors[key]}" for key in failed
-                )
+                detail = _distinct_errors(failed, point_errors)
                 self._emit(f"failed {plan.exp_id}: {detail}")
                 reports.append(
                     RunReport(

@@ -1,16 +1,17 @@
 """``repro.scenarios``: declarative, seeded scenario generation.
 
 Where the figure experiments hand-pick a handful of topologies, this
-subsystem makes scenario breadth a knob: a compact declarative spec
-(JSON/TOML — distributions over core counts, NIC/link speeds,
-heterogeneous client classes, oversubscribed leaf–spine switch tiers,
-read/write mixes) expands into concrete
-:class:`~repro.config.ClusterConfig` instances, byte-reproducible from
-``(spec, seed)``.  The ``sweep`` experiment family
-(:mod:`repro.experiments.sweep`) samples generated scenarios through
-the ordinary runner/cache/``--jobs`` machinery and
-:func:`build_report` folds the results into win-rate tables bucketed by
-topology features.
+subsystem makes scenario breadth a knob: a compact declarative JSON
+spec (distributions over core counts, NIC/link speeds, heterogeneous
+client classes, oversubscribed leaf–spine switch tiers, read/write
+mixes) expands into concrete :class:`~repro.config.ClusterConfig`
+instances, byte-reproducible from ``(spec, seed)``.  Each knob is
+declared once, on its spec field (:mod:`repro.scenarios.spec`), which
+names its JSON key, its parsing, its bounds and its draw.  The
+``sweep`` experiment family (:mod:`repro.experiments.sweep`) samples
+generated scenarios through the ordinary runner/cache/``--jobs``
+machinery and :func:`build_report` folds the results into win-rate
+tables bucketed by topology features.
 
 The cookbook — full schema, worked example specs, how to read the sweep
 report — lives in ``docs/SCENARIOS.md``.
@@ -26,7 +27,6 @@ from .dist import (
     Choice,
     Const,
     Distribution,
-    LogUniform,
     Uniform,
     UniformInt,
     parse_dist,
@@ -54,7 +54,6 @@ __all__ = [
     "Const",
     "DEFAULT_CUSTOM_REQUEST",
     "Distribution",
-    "LogUniform",
     "Scenario",
     "ScenarioSpec",
     "SweepReport",

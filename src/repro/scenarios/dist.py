@@ -9,12 +9,11 @@ small JSON value describing a distribution instead of a scalar:
 ``{"choice": [...], "weights": [...]}`` weighted pick (:class:`Choice`)
 ``{"uniform": [lo, hi]}``               real uniform on [lo, hi)
 ``{"uniform_int": [lo, hi]}``           integer uniform, inclusive
-``{"loguniform": [lo, hi]}``            log-spaced real on [lo, hi)
 =====================================  ==================================
 
 Every distribution maps one deterministic unit draw ``u`` in [0, 1)
 (from :func:`repro.rng.hash_unit`, keyed by ``(seed, scenario index,
-knob name)``) to a value — there is no hidden stream state, which is
+knob path)``) to a value — there is no hidden stream state, which is
 what makes generation byte-reproducible from ``(spec, seed)`` in any
 process, in any order (DESIGN.md §11).
 
@@ -26,7 +25,6 @@ Size-valued fields accept the paper's suffix labels (``"512K"``,
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing as t
 
 from ..errors import ConfigError
@@ -38,14 +36,13 @@ __all__ = [
     "Choice",
     "Uniform",
     "UniformInt",
-    "LogUniform",
     "parse_dist",
 ]
 
 #: JSON scalar → spec value converter (e.g. ``parse_size`` for sizes).
 Atom = t.Callable[[t.Any], t.Any]
 
-_DIST_KEYS = ("choice", "uniform", "uniform_int", "loguniform")
+_DIST_KEYS = ("choice", "uniform", "uniform_int")
 
 
 class Distribution:
@@ -157,39 +154,11 @@ class UniformInt(Distribution):
         return (float(self.lo), float(self.hi))
 
 
-@dataclasses.dataclass(frozen=True)
-class LogUniform(Distribution):
-    """Log-spaced real on ``[lo, hi)`` (both strictly positive)."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.lo <= 0 or self.hi <= 0:
-            raise ConfigError(
-                f"loguniform bounds must be positive, got [{self.lo}, {self.hi}]"
-            )
-        if not self.lo <= self.hi:
-            raise ConfigError(
-                f"loguniform needs lo <= hi, got [{self.lo}, {self.hi}]"
-            )
-
-    def sample(self, u: float) -> float:
-        return math.exp(
-            math.log(self.lo) + u * (math.log(self.hi) - math.log(self.lo))
-        )
-
-    def bounds(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-
 def _atomize(field: str, raw: t.Any, atom: Atom) -> t.Any:
     try:
         return atom(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: bad value {raw!r}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a ConfigError included
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _pair(field: str, kind: str, raw: t.Any, atom: Atom) -> tuple[t.Any, t.Any]:
@@ -245,13 +214,11 @@ def parse_dist(field: str, raw: t.Any, atom: Atom = lambda v: v) -> Distribution
         try:
             if kind == "uniform":
                 return Uniform(lo=float(lo), hi=float(hi))
-            if kind == "uniform_int":
-                if lo != int(lo) or hi != int(hi):
-                    raise ConfigError(
-                        f"uniform_int bounds must be integers, got [{lo}, {hi}]"
-                    )
-                return UniformInt(lo=int(lo), hi=int(hi))
-            return LogUniform(lo=float(lo), hi=float(hi))
+            if lo != int(lo) or hi != int(hi):
+                raise ConfigError(
+                    f"uniform_int bounds must be integers, got [{lo}, {hi}]"
+                )
+            return UniformInt(lo=int(lo), hi=int(hi))
         except ConfigError as exc:
             raise ConfigError(f"{field}: {exc}") from exc
     return Const(value=_atomize(field, raw, atom))

@@ -5,11 +5,13 @@ seed, scale)`` returns the same :class:`~repro.config.ClusterConfig`
 instances — field for field, bit for bit — in any process, under any
 ``--jobs`` fan-out, on any platform.  That follows from how draws are
 made: every knob of scenario *i* is a pure function of ``(seed, i,
-knob name)`` through :func:`repro.rng.hash_unit`, with no sequential
+knob path)`` through :func:`repro.rng.hash_unit`, with no sequential
 stream state to perturb (the same order-independence idiom the fault
-injector uses for per-packet decisions).  Adding a knob therefore never
-shifts the draws of existing knobs, and scenario *i* is the same whether
-you generate 1 or 1000.
+injector uses for per-packet decisions).  The path is the knob's JSON
+key, declared once on its spec field (``client.<key>`` for a client
+class knob), so adding a knob is adding a field: it never shifts the
+draws of existing knobs, and scenario *i* is the same whether you
+generate 1 or 1000.
 
 ``scale`` only dials the per-process file size (run length), exactly
 like the figure experiments: bandwidth is a steady-state rate, so quick
@@ -31,7 +33,7 @@ from ..config import (
 from ..errors import ConfigError
 from ..rng import hash_unit, stable_hash
 from ..units import Gbit, MiB, USEC, sum_left
-from .spec import ScenarioSpec
+from .spec import CLASS_KNOBS, SPEC_KNOBS, ScenarioSpec
 
 __all__ = [
     "Scenario",
@@ -81,7 +83,6 @@ class TopologyFeatures:
     #: ``"strip"`` for coalesced trains, else the MSS in bytes.
     mss_label: str
     operation: str
-    access_pattern: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,6 +99,31 @@ class Scenario:
 
 def _u(seed: int, index: int, knob: str) -> float:
     return hash_unit(seed, index, stable_hash(knob))
+
+
+def _draw_keys(
+    knobs: t.Sequence[dataclasses.Field], prefix: str = ""
+) -> tuple[tuple[str, int], ...]:
+    return tuple(
+        (field.name, stable_hash(prefix + field.metadata["path"]))
+        for field in knobs
+        if field.metadata["drawn"]
+    )
+
+
+#: (field name, hashed draw key) of every drawn knob, hashed at import.
+_SPEC_DRAWS = _draw_keys(SPEC_KNOBS)
+_CLASS_DRAWS = _draw_keys(CLASS_KNOBS, "client.")
+
+
+def _draw(
+    owner: t.Any, draws: tuple[tuple[str, int], ...], seed: int, index: int
+) -> dict[str, t.Any]:
+    """Each distribution knob of ``owner`` sampled at scenario ``index``."""
+    return {
+        name: getattr(owner, name).sample(hash_unit(seed, index, key))
+        for name, key in draws
+    }
 
 
 def _pick_class(spec: ScenarioSpec, u: float):
@@ -121,32 +147,16 @@ def _one_scenario(
     spec: ScenarioSpec, index: int, seed: int, scale: str
 ) -> Scenario:
     klass = _pick_class(spec, _u(seed, index, "client.class"))
-    n_cores = klass.cores.sample(_u(seed, index, "client.cores"))
-    client_gbit = float(
-        klass.nic_gigabits.sample(_u(seed, index, "client.nic_gigabits"))
-    )
-    nic_ports, port_bw = _client_nic(client_gbit)
-    n_clients = int(spec.n_clients.sample(_u(seed, index, "clients.count")))
-    n_servers = int(spec.n_servers.sample(_u(seed, index, "servers.count")))
-    server_gbit = float(
-        spec.server_gigabits.sample(_u(seed, index, "servers.nic_gigabits"))
-    )
-    disk_mib = float(spec.disk_mib.sample(_u(seed, index, "servers.disk_mib")))
-    cache_hit = float(spec.cache_hit.sample(_u(seed, index, "servers.cache_hit")))
-    tiers = int(spec.tiers.sample(_u(seed, index, "network.tiers")))
-    oversub = float(
-        spec.oversubscription.sample(_u(seed, index, "network.oversubscription"))
-    )
-    latency_us = float(
-        spec.latency_us.sample(_u(seed, index, "network.latency_us"))
-    )
-    mss = spec.mss.sample(_u(seed, index, "network.mss"))
-    n_processes = int(
-        spec.n_processes.sample(_u(seed, index, "workload.processes"))
-    )
-    transfer = int(
-        spec.transfer_size.sample(_u(seed, index, "workload.transfer_size"))
-    )
+    shape = _draw(klass, _CLASS_DRAWS, seed, index)
+    drawn = _draw(spec, _SPEC_DRAWS, seed, index)
+    nic_ports, port_bw = _client_nic(float(shape["nic_gigabits"]))
+    n_clients = int(drawn["n_clients"])
+    n_servers = int(drawn["n_servers"])
+    server_gbit = float(drawn["server_gigabits"])
+    tiers = int(drawn["tiers"])
+    oversub = float(drawn["oversubscription"])
+    mss = drawn["mss"]
+    transfer = int(drawn["transfer_size"])
     operation = (
         "write"
         if _u(seed, index, "workload.operation") < spec.write_fraction
@@ -159,15 +169,15 @@ def _one_scenario(
     )
 
     client = ClientConfig(
-        n_cores=n_cores,
+        n_cores=shape["cores"],
         n_sockets=klass.sockets,
         nic_ports=nic_ports,
         nic_port_bandwidth=port_bw,
         napi=klass.napi,
     )
     server = ServerConfig(
-        disk_rate=disk_mib * MiB,
-        cache_hit_ratio=round(cache_hit, 4),
+        disk_rate=float(drawn["disk_mib"]) * MiB,
+        cache_hit_ratio=round(float(drawn["cache_hit"]), 4),
         nic_bandwidth=server_gbit * Gbit,
     )
     # The fabric model: each extra tier adds two switch hops to the
@@ -179,12 +189,12 @@ def _one_scenario(
     edge_bw = max(n_servers * server_gbit * Gbit, n_clients * client_agg_bw)
     switch_bw = max(edge_bw / oversub, max(server_gbit * Gbit, client_agg_bw))
     network = NetworkConfig(
-        latency=latency_us * USEC * (2 * tiers - 1),
+        latency=float(drawn["latency_us"]) * USEC * (2 * tiers - 1),
         switch_bandwidth=switch_bw,
         mss=mss,
     )
     workload = WorkloadConfig(
-        n_processes=n_processes,
+        n_processes=int(drawn["n_processes"]),
         transfer_size=transfer,
         file_size=scenario_file_size(scale, transfer),
         operation=operation,
@@ -216,7 +226,6 @@ def _one_scenario(
         link_ratio=round(client_agg_bw / (server_gbit * Gbit), 3),
         mss_label="strip" if mss is None else str(int(mss)),
         operation=operation,
-        access_pattern=access,
     )
     return Scenario(
         index=index,

@@ -1,4 +1,4 @@
-"""Declarative scenario specs: schema, validation, JSON/TOML loading.
+"""Declarative scenario specs: schema, validation, JSON loading.
 
 A :class:`ScenarioSpec` is a compact, frozen description of a *family*
 of clusters: distributions over client core counts and NIC speeds,
@@ -8,9 +8,15 @@ depth and oversubscription, and the read/write mix.  The generator
 :class:`~repro.config.ClusterConfig` instances, byte-reproducible from
 ``(spec, seed)``.
 
+Each knob is declared once, on its field: :func:`_knob` records the
+knob's JSON path, the atom that parses its scalars and its bounds.  The
+loader derives the spec's sections, their keys and the parsing from
+those declarations, validation derives the bounds, and the generator
+draws each distribution knob under the same path.
+
 Loading mirrors :func:`repro.faults.load_fault_plan`: every failure mode
-— unreadable file, invalid JSON/TOML, unknown keys, out-of-range values
-— surfaces as a uniform :class:`~repro.errors.ConfigError` naming the
+— unreadable file, invalid JSON, unknown keys, out-of-range values —
+surfaces as a uniform :class:`~repro.errors.ConfigError` naming the
 file, which the CLI maps to exit code 2.  The full schema, knob by knob,
 is documented in ``docs/SCENARIOS.md``.
 """
@@ -18,13 +24,21 @@ is documented in ``docs/SCENARIOS.md``.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import typing as t
 
-from ..errors import ConfigError
+from ..errors import ConfigError, read_json
 from ..net.ip_options import MAX_ENCODABLE_CORES
 from ..units import KiB, parse_size
-from .dist import Choice, Const, Distribution, Uniform, UniformInt, parse_dist
+from .dist import (
+    Atom,
+    Choice,
+    Const,
+    Distribution,
+    Uniform,
+    UniformInt,
+    parse_dist,
+)
 
 __all__ = [
     "ClientClassSpec",
@@ -50,8 +64,17 @@ def _number_atom(raw: t.Any) -> float:
     return float(raw)
 
 
-def _size_atom(raw: t.Any) -> int:
-    return parse_size(raw)
+def _bool_atom(raw: t.Any) -> bool:
+    if not isinstance(raw, bool):
+        raise ConfigError(f"expected a boolean, got {raw!r}")
+    return raw
+
+
+def _positive_atom(raw: t.Any) -> float:
+    value = _number_atom(raw)
+    if not value > 0:
+        raise ConfigError(f"expected a positive number, got {raw!r}")
+    return value
 
 
 def _mss_atom(raw: t.Any) -> int | None:
@@ -63,25 +86,72 @@ def _mss_atom(raw: t.Any) -> int | None:
     return value
 
 
-def _check_min(field: str, dist: Distribution, minimum: float) -> None:
-    bounds = dist.bounds()
-    if bounds is None:
-        support = dist.support()
-        if support is None:
-            raise ConfigError(f"{field}: distribution has no numeric bounds")
-        raise ConfigError(f"{field}: non-numeric values {support!r}")
-    if bounds[0] < minimum:
-        raise ConfigError(
-            f"{field}: values must be >= {minimum:g}, "
-            f"distribution reaches {bounds[0]:g}"
-        )
+def _policy_atom(raw: t.Any) -> str:
+    # The live policy registry, as ClusterConfig checks its policy field.
+    from ..core import policies as _policies  # noqa: F401  (registers)
+    from ..core.policy import available_policies, unknown_policy_error
+
+    if raw not in available_policies():
+        raise unknown_policy_error(raw)
+    return raw
 
 
-def _check_fraction(field: str, value: float) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field} must be a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{field} must be in [0, 1], got {value}")
+def _knob(
+    path: str,
+    default: t.Any,
+    atom: Atom,
+    lo: float | None = None,
+    hi: float = math.inf,
+) -> t.Any:
+    """Declare a spec field as the knob at JSON key ``path``.
+
+    A knob whose default is a :class:`Distribution` is *drawn*: the
+    loader parses each of its values with ``atom``, and the generator
+    draws it under ``path`` (``client.<path>`` on a client class).  Any
+    other knob is one plain value that ``atom`` checks.  A knob with a
+    ``lo`` bound keeps every value it can take in ``[lo, hi]``.
+    """
+    drawn = isinstance(default, Distribution)
+    return dataclasses.field(
+        default=default,
+        metadata=dict(path=path, atom=atom, lo=lo, hi=hi, drawn=drawn),
+    )
+
+
+def _check_knobs(
+    owner: t.Any, knobs: t.Sequence[dataclasses.Field], prefix: str = ""
+) -> None:
+    """Validate ``owner``'s knobs against their declarations.
+
+    Every value a knob can take must pass its atom, so a spec built in
+    Python meets the loader's rules (a continuous distribution's values
+    are checked by its bounds), and a bounded knob must stay in range.
+    """
+    for field in knobs:
+        value = getattr(owner, field.name)
+        path = prefix + field.metadata["path"]
+        drawn, lo, hi = (field.metadata[key] for key in ("drawn", "lo", "hi"))
+        try:
+            for scalar in (value.support() or ()) if drawn else (value,):
+                field.metadata["atom"](scalar)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        if lo is None:
+            continue
+        bounds = value.bounds() if drawn else (value, value)
+        if bounds is None:
+            raise ConfigError(f"{path}: non-numeric values {value.support()!r}")
+        if not lo <= bounds[0] <= bounds[1] <= hi:
+            raise ConfigError(
+                f"{path}: values must lie in [{lo:g}, {hi:g}], "
+                f"got {bounds[0]:g} to {bounds[1]:g}"
+            )
+
+
+def _knobs(cls: type) -> tuple[dataclasses.Field, ...]:
+    return tuple(
+        field for field in dataclasses.fields(cls) if "path" in field.metadata
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,35 +165,26 @@ class ClientClassSpec:
 
     name: str
     #: Relative probability of a scenario drawing this class.
-    weight: float = 1.0
+    weight: float = _knob("weight", 1.0, _positive_atom)
     #: Core count — must have *finite* support (const or choice), every
     #: value a multiple of ``sockets`` and at most the SAIs IP option's
     #: 5-bit core-id capacity (``MAX_ENCODABLE_CORES``).
-    cores: Distribution = dataclasses.field(default_factory=lambda: Const(8))
+    cores: Distribution = _knob("cores", Const(8), _int_atom)
     #: CPU packages (a plain int: it gates which core counts are legal).
-    sockets: int = 2
+    sockets: int = _knob("sockets", 2, _int_atom, lo=1)
     #: Aggregate client NIC speed in Gigabits; integral values model
     #: bonded 1-Gigabit ports (the paper's head node), fractional or
     #: >4 values a single faster port.
-    nic_gigabits: Distribution = dataclasses.field(
-        default_factory=lambda: Const(3)
+    nic_gigabits: Distribution = _knob(
+        "nic_gigabits", Const(3), _number_atom, lo=0.1
     )
     #: Linux-NAPI adaptive interrupt coalescing on this class's driver.
-    napi: bool = False
+    napi: bool = _knob("napi", False, _bool_atom)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("client class name must be non-empty")
-        if not isinstance(self.weight, (int, float)) or self.weight <= 0:
-            raise ConfigError(
-                f"client class {self.name!r}: weight must be positive, "
-                f"got {self.weight!r}"
-            )
-        if not isinstance(self.sockets, int) or self.sockets < 1:
-            raise ConfigError(
-                f"client class {self.name!r}: sockets must be a positive "
-                f"int, got {self.sockets!r}"
-            )
+        _check_knobs(self, CLASS_KNOBS, f"client class {self.name!r}: ")
         support = self.cores.support()
         if support is None:
             raise ConfigError(
@@ -131,11 +192,6 @@ class ClientClassSpec:
                 "(a constant or a choice), not a continuous distribution"
             )
         for value in support:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(
-                    f"client class {self.name!r}: cores must be integers, "
-                    f"got {value!r}"
-                )
             if not 1 <= value <= MAX_ENCODABLE_CORES:
                 raise ConfigError(
                     f"client class {self.name!r}: {value} cores exceeds the "
@@ -146,12 +202,6 @@ class ClientClassSpec:
                     f"client class {self.name!r}: {value} cores do not "
                     f"split evenly over {self.sockets} sockets"
                 )
-        _check_min(f"client class {self.name!r}: nic_gigabits", self.nic_gigabits, 0.1)
-        if not isinstance(self.napi, bool):
-            raise ConfigError(
-                f"client class {self.name!r}: napi must be a boolean, "
-                f"got {self.napi!r}"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,52 +219,59 @@ class ScenarioSpec:
     #: Client machine classes, drawn per scenario by weight.
     classes: tuple[ClientClassSpec, ...]
     #: Number of client nodes.
-    n_clients: Distribution = dataclasses.field(default_factory=lambda: Const(1))
+    n_clients: Distribution = _knob("clients.count", Const(1), _int_atom, lo=1)
     #: Number of PVFS I/O servers.
-    n_servers: Distribution = dataclasses.field(default_factory=lambda: Const(8))
+    n_servers: Distribution = _knob("servers.count", Const(8), _int_atom, lo=1)
     #: Server NIC speed in Gigabits.
-    server_gigabits: Distribution = dataclasses.field(
-        default_factory=lambda: Const(1)
+    server_gigabits: Distribution = _knob(
+        "servers.nic_gigabits", Const(1), _number_atom, lo=0.1
     )
     #: Server streaming disk rate in MiB/s.
-    disk_mib: Distribution = dataclasses.field(default_factory=lambda: Const(80))
+    disk_mib: Distribution = _knob(
+        "servers.disk_mib", Const(80), _number_atom, lo=1
+    )
     #: Server page-cache hit ratio in [0, 1].
-    cache_hit: Distribution = dataclasses.field(
-        default_factory=lambda: Const(0.62)
+    cache_hit: Distribution = _knob(
+        "servers.cache_hit", Const(0.62), _number_atom, lo=0.0, hi=1.0
     )
     #: Switch tiers: 1 = single switch, 2 = leaf–spine, 3 = leaf–spine–
     #: core.  Each extra tier adds two switch hops to the path, so the
     #: effective one-way fabric latency is ``latency_us x (2·tiers - 1)``.
-    tiers: Distribution = dataclasses.field(default_factory=lambda: Const(1))
+    tiers: Distribution = _knob("network.tiers", Const(1), _int_atom, lo=1)
     #: Leaf→spine uplink oversubscription ratio (>= 1).  The shared
     #: switch backplane is sized at ``aggregate edge bandwidth / ratio``
     #: (floored at the fastest single link), so ratios above 1 make the
     #: fabric a contended resource.
-    oversubscription: Distribution = dataclasses.field(
-        default_factory=lambda: Const(1.0)
+    oversubscription: Distribution = _knob(
+        "network.oversubscription", Const(1.0), _number_atom, lo=1.0
     )
     #: Per-hop one-way switch latency in microseconds.
-    latency_us: Distribution = dataclasses.field(
-        default_factory=lambda: Const(60.0)
+    latency_us: Distribution = _knob(
+        "network.latency_us", Const(60.0), _number_atom, lo=0.0
     )
     #: TCP MSS: ``None`` = coalesced one-interrupt-per-strip trains,
     #: 1500/8960 = per-segment packets and interrupts.
-    mss: Distribution = dataclasses.field(default_factory=lambda: Const(None))
+    mss: Distribution = _knob("network.mss", Const(None), _mss_atom)
     #: Concurrent IOR processes per client.
-    n_processes: Distribution = dataclasses.field(
-        default_factory=lambda: Const(8)
+    n_processes: Distribution = _knob(
+        "workload.processes", Const(8), _int_atom, lo=1
     )
     #: Bytes per IOR read/write call (accepts "512K"-style labels).
-    transfer_size: Distribution = dataclasses.field(
-        default_factory=lambda: Const(512 * KiB)
+    transfer_size: Distribution = _knob(
+        "workload.transfer_size", Const(512 * KiB), parse_size, lo=1
     )
     #: Probability that a scenario runs the write path instead of read.
-    write_fraction: float = 0.0
+    write_fraction: float = _knob(
+        "workload.write_fraction", 0.0, _number_atom, lo=0.0, hi=1.0
+    )
     #: Probability that a scenario uses the random access pattern.
-    random_fraction: float = 0.0
-    #: The A/B pair every scenario is scored on.
-    baseline: str = "irqbalance"
-    treatment: str = "source_aware"
+    random_fraction: float = _knob(
+        "workload.random_fraction", 0.0, _number_atom, lo=0.0, hi=1.0
+    )
+    #: The A/B pair every scenario is scored on, checked against the
+    #: live policy registry.
+    baseline: str = _knob("policies.baseline", "irqbalance", _policy_atom)
+    treatment: str = _knob("policies.treatment", "source_aware", _policy_atom)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -224,184 +281,99 @@ class ScenarioSpec:
         names = [klass.name for klass in self.classes]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate client class names: {names}")
-        _check_min("clients.count", self.n_clients, 1)
-        _check_min("servers.count", self.n_servers, 1)
-        _check_min("servers.nic_gigabits", self.server_gigabits, 0.1)
-        _check_min("servers.disk_mib", self.disk_mib, 1)
-        _check_min("servers.cache_hit", self.cache_hit, 0.0)
-        bounds = self.cache_hit.bounds()
-        if bounds is not None and bounds[1] > 1.0:
-            raise ConfigError(
-                f"servers.cache_hit must stay in [0, 1], "
-                f"distribution reaches {bounds[1]:g}"
-            )
-        _check_min("network.tiers", self.tiers, 1)
-        _check_min("network.oversubscription", self.oversubscription, 1.0)
-        _check_min("network.latency_us", self.latency_us, 0.0)
-        support = self.tiers.support()
-        if support is not None:
-            for value in support:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(
-                        f"network.tiers must be integers, got {value!r}"
-                    )
-        _check_min("workload.processes", self.n_processes, 1)
-        _check_min("workload.transfer_size", self.transfer_size, 1)
-        _check_fraction("workload.write_fraction", self.write_fraction)
-        _check_fraction("workload.random_fraction", self.random_fraction)
-        # Validate the A/B pair against the live policy registry, the
-        # same way ClusterConfig validates its policy field.
-        from ..core import policies as _policies  # noqa: F401  (registers)
-        from ..core.policy import available_policies, unknown_policy_error
-
-        for policy in (self.baseline, self.treatment):
-            if policy not in available_policies():
-                raise unknown_policy_error(policy)
+        _check_knobs(self, SPEC_KNOBS)
 
 
-_CLASS_KEYS = ("name", "weight", "cores", "sockets", "nic_gigabits", "napi")
-_TOP_KEYS = ("name", "clients", "servers", "network", "workload", "policies")
+#: The knob fields of each spec dataclass, in declaration order.
+CLASS_KNOBS = _knobs(ClientClassSpec)
+SPEC_KNOBS = _knobs(ScenarioSpec)
 
 
-def _section(
-    payload: t.Mapping[str, t.Any], key: str, allowed: t.Sequence[str]
-) -> dict[str, t.Any]:
-    section = payload.get(key, {})
-    if not isinstance(section, t.Mapping):
-        raise ConfigError(
-            f"spec section {key!r} must be an object, "
-            f"got {type(section).__name__}"
-        )
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in spec section {key!r}: {', '.join(unknown)}; "
-            f"valid keys: {', '.join(allowed)}"
-        )
-    return dict(section)
+def _spec_sections() -> dict[str, tuple[str, ...]]:
+    """Each section's keys, from the knob paths (``clients`` also holds
+    the class list)."""
+    sections: dict[str, tuple[str, ...]] = {}
+    for field in SPEC_KNOBS:
+        section, key = field.metadata["path"].split(".")
+        sections[section] = sections.get(section, ()) + (key,)
+    sections["clients"] += ("classes",)
+    return sections
 
 
-def _class_from_mapping(payload: t.Mapping[str, t.Any]) -> ClientClassSpec:
+_SECTIONS = _spec_sections()
+
+
+def _object(
+    what: str, payload: t.Any, allowed: t.Sequence[str]
+) -> t.Mapping[str, t.Any]:
+    """``payload`` as a mapping whose keys are all ``allowed``."""
     if not isinstance(payload, t.Mapping):
         raise ConfigError(
-            f"client class must be an object, got {type(payload).__name__}"
+            f"{what} must be an object, got {type(payload).__name__}"
         )
-    unknown = sorted(set(payload) - set(_CLASS_KEYS))
+    unknown = sorted(set(payload) - set(allowed))
     if unknown:
         raise ConfigError(
-            f"unknown client class key(s): {', '.join(unknown)}; "
-            f"valid keys: {', '.join(_CLASS_KEYS)}"
+            f"unknown key(s) in {what}: {', '.join(unknown)}; "
+            f"valid keys: {', '.join(allowed)}"
         )
+    return payload
+
+
+def _parse_knobs(
+    knobs: t.Sequence[dataclasses.Field], raw: t.Mapping[str, t.Any]
+) -> dict[str, t.Any]:
+    """Constructor arguments for the knobs ``raw`` sets, keyed by path."""
+    kwargs: dict[str, t.Any] = {}
+    for field in knobs:
+        path = field.metadata["path"]
+        if path in raw:
+            value = raw[path]
+            kwargs[field.name] = (
+                parse_dist(path, value, field.metadata["atom"])
+                if field.metadata["drawn"]
+                else value
+            )
+    return kwargs
+
+
+def _class_from_mapping(payload: t.Any) -> ClientClassSpec:
+    keys = ("name", *(field.metadata["path"] for field in CLASS_KNOBS))
+    payload = _object("client class", payload, keys)
     if "name" not in payload:
         raise ConfigError("client class needs a name")
-    kwargs: dict[str, t.Any] = {"name": payload["name"]}
-    if "weight" in payload:
-        kwargs["weight"] = payload["weight"]
-    if "sockets" in payload:
-        kwargs["sockets"] = payload["sockets"]
-    if "napi" in payload:
-        kwargs["napi"] = payload["napi"]
-    if "cores" in payload:
-        kwargs["cores"] = parse_dist("cores", payload["cores"], _int_atom)
-    if "nic_gigabits" in payload:
-        kwargs["nic_gigabits"] = parse_dist(
-            "nic_gigabits", payload["nic_gigabits"], _number_atom
-        )
-    return ClientClassSpec(**kwargs)
+    return ClientClassSpec(
+        name=payload["name"], **_parse_knobs(CLASS_KNOBS, payload)
+    )
 
 
 def spec_from_mapping(payload: t.Mapping[str, t.Any]) -> ScenarioSpec:
-    """Build a :class:`ScenarioSpec` from a parsed-JSON style mapping.
+    """Build a :class:`ScenarioSpec` from a parsed-JSON mapping.
 
     Unknown keys at any level raise :class:`~repro.errors.ConfigError`
     (the ``fault_plan_from_mapping`` contract), so typos fail loudly
     instead of silently pinning a knob to its default.
     """
-    if not isinstance(payload, t.Mapping):
-        raise ConfigError(
-            f"scenario spec must be a JSON object, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - set(_TOP_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown spec key(s): {', '.join(unknown)}; "
-            f"valid keys: {', '.join(_TOP_KEYS)}"
-        )
-    if "name" not in payload or not isinstance(payload["name"], str):
+    payload = _object("scenario spec", payload, ("name", *_SECTIONS))
+    if not isinstance(payload.get("name"), str):
         raise ConfigError("scenario spec needs a string name")
-    clients = _section(payload, "clients", ("count", "classes"))
-    servers = _section(
-        payload, "servers", ("count", "nic_gigabits", "disk_mib", "cache_hit")
-    )
-    network = _section(
-        payload, "network", ("tiers", "oversubscription", "latency_us", "mss")
-    )
-    workload = _section(
-        payload,
-        "workload",
-        ("processes", "transfer_size", "write_fraction", "random_fraction"),
-    )
-    policies = _section(payload, "policies", ("baseline", "treatment"))
-
-    raw_classes = clients.get("classes", [{"name": "default"}])
-    if not isinstance(raw_classes, (list, tuple)) or not raw_classes:
+    raw: dict[str, t.Any] = {}
+    for section, keys in _SECTIONS.items():
+        body = _object(
+            f"spec section {section!r}", payload.get(section, {}), keys
+        )
+        raw.update((f"{section}.{key}", value) for key, value in body.items())
+    classes = raw.pop("clients.classes", [{"name": "default"}])
+    if not isinstance(classes, (list, tuple)) or not classes:
         raise ConfigError(
-            f"clients.classes must be a non-empty list, got {raw_classes!r}"
+            f"clients.classes must be a non-empty list, got {classes!r}"
         )
-    kwargs: dict[str, t.Any] = {
-        "name": payload["name"],
-        "classes": tuple(_class_from_mapping(klass) for klass in raw_classes),
-    }
-    if "count" in clients:
-        kwargs["n_clients"] = parse_dist(
-            "clients.count", clients["count"], _int_atom
-        )
-    if "count" in servers:
-        kwargs["n_servers"] = parse_dist(
-            "servers.count", servers["count"], _int_atom
-        )
-    if "nic_gigabits" in servers:
-        kwargs["server_gigabits"] = parse_dist(
-            "servers.nic_gigabits", servers["nic_gigabits"], _number_atom
-        )
-    if "disk_mib" in servers:
-        kwargs["disk_mib"] = parse_dist(
-            "servers.disk_mib", servers["disk_mib"], _number_atom
-        )
-    if "cache_hit" in servers:
-        kwargs["cache_hit"] = parse_dist(
-            "servers.cache_hit", servers["cache_hit"], _number_atom
-        )
-    if "tiers" in network:
-        kwargs["tiers"] = parse_dist("network.tiers", network["tiers"], _int_atom)
-    if "oversubscription" in network:
-        kwargs["oversubscription"] = parse_dist(
-            "network.oversubscription", network["oversubscription"], _number_atom
-        )
-    if "latency_us" in network:
-        kwargs["latency_us"] = parse_dist(
-            "network.latency_us", network["latency_us"], _number_atom
-        )
-    if "mss" in network:
-        kwargs["mss"] = parse_dist("network.mss", network["mss"], _mss_atom)
-    if "processes" in workload:
-        kwargs["n_processes"] = parse_dist(
-            "workload.processes", workload["processes"], _int_atom
-        )
-    if "transfer_size" in workload:
-        kwargs["transfer_size"] = parse_dist(
-            "workload.transfer_size", workload["transfer_size"], _size_atom
-        )
-    if "write_fraction" in workload:
-        kwargs["write_fraction"] = workload["write_fraction"]
-    if "random_fraction" in workload:
-        kwargs["random_fraction"] = workload["random_fraction"]
-    if "baseline" in policies:
-        kwargs["baseline"] = policies["baseline"]
-    if "treatment" in policies:
-        kwargs["treatment"] = policies["treatment"]
     try:
-        return ScenarioSpec(**kwargs)
+        return ScenarioSpec(
+            name=payload["name"],
+            classes=tuple(_class_from_mapping(klass) for klass in classes),
+            **_parse_knobs(SPEC_KNOBS, raw),
+        )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -409,40 +381,12 @@ def spec_from_mapping(payload: t.Mapping[str, t.Any]) -> ScenarioSpec:
 
 
 def load_spec(path: str) -> ScenarioSpec:
-    """Read a :class:`ScenarioSpec` from a JSON or TOML file.
+    """Read a :class:`ScenarioSpec` from a JSON file.
 
-    The format follows the extension: ``.toml`` parses with the standard
-    library's ``tomllib`` (Python >= 3.11; a uniform ConfigError explains
-    the gate on 3.10), everything else parses as JSON.  Every failure
-    mode surfaces as :class:`~repro.errors.ConfigError` naming the file.
+    Every failure mode surfaces as :class:`~repro.errors.ConfigError`
+    naming the file.
     """
-    if str(path).endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - Python 3.10
-            raise ConfigError(
-                f"cannot read {path!r}: TOML specs need Python >= 3.11 "
-                "(tomllib); use the JSON form instead"
-            ) from None
-        try:
-            with open(path, "rb") as handle:
-                payload = tomllib.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario spec {path!r}: {exc}") from exc
-        except tomllib.TOMLDecodeError as exc:
-            raise ConfigError(
-                f"scenario spec {path!r} is not valid TOML: {exc}"
-            ) from exc
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario spec {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"scenario spec {path!r} is not valid JSON: {exc}"
-            ) from exc
+    payload = read_json(path, "scenario spec")
     try:
         return spec_from_mapping(payload)
     except ConfigError as exc:

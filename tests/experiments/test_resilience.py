@@ -256,6 +256,9 @@ class TestCliHardening:
             "sais-repro: fig5_bandwidth_3g FAILED: 4 of 4 point(s) failed: "
         )
         assert "StripRetryExhaustedError: strip 0 " in failed[0]
+        # The four points raise the same error; the line names it once.
+        assert failed[0].count("StripRetryExhaustedError") == 1
+        assert "[4 point(s), first " in failed[0]
         assert captured.out.startswith("Sec. III — analytic bounds")
 
     def test_resilience_sweeps_run_from_cli(self, capsys):

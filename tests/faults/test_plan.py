@@ -179,6 +179,14 @@ class TestLoader:
             load_fault_plan(str(path))
         assert "broken.json" in str(excinfo.value)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        # Used to escape as a UnicodeDecodeError traceback.
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError) as excinfo:
+            load_fault_plan(str(path))
+        assert "binary.json" in str(excinfo.value)
+
     def test_non_object_payload_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

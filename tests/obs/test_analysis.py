@@ -32,7 +32,7 @@ from repro.obs.analysis import (
     strip_stage_times,
 )
 from repro.obs.export import write_trace
-from repro.obs.trace_cli import run_trace, trace_point_config
+from repro.obs.trace_cli import trace_point_config
 from repro.units import KiB, MiB
 
 
@@ -280,23 +280,37 @@ class TestStageDurations:
 
 class TestModelRoundTrip:
     def test_file_model_matches_recorder_model(self, tmp_path):
-        """Exported JSON reloads to the same strips, stages and flows."""
+        """Exported JSON reloads to the live model's strips, stages and flows."""
+        config, _n = trace_point_config("fig5_bandwidth_3g", "quick", 0)
+        recorder, _sim = traced_run(config.with_policy("irqbalance"))
+        live = model_from_recorder(recorder)
         out = tmp_path / "t.json"
-        run_trace(
-            "fig5_bandwidth_3g",
-            scale="quick",
-            out=str(out),
-            echo=lambda _msg: None,
-        )
-        model = load_trace(str(out))
-        assert model.meta["policy"] == "irqbalance"
-        assert model.meta["experiment"] == "fig5_bandwidth_3g"
-        assert model.strips
+        meta = {"experiment": "fig5_bandwidth_3g", "policy": "irqbalance"}
+        write_trace(recorder, str(out), meta=meta)
+        filed = load_trace(str(out))
+        assert filed.meta == meta
+        assert live.strips and filed.strips.keys() == live.strips.keys()
         # Flow span links survive the round trip: every migration edge
-        # resolves to a strip.
-        edges = model.migration_edges()
+        # resolves to the same strip.
+        edges = live.migration_edges()
         assert edges and all(key is not None for key in edges)
-        assert {type(flow) for flow in model.flows} == {FlowEvent}
+        assert filed.migration_edges() == edges
+        assert {type(flow) for flow in filed.flows} == {FlowEvent}
+        # Stamps and durations carry the microsecond rounding of the file:
+        # a stamp to a relative 1e-12, a duration (the difference of two
+        # rounded stamps) to an absolute 1e-12 s.
+        live_times = strip_stage_times(live)
+        filed_times = strip_stage_times(filed)
+        assert filed_times.keys() == live_times.keys()
+        for key, record in filed_times.items():
+            assert record == pytest.approx(live_times[key], rel=1e-12), key
+        live_stages = stage_durations(live)
+        filed_stages = stage_durations(filed)
+        assert filed_stages.keys() == live_stages.keys()
+        for key, stages in filed_stages.items():
+            assert stages == pytest.approx(
+                live_stages[key], rel=0, abs=1e-12
+            ), key
 
     def test_not_a_trace_file_is_a_config_error(self, tmp_path):
         span = {

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenarios import Choice, Const, LogUniform, Uniform, UniformInt, parse_dist
+from repro.scenarios import Choice, Const, Uniform, UniformInt, parse_dist
 from repro.units import parse_size
 
 
@@ -37,15 +37,9 @@ class TestSampling:
         assert seen == {4, 5, 6}
         assert dist.sample(0.999999) == 6
 
-    def test_loguniform_hits_geometric_midpoint(self):
-        dist = LogUniform(lo=1.0, hi=100.0)
-        assert dist.sample(0.5) == pytest.approx(10.0)
-
     def test_invalid_bounds_raise(self):
         with pytest.raises(ConfigError):
             Uniform(lo=5.0, hi=1.0)
-        with pytest.raises(ConfigError):
-            LogUniform(lo=0.0, hi=1.0)
         with pytest.raises(ConfigError):
             Choice(values=(), weights=())
         with pytest.raises(ConfigError):
@@ -100,7 +94,6 @@ JSON_FORMS = (
     ),
     (Uniform(lo=40.0, hi=80.0), {"uniform": [40.0, 80.0]}),
     (UniformInt(lo=4, hi=10), {"uniform_int": [4, 10]}),
-    (LogUniform(lo=1.0, hi=64.0), {"loguniform": [1.0, 64.0]}),
 )
 
 

@@ -1,5 +1,6 @@
 """Generator contract: byte-reproducibility, constraints, features."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -58,6 +59,41 @@ class TestDeterminism:
             check=True,
         )
         assert out.stdout.split() == local
+
+
+#: sha256 over ``config_digest(s.config)`` of the first 96 scenarios of
+#: each built-in spec, by (spec, seed, scale).  Generation runs no
+#: simulation, so these pin every drawn config without the cost of a
+#: sweep: a change to how a knob parses, draws or casts moves one.
+GENERATOR_PINS = {
+    ("heterogeneous", 1, "quick"): "6c25c265e2581004a6bc12ddb4f265794f0a3810bf810b25b91be2daf4a3036d",
+    ("heterogeneous", 1, "default"): "0fd64009b24ff3b28674e5b6d053ec9796aaccae61a96be81e0160c51ece167b",
+    ("heterogeneous", 7, "quick"): "1915ef19e9b13a4ef6552b9e48c695b101f837bb4213e225d27bc1647e215000",
+    ("heterogeneous", 7, "default"): "7d1d818453434bcd226f1612f5f77ae0d1d41df73ceffe67f6a59844ca5f688a",
+    ("homogeneous", 1, "quick"): "8ea23d84d80c7062fee8f2a05d4b76eb3a2cf82e29043565a1b0249e8ed86f9f",
+    ("homogeneous", 1, "default"): "5631d6504bb505a6b7e3d3f5274429680481914e043100060a9e1a73d4b67121",
+    ("homogeneous", 7, "quick"): "a8a7df6076b56b71885e4341489f479b5cbebc9e2dea425059770e28d4f3b570",
+    ("homogeneous", 7, "default"): "6baa96d6286b4133ef46b861bcd807ca299149091416e7d32d53c7f087d3381b",
+    ("leafspine", 1, "quick"): "9761d0579c8e07781481774df5ae68507a77f04a824407d71e5cd87bca96722a",
+    ("leafspine", 1, "default"): "941fc3e54458e986b894ced8de34c27d90c3375df3f502a19b0cd233c78924c9",
+    ("leafspine", 7, "quick"): "72ad0e3e6dcb1abcf2b7fa55829a4cb89e275002d4e651ff44f58b69f25e4f6a",
+    ("leafspine", 7, "default"): "69f7296cb973f46763b84291c37733f3104901a89839632d07b8fed8b9d795d9",
+}
+
+
+class TestPinnedGenerator:
+    @pytest.mark.parametrize(
+        "name, seed, scale",
+        sorted(GENERATOR_PINS),
+        ids=[f"{n}-{s}-{c}" for n, s, c in sorted(GENERATOR_PINS)],
+    )
+    def test_config_digests_match_the_pin(self, name, seed, scale):
+        digest = hashlib.sha256()
+        for scenario in generate_scenarios(
+            BUILTIN_SPECS[name], 96, seed=seed, scale=scale
+        ):
+            digest.update(config_digest(scenario.config).encode())
+        assert digest.hexdigest() == GENERATOR_PINS[name, seed, scale]
 
 
 class TestConstraints:

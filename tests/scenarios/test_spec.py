@@ -2,7 +2,6 @@
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -17,6 +16,7 @@ from repro.scenarios import (
     load_spec,
     spec_from_mapping,
 )
+from repro.scenarios.spec import CLASS_KNOBS, SPEC_KNOBS
 
 SPEC_DIR = pathlib.Path(__file__).parent.parent.parent / "examples" / "specs"
 
@@ -103,6 +103,25 @@ class TestRoundTrip:
         """The files under examples/specs/ are the built-ins, verbatim."""
         assert load_spec(str(SPEC_DIR / f"{name}.json")) == BUILTIN_SPECS[name]
 
+    @pytest.mark.parametrize(
+        "path", sorted(SPEC_DIR.glob("*.json")), ids=lambda path: path.name
+    )
+    def test_committed_examples_spell_out_every_declared_knob(self, path):
+        """The example files and the field declarations name the same keys."""
+        payload = json.loads(path.read_text())
+        written = {
+            f"{section}.{key}"
+            for section, body in payload.items()
+            if section != "name"
+            for key in body
+        }
+        assert written - {"clients.classes"} == {
+            field.metadata["path"] for field in SPEC_KNOBS
+        }
+        class_keys = {field.metadata["path"] for field in CLASS_KNOBS}
+        for klass in payload["clients"]["classes"]:
+            assert set(klass) - {"name"} == class_keys, klass["name"]
+
     def test_sizes_accept_suffix_labels(self):
         spec = spec_from_mapping(
             minimal_mapping(workload={"transfer_size": {"choice": ["128K", "1M"]}})
@@ -136,27 +155,28 @@ class TestLoading:
         assert "typo.json" in str(excinfo.value)
         assert "nope" in str(excinfo.value)
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="tomllib needs Python >= 3.11"
-    )
-    def test_load_toml(self, tmp_path):
+    def test_toml_spec_is_refused_naming_the_file(self, tmp_path):
+        # A spec is JSON: a valid TOML spec is one ConfigError, not a load.
         path = tmp_path / "s.toml"
         path.write_text(
             'name = "t"\n\n[[clients.classes]]\nname = "c"\ncores = 8\n'
         )
-        spec = load_spec(str(path))
-        assert spec.name == "t"
-        assert spec.classes[0].cores == Const(8)
-
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="tomllib needs Python >= 3.11"
-    )
-    def test_invalid_toml_names_the_path(self, tmp_path):
-        path = tmp_path / "broken.toml"
-        path.write_text("name = [unclosed")
         with pytest.raises(ConfigError) as excinfo:
             load_spec(str(path))
-        assert "broken.toml" in str(excinfo.value)
+        message = str(excinfo.value)
+        assert "s.toml" in message and "\n" not in message
+
+    def test_loguniform_knob_is_refused_naming_the_field(self, tmp_path):
+        path = tmp_path / "log.json"
+        path.write_text(
+            json.dumps(
+                minimal_mapping(servers={"disk_mib": {"loguniform": [10, 100]}})
+            )
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_spec(str(path))
+        message = str(excinfo.value)
+        assert "servers.disk_mib" in message and "\n" not in message
 
 
 class TestSpecDataclass:
